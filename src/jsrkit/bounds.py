@@ -10,6 +10,10 @@ For a tuple t and depth n* the engine reports
 Both sides converge to the joint spectral radius as n* grows; at any
 finite depth the pair is a certificate lower <= jsr <= upper.
 
+Both sweeps walk words in lexicographic order with tuples.walk_products,
+which builds each product once per shared prefix; the lower sweep gets
+its necklaces straight from the FKM rule.  Ties keep the first word.
+
 The upper sweep prunes by submultiplicativity: a prefix p of length k
 cannot contribute to the level-n maximum once
 op_norm(P_p) * M ** (n - k) falls strictly below the running maximum,
@@ -31,7 +35,7 @@ import numpy as np
 from . import linalg, words
 from .config import DEFAULTS, pick
 from .errors import BudgetError
-from .tuples import MatrixTuple, product_along
+from .tuples import MatrixTuple, walk_products
 from .words import Word
 
 
@@ -64,26 +68,15 @@ class JsrBounds:
         }
 
 
-def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float) -> float:
+def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, budget: int) -> float:
     """Max of op_norm(P_w) over all words of length n, with prefix pruning."""
-    mats = t.matrices
-    r = t.r
     best = -np.inf
 
-    def descend(product: np.ndarray, k: int) -> None:
-        nonlocal best
-        nrm = linalg.op_norm(product)
-        if k == n:
-            if nrm > best:
-                best = nrm
-            return
-        if nrm * slot_norm_max ** (n - k) < best:
-            return
-        for i in range(r):
-            descend(mats[i] @ product, k + 1)
+    def prune(product: np.ndarray, k: int) -> bool:
+        return linalg.op_norm(product) * slot_norm_max ** (n - k) < best
 
-    for i in range(r):
-        descend(mats[i], 1)
+    for _, product in walk_products(t, n, prune=prune, budget=budget):
+        best = max(best, linalg.op_norm(product))
     return best
 
 
@@ -109,13 +102,13 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int | None = None) -> JsrB
             partial = True
             break
         spent += cost
-        level_max = _level_upper_max(t, n, slot_norm_max)
+        level_max = _level_upper_max(t, n, slot_norm_max, budget)
         level_upper = level_max ** (1.0 / n) if level_max > 0 else 0.0
         if level_upper < best_upper:
             best_upper = level_upper
             upper_level = n
-        for w in words.enumerate_necklaces(r, n, budget):
-            val = linalg.spectral_radius(product_along(t, w)) ** (1.0 / n)
+        for w, product in walk_products(t, n, necklaces=True, budget=budget):
+            val = linalg.spectral_radius(product) ** (1.0 / n)
             if val > best_lower:
                 best_lower = val
                 witness = w
@@ -160,8 +153,8 @@ def spectral_maximal_candidates(
             raise BudgetError(
                 f"candidate scan to depth {depth} exceeds enumeration budget {budget}"
             )
-        for w in words.enumerate_necklaces(r, n, budget):
-            values.append((w, linalg.spectral_radius(product_along(t, w)) ** (1.0 / n)))
+        for w, product in walk_products(t, n, necklaces=True, budget=budget):
+            values.append((w, linalg.spectral_radius(product) ** (1.0 / n)))
     lower = max(v for _, v in values)
     keep = [(w, v) for w, v in values if v >= lower * (1.0 - tie_tol)]
     keep.sort(key=lambda item: (-item[1], len(item[0]), item[0]))

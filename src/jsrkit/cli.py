@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .bounds import bounds as jsr_bounds
 from .bounds import finiteness_verified_at_depth
-from .config import DEFAULTS, pick
+from .config import DEFAULTS
 from .errors import ConvergenceError, InputError
 from .finiteness import characteristic_word_search, sfh_evidence
 from .norms import (
@@ -275,10 +275,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_words(args) -> int:
-    if args.alphabet < 1:
-        raise InputError(f"alphabet size must be >= 1, got {args.alphabet}")
-    if args.length < 1:
-        raise InputError(f"length must be >= 1, got {args.length}")
     source = enumerate_necklaces if args.necklaces else enumerate_words
     listed = [
         w

@@ -18,21 +18,16 @@ Flag values are True/False when known and None when not asserted.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from . import linalg
 from .config import DEFAULTS, pick
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 from .norms import LpNorm, WeightedMaxNorm, norm_to_json_dict
-from .tuples import MatrixTuple, product_along
-from .words import (
-    Word,
-    enumerate_words,
-    format_word,
-    is_primitive,
-    rotation_equivalent,
-    validate_word,
-)
+from .tuples import MatrixTuple, product_along, walk_products
+from .words import Word, format_word, is_primitive, rotation_class, validate_word
 
 
 def characteristic_tuple(
@@ -73,18 +68,22 @@ def characteristic_tuple(
     t = MatrixTuple(field, tuple(mats))
 
     p = product_along(t, omega)
-    assert abs(linalg.spectral_radius(p) - 1.0) < 1e-12
-    assert linalg.rank_eps(p) == 1
-    for i in range(r_used):
-        assert abs(linalg.op_norm(t.matrices[i]) - 1.0) < 1e-12
-    for i in range(t.r):
-        for j in range(i + 1, t.r):
-            assert not np.array_equal(t.matrices[i], t.matrices[j])
+    rho, rank = linalg.spectral_radius(p), linalg.rank_eps(p)
+    if not abs(rho - 1.0) < 1e-12:
+        raise ConvergenceError(f"self-check failed: rho(P_omega) = {rho!r}, expected 1")
+    if rank != 1:
+        raise ConvergenceError(f"self-check failed: rank(P_omega) = {rank}, expected 1")
+    if not all(abs(linalg.op_norm(a) - 1.0) < 1e-12 for a in t.matrices[:r_used]):
+        raise ConvergenceError("self-check failed: a slot of omega does not have norm 1")
+    if any(np.array_equal(a, b) for a, b in combinations(t.matrices, 2)):
+        raise ConvergenceError("self-check failed: two slots coincide")
     budget = pick(budget, DEFAULTS.word_budget)
     if r_used**n <= budget:
-        for z in enumerate_words(r_used, n):
-            if not rotation_equivalent(z, omega):
-                assert not np.any(product_along(t, z))
+        omega_class = rotation_class(omega)
+        base = MatrixTuple(field, t.matrices[:r_used])
+        for z, product in walk_products(base, n, budget=budget):
+            if z not in omega_class and np.any(product):
+                raise ConvergenceError(f"self-check failed: off-class P_{format_word(z)} != 0")
     return t
 
 

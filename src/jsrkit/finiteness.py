@@ -24,14 +24,8 @@ from .norms import (
     matrix_norm,
     verify_barabanov,
 )
-from .tuples import MatrixTuple, product_along
-from .words import (
-    Word,
-    enumerate_words,
-    format_word,
-    rotation_equivalent,
-    validate_word,
-)
+from .tuples import MatrixTuple, walk_products
+from .words import Word, format_word, rotation_class, validate_word
 
 SFH_CAVEAT = (
     "numerical evidence only: norms were admitted by sampled verification and "
@@ -125,18 +119,18 @@ def sfh_evidence(
 
     n = len(omega)
     target = rho_hat ** n
-    margin = 1.0
+    omega_class = rotation_class(omega)
+    level_max = [0.0] * len(reps)
     offender_values: dict[Word, float] = {}
-    for rep in reps:
-        level_max = 0.0
-        for z in enumerate_words(t.r, n, budget):
-            if rotation_equivalent(z, omega):
-                continue
-            value = matrix_norm(rep, product_along(t, z), samples=samples)
-            level_max = max(level_max, value)
+    for z, product in walk_products(t, n, budget=budget):
+        if z in omega_class:
+            continue
+        for i, rep in enumerate(reps):
+            value = matrix_norm(rep, product, samples=samples)
+            level_max[i] = max(level_max[i], value)
             if value >= target * (1.0 - offender_tol):
                 offender_values[z] = max(offender_values.get(z, 0.0), value)
-        margin = min(margin, (target - level_max) / target)
+    margin = min([1.0] + [(target - m) / target for m in level_max])
     offenders = tuple(sorted(offender_values.items()))
     return SfhReport(
         candidate=omega,

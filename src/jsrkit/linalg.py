@@ -21,15 +21,6 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    a = _require_square(a)
-    b = _require_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def op_norm(a: np.ndarray) -> float:
     """Operator norm induced by the Euclidean vector norm (largest singular value)."""
     a = _require_square(a)

@@ -95,6 +95,15 @@ def norm_to_json_dict(norm: NormRep) -> dict:
     raise InputError(f"unknown norm representation {type(norm).__name__}")
 
 
+def _number_list(payload: dict, key: str) -> tuple:
+    values = payload[key]
+    if not isinstance(values, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+    ):
+        raise InputError(f"norm {key!r} must be a list of numbers")
+    return tuple(values)
+
+
 def norm_from_json_dict(payload: dict) -> NormRep:
     if not isinstance(payload, dict) or "variant" not in payload:
         raise InputError("norm payload must be an object with a 'variant' key")
@@ -102,17 +111,20 @@ def norm_from_json_dict(payload: dict) -> NormRep:
     if variant == "weighted_max":
         if "weights" not in payload:
             raise InputError("weighted_max norm needs 'weights'")
-        return WeightedMaxNorm(tuple(payload["weights"]))
+        return WeightedMaxNorm(_number_list(payload, "weights"))
     if variant == "ellp":
         if "p" not in payload:
             raise InputError("ellp norm needs 'p'")
+        p = payload["p"]
+        if not isinstance(p, (int, float)) or isinstance(p, bool):
+            raise InputError(f"ellp norm 'p' must be a number, got {p!r}")
         weights = payload.get("weights")
-        return LpNorm(payload["p"], tuple(weights) if weights is not None else None)
+        return LpNorm(p, None if weights is None else _number_list(payload, "weights"))
     if variant == "mesh":
         for key in ("angles", "values"):
             if key not in payload:
                 raise InputError(f"mesh norm needs {key!r}")
-        return MeshNorm(tuple(payload["angles"]), tuple(payload["values"]))
+        return MeshNorm(_number_list(payload, "angles"), _number_list(payload, "values"))
     raise InputError(f"unknown norm variant {variant!r}")
 
 
@@ -182,7 +194,7 @@ def sphere_samples(
     return pts / norms[:, None]
 
 
-def _default_samples(t: MatrixTuple, norm: NormRep | None = None) -> np.ndarray:
+def _default_samples(t: MatrixTuple) -> np.ndarray:
     if t.d == 2 and t.field == "real":
         return circle_mesh()
     raise InputError(
@@ -225,7 +237,7 @@ def _verify(t, norm, rho_hat, samples, tol, kind) -> VerificationReport:
     if not np.isfinite(rho_hat) or rho_hat <= 0:
         raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
     tol = pick(tol, DEFAULTS.verify_tol)
-    pts = _default_samples(t, norm) if samples is None else _check_samples(t, samples)
+    pts = _default_samples(t) if samples is None else _check_samples(t, samples)
     base = _eval_many(norm, pts)
     if np.any(base <= 0.0) or not np.all(np.isfinite(base)):
         raise InputError("norm vanishes or blows up on a sample direction")

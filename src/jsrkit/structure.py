@@ -78,7 +78,7 @@ def algebra_dimension(t: MatrixTuple, drop_tol: float | None = None) -> int:
     return len(algebra_basis(t, drop_tol))
 
 
-def _orbit_subspace(basis: list[np.ndarray], v: np.ndarray, d: int, drop_tol: float):
+def _orbit_subspace(basis: list[np.ndarray], v: np.ndarray, drop_tol: float):
     """Span of {B v} for B over the algebra basis; returns (rank, orthonormal columns)."""
     stack = np.stack([b @ v for b in basis])
     u, s, vh = np.linalg.svd(stack, full_matrices=False)
@@ -148,7 +148,7 @@ def is_irreducible(
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
             return None
-        rank, w = _orbit_subspace(basis, v / nrm, d, drop_tol)
+        rank, w = _orbit_subspace(basis, v / nrm, drop_tol)
         if w is None or not 0 < rank < d:
             return None
         if _invariance_residual(t, w) > 1e-8:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .words import Word, validate_word
+from .words import Word, validate_word, walk_words
 
 _FIELDS = ("real", "complex")
 
@@ -105,6 +105,19 @@ def product_along(t: MatrixTuple, w: Word) -> np.ndarray:
     return out
 
 
+def walk_products(t: MatrixTuple, n: int, *, necklaces=False, prune=None, budget=None):
+    """walk_words over t's alphabet whose state is P_w, extended as A_letter @ P_prefix.
+
+    That is product_along's sequence of 2-D products, so each P_w equals it bitwise.
+    """
+
+    def step(prev, letter):
+        a = t.matrices[letter - 1]
+        return a if prev is None else a @ prev
+
+    return walk_words(t.r, n, necklaces=necklaces, step=step, prune=prune, budget=budget)
+
+
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:
     """max over slots of the Euclidean operator norm of the difference."""
     if s.r != t.r or s.d != t.d:
@@ -141,7 +154,7 @@ def _entry_from_json(x, field: str, where: str):
         if not (isinstance(x, list) and len(x) == 2):
             raise InputError(f"{where}: complex entries must be [re, im] pairs")
         re, im = x
-        if not all(isinstance(v, (int, float)) for v in (re, im)):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
             raise InputError(f"{where}: non-numeric entry")
         return complex(re, im)
     if not isinstance(x, (int, float)) or isinstance(x, bool):
@@ -171,7 +184,7 @@ def from_json_dict(payload: dict) -> MatrixTuple:
     if field not in _FIELDS:
         raise InputError(f"field must be one of {_FIELDS}, got {field!r}")
     r, d = payload["r"], payload["d"]
-    if not isinstance(r, int) or not isinstance(d, int) or r < 1 or d < 1:
+    if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in (r, d)):
         raise InputError("r and d must be positive integers")
     mats = payload["matrices"]
     if not isinstance(mats, list) or len(mats) != r:

@@ -3,7 +3,12 @@
 Words are plain tuples of 1-based ints.  The textual form is
 comma-separated, e.g. "1,2,2".  Two words are rotation equivalent when
 one is a cyclic shift of the other; the canonical representative of a
-class is its lexicographically least rotation.
+class (its necklace) is its lexicographically least rotation.
+
+walk_words walks the word tree in lexicographic order for every
+enumeration that carries per-word state, extending the state once per
+shared prefix.  Necklaces come straight from the Fredricksen-Kessler-
+Maiorana rule (Ruskey, Savage and Wang, "Generating necklaces", 1992).
 """
 
 from __future__ import annotations
@@ -46,56 +51,25 @@ def validate_word(w: Word, r: int | None = None) -> Word:
     return w
 
 
-def least_rotation_index(w: Word) -> int:
-    """Index k such that w[k:] + w[:k] is the least rotation (Booth's algorithm)."""
-    n = len(w)
-    doubled = w + w
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        letter = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and letter != doubled[k + i + 1]:
-            if letter < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if letter != doubled[k + i + 1]:
-            if letter < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+def rotation_class(w: Word) -> set[Word]:
+    """The cyclic shifts of w."""
+    w = validate_word(w)
+    return {w[k:] + w[:k] for k in range(len(w))}
 
 
 def canonical_rotation(w: Word) -> Word:
-    w = validate_word(w)
-    k = least_rotation_index(w)
-    return w[k:] + w[:k]
+    return min(rotation_class(w))
 
 
 def rotation_equivalent(z: Word, w: Word) -> bool:
     """True iff the words have equal length and one is a cyclic shift of the other."""
-    z = validate_word(z)
-    w = validate_word(w)
-    if len(z) != len(w):
-        return False
-    return canonical_rotation(z) == canonical_rotation(w)
+    return validate_word(z) in rotation_class(w)
 
 
 def is_primitive(w: Word) -> bool:
-    """True iff w is not a proper power.
-
-    Checks whether w occurs inside w + w at an index strictly between
-    0 and len(w); such an occurrence exhibits a shorter period.
-    """
+    """True iff w is not a proper power, that is, iff its rotations are all distinct."""
     w = validate_word(w)
-    n = len(w)
-    doubled = w + w
-    for i in range(1, n):
-        if doubled[i:i + n] == w:
-            return False
-    return True
+    return len(rotation_class(w)) == len(w)
 
 
 def power(w: Word, p: int) -> Word:
@@ -118,6 +92,34 @@ def _check_budget(r: int, n: int, budget: int | None) -> None:
         )
 
 
+def walk_words(r: int, n: int, *, necklaces=False, step=None, prune=None, budget=None):
+    """Iterate (word, state) over the words of length n on {1..r}, in lexicographic order.
+
+    A prefix's state is step(state of the prefix minus its last letter, that
+    letter), from None, computed once per prefix.  necklaces=True keeps only
+    least rotations.  prune(state, k) is asked at each prefix of length
+    0 < k < n; True skips every word below it.  r**n is checked against the
+    budget once, at the call.
+    """
+    _check_budget(r, n, budget)
+    word = [1] * (n + 1)  # word[1:] is the word; word[0] is a sentinel for FKM
+
+    def extend(k: int, period: int, state):
+        # word[1:k] is a prenecklace with the given period when necklaces is set
+        low = word[k - period] if necklaces else 1
+        for letter in range(low, r + 1):
+            word[k] = letter
+            child = None if step is None else step(state, letter)
+            child_period = period if letter == word[k - period] else k
+            if k == n:
+                if not necklaces or n % child_period == 0:
+                    yield tuple(word[1:]), child
+            elif prune is None or not prune(child, k):
+                yield from extend(k + 1, child_period, child)
+
+    return extend(1, 1, None)
+
+
 def enumerate_words(r: int, n: int, budget: int | None = None) -> Iterator[Word]:
     """All words of length n over {1..r} in lexicographic order."""
     _check_budget(r, n, budget)
@@ -125,6 +127,5 @@ def enumerate_words(r: int, n: int, budget: int | None = None) -> Iterator[Word]
 
 
 def enumerate_necklaces(r: int, n: int, budget: int | None = None) -> Iterator[Word]:
-    """One representative per rotation class: the words equal to their canonical rotation."""
-    _check_budget(r, n, budget)
-    return (w for w in _cartesian(range(1, r + 1), repeat=n) if canonical_rotation(w) == w)
+    """One representative per rotation class, its least rotation, in lexicographic order."""
+    return (w for w, _ in walk_words(r, n, necklaces=True, budget=budget))

@@ -100,6 +100,32 @@ def test_shape_mismatch_has_distinct_message(capsys, tmp_path):
     assert "rows" in err
 
 
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("tuple", {"field": "real", "r": True, "d": 1, "matrices": [[[0.5]]]}),
+        ("tuple", {"field": "real", "r": 1, "d": True, "matrices": [[[0.5]]]}),
+        ("norm", {"variant": "weighted_max", "weights": "ab"}),
+        ("norm", {"variant": "weighted_max", "weights": 3}),
+        ("norm", {"variant": "ellp", "p": "x"}),
+        ("norm", {"variant": "mesh", "angles": "ab", "values": [1.0, 1.0]}),
+    ],
+)
+def test_malformed_payload_exits_2_with_one_line(capsys, tmp_path, kind, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if kind == "tuple":
+        argv = ["bounds", "--input", str(bad), "--depth", "1"]
+    else:
+        path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0", "--l2", "0"])
+        argv = ["barabanov", "verify", "--input", path, "--norm", str(bad), "--rho-hat", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_budget_exhaustion_is_input_error(capsys, tmp_path):
     code, _, err = _run(capsys, ["words", "--alphabet", "3", "--length", "10", "--budget", "100"])
     assert code == 2

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import jsrkit
 from jsrkit.bounds import bounds
-from jsrkit.errors import InputError
+from jsrkit.config import Defaults
+from jsrkit.errors import ConvergenceError, InputError
 from jsrkit.finiteness import sfh_evidence
 from jsrkit.linalg import op_norm, rank_eps, spectral_radius
 from jsrkit.norms import WeightedMaxNorm, norm_from_json_dict, verify_barabanov
@@ -104,6 +109,30 @@ def test_characteristic_validation():
         characteristic_tuple(1, 2, (1, 2))  # letter above alphabet
     with pytest.raises(InputError):
         characteristic_tuple(0, 1, (1,))
+
+
+def test_characteristic_self_check_failure_raises(monkeypatch):
+    monkeypatch.setattr("jsrkit.constructions.linalg.rank_eps", lambda a, tol=None: 2)
+    with pytest.raises(ConvergenceError):
+        characteristic_tuple(2, 3, (1, 2, 2))
+
+
+def test_characteristic_vanishing_check_uses_callers_budget(monkeypatch):
+    # 2**5 words fit the caller's budget but not the default one
+    monkeypatch.setattr("jsrkit.words.DEFAULTS", Defaults(word_budget=10))
+    t = characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=100)
+    assert t.d == 5
+
+
+def test_package_has_no_assert_statements():
+    # self-checks must raise explicitly so that they still run under python -O
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(jsrkit.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_characteristic_truth_record():

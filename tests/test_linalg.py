@@ -10,19 +10,6 @@ import pytest
 from jsrkit import linalg
 
 
-def _matmul_oracle(a, b):
-    # deliberate triple loop, no numpy matmul
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=np.result_type(a, b))
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def _sigma_max_2x2_oracle(a):
     # closed-form largest eigenvalue of the 2x2 Hermitian A^H A
     g = a.conj().T @ a
@@ -38,31 +25,6 @@ def _eig_moduli_2x2_oracle(a):
     det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     disc = (tr * tr - 4 * det) ** 0.5
     return sorted((abs((tr + disc) / 2), abs((tr - disc) / 2)), reverse=True)
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((3, 3))
-    assert np.allclose(linalg.matmul(np.eye(3), a), a, atol=1e-10)
-    assert np.allclose(linalg.matmul(a, np.eye(3)), a, atol=1e-10)
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        assert np.allclose(linalg.matmul(a, b), _matmul_oracle(a, b), atol=1e-10)
-    # complex pairs too
-    for _ in range(10):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.allclose(linalg.matmul(a, b), _matmul_oracle(a, b), atol=1e-10)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        linalg.matmul(np.eye(2), np.eye(3))
 
 
 def test_op_norm_simple_values():

@@ -60,6 +60,18 @@ def test_product_along_order_convention():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_walk_products_match_product_along_bitwise():
+    rng = np.random.default_rng(15)
+    real = tuple(rng.standard_normal((3, 3)) for _ in range(3))
+    cplx = tuple(a + 1j * rng.standard_normal((3, 3)) for a in real)
+    for t in (tuples.MatrixTuple("real", real), tuples.MatrixTuple("complex", cplx)):
+        for n in range(1, 6):
+            walked = list(tuples.walk_products(t, n))
+            assert [w for w, _ in walked] == list(words.enumerate_words(3, n))
+            for w, p in walked:
+                assert np.array_equal(p, tuples.product_along(t, w)), w
+
+
 def test_product_along_validates_letters():
     t = _shift_pair()
     with pytest.raises(InputError):
@@ -174,4 +186,8 @@ def test_json_malformed_inputs():
     with pytest.raises(InputError):
         tuples.from_json(
             '{"field": "real", "r": 1, "d": 1, "matrices": [[["x"]]]}'
+        )
+    with pytest.raises(InputError):
+        tuples.from_json(
+            '{"field": "complex", "r": 1, "d": 1, "matrices": [[[true, 0]]]}'
         )

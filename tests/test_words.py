@@ -147,6 +147,32 @@ def test_necklace_representatives_are_canonical_and_complete():
         assert all(words.canonical_rotation(w) == w for w in reps)
         seen = {words.canonical_rotation(w) for w in words.enumerate_words(r, n)}
         assert set(reps) == seen
+    # same words in the same order as the brute filter: bounds keeps the first witness on ties
+    for r in (1, 2, 3):
+        for n in range(1, 11):
+            brute = [w for w in product(range(1, r + 1), repeat=n) if w == _canonical_oracle(w)]
+            assert list(words.enumerate_necklaces(r, n)) == brute, (r, n)
+
+
+def test_walk_words_state_and_prune():
+    def step(state, letter):
+        return (state or ()) + (letter,)
+
+    # the state of each word is built letter by letter along its prefixes
+    walked = list(words.walk_words(3, 4, step=step))
+    assert [w for w, _ in walked] == list(product((1, 2, 3), repeat=4))
+    assert all(w == state for w, state in walked)
+    # pruning at the prefix (2, 1) drops exactly the words below it
+    asked = []
+
+    def prune(state, k):
+        asked.append((state, k))
+        return state == (2, 1)
+
+    got = [w for w, _ in words.walk_words(3, 4, step=step, prune=prune)]
+    assert got == [w for w in product((1, 2, 3), repeat=4) if w[:2] != (2, 1)]
+    assert all(len(state) == k and 0 < k < 4 for state, k in asked)
+    assert ((2, 1, 1), 3) not in asked
 
 
 def test_budget_errors():
@@ -156,3 +182,6 @@ def test_budget_errors():
         list(words.enumerate_necklaces(10, 10, budget=1000))
     with pytest.raises(InputError):
         list(words.enumerate_words(0, 3))
+    # checked once, when the walk is created, before any word is produced
+    with pytest.raises(BudgetError):
+        words.walk_words(2, 10, necklaces=True, budget=100)
