@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg, words
 from .config import DEFAULTS, pick
-from .errors import BudgetError
+from .errors import BudgetError, ConvergenceError
 from .tuples import MatrixTuple, walk_products
 from .words import Word
 
@@ -51,9 +51,9 @@ class JsrBounds:
     partial: bool
 
     def __post_init__(self):
-        # slack is relative so the invariant survives scaling
-        if self.lower > self.upper + 1e-12 * max(1.0, self.upper):
-            raise AssertionError(
+        # slack is relative to the larger end, so the check holds at every scale
+        if self.lower > self.upper + 1e-12 * max(self.lower, self.upper):
+            raise ConvergenceError(
                 f"bounds out of order: lower {self.lower} > upper {self.upper}"
             )
 

@@ -12,12 +12,15 @@
 construct emits the portable tuple JSON itself (plus a "truth" block), so
 its output feeds straight back into every other command.  All other
 commands wrap their result as {"command", "config", "result"} with sorted
-keys; a fixed invocation produces byte-identical output.
+keys; a fixed invocation produces byte-identical output.  config echoes
+every option of the command (--format and --strict aside), with rho_hat
+resolved to the value used.
 
 Exit codes: 0 success; 1 under --strict when a verdict stays Unknown, a
 verification fails, an approximation does not converge, or an offender
 scan reports offenders; 2 on bad input (malformed file, out-of-range
-value, exhausted enumeration budget) with the reason on stderr.
+value, exhausted enumeration budget) or a numerical failure, with the
+reason on stderr.
 """
 
 from __future__ import annotations
@@ -97,8 +100,14 @@ def _text_lines(prefix: str, value, out: list[str]) -> None:
         out.append(f"{prefix.rstrip('.')} = {json.dumps(value)}")
 
 
-def _emit(args, command: str, config: dict, result) -> None:
+_NOT_CONFIG = ("command", "mode", "func", "format", "strict")
+
+
+def _emit(args, command: str, result, **overrides) -> None:
     if args.format == "json":
+        config = dict(vars(args), **overrides)
+        for name in _NOT_CONFIG:
+            config.pop(name, None)
         payload = {"command": command, "config": config, "result": result}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
@@ -107,8 +116,12 @@ def _emit(args, command: str, config: dict, result) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _default_rho(t: MatrixTuple, depth: int, budget: int | None) -> float:
-    b = jsr_bounds(t, depth, budget=budget)
+def _rho(t: MatrixTuple, args) -> float:
+    """--rho-hat if given, else the midpoint of the certified bounds at --depth."""
+    depth = _require_depth(args.depth)
+    if args.rho_hat is not None:
+        return args.rho_hat
+    b = jsr_bounds(t, depth, budget=args.budget)
     return 0.5 * (b.lower + b.upper)
 
 
@@ -125,15 +138,9 @@ def cmd_bounds(args) -> int:
     depth = _require_depth(args.depth)
     t = _load_tuple(args.input)
     b = jsr_bounds(t, depth, budget=args.budget)
-    config = {
-        "budget": args.budget,
-        "close_tol": args.close_tol,
-        "depth": depth,
-        "input": args.input,
-    }
     result = b.to_json_dict()
     result["closed"] = finiteness_verified_at_depth(b, args.close_tol)
-    _emit(args, "bounds", config, result)
+    _emit(args, "bounds", result)
     return 0
 
 
@@ -142,13 +149,7 @@ def cmd_rank1(args) -> int:
     _require_positive("tol", args.tol)
     t = _load_tuple(args.input)
     verdict = rank_one_property(t, depth, tol=args.tol, budget=args.budget)
-    config = {
-        "budget": args.budget,
-        "depth": depth,
-        "input": args.input,
-        "tol": args.tol,
-    }
-    _emit(args, "rank1", config, verdict.to_json_dict())
+    _emit(args, "rank1", verdict.to_json_dict())
     return 1 if args.strict and verdict.status == "Unknown" else 0
 
 
@@ -156,34 +157,19 @@ def cmd_irreducible(args) -> int:
     _require_positive("tol", args.tol)
     t = _load_tuple(args.input)
     verdict = is_irreducible(t, drop_tol=args.tol, seed=args.seed, rounds=args.rounds)
-    config = {
-        "input": args.input,
-        "rounds": args.rounds,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    _emit(args, "irreducible", config, verdict.to_json_dict())
+    _emit(args, "irreducible", verdict.to_json_dict())
     return 1 if args.strict and verdict.status == "Unknown" else 0
 
 
 def cmd_barabanov_approx(args) -> int:
-    depth = _require_depth(args.depth)
-    _require_positive("tol", args.tol)
+    _require_depth(args.depth)
+    _require_positive("tol", args.step_tol)
     t = _load_tuple(args.input)
-    rho = args.rho_hat if args.rho_hat is not None else _default_rho(t, depth, args.budget)
+    rho = _rho(t, args)
     result = approx_barabanov(
-        t, rho, mesh_size=args.mesh, max_iter=args.max_iter, step_tol=args.tol
+        t, rho, mesh_size=args.mesh, max_iter=args.max_iter, step_tol=args.step_tol
     )
-    config = {
-        "budget": args.budget,
-        "depth": depth,
-        "input": args.input,
-        "max_iter": args.max_iter,
-        "mesh": args.mesh,
-        "rho_hat": rho,
-        "step_tol": args.tol,
-    }
-    _emit(args, "barabanov-approx", config, result.to_json_dict())
+    _emit(args, "barabanov-approx", result.to_json_dict(), rho_hat=rho)
     return 1 if args.strict and not result.converged else 0
 
 
@@ -191,37 +177,24 @@ def cmd_barabanov_verify(args) -> int:
     _require_positive("tol", args.tol)
     t = _load_tuple(args.input)
     norm = _load_norm(args.norm)
-    depth = _require_depth(args.depth)
-    rho = args.rho_hat if args.rho_hat is not None else _default_rho(t, depth, args.budget)
+    rho = _rho(t, args)
     report = verify_barabanov(
         t, norm, rho, samples=_sample_directions(t, args), tol=args.tol
     )
-    config = {
-        "budget": args.budget,
-        "depth": depth,
-        "input": args.input,
-        "mesh": args.mesh,
-        "norm": args.norm,
-        "rho_hat": rho,
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
     result = report.to_json_dict()
     result["norm"] = norm_to_json_dict(norm)
-    _emit(args, "barabanov-verify", config, result)
+    _emit(args, "barabanov-verify", result, rho_hat=rho)
     return 1 if args.strict and not report.passed else 0
 
 
 def cmd_sfh(args) -> int:
-    depth = _require_depth(args.depth)
-    _require_positive("tol", args.tol)
+    _require_depth(args.depth)
+    _require_positive("tol", args.offender_tol)
     t = _load_tuple(args.input)
-    rho = args.rho_hat if args.rho_hat is not None else _default_rho(t, depth, args.budget)
+    rho = _rho(t, args)
     directions = _sample_directions(t, args)
-    if args.norm:
-        reps = [_load_norm(path) for path in args.norm]
-        norm_source = list(args.norm)
+    if args.norms:
+        reps = [_load_norm(path) for path in args.norms]
     else:
         approx = approx_barabanov(t, rho, mesh_size=args.mesh)
         if not approx.converged:
@@ -230,9 +203,8 @@ def cmd_sfh(args) -> int:
                 "pass --norm"
             )
         reps = [approx.norm]
-        norm_source = "approximated"
     common = dict(
-        offender_tol=args.tol,
+        offender_tol=args.offender_tol,
         norm_check_tol=args.norm_check_tol,
         samples=directions,
         budget=args.budget,
@@ -241,22 +213,9 @@ def cmd_sfh(args) -> int:
         omega = parse_word(args.word)
         reports = [sfh_evidence(t, omega, reps, rho, **common)]
     else:
-        reports = characteristic_word_search(t, depth, reps, rho, **common)
-    config = {
-        "budget": args.budget,
-        "depth": depth,
-        "input": args.input,
-        "mesh": args.mesh,
-        "norm_check_tol": args.norm_check_tol,
-        "norms": norm_source,
-        "offender_tol": args.tol,
-        "rho_hat": rho,
-        "samples": args.samples,
-        "seed": args.seed,
-        "word": args.word,
-    }
+        reports = characteristic_word_search(t, args.depth, reps, rho, **common)
     result = {"reports": [rep.to_json_dict() for rep in reports]}
-    _emit(args, "sfh", config, result)
+    _emit(args, "sfh", result, rho_hat=rho, norms=args.norms or "approximated")
     return 1 if args.strict and any(not rep.passed for rep in reports) else 0
 
 
@@ -282,15 +241,8 @@ def cmd_words(args) -> int:
         if not args.primitive_only or is_primitive(w)
     ]
     if args.format == "json":
-        config = {
-            "alphabet": args.alphabet,
-            "budget": args.budget,
-            "length": args.length,
-            "necklaces": args.necklaces,
-            "primitive_only": args.primitive_only,
-        }
         result = {"count": len(listed), "words": [format_word(w) for w in listed]}
-        _emit(args, "words", config, result)
+        _emit(args, "words", result)
     else:
         for w in listed:
             sys.stdout.write(format_word(w) + "\n")
@@ -343,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
     pa.add_argument("--mesh", type=int, default=DEFAULTS.mesh_size)
     pa.add_argument("--max-iter", type=int, default=DEFAULTS.max_iter)
-    pa.add_argument("--tol", type=float, default=DEFAULTS.step_tol)
+    pa.add_argument("--tol", dest="step_tol", metavar="TOL", type=float,
+                    default=DEFAULTS.step_tol)
     pa.set_defaults(func=cmd_barabanov_approx)
 
     pv = mode.add_parser("verify", help="sampled functional-equation residual")
@@ -362,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sfh", help="offender scan for a candidate word")
     _add_io(p)
     p.add_argument("--word", default=None, help="candidate word; omit to search")
-    p.add_argument("--norm", action="append", default=None,
+    p.add_argument("--norm", dest="norms", metavar="NORM", action="append", default=None,
                    help="path to norm JSON; repeatable; omit to approximate one")
     p.add_argument("--rho-hat", type=float, default=None)
     p.add_argument("--depth", type=int, default=DEFAULTS.depth)
@@ -371,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULTS.seed)
     p.add_argument("--norm-check-tol", type=float, default=DEFAULTS.norm_check_tol)
-    p.add_argument("--tol", type=float, default=DEFAULTS.offender_tol,
-                   help="offender admission tolerance")
+    p.add_argument("--tol", dest="offender_tol", metavar="TOL", type=float,
+                   default=DEFAULTS.offender_tol, help="offender admission tolerance")
     p.set_defaults(func=cmd_sfh)
 
     p = sub.add_parser("construct", help="emit a reference tuple as JSON")

@@ -16,14 +16,7 @@ from .bounds import bounds as jsr_bounds
 from .bounds import spectral_maximal_candidates
 from .config import DEFAULTS, pick
 from .errors import InputError
-from .norms import (
-    LpNorm,
-    MeshNorm,
-    NormRep,
-    WeightedMaxNorm,
-    matrix_norm,
-    verify_barabanov,
-)
+from .norms import NormRep, _induced_norm, verify_barabanov
 from .tuples import MatrixTuple, walk_products
 from .words import Word, format_word, rotation_class, validate_word
 
@@ -71,13 +64,13 @@ class SfhReport:
 
 
 def _coerce_norms(norm_reps) -> tuple[NormRep, ...]:
-    if isinstance(norm_reps, (WeightedMaxNorm, LpNorm, MeshNorm)):
+    if isinstance(norm_reps, NormRep):
         return (norm_reps,)
     reps = tuple(norm_reps)
     if not reps:
         raise InputError("need at least one norm to scan against")
     for rep in reps:
-        if not isinstance(rep, (WeightedMaxNorm, LpNorm, MeshNorm)):
+        if not isinstance(rep, NormRep):
             raise InputError(f"not a norm representation: {rep!r}")
     return reps
 
@@ -120,13 +113,15 @@ def sfh_evidence(
     n = len(omega)
     target = rho_hat ** n
     omega_class = rotation_class(omega)
+    real = t.field == "real"
+    induced = [_induced_norm(rep, t.d, real=real, samples=samples) for rep in reps]
     level_max = [0.0] * len(reps)
     offender_values: dict[Word, float] = {}
     for z, product in walk_products(t, n, budget=budget):
         if z in omega_class:
             continue
-        for i, rep in enumerate(reps):
-            value = matrix_norm(rep, product, samples=samples)
+        for i, norm_of in enumerate(induced):
+            value = norm_of(product)
             level_max[i] = max(level_max[i], value)
             if value >= target * (1.0 - offender_tol):
                 offender_values[z] = max(offender_values.get(z, 0.0), value)

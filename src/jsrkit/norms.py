@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULTS, pick
 from .errors import ConvergenceError, InputError
-from .tuples import MatrixTuple, product_along
+from .tuples import MatrixTuple, _json_number, product_along
 from .words import Word, validate_word
 
 
@@ -97,11 +97,9 @@ def norm_to_json_dict(norm: NormRep) -> dict:
 
 def _number_list(payload: dict, key: str) -> tuple:
     values = payload[key]
-    if not isinstance(values, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
-    ):
+    if not isinstance(values, list):
         raise InputError(f"norm {key!r} must be a list of numbers")
-    return tuple(values)
+    return tuple(_json_number(x, f"norm {key!r}") for x in values)
 
 
 def norm_from_json_dict(payload: dict) -> NormRep:
@@ -115,9 +113,7 @@ def norm_from_json_dict(payload: dict) -> NormRep:
     if variant == "ellp":
         if "p" not in payload:
             raise InputError("ellp norm needs 'p'")
-        p = payload["p"]
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise InputError(f"ellp norm 'p' must be a number, got {p!r}")
+        p = _json_number(payload["p"], "ellp norm 'p'")
         weights = payload.get("weights")
         return LpNorm(p, None if weights is None else _number_list(payload, "weights"))
     if variant == "mesh":
@@ -377,6 +373,29 @@ def _box_corners(weights: tuple[float, ...]) -> np.ndarray:
     return signs * inv
 
 
+def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
+    """The map a -> max phi(a x) / phi(x) for d x d matrices, over one direction set.
+
+    The directions and their norms are worked out once, so a scan over
+    many products pays for them once.
+    """
+    if isinstance(norm, WeightedMaxNorm) and real and len(norm.weights) == d and d <= 10:
+        pts = _box_corners(norm.weights)
+    elif samples is not None:
+        pts = np.atleast_2d(np.asarray(samples))
+    elif isinstance(norm, MeshNorm):
+        ang = np.asarray(norm.angles)
+        pts = np.column_stack([np.cos(ang), np.sin(ang)])
+    elif d == 2 and real:
+        pts = circle_mesh()
+    else:
+        raise InputError("supply sample directions for this norm/matrix combination")
+    base = _eval_many(norm, pts)
+    if np.any(base <= 0.0):
+        raise InputError("norm vanishes on a sample direction")
+    return lambda a: float(np.max(_eval_many(norm, pts @ a.T) / base))
+
+
 def matrix_norm(norm: NormRep, a: np.ndarray, samples=None) -> float:
     """Operator norm of a matrix induced by the represented vector norm.
 
@@ -390,30 +409,7 @@ def matrix_norm(norm: NormRep, a: np.ndarray, samples=None) -> float:
     d = a.shape[0]
     if a.ndim != 2 or a.shape[1] != d:
         raise InputError(f"matrix_norm needs a square matrix, got shape {a.shape}")
-    if (
-        isinstance(norm, WeightedMaxNorm)
-        and not np.iscomplexobj(a)
-        and len(norm.weights) == d
-        and d <= 10
-    ):
-        corners = _box_corners(norm.weights)
-        base = _eval_many(norm, corners)
-        vals = _eval_many(norm, corners @ a.T)
-        return float(np.max(vals / base))
-    if samples is None:
-        if isinstance(norm, MeshNorm):
-            ang = np.asarray(norm.angles)
-            samples = np.column_stack([np.cos(ang), np.sin(ang)])
-        elif d == 2 and not np.iscomplexobj(a):
-            samples = circle_mesh()
-        else:
-            raise InputError("supply sample directions for this norm/matrix combination")
-    pts = np.atleast_2d(np.asarray(samples))
-    base = _eval_many(norm, pts)
-    if np.any(base <= 0.0):
-        raise InputError("norm vanishes on a sample direction")
-    vals = _eval_many(norm, pts @ a.T)
-    return float(np.max(vals / base))
+    return _induced_norm(norm, d, real=not np.iscomplexobj(a), samples=samples)(a)
 
 
 def theta(t: MatrixTuple, w: Word, norm: NormRep, samples=None) -> float:

@@ -149,17 +149,23 @@ def _entry_to_json(x, field: str):
     return float(np.real(x))
 
 
+def _json_number(x, where: str) -> float:
+    """float(x) for a JSON number; bools, non-numbers and out-of-range integers raise InputError."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise InputError(f"{where}: non-numeric entry")
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"{where}: integer entry too large for a float") from None
+
+
 def _entry_from_json(x, field: str, where: str):
     if field == "complex":
         if not (isinstance(x, list) and len(x) == 2):
             raise InputError(f"{where}: complex entries must be [re, im] pairs")
         re, im = x
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-            raise InputError(f"{where}: non-numeric entry")
-        return complex(re, im)
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise InputError(f"{where}: non-numeric entry")
-    return float(x)
+        return complex(_json_number(re, where), _json_number(im, where))
+    return _json_number(x, where)
 
 
 def to_json_dict(t: MatrixTuple) -> dict:

@@ -14,7 +14,7 @@ from jsrkit.bounds import (
     finiteness_verified_at_depth,
     spectral_maximal_candidates,
 )
-from jsrkit.errors import BudgetError
+from jsrkit.errors import BudgetError, ConvergenceError
 from jsrkit.tuples import MatrixTuple, exterior_square_tuple, product_along
 
 
@@ -171,8 +171,11 @@ def test_budget_partial_and_error():
 
 
 def test_bounds_record_rejects_inverted_interval():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConvergenceError):
         JsrBounds(2.0, 1.0, 1, (1,), 1, False)
+    # far below 1 an absolute slack would let this through
+    with pytest.raises(ConvergenceError):
+        JsrBounds(1e-200, 0.0, 3, (1,), 2, False)
 
 
 def test_json_certificate_keys():

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jsrkit
 from jsrkit.cli import main
 from jsrkit.norms import WeightedMaxNorm, norm_to_json_dict
 from jsrkit.tuples import MatrixTuple, to_json
@@ -109,6 +114,9 @@ def test_shape_mismatch_has_distinct_message(capsys, tmp_path):
         ("norm", {"variant": "weighted_max", "weights": 3}),
         ("norm", {"variant": "ellp", "p": "x"}),
         ("norm", {"variant": "mesh", "angles": "ab", "values": [1.0, 1.0]}),
+        ("tuple", {"field": "real", "r": 1, "d": 1, "matrices": [[[10 ** 400]]]}),
+        ("tuple", {"field": "complex", "r": 1, "d": 1, "matrices": [[[[0.5, 10 ** 400]]]]}),
+        ("norm", {"variant": "weighted_max", "weights": [1.0, 10 ** 400]}),
     ],
 )
 def test_malformed_payload_exits_2_with_one_line(capsys, tmp_path, kind, payload):
@@ -283,3 +291,216 @@ def test_invalid_depth_and_tol_rejected(capsys, tmp_path):
     code, _, err = _run(capsys, ["rank1", "--input", path, "--tol", "-1"])
     assert code == 2
     assert "tol" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_underflowing_tuple_is_numerical_failure(tmp_path, flags):
+    # every product of length >= 2 underflows to zero, so upper 0 < lower 1e-200
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(to_json(MatrixTuple("real", (np.full((2, 2), 1e-200),))))
+    src = str(Path(jsrkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, *flags, "-m", "jsrkit.cli", "bounds", "--input", str(tiny), "--depth", "3"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+
+# One fixed invocation per reporting command and the config block it prints.
+# "P" and "N" are the tuple and norm files, in the working directory.
+CONFIG_CASES = {
+    "bounds": (
+        ["bounds", "--input", "P", "--depth", "2"],
+        {"budget": 10000000, "close_tol": 1e-09, "depth": 2, "input": "P"},
+    ),
+    "rank1": (
+        ["rank1", "--input", "P", "--depth", "1"],
+        {"budget": 10000000, "depth": 1, "input": "P", "tol": 1e-09},
+    ),
+    "irreducible": (
+        ["irreducible", "--input", "P", "--seed", "11"],
+        {"input": "P", "rounds": 200, "seed": 11, "tol": 1e-09},
+    ),
+    "barabanov-approx": (
+        ["barabanov", "approx", "--input", "P", "--depth", "2", "--tol", "1e-9"],
+        {"budget": 10000000, "depth": 2, "input": "P", "max_iter": 500, "mesh": 720,
+         "rho_hat": 1.0, "step_tol": 1e-09},
+    ),
+    "barabanov-verify": (
+        ["barabanov", "verify", "--input", "P", "--norm", "N", "--samples", "64", "--seed", "5"],
+        {"budget": 10000000, "depth": 4, "input": "P", "mesh": 720, "norm": "N",
+         "rho_hat": 1.0, "samples": 64, "seed": 5, "tol": 1e-09},
+    ),
+    "sfh-word": (
+        ["sfh", "--input", "P", "--word", "1,2", "--norm", "N", "--norm", "N", "--tol", "0.01"],
+        {"budget": 10000000, "depth": 4, "input": "P", "mesh": 720, "norm_check_tol": 0.001,
+         "norms": ["N", "N"], "offender_tol": 0.01, "rho_hat": 1.0, "samples": None,
+         "seed": 0, "word": "1,2"},
+    ),
+    "sfh-search": (
+        ["sfh", "--input", "P", "--depth", "2"],
+        {"budget": 10000000, "depth": 2, "input": "P", "mesh": 720, "norm_check_tol": 0.001,
+         "norms": "approximated", "offender_tol": 1e-06, "rho_hat": 1.0, "samples": None,
+         "seed": 0, "word": None},
+    ),
+    "words": (
+        ["words", "--alphabet", "2", "--length", "3", "--necklaces", "--format", "json"],
+        {"alphabet": 2, "budget": 10000000, "length": 3, "necklaces": True,
+         "primitive_only": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_block_echoes_every_option(capsys, tmp_path, monkeypatch, case):
+    _construct(capsys, tmp_path, "P", ["--example", "1", "--l1", "0", "--l2", "0"])
+    _norm_file(tmp_path, "N", WeightedMaxNorm((1.0, 1.0)))
+    monkeypatch.chdir(tmp_path)
+    argv, config = CONFIG_CASES[case]
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)["config"] == config
+
+
+HELP = {
+    "bounds": """\
+usage: jsrkit bounds [-h] --input INPUT [--format {json,text}] [--strict]
+                     [--depth DEPTH] [--budget BUDGET] [--close-tol CLOSE_TOL]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         path to tuple JSON
+  --format {json,text}
+  --strict              exit 1 on Unknown / failed / non-converged results
+  --depth DEPTH
+  --budget BUDGET
+  --close-tol CLOSE_TOL
+""",
+    "rank1": """\
+usage: jsrkit rank1 [-h] --input INPUT [--format {json,text}] [--strict]
+                    [--depth DEPTH] [--budget BUDGET] [--tol TOL]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         path to tuple JSON
+  --format {json,text}
+  --strict              exit 1 on Unknown / failed / non-converged results
+  --depth DEPTH
+  --budget BUDGET
+  --tol TOL
+""",
+    "irreducible": """\
+usage: jsrkit irreducible [-h] --input INPUT [--format {json,text}] [--strict]
+                          [--tol TOL] [--seed SEED] [--rounds ROUNDS]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         path to tuple JSON
+  --format {json,text}
+  --strict              exit 1 on Unknown / failed / non-converged results
+  --tol TOL
+  --seed SEED
+  --rounds ROUNDS
+""",
+    "barabanov approx": """\
+usage: jsrkit barabanov approx [-h] --input INPUT [--format {json,text}]
+                               [--strict] [--rho-hat RHO_HAT] [--depth DEPTH]
+                               [--budget BUDGET] [--mesh MESH]
+                               [--max-iter MAX_ITER] [--tol TOL]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         path to tuple JSON
+  --format {json,text}
+  --strict              exit 1 on Unknown / failed / non-converged results
+  --rho-hat RHO_HAT     defaults to the midpoint of certified bounds
+  --depth DEPTH
+  --budget BUDGET
+  --mesh MESH
+  --max-iter MAX_ITER
+  --tol TOL
+""",
+    "barabanov verify": """\
+usage: jsrkit barabanov verify [-h] --input INPUT [--format {json,text}]
+                               [--strict] --norm NORM [--rho-hat RHO_HAT]
+                               [--depth DEPTH] [--budget BUDGET] [--mesh MESH]
+                               [--samples SAMPLES] [--seed SEED] [--tol TOL]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         path to tuple JSON
+  --format {json,text}
+  --strict              exit 1 on Unknown / failed / non-converged results
+  --norm NORM           path to norm JSON
+  --rho-hat RHO_HAT
+  --depth DEPTH
+  --budget BUDGET
+  --mesh MESH
+  --samples SAMPLES     random sphere directions (needed when d > 2 or
+                        complex)
+  --seed SEED
+  --tol TOL
+""",
+    "sfh": """\
+usage: jsrkit sfh [-h] --input INPUT [--format {json,text}] [--strict]
+                  [--word WORD] [--norm NORM] [--rho-hat RHO_HAT]
+                  [--depth DEPTH] [--budget BUDGET] [--mesh MESH]
+                  [--samples SAMPLES] [--seed SEED]
+                  [--norm-check-tol NORM_CHECK_TOL] [--tol TOL]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         path to tuple JSON
+  --format {json,text}
+  --strict              exit 1 on Unknown / failed / non-converged results
+  --word WORD           candidate word; omit to search
+  --norm NORM           path to norm JSON; repeatable; omit to approximate one
+  --rho-hat RHO_HAT
+  --depth DEPTH
+  --budget BUDGET
+  --mesh MESH
+  --samples SAMPLES
+  --seed SEED
+  --norm-check-tol NORM_CHECK_TOL
+  --tol TOL             offender admission tolerance
+""",
+    "construct": """\
+usage: jsrkit construct [-h] (--example EXAMPLE | --word WORD)
+                        [--alphabet ALPHABET] [--field {real,complex}]
+                        [--l1 L1] [--l2 L2] [--lam LAM]
+
+options:
+  -h, --help            show this help message and exit
+  --example EXAMPLE     catalogue id 1..5
+  --word WORD           characteristic word, e.g. 1,2,2
+  --alphabet ALPHABET   alphabet size for --word (default: largest letter)
+  --field {real,complex}
+  --l1 L1
+  --l2 L2
+  --lam LAM
+""",
+    "words": """\
+usage: jsrkit words [-h] --alphabet ALPHABET --length LENGTH [--necklaces]
+                    [--primitive-only] [--budget BUDGET]
+                    [--format {json,text}]
+
+options:
+  -h, --help            show this help message and exit
+  --alphabet ALPHABET
+  --length LENGTH
+  --necklaces           one representative per rotation class
+  --primitive-only
+  --budget BUDGET
+  --format {json,text}
+""",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(HELP))
+def test_subcommand_help_is_unchanged(capsys, monkeypatch, subcommand):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exit_info:
+        main([*subcommand.split(), "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == HELP[subcommand]

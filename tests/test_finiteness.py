@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from jsrkit import norms
 from jsrkit.errors import InputError
 from jsrkit.finiteness import (
     SFH_CAVEAT,
@@ -87,6 +88,22 @@ def test_single_slot_alphabet_trivial_margin():
     report = sfh_evidence(rot, (1,), LpNorm(2.0), 1.0)
     assert report.passed
     assert report.margin == 1.0  # nothing outside the class to scan
+
+
+def test_box_corners_built_once_per_norm(monkeypatch):
+    calls = []
+    build = norms._box_corners
+
+    def counting(weights):
+        calls.append(weights)
+        return build(weights)
+
+    monkeypatch.setattr(norms, "_box_corners", counting)
+    lam = 0.5
+    pair = [WeightedMaxNorm((1.0, lam)), WeightedMaxNorm((1.0, lam))]
+    report = sfh_evidence(_diag_dominant_pair(lam), (1,) * 6, pair, 1.0)
+    assert not report.passed  # the scan did evaluate products
+    assert calls == [(1.0, lam)] * 2
 
 
 def test_rejects_non_extremal_norm():
