@@ -10,15 +10,17 @@ For a tuple t and depth n* the engine reports
 Both sides converge to the joint spectral radius as n* grows; at any
 finite depth the pair is a certificate lower <= jsr <= upper.
 
-Both sweeps walk words in lexicographic order with tuples.walk_products,
-which builds each product once per shared prefix; the lower sweep gets
-its necklaces straight from the FKM rule.  Ties keep the first word.
+Both sweeps take the products in lexicographic order from
+tuples.product_blocks, in blocks, with one numpy call per block
+(linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
 
-The upper sweep prunes by submultiplicativity: a prefix p of length k
-cannot contribute to the level-n maximum once
-op_norm(P_p) * M ** (n - k) falls strictly below the running maximum,
-where M is the largest slot norm.  Strictness keeps ties, so pruning
-never changes the computed maximum.
+Each level runs its necklace sweep first.  The upper sweep then prunes by
+submultiplicativity: a prefix p of length k cannot contribute to the
+level-n maximum once op_norm(P_p) * M ** (n - k) falls strictly below the
+running maximum, where M is the largest slot norm.  The running maximum
+starts at the norm of the level's best necklace product, a value the
+maximum includes anyway, and rises after each block.  Strictness keeps
+ties, so pruning never changes the computed maximum.
 
 Budget accounting: each completed level n charges 2 * r**n words against
 the budget (one all-words sweep, one necklace sweep).  If the next level
@@ -35,7 +37,7 @@ import numpy as np
 from . import linalg, words
 from .config import DEFAULTS, pick
 from .errors import BudgetError, ConvergenceError
-from .tuples import MatrixTuple, walk_products
+from .tuples import MatrixTuple, product_along, product_blocks
 from .words import Word
 
 
@@ -68,15 +70,39 @@ class JsrBounds:
         }
 
 
-def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, budget: int) -> float:
-    """Max of op_norm(P_w) over all words of length n, with prefix pruning."""
-    best = -np.inf
+def _necklace_values(t: MatrixTuple, n: int, budget: int):
+    """(word index, spectral_radius(P_w) ** (1/n)) for the necklaces w of length n, in order."""
+    for codes, stack in product_blocks(t, n, necklaces=True, budget=budget):
+        radii = linalg.spectral_radii(stack).tolist()
+        yield from zip(codes.tolist(), [rho ** (1.0 / n) for rho in radii])
 
-    def prune(product: np.ndarray, k: int) -> bool:
-        return linalg.op_norm(product) * slot_norm_max ** (n - k) < best
 
-    for _, product in walk_products(t, n, prune=prune, budget=budget):
-        best = max(best, linalg.op_norm(product))
+def _level_lower_max(t: MatrixTuple, n: int, budget: int) -> tuple[float, Word]:
+    """Max of spectral_radius(P_w) ** (1/n) over the necklaces w of length n, and the first w."""
+    best, best_code = -np.inf, 0
+    for code, value in _necklace_values(t, n, budget):
+        if value > best:
+            best, best_code = value, code
+    return best, words.word_at(best_code, t.r, n)
+
+
+def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, seed: float, budget: int) -> float:
+    """Max of op_norm(P_w) over all words of length n, with prefix pruning.
+
+    seed must be the norm of one of these products; it only prunes sooner.
+    """
+    best = seed
+
+    def prune(stack: np.ndarray, k: int) -> np.ndarray:
+        try:
+            growth = slot_norm_max ** (n - k)
+        except OverflowError:  # an infinite bound rules nothing out
+            return np.zeros(len(stack), dtype=bool)
+        with np.errstate(over="ignore"):
+            return linalg.op_norms(stack) * growth < best
+
+    for _, stack in product_blocks(t, n, prune=prune, budget=budget):
+        best = max(best, float(np.max(linalg.op_norms(stack))))
     return best
 
 
@@ -102,16 +128,16 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int | None = None) -> JsrB
             partial = True
             break
         spent += cost
-        level_max = _level_upper_max(t, n, slot_norm_max, budget)
+        level_lower, level_witness = _level_lower_max(t, n, budget)
+        if level_lower > best_lower:
+            best_lower = level_lower
+            witness = level_witness
+        seed = linalg.op_norm(product_along(t, level_witness))
+        level_max = _level_upper_max(t, n, slot_norm_max, seed, budget)
         level_upper = level_max ** (1.0 / n) if level_max > 0 else 0.0
         if level_upper < best_upper:
             best_upper = level_upper
             upper_level = n
-        for w, product in walk_products(t, n, necklaces=True, budget=budget):
-            val = linalg.spectral_radius(product) ** (1.0 / n)
-            if val > best_lower:
-                best_lower = val
-                witness = w
         completed = n
     if completed == 0:
         raise BudgetError(
@@ -145,7 +171,7 @@ def spectral_maximal_candidates(
     tie_tol = pick(tie_tol, DEFAULTS.tie_tol)
     budget = pick(budget, DEFAULTS.word_budget)
     r = t.r
-    values: list[tuple[Word, float]] = []
+    values: list[tuple[int, int, float]] = []  # (length, word index, value)
     spent = 0
     for n in range(1, depth + 1):
         spent += r ** n
@@ -153,10 +179,9 @@ def spectral_maximal_candidates(
             raise BudgetError(
                 f"candidate scan to depth {depth} exceeds enumeration budget {budget}"
             )
-        for w, product in walk_products(t, n, necklaces=True, budget=budget):
-            values.append((w, linalg.spectral_radius(product) ** (1.0 / n)))
-    lower = max(v for _, v in values)
-    keep = [(w, v) for w, v in values if v >= lower * (1.0 - tie_tol)]
+        values.extend((n, code, v) for code, v in _necklace_values(t, n, budget))
+    lower = max(v for _, _, v in values)
+    keep = [(words.word_at(code, r, n), v) for n, code, v in values if v >= lower * (1.0 - tie_tol)]
     keep.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return keep
 

@@ -40,6 +40,11 @@ class Defaults:
 
 DEFAULTS = Defaults()
 
+# Largest array, in bytes, that a batched sweep builds at once: a block of
+# word products, or the images of one block under a sampled norm.  A fixed
+# bound on memory, not a tuning knob, so it is not a Defaults field.
+BLOCK_BYTES = 1 << 20
+
 
 def pick(value, default):
     """Return ``value`` unless it is None, else ``default``."""

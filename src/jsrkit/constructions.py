@@ -26,8 +26,16 @@ from . import linalg
 from .config import DEFAULTS, pick
 from .errors import ConvergenceError, InputError
 from .norms import LpNorm, WeightedMaxNorm, norm_to_json_dict
-from .tuples import MatrixTuple, product_along, walk_products
-from .words import Word, format_word, is_primitive, rotation_class, validate_word
+from .tuples import MatrixTuple, product_along, product_blocks
+from .words import (
+    Word,
+    format_word,
+    is_primitive,
+    rotation_class,
+    validate_word,
+    word_at,
+    word_index,
+)
 
 
 def characteristic_tuple(
@@ -79,10 +87,13 @@ def characteristic_tuple(
         raise ConvergenceError("self-check failed: two slots coincide")
     budget = pick(budget, DEFAULTS.word_budget)
     if r_used**n <= budget:
-        omega_class = rotation_class(omega)
+        omega_codes = [word_index(z, r_used) for z in rotation_class(omega)]
         base = MatrixTuple(field, t.matrices[:r_used])
-        for z, product in walk_products(base, n, budget=budget):
-            if z not in omega_class and np.any(product):
+        for codes, stack in product_blocks(base, n, budget=budget):
+            other = ~np.isin(codes, omega_codes)
+            live = np.flatnonzero(np.any(stack[other], axis=(1, 2)))
+            if live.size:
+                z = word_at(codes[other][live[0]], r_used, n)
                 raise ConvergenceError(f"self-check failed: off-class P_{format_word(z)} != 0")
     return t
 

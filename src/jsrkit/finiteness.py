@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import bounds as jsr_bounds
 from .bounds import spectral_maximal_candidates
 from .config import DEFAULTS, pick
 from .errors import InputError
 from .norms import NormRep, _induced_norm, verify_barabanov
-from .tuples import MatrixTuple, walk_products
-from .words import Word, format_word, rotation_class, validate_word
+from .tuples import MatrixTuple, product_blocks
+from .words import Word, format_word, rotation_class, validate_word, word_at, word_index
 
 SFH_CAVEAT = (
     "numerical evidence only: norms were admitted by sampled verification and "
@@ -112,18 +114,22 @@ def sfh_evidence(
 
     n = len(omega)
     target = rho_hat ** n
-    omega_class = rotation_class(omega)
+    omega_codes = [word_index(z, t.r) for z in rotation_class(omega)]
     real = t.field == "real"
     induced = [_induced_norm(rep, t.d, real=real, samples=samples) for rep in reps]
+    threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(reps)
     offender_values: dict[Word, float] = {}
-    for z, product in walk_products(t, n, budget=budget):
-        if z in omega_class:
+    for codes, stack in product_blocks(t, n, budget=budget):
+        other = ~np.isin(codes, omega_codes)
+        codes, stack = codes[other], stack[other]
+        if not len(codes):
             continue
         for i, norm_of in enumerate(induced):
-            value = norm_of(product)
-            level_max[i] = max(level_max[i], value)
-            if value >= target * (1.0 - offender_tol):
+            values = norm_of(stack)
+            level_max[i] = max(level_max[i], float(np.max(values)))
+            for j in np.flatnonzero(values >= threshold).tolist():
+                z, value = word_at(codes[j], t.r, n), float(values[j])
                 offender_values[z] = max(offender_values.get(z, 0.0), value)
     margin = min([1.0] + [(target - m) / target for m in level_max])
     offenders = tuple(sorted(offender_values.items()))

@@ -1,7 +1,10 @@
 """Dense matrix kernels used throughout the package.
 
 Everything here works on square numpy arrays, real or complex.  Results
-are plain floats (norms, radii) or arrays; no state is kept.
+are plain floats (norms, radii) or arrays; no state is kept.  op_norms and
+spectral_radii take a (k, d, d) stack and make one numpy call for all of
+it, which loops over LAPACK in C; op_norm and spectral_radius are their
+one-matrix forms.
 """
 
 from __future__ import annotations
@@ -21,24 +24,45 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def op_norm(a: np.ndarray) -> float:
-    """Operator norm induced by the Euclidean vector norm (largest singular value)."""
-    a = _require_square(a)
+def _require_square_stack(stack: np.ndarray) -> np.ndarray:
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+    return stack
+
+
+def op_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (k, d, d) stack, in one numpy call.
+
+    numpy runs the same routine on every matrix of a stack as on a single
+    matrix, so each value equals the one-matrix call bitwise.
+    """
+    stack = _require_square_stack(stack)
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value computation failed: {exc}") from exc
-    return float(s[0])
+    return s[:, 0]
+
+
+def spectral_radii(stack: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue modulus of each matrix in a (k, d, d) stack."""
+    stack = _require_square_stack(stack)
+    try:
+        eig = np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue computation failed: {exc}") from exc
+    return np.max(np.abs(eig), axis=1)
+
+
+def op_norm(a: np.ndarray) -> float:
+    """Operator norm induced by the Euclidean vector norm (largest singular value)."""
+    return float(op_norms(_require_square(a)[None])[0])
 
 
 def spectral_radius(a: np.ndarray) -> float:
     """Largest eigenvalue modulus."""
-    a = _require_square(a)
-    try:
-        eig = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue computation failed: {exc}") from exc
-    return float(np.max(np.abs(eig)))
+    return float(spectral_radii(_require_square(a)[None])[0])
 
 
 def determinant(a: np.ndarray):

@@ -23,6 +23,7 @@ from itertools import product as _cartesian
 
 import numpy as np
 
+from . import config
 from .config import DEFAULTS, pick
 from .errors import ConvergenceError, InputError
 from .tuples import MatrixTuple, _json_number, product_along
@@ -333,7 +334,8 @@ def approx_barabanov(
         nxt = np.max(
             np.stack([_mesh_interp(angles, cur, img) for img in images]), axis=0
         ) / rho_hat
-        if nxt[0] <= 0.0 or np.any(nxt <= 0.0) or not np.all(np.isfinite(nxt)):
+        # a value at rounding level of the largest is a direction the tuple maps to zero
+        if not np.all(np.isfinite(nxt)) or np.any(nxt <= np.finfo(float).eps * np.max(nxt)):
             raise ConvergenceError(
                 "mesh values lost positivity; the tuple maps some direction to zero"
             )
@@ -374,10 +376,11 @@ def _box_corners(weights: tuple[float, ...]) -> np.ndarray:
 
 
 def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
-    """The map a -> max phi(a x) / phi(x) for d x d matrices, over one direction set.
+    """The map from a (k, d, d) stack to the k values max phi(a x) / phi(x), over one direction set.
 
     The directions and their norms are worked out once, so a scan over
-    many products pays for them once.
+    many products pays for them once.  Images are taken for as many
+    matrices at a time as fit in config.BLOCK_BYTES.
     """
     if isinstance(norm, WeightedMaxNorm) and real and len(norm.weights) == d and d <= 10:
         pts = _box_corners(norm.weights)
@@ -393,7 +396,18 @@ def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
     base = _eval_many(norm, pts)
     if np.any(base <= 0.0):
         raise InputError("norm vanishes on a sample direction")
-    return lambda a: float(np.max(_eval_many(norm, pts @ a.T) / base))
+
+    def induced(stack: np.ndarray) -> np.ndarray:
+        image_bytes = pts.size * np.result_type(pts, stack).itemsize
+        step = max(1, config.BLOCK_BYTES // image_bytes)
+        out = np.empty(len(stack))
+        for lo in range(0, len(stack), step):
+            images = np.matmul(pts, stack[lo:lo + step].transpose(0, 2, 1))
+            values = _eval_many(norm, images.reshape(-1, images.shape[2]))
+            out[lo:lo + step] = np.max(values.reshape(len(images), -1) / base, axis=1)
+        return out
+
+    return induced
 
 
 def matrix_norm(norm: NormRep, a: np.ndarray, samples=None) -> float:
@@ -409,7 +423,7 @@ def matrix_norm(norm: NormRep, a: np.ndarray, samples=None) -> float:
     d = a.shape[0]
     if a.ndim != 2 or a.shape[1] != d:
         raise InputError(f"matrix_norm needs a square matrix, got shape {a.shape}")
-    return _induced_norm(norm, d, real=not np.iscomplexobj(a), samples=samples)(a)
+    return float(_induced_norm(norm, d, real=not np.iscomplexobj(a), samples=samples)(a[None])[0])
 
 
 def theta(t: MatrixTuple, w: Word, norm: NormRep, samples=None) -> float:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .errors import InputError
-from .words import Word, validate_word, walk_words
+from . import config, linalg
+from .errors import ConvergenceError, InputError
+from .words import Word, _check_budget, necklace_prefixes, validate_word
 
 _FIELDS = ("real", "complex")
 
@@ -105,17 +105,51 @@ def product_along(t: MatrixTuple, w: Word) -> np.ndarray:
     return out
 
 
-def walk_products(t: MatrixTuple, n: int, *, necklaces=False, prune=None, budget=None):
-    """walk_words over t's alphabet whose state is P_w, extended as A_letter @ P_prefix.
+def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None, budget=None):
+    """Iterate (codes, stack) over the products of the words of length n, in lexicographic order.
 
-    That is product_along's sequence of 2-D products, so each P_w equals it bitwise.
+    codes holds each word's int64 base-r index (words.word_at decodes it) and
+    stack the products P_w, (k, d, d).  Letters are added one batched layer
+    at a time as A_letter @ P_prefix, product_along's sequence of 2-D
+    products, so each P_w equals it bitwise.  Prefixes are split into pieces
+    whose whole subtree fits in config.BLOCK_BYTES, so no product array
+    outgrows it.  necklaces=True keeps only least rotations.  prune(stack, k)
+    is asked at each length 0 < k < n and returns a mask of the prefixes to
+    drop with every word below them.  r**n is checked against the budget once,
+    at the call; a non-finite product raises ConvergenceError.
     """
+    r = t.r
+    _check_budget(r, n, budget)
+    slots = np.stack(t.matrices)
+    letters = np.arange(r, dtype=np.int64)
+    row_bytes = slots[0].nbytes
 
-    def step(prev, letter):
-        a = t.matrices[letter - 1]
-        return a if prev is None else a @ prev
+    def descend(codes, stack, k):
+        # codes and stack hold prefixes of length k
+        if necklaces:
+            keep = necklace_prefixes(codes, r, k, n)
+            codes, stack = codes[keep], stack[keep]
+        if k == n:
+            if len(codes):
+                yield codes, stack
+            return
+        piece = max(1, config.BLOCK_BYTES // (row_bytes * r ** (n - k)))
+        for lo in range(0, len(codes), piece):
+            part, prefixes = codes[lo:lo + piece], stack[lo:lo + piece]
+            if prune is not None:
+                keep = ~prune(prefixes, k)
+                part, prefixes = part[keep], prefixes[keep]
+                if not len(part):
+                    continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                children = np.matmul(slots[None], prefixes[:, None]).reshape(-1, *slots.shape[1:])
+            if not np.isfinite(children).all():
+                raise ConvergenceError(
+                    f"products of length {k + 1} overflow; the tuple's scale is out of range"
+                )
+            yield from descend((part[:, None] * r + letters).ravel(), children, k + 1)
 
-    return walk_words(t.r, n, necklaces=necklaces, step=step, prune=prune, budget=budget)
+    return descend(letters, slots, 1)
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:

@@ -5,16 +5,19 @@ comma-separated, e.g. "1,2,2".  Two words are rotation equivalent when
 one is a cyclic shift of the other; the canonical representative of a
 class (its necklace) is its lexicographically least rotation.
 
-walk_words walks the word tree in lexicographic order for every
-enumeration that carries per-word state, extending the state once per
-shared prefix.  Necklaces come straight from the Fredricksen-Kessler-
-Maiorana rule (Ruskey, Savage and Wang, "Generating necklaces", 1992).
+Necklaces come straight from the Fredricksen-Kessler-Maiorana rule
+(Ruskey, Savage and Wang, "Generating necklaces", 1992).  word_index and
+word_at map a word to its base-r position in lexicographic order and back;
+the batched product sweep (tuples.product_blocks) names words that way,
+and necklace_prefixes filters such positions for it.
 """
 
 from __future__ import annotations
 
 from itertools import product as _cartesian
 from typing import Iterator
+
+import numpy as np
 
 from .config import DEFAULTS, pick
 from .errors import BudgetError, InputError
@@ -37,7 +40,7 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
-    return ",".join(str(letter) for letter in w)
+    return ",".join(map(str, w))
 
 
 def validate_word(w: Word, r: int | None = None) -> Word:
@@ -92,34 +95,6 @@ def _check_budget(r: int, n: int, budget: int | None) -> None:
         )
 
 
-def walk_words(r: int, n: int, *, necklaces=False, step=None, prune=None, budget=None):
-    """Iterate (word, state) over the words of length n on {1..r}, in lexicographic order.
-
-    A prefix's state is step(state of the prefix minus its last letter, that
-    letter), from None, computed once per prefix.  necklaces=True keeps only
-    least rotations.  prune(state, k) is asked at each prefix of length
-    0 < k < n; True skips every word below it.  r**n is checked against the
-    budget once, at the call.
-    """
-    _check_budget(r, n, budget)
-    word = [1] * (n + 1)  # word[1:] is the word; word[0] is a sentinel for FKM
-
-    def extend(k: int, period: int, state):
-        # word[1:k] is a prenecklace with the given period when necklaces is set
-        low = word[k - period] if necklaces else 1
-        for letter in range(low, r + 1):
-            word[k] = letter
-            child = None if step is None else step(state, letter)
-            child_period = period if letter == word[k - period] else k
-            if k == n:
-                if not necklaces or n % child_period == 0:
-                    yield tuple(word[1:]), child
-            elif prune is None or not prune(child, k):
-                yield from extend(k + 1, child_period, child)
-
-    return extend(1, 1, None)
-
-
 def enumerate_words(r: int, n: int, budget: int | None = None) -> Iterator[Word]:
     """All words of length n over {1..r} in lexicographic order."""
     _check_budget(r, n, budget)
@@ -128,4 +103,56 @@ def enumerate_words(r: int, n: int, budget: int | None = None) -> Iterator[Word]
 
 def enumerate_necklaces(r: int, n: int, budget: int | None = None) -> Iterator[Word]:
     """One representative per rotation class, its least rotation, in lexicographic order."""
-    return (w for w, _ in walk_words(r, n, necklaces=True, budget=budget))
+    _check_budget(r, n, budget)
+    return _necklaces(r, n)
+
+
+def _necklaces(r: int, n: int) -> Iterator[Word]:
+    # FKM: step through the prenecklaces in lexicographic order.  The next
+    # one raises the last letter below r, at position i, and repeats the
+    # first i letters up to length n; it is a necklace iff i divides n.
+    w = [1] * n
+    yield tuple(w)
+    while True:
+        i = n
+        while i and w[i - 1] == r:
+            i -= 1
+        if not i:
+            return
+        w[i - 1] += 1
+        w = (w[:i] * (n // i + 1))[:n]
+        if n % i == 0:
+            yield tuple(w)
+
+
+def word_index(w: Word, r: int) -> int:
+    """w's position among the words of its length in lexicographic order (its base-r value)."""
+    index = 0
+    for letter in w:
+        index = index * r + letter - 1
+    return index
+
+
+def word_at(index: int, r: int, n: int) -> Word:
+    """The word of length n over {1..r} at a lexicographic position; inverse of word_index."""
+    letters = []
+    for _ in range(n):
+        index, digit = divmod(int(index), r)
+        letters.append(digit + 1)
+    return tuple(reversed(letters))
+
+
+def necklace_prefixes(codes: np.ndarray, r: int, k: int, n: int) -> np.ndarray:
+    """Mask of the word indices of length k that can begin a necklace of length n.
+
+    At k == n it is exact: the mask of the necklaces.  Below n it keeps every
+    prefix of a necklace and drops words with a suffix below their prefix of
+    the same length.
+    """
+    keep = np.ones(len(codes), dtype=bool)
+    for s in range(1, k):
+        if k == n:  # a necklace is its own least rotation
+            keep &= codes <= (codes % r ** (n - s)) * r ** s + codes // r ** (n - s)
+        else:  # no suffix of a necklace is below its prefix of the same length
+            keep &= codes % r ** (k - s) >= codes // r ** s
+    return keep

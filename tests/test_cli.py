@@ -293,18 +293,46 @@ def test_invalid_depth_and_tol_rejected(capsys, tmp_path):
     assert "tol" in err
 
 
+def _bounds_subprocess(flags, path):
+    # a child process, so that anything printed to stderr, warnings included, is seen
+    src = str(Path(jsrkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, *flags, "-m", "jsrkit.cli", "bounds", "--input", str(path), "--depth", "3"]
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_underflowing_tuple_is_numerical_failure(tmp_path, flags):
     # every product of length >= 2 underflows to zero, so upper 0 < lower 1e-200
     tiny = tmp_path / "tiny.json"
     tiny.write_text(to_json(MatrixTuple("real", (np.full((2, 2), 1e-200),))))
-    src = str(Path(jsrkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, *flags, "-m", "jsrkit.cli", "bounds", "--input", str(tiny), "--depth", "3"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    proc = _bounds_subprocess(flags, tiny)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_overflowing_tuple_is_numerical_failure(tmp_path, flags):
+    # every product of length 2 overflows to inf: one line, no numpy warning before it
+    big = tmp_path / "big.json"
+    big.write_text(to_json(MatrixTuple("real", (np.full((2, 2), 1e200),))))
+    proc = _bounds_subprocess(flags, big)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "numerical failure: products of length 2 overflow; the tuple's scale is out of range\n"
+    )
+
+
+def test_overflowing_pruning_bound_keeps_every_prefix(capsys, tmp_path):
+    # the products of a large nilpotent slot stay finite, but its norm squared does not
+    path = tmp_path / "nil.json"
+    path.write_text(to_json(MatrixTuple("real", (np.array([[0.0, 1e200], [0.0, 0.0]]),))))
+    code, out, err = _run(capsys, ["bounds", "--input", str(path), "--depth", "3"])
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert (result["lower"], result["upper"], result["upper_level"]) == (0.0, 0.0, 2)
 
 
 # One fixed invocation per reporting command and the config block it prints.

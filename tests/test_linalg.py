@@ -124,3 +124,20 @@ def test_exterior_square_functorial():
         lhs = linalg.exterior_square(a @ b)
         rhs = linalg.exterior_square(a) @ linalg.exterior_square(b)
         assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def test_stacked_kernels_equal_one_matrix_calls_bitwise():
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 5):
+        real = rng.standard_normal((40, d, d))
+        sym = real + real.transpose(0, 2, 1)  # real spectra only: eigvals returns a real array
+        for stack in (real, real + 1j * rng.standard_normal((40, d, d)), sym):
+            op_norms = linalg.op_norms(stack)
+            radii = linalg.spectral_radii(stack)
+            assert op_norms.shape == radii.shape == (40,)
+            for a, s, rho in zip(stack, op_norms, radii):
+                assert s == np.linalg.svd(a, compute_uv=False)[0]
+                assert rho == np.max(np.abs(np.linalg.eigvals(a)))
+                assert linalg.op_norm(a) == s and linalg.spectral_radius(a) == rho
+    with pytest.raises(ValueError):
+        linalg.op_norms(np.zeros((2, 2)))

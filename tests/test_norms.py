@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from jsrkit import norms
+from jsrkit import config, norms
 from jsrkit.errors import ConvergenceError, InputError
 from jsrkit.norms import (
     ApproxResult,
@@ -233,6 +233,13 @@ def test_approx_barabanov_rotation_is_instant_fixed_point():
     assert result.last_step < 1e-12
 
 
+def test_approx_barabanov_rejects_rounding_level_values():
+    # e2 is mapped to zero: its mesh value ends near 6e-17 while e1's stays 1
+    t = MatrixTuple("real", (np.diag([1.0, 0.0]), np.diag([0.5, 0.0])))
+    with pytest.raises(ConvergenceError, match="positivity"):
+        approx_barabanov(t, 1.0)
+
+
 def test_approx_barabanov_input_checks():
     with pytest.raises(InputError):
         approx_barabanov(MatrixTuple("complex", (np.eye(2),)), 1.0)
@@ -319,3 +326,37 @@ def test_sphere_samples_deterministic():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
     c = sphere_samples(2, 8, seed=5, field="complex")
     assert np.iscomplexobj(c)
+
+
+def test_stacked_induced_norms_equal_one_matrix_formula_bitwise(monkeypatch):
+    rng = np.random.default_rng(22)
+    default_cap = config.BLOCK_BYTES
+    for d in (1, 2, 5):
+        w = tuple(rng.uniform(0.5, 2.0, d))
+        for field in ("real", "complex"):
+            stack = rng.standard_normal((30, d, d))
+            if field == "complex":
+                stack = stack + 1j * rng.standard_normal((30, d, d))
+            pts = sphere_samples(d, 64, seed=3, field=field)
+            cases = [(LpNorm(3.0, w), pts, pts), (LpNorm(1.5), pts, pts)]
+            if field == "complex":
+                cases.append((WeightedMaxNorm(w), pts, pts))
+            else:
+                # real weighted-max norms always use the box corners
+                cases.append((WeightedMaxNorm(w), pts, norms._box_corners(w)))
+                if d == 2:
+                    ang = np.arange(16) * (np.pi / 16)
+                    mesh = MeshNorm(tuple(ang), tuple(1.0 + 0.3 * np.cos(2 * ang)))
+                    own = np.column_stack([np.cos(ang), np.sin(ang)])
+                    cases.append((mesh, None, own))
+            for norm, samples, ref_pts in cases:
+                base = norms._eval_many(norm, ref_pts)
+                # the one-matrix formula the stacked map replaces
+                want = [np.max(norms._eval_many(norm, ref_pts @ a.T) / base) for a in stack]
+                # the default cap, and one that takes the images three matrices at a time
+                image_bytes = ref_pts.size * stack.itemsize
+                for cap in (default_cap, 3 * image_bytes):
+                    monkeypatch.setattr(config, "BLOCK_BYTES", cap)
+                    induced = norms._induced_norm(norm, d, real=field == "real", samples=samples)
+                    assert induced(stack).tolist() == want, (d, field, norm)
+                    assert matrix_norm(norm, stack[0], samples) == want[0]

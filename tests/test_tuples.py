@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jsrkit import linalg, tuples, words
-from jsrkit.errors import InputError
+from jsrkit import config, linalg, tuples, words
+from jsrkit.errors import BudgetError, ConvergenceError, InputError
 
 
 def _shift_pair():
@@ -60,16 +60,69 @@ def test_product_along_order_convention():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_walk_products_match_product_along_bitwise():
+def _blocks(t, n, **kwargs):
+    """product_blocks as (list of words, list of blocks)."""
+    blocks = list(tuples.product_blocks(t, n, **kwargs))
+    got = [words.word_at(c, t.r, n) for codes, _ in blocks for c in codes.tolist()]
+    return got, blocks
+
+
+def test_product_blocks_match_product_along_bitwise(monkeypatch):
     rng = np.random.default_rng(15)
-    real = tuple(rng.standard_normal((3, 3)) for _ in range(3))
-    cplx = tuple(a + 1j * rng.standard_normal((3, 3)) for a in real)
-    for t in (tuples.MatrixTuple("real", real), tuples.MatrixTuple("complex", cplx)):
-        for n in range(1, 6):
-            walked = list(tuples.walk_products(t, n))
-            assert [w for w, _ in walked] == list(words.enumerate_words(3, n))
-            for w, p in walked:
-                assert np.array_equal(p, tuples.product_along(t, w)), w
+    default_cap = config.BLOCK_BYTES
+    for r in (1, 2, 3):
+        real = tuple(rng.standard_normal((3, 3)) for _ in range(r))
+        cplx = tuple(a + 1j * rng.standard_normal((3, 3)) for a in real)
+        for t in (tuples.MatrixTuple("real", real), tuples.MatrixTuple("complex", cplx)):
+            # the default cap, and one of four products that forces many blocks
+            for cap in (default_cap, 4 * t.matrices[0].nbytes):
+                monkeypatch.setattr(config, "BLOCK_BYTES", cap)
+                for n in range(1, 7):
+                    for necklaces in (False, True):
+                        got, blocks = _blocks(t, n, necklaces=necklaces)
+                        want = words.enumerate_necklaces if necklaces else words.enumerate_words
+                        assert got == list(want(r, n)), (r, n, necklaces)
+                        stacks = [p for _, stack in blocks for p in stack]
+                        for w, p in zip(got, stacks):
+                            assert np.array_equal(p, tuples.product_along(t, w)), w
+                        assert all(stack.nbytes <= cap for _, stack in blocks)
+                        assert all(codes.dtype == np.int64 for codes, _ in blocks)
+                        if cap < default_cap and len(got) > 4:
+                            assert len(blocks) > 1
+
+
+def test_product_blocks_prune_drops_subtrees():
+    rng = np.random.default_rng(16)
+    t = tuples.MatrixTuple("real", tuple(rng.standard_normal((2, 2)) for _ in range(3)))
+    p21 = tuples.product_along(t, (2, 1))
+    below = [tuples.product_along(t, (2, 1, x)) for x in (1, 2, 3)]
+    asked = []
+
+    def prune(stack, k):
+        asked.append(k)
+        # nothing below a dropped prefix is asked about
+        assert not any(np.array_equal(p, q) for p in stack for q in below)
+        return np.all(stack == p21, axis=(1, 2)) if k == 2 else np.zeros(len(stack), dtype=bool)
+
+    for necklaces in (False, True):
+        asked.clear()
+        got, blocks = _blocks(t, 5, necklaces=necklaces, prune=prune)
+        every = words.enumerate_necklaces(3, 5) if necklaces else words.enumerate_words(3, 5)
+        assert got == [w for w in every if w[:2] != (2, 1)]
+        stacks = [p for _, stack in blocks for p in stack]
+        assert all(np.array_equal(p, tuples.product_along(t, w)) for w, p in zip(got, stacks))
+        assert set(asked) == {1, 2, 3, 4}
+
+
+def test_product_blocks_errors():
+    t = _shift_pair()
+    # the budget is checked when the sweep is created, before any product is built
+    with pytest.raises(BudgetError):
+        tuples.product_blocks(t, 10, budget=100)
+    # products that overflow raise ConvergenceError naming the length, with no warning
+    big = tuples.MatrixTuple("real", (np.full((2, 2), 1e200),))
+    with pytest.raises(ConvergenceError, match="length 2"):
+        list(tuples.product_blocks(big, 3))
 
 
 def test_product_along_validates_letters():

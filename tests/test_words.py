@@ -6,6 +6,7 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from jsrkit import words
@@ -154,25 +155,25 @@ def test_necklace_representatives_are_canonical_and_complete():
             assert list(words.enumerate_necklaces(r, n)) == brute, (r, n)
 
 
-def test_walk_words_state_and_prune():
-    def step(state, letter):
-        return (state or ()) + (letter,)
+def test_word_index_is_lexicographic_position():
+    for r, n in ((1, 3), (2, 4), (3, 3)):
+        for i, w in enumerate(product(range(1, r + 1), repeat=n)):
+            assert words.word_index(w, r) == i
+            assert words.word_at(i, r, n) == w
 
-    # the state of each word is built letter by letter along its prefixes
-    walked = list(words.walk_words(3, 4, step=step))
-    assert [w for w, _ in walked] == list(product((1, 2, 3), repeat=4))
-    assert all(w == state for w, state in walked)
-    # pruning at the prefix (2, 1) drops exactly the words below it
-    asked = []
 
-    def prune(state, k):
-        asked.append((state, k))
-        return state == (2, 1)
-
-    got = [w for w, _ in words.walk_words(3, 4, step=step, prune=prune)]
-    assert got == [w for w in product((1, 2, 3), repeat=4) if w[:2] != (2, 1)]
-    assert all(len(state) == k and 0 < k < 4 for state, k in asked)
-    assert ((2, 1, 1), 3) not in asked
+def test_necklace_prefixes_keep_every_necklace_prefix():
+    for r in (1, 2, 3):
+        for n in range(1, 8):
+            necklaces = set(words.enumerate_necklaces(r, n))
+            for k in range(1, n + 1):
+                every = list(product(range(1, r + 1), repeat=k))
+                codes = np.array([words.word_index(w, r) for w in every], dtype=np.int64)
+                mask = words.necklace_prefixes(codes, r, k, n)
+                kept = {w for w, keep in zip(every, mask.tolist()) if keep}
+                assert {w[:k] for w in necklaces} <= kept, (r, n, k)
+                if k == n:
+                    assert kept == necklaces, (r, n)
 
 
 def test_budget_errors():
@@ -182,6 +183,6 @@ def test_budget_errors():
         list(words.enumerate_necklaces(10, 10, budget=1000))
     with pytest.raises(InputError):
         list(words.enumerate_words(0, 3))
-    # checked once, when the walk is created, before any word is produced
+    # checked once, when the enumeration is created, before any word is produced
     with pytest.raises(BudgetError):
-        words.walk_words(2, 10, necklaces=True, budget=100)
+        words.enumerate_necklaces(2, 10, budget=100)
