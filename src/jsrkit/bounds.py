@@ -22,10 +22,11 @@ starts at the norm of the level's best necklace product, a value the
 maximum includes anyway, and rises after each block.  Strictness keeps
 ties, so pruning never changes the computed maximum.
 
-Budget accounting: each completed level n charges 2 * r**n words against
-the budget (one all-words sweep, one necklace sweep).  If the next level
-will not fit, the result is returned at the deepest completed level with
-partial set; a budget too small for level 1 raises BudgetError.
+Budget accounting: each level n costs 2 * r**n words (one all-words sweep,
+one necklace sweep).  The deepest level whose running cost fits the budget
+is worked out before the first product is built; stopping short of the
+requested depth sets partial, and a budget too small for level 1 raises
+BudgetError.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, words
-from .config import DEFAULTS, pick
-from .errors import BudgetError, ConvergenceError
+from .config import DEFAULTS
+from .errors import BudgetError, ConvergenceError, InputError
 from .tuples import MatrixTuple, product_along, product_blocks
 from .words import Word
 
@@ -70,23 +71,33 @@ class JsrBounds:
         }
 
 
-def _necklace_values(t: MatrixTuple, n: int, budget: int):
+def _deepest_level(r: int, max_depth: int, budget: int, sweeps: int) -> int:
+    """The deepest n <= max_depth with sweeps * (r + r**2 + ... + r**n) <= budget, or 0."""
+    spent = 0
+    for n in range(1, max_depth + 1):
+        spent += sweeps * r ** n
+        if spent > budget:
+            return n - 1
+    return max_depth
+
+
+def _necklace_values(t: MatrixTuple, n: int):
     """(word index, spectral_radius(P_w) ** (1/n)) for the necklaces w of length n, in order."""
-    for codes, stack in product_blocks(t, n, necklaces=True, budget=budget):
+    for codes, stack in product_blocks(t, n, necklaces=True):
         radii = linalg.spectral_radii(stack).tolist()
         yield from zip(codes.tolist(), [rho ** (1.0 / n) for rho in radii])
 
 
-def _level_lower_max(t: MatrixTuple, n: int, budget: int) -> tuple[float, Word]:
+def _level_lower_max(t: MatrixTuple, n: int) -> tuple[float, Word]:
     """Max of spectral_radius(P_w) ** (1/n) over the necklaces w of length n, and the first w."""
     best, best_code = -np.inf, 0
-    for code, value in _necklace_values(t, n, budget):
+    for code, value in _necklace_values(t, n):
         if value > best:
             best, best_code = value, code
     return best, words.word_at(best_code, t.r, n)
 
 
-def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, seed: float, budget: int) -> float:
+def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, seed: float) -> float:
     """Max of op_norm(P_w) over all words of length n, with prefix pruning.
 
     seed must be the norm of one of these products; it only prunes sooner.
@@ -101,55 +112,44 @@ def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, seed: float, 
         with np.errstate(over="ignore"):
             return linalg.op_norms(stack) * growth < best
 
-    for _, stack in product_blocks(t, n, prune=prune, budget=budget):
+    for _, stack in product_blocks(t, n, prune=prune):
         best = max(best, float(np.max(linalg.op_norms(stack))))
     return best
 
 
-def bounds(t: MatrixTuple, max_depth: int, *, budget: int | None = None) -> JsrBounds:
+def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget) -> JsrBounds:
     """Certified bounds through enumeration depth ``max_depth``."""
     if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    budget = pick(budget, DEFAULTS.word_budget)
-    r = t.r
-    slot_norms = [linalg.op_norm(a) for a in t.matrices]
-    slot_norm_max = max(slot_norms)
+        raise InputError(f"max_depth must be >= 1, got {max_depth}")
+    depth = _deepest_level(t.r, max_depth, budget, 2)
+    if depth == 0:
+        raise BudgetError(
+            f"enumeration budget {budget} cannot cover even level 1 ({2 * t.r} words)"
+        )
+    slot_norm_max = max(linalg.op_norm(a) for a in t.matrices)
 
     best_lower = -np.inf
     witness: Word = (1,)
     best_upper = np.inf
     upper_level = 0
-    spent = 0
-    completed = 0
-    partial = False
-    for n in range(1, max_depth + 1):
-        cost = 2 * r ** n
-        if spent + cost > budget:
-            partial = True
-            break
-        spent += cost
-        level_lower, level_witness = _level_lower_max(t, n, budget)
+    for n in range(1, depth + 1):
+        level_lower, level_witness = _level_lower_max(t, n)
         if level_lower > best_lower:
             best_lower = level_lower
             witness = level_witness
         seed = linalg.op_norm(product_along(t, level_witness))
-        level_max = _level_upper_max(t, n, slot_norm_max, seed, budget)
+        level_max = _level_upper_max(t, n, slot_norm_max, seed)
         level_upper = level_max ** (1.0 / n) if level_max > 0 else 0.0
         if level_upper < best_upper:
             best_upper = level_upper
             upper_level = n
-        completed = n
-    if completed == 0:
-        raise BudgetError(
-            f"enumeration budget {budget} cannot cover even level 1 ({2 * r} words)"
-        )
     return JsrBounds(
         lower=float(best_lower),
         upper=float(best_upper),
-        depth=completed,
+        depth=depth,
         lower_witness=witness,
         upper_level=upper_level,
-        partial=partial,
+        partial=depth < max_depth,
     )
 
 
@@ -157,8 +157,8 @@ def spectral_maximal_candidates(
     t: MatrixTuple,
     depth: int,
     *,
-    tie_tol: float | None = None,
-    budget: int | None = None,
+    tie_tol: float = DEFAULTS.tie_tol,
+    budget: int = DEFAULTS.word_budget,
 ) -> list[tuple[Word, float]]:
     """Rotation-class representatives whose averaged radius ties the lower bound.
 
@@ -167,26 +167,21 @@ def spectral_maximal_candidates(
     value descending, then length, then word.
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    tie_tol = pick(tie_tol, DEFAULTS.tie_tol)
-    budget = pick(budget, DEFAULTS.word_budget)
+        raise InputError(f"depth must be >= 1, got {depth}")
     r = t.r
+    if _deepest_level(r, depth, budget, 1) < depth:
+        raise BudgetError(
+            f"candidate scan to depth {depth} exceeds enumeration budget {budget}"
+        )
     values: list[tuple[int, int, float]] = []  # (length, word index, value)
-    spent = 0
     for n in range(1, depth + 1):
-        spent += r ** n
-        if spent > budget:
-            raise BudgetError(
-                f"candidate scan to depth {depth} exceeds enumeration budget {budget}"
-            )
-        values.extend((n, code, v) for code, v in _necklace_values(t, n, budget))
+        values.extend((n, code, v) for code, v in _necklace_values(t, n))
     lower = max(v for _, _, v in values)
     keep = [(words.word_at(code, r, n), v) for n, code, v in values if v >= lower * (1.0 - tie_tol)]
     keep.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return keep
 
 
-def finiteness_verified_at_depth(b: JsrBounds, close_tol: float | None = None) -> bool:
+def finiteness_verified_at_depth(b: JsrBounds, close_tol: float = DEFAULTS.close_tol) -> bool:
     """True when the certificate interval is closed to relative width close_tol."""
-    close_tol = pick(close_tol, DEFAULTS.close_tol)
     return b.upper - b.lower <= close_tol * b.upper

@@ -1,13 +1,15 @@
 """Central defaults for every numeric knob in the package.
 
 All tolerances live here so reports can print the exact configuration
-they ran under.  Functions take keyword overrides; ``None`` means "use
-the default below".
+they ran under.  Each public function binds the defaults it uses in its
+own signature (``budget: int = DEFAULTS.word_budget``), so a value is
+resolved once, at the call, and the helpers below it take it resolved.
+``None`` is not a default: leave an argument out to get the value below.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,6 @@ class Defaults:
     # misc
     seed: int = 0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 DEFAULTS = Defaults()
 
@@ -44,8 +43,3 @@ DEFAULTS = Defaults()
 # word products, or the images of one block under a sampled norm.  A fixed
 # bound on memory, not a tuning knob, so it is not a Defaults field.
 BLOCK_BYTES = 1 << 20
-
-
-def pick(value, default):
-    """Return ``value`` unless it is None, else ``default``."""
-    return default if value is None else value

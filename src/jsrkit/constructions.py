@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .config import DEFAULTS, pick
+from .config import DEFAULTS
 from .errors import ConvergenceError, InputError
 from .norms import LpNorm, WeightedMaxNorm, norm_to_json_dict
 from .tuples import MatrixTuple, product_along, product_blocks
@@ -39,7 +39,7 @@ from .words import (
 
 
 def characteristic_tuple(
-    r: int, n: int, omega: Word, *, field: str = "real", budget: int | None = None
+    r: int, n: int, omega: Word, *, field: str = "real", budget: int = DEFAULTS.word_budget
 ) -> MatrixTuple:
     """Tuple of r partial permutations on K^n whose characteristic word is omega.
 
@@ -85,11 +85,10 @@ def characteristic_tuple(
         raise ConvergenceError("self-check failed: a slot of omega does not have norm 1")
     if any(np.array_equal(a, b) for a, b in combinations(t.matrices, 2)):
         raise ConvergenceError("self-check failed: two slots coincide")
-    budget = pick(budget, DEFAULTS.word_budget)
     if r_used**n <= budget:
         omega_codes = [word_index(z, r_used) for z in rotation_class(omega)]
         base = MatrixTuple(field, t.matrices[:r_used])
-        for codes, stack in product_blocks(base, n, budget=budget):
+        for codes, stack in product_blocks(base, n):
             other = ~np.isin(codes, omega_codes)
             live = np.flatnonzero(np.any(stack[other], axis=(1, 2)))
             if live.size:

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import words
 from .bounds import bounds as jsr_bounds
 from .bounds import spectral_maximal_candidates
-from .config import DEFAULTS, pick
+from .config import DEFAULTS
 from .errors import InputError
 from .norms import NormRep, _induced_norm, verify_barabanov
 from .tuples import MatrixTuple, product_blocks
@@ -83,10 +84,10 @@ def sfh_evidence(
     norm_reps,
     rho_hat: float,
     *,
-    offender_tol: float | None = None,
-    norm_check_tol: float | None = None,
+    offender_tol: float = DEFAULTS.offender_tol,
+    norm_check_tol: float = DEFAULTS.norm_check_tol,
     samples=None,
-    budget: int | None = None,
+    budget: int = DEFAULTS.word_budget,
 ) -> SfhReport:
     """Scan all length-|omega| products outside omega's rotation class.
 
@@ -100,9 +101,6 @@ def sfh_evidence(
     omega = validate_word(omega, t.r)
     if not math.isfinite(rho_hat) or rho_hat <= 0.0:
         raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
-    offender_tol = pick(offender_tol, DEFAULTS.offender_tol)
-    norm_check_tol = pick(norm_check_tol, DEFAULTS.norm_check_tol)
-    budget = pick(budget, DEFAULTS.word_budget)
     reps = _coerce_norms(norm_reps)
     for rep in reps:
         check = verify_barabanov(t, rep, rho_hat, tol=norm_check_tol, samples=samples)
@@ -120,7 +118,8 @@ def sfh_evidence(
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(reps)
     offender_values: dict[Word, float] = {}
-    for codes, stack in product_blocks(t, n, budget=budget):
+    words._check_budget(t.r, n, budget)
+    for codes, stack in product_blocks(t, n):
         other = ~np.isin(codes, omega_codes)
         codes, stack = codes[other], stack[other]
         if not len(codes):
@@ -149,11 +148,11 @@ def characteristic_word_search(
     norm_reps,
     rho_hat: float | None = None,
     *,
-    tie_tol: float | None = None,
-    offender_tol: float | None = None,
-    norm_check_tol: float | None = None,
+    tie_tol: float = DEFAULTS.tie_tol,
+    offender_tol: float = DEFAULTS.offender_tol,
+    norm_check_tol: float = DEFAULTS.norm_check_tol,
     samples=None,
-    budget: int | None = None,
+    budget: int = DEFAULTS.word_budget,
 ) -> list[SfhReport]:
     """Run sfh_evidence over every spectrum-maximal candidate up to depth.
 

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import DEFAULTS, pick
+from .config import DEFAULTS
 from .errors import ConvergenceError
 
 
@@ -74,12 +74,11 @@ def determinant(a: np.ndarray):
     return float(det)
 
 
-def rank_eps(a: np.ndarray, tol: float | None = None) -> int:
+def rank_eps(a: np.ndarray, tol: float = DEFAULTS.rank_tol) -> int:
     """Numeric rank: singular values above ``tol`` relative to the largest.
 
     The zero matrix has rank 0.
     """
-    tol = pick(tol, DEFAULTS.rank_tol)
     a = _require_square(a)
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:

@@ -24,7 +24,7 @@ from itertools import product as _cartesian
 import numpy as np
 
 from . import config
-from .config import DEFAULTS, pick
+from .config import DEFAULTS
 from .errors import ConvergenceError, InputError
 from .tuples import MatrixTuple, _json_number, product_along
 from .words import Word, validate_word
@@ -167,9 +167,8 @@ def eval_norm(norm: NormRep, v) -> float:
     return float(_eval_many(norm, np.asarray(v)[None, :])[0])
 
 
-def circle_mesh(count: int | None = None) -> np.ndarray:
+def circle_mesh(count: int = DEFAULTS.mesh_size) -> np.ndarray:
     """Unit directions evenly spaced over the full circle (rows of a (count, 2) array)."""
-    count = pick(count, DEFAULTS.mesh_size)
     if count < 4:
         raise InputError(f"circle mesh needs at least 4 points, got {count}")
     theta = 2.0 * np.pi * np.arange(count) / count
@@ -177,12 +176,12 @@ def circle_mesh(count: int | None = None) -> np.ndarray:
 
 
 def sphere_samples(
-    d: int, count: int, seed: int | None = None, field: str = "real"
+    d: int, count: int, seed: int = DEFAULTS.seed, field: str = "real"
 ) -> np.ndarray:
     """Seeded unit-sphere sample directions for higher dimensions or complex tuples."""
     if d < 1 or count < 1:
         raise InputError("need d >= 1 and count >= 1")
-    rng = np.random.default_rng(pick(seed, DEFAULTS.seed))
+    rng = np.random.default_rng(seed)
     pts = rng.standard_normal((count, d))
     if field == "complex":
         pts = pts + 1j * rng.standard_normal((count, d))
@@ -199,14 +198,12 @@ def _default_samples(t: MatrixTuple) -> np.ndarray:
     )
 
 
-def _check_samples(t: MatrixTuple, samples) -> np.ndarray:
+def _check_samples(samples, d: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(samples))
     if pts.shape[0] == 0:
         raise InputError("empty sample set")
-    if pts.shape[1] != t.d:
-        raise InputError(f"samples have dimension {pts.shape[1]}, tuple has {t.d}")
-    if t.field == "real" and np.iscomplexobj(pts):
-        raise InputError("complex samples supplied for a real tuple")
+    if pts.shape[1] != d:
+        raise InputError(f"samples have dimension {pts.shape[1]}, tuple has {d}")
     return pts
 
 
@@ -233,8 +230,9 @@ class VerificationReport:
 def _verify(t, norm, rho_hat, samples, tol, kind) -> VerificationReport:
     if not np.isfinite(rho_hat) or rho_hat <= 0:
         raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
-    tol = pick(tol, DEFAULTS.verify_tol)
-    pts = _default_samples(t) if samples is None else _check_samples(t, samples)
+    pts = _default_samples(t) if samples is None else _check_samples(samples, t.d)
+    if t.field == "real" and np.iscomplexobj(pts):
+        raise InputError("complex samples supplied for a real tuple")
     base = _eval_many(norm, pts)
     if np.any(base <= 0.0) or not np.all(np.isfinite(base)):
         raise InputError("norm vanishes or blows up on a sample direction")
@@ -259,7 +257,7 @@ def verify_barabanov(
     norm: NormRep,
     rho_hat: float,
     samples=None,
-    tol: float | None = None,
+    tol: float = DEFAULTS.verify_tol,
 ) -> VerificationReport:
     """Worst sampled relative residual of max_i phi(A_i v) = rho_hat * phi(v)."""
     return _verify(t, norm, rho_hat, samples, tol, "barabanov")
@@ -270,7 +268,7 @@ def verify_extremal(
     norm: NormRep,
     rho_hat: float,
     samples=None,
-    tol: float | None = None,
+    tol: float = DEFAULTS.verify_tol,
 ) -> VerificationReport:
     """One-sided variant: only excesses max_i phi(A_i v) > rho_hat * phi(v) count."""
     return _verify(t, norm, rho_hat, samples, tol, "extremal")
@@ -296,10 +294,10 @@ def approx_barabanov(
     t: MatrixTuple,
     rho_hat: float,
     *,
-    mesh_size: int | None = None,
-    max_iter: int | None = None,
-    step_tol: float | None = None,
-    init: NormRep | None = None,
+    mesh_size: int = DEFAULTS.mesh_size,
+    max_iter: int = DEFAULTS.max_iter,
+    step_tol: float = DEFAULTS.step_tol,
+    init: NormRep = LpNorm(2.0),
 ) -> ApproxResult:
     """Fixed-point iteration phi <- max_i phi(A_i .) / rho_hat on a planar mesh.
 
@@ -312,14 +310,10 @@ def approx_barabanov(
         raise InputError("mesh approximation is limited to real 2-dimensional tuples")
     if not np.isfinite(rho_hat) or rho_hat <= 0:
         raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
-    m = pick(mesh_size, DEFAULTS.mesh_size)
-    if m < 8:
-        raise InputError(f"mesh size too small: {m}")
-    max_iter = pick(max_iter, DEFAULTS.max_iter)
-    step_tol = pick(step_tol, DEFAULTS.step_tol)
-    init = init if init is not None else LpNorm(2.0)
+    if mesh_size < 8:
+        raise InputError(f"mesh size too small: {mesh_size}")
 
-    angles = np.arange(m) * (np.pi / m)
+    angles = np.arange(mesh_size) * (np.pi / mesh_size)
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
     cur = _eval_many(init, pts)
     if np.any(cur <= 0.0) or not np.all(np.isfinite(cur)):
@@ -385,7 +379,7 @@ def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
     if isinstance(norm, WeightedMaxNorm) and real and len(norm.weights) == d and d <= 10:
         pts = _box_corners(norm.weights)
     elif samples is not None:
-        pts = np.atleast_2d(np.asarray(samples))
+        pts = _check_samples(samples, d)
     elif isinstance(norm, MeshNorm):
         ang = np.asarray(norm.angles)
         pts = np.column_stack([np.cos(ang), np.sin(ang)])

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .bounds import bounds
-from .config import DEFAULTS, pick
+from .config import DEFAULTS
 from .errors import InputError
 from .tuples import MatrixTuple, exterior_square_tuple
 
@@ -49,13 +49,12 @@ def _try_extend(basis: list[np.ndarray], candidate: np.ndarray, drop_tol: float)
     return True
 
 
-def algebra_basis(t: MatrixTuple, drop_tol: float | None = None) -> list[np.ndarray]:
+def algebra_basis(t: MatrixTuple, drop_tol: float = DEFAULTS.span_drop_tol) -> list[np.ndarray]:
     """Orthonormal basis (as d x d matrices) of span {identity and all products}.
 
     Closure under left multiplication by the slots, seeded with the
     identity, reaches every word product.
     """
-    drop_tol = pick(drop_tol, DEFAULTS.span_drop_tol)
     d = t.d
     dtype = np.complex128 if t.field == "complex" else np.float64
     flat_basis: list[np.ndarray] = []
@@ -73,7 +72,7 @@ def algebra_basis(t: MatrixTuple, drop_tol: float | None = None) -> list[np.ndar
     return mats
 
 
-def algebra_dimension(t: MatrixTuple, drop_tol: float | None = None) -> int:
+def algebra_dimension(t: MatrixTuple, drop_tol: float = DEFAULTS.span_drop_tol) -> int:
     """Dimension over the tuple's field of the unital product span (at most d^2)."""
     return len(algebra_basis(t, drop_tol))
 
@@ -117,9 +116,9 @@ def _real_eigenvectors(a: np.ndarray) -> list[np.ndarray]:
 def is_irreducible(
     t: MatrixTuple,
     *,
-    drop_tol: float | None = None,
-    seed: int | None = None,
-    rounds: int | None = None,
+    drop_tol: float = DEFAULTS.span_drop_tol,
+    seed: int = DEFAULTS.seed,
+    rounds: int = DEFAULTS.witness_rounds,
 ) -> PropertyVerdict:
     """Common-invariant-subspace test.
 
@@ -131,9 +130,6 @@ def is_irreducible(
     search continues until one is found; over the reals an unsuccessful
     search returns Unknown.
     """
-    drop_tol = pick(drop_tol, DEFAULTS.span_drop_tol)
-    seed = pick(seed, DEFAULTS.seed)
-    rounds = pick(rounds, DEFAULTS.witness_rounds)
     d = t.d
     basis = algebra_basis(t, drop_tol)
     dim = len(basis)
@@ -160,36 +156,26 @@ def is_irreducible(
         }
         return PropertyVerdict("Refuted", evidence)
 
-    for k in range(d):
-        found = check(np.eye(d, dtype=dtype)[:, k])
+    def eigenvectors(a: np.ndarray):
+        return np.linalg.eig(a)[1].T if complex_field else _real_eigenvectors(a)
+
+    def candidates():
+        yield from np.eye(d, dtype=dtype)
+        for a in t.matrices:
+            yield from eigenvectors(a)
+        rng = np.random.default_rng(seed)
+        for _ in range(rounds):
+            coeffs = rng.standard_normal(dim)
+            if complex_field:
+                coeffs = coeffs + 1j * rng.standard_normal(dim)
+            yield from eigenvectors(sum(c * b for c, b in zip(coeffs, basis)))
+            if not complex_field:
+                yield rng.standard_normal(d)
+
+    for v in candidates():
+        found = check(v)
         if found:
             return found
-    for a in t.matrices:
-        if complex_field:
-            _, vecs = np.linalg.eig(a)
-            candidates = list(vecs.T)
-        else:
-            candidates = _real_eigenvectors(a)
-        for v in candidates:
-            found = check(v)
-            if found:
-                return found
-
-    rng = np.random.default_rng(seed)
-    for _ in range(rounds):
-        coeffs = rng.standard_normal(dim)
-        if complex_field:
-            coeffs = coeffs + 1j * rng.standard_normal(dim)
-        x = sum(c * b for c, b in zip(coeffs, basis))
-        if complex_field:
-            _, vecs = np.linalg.eig(x)
-            candidates = list(vecs.T)
-        else:
-            candidates = _real_eigenvectors(x) + [rng.standard_normal(d)]
-        for v in candidates:
-            found = check(v)
-            if found:
-                return found
     note = (
         "deficient algebra dimension but no complex witness found within the round cap"
         if complex_field
@@ -213,8 +199,8 @@ def rank_one_property(
     t: MatrixTuple,
     depth: int,
     *,
-    tol: float | None = None,
-    budget: int | None = None,
+    tol: float = DEFAULTS.rank_one_tol,
+    budget: int = DEFAULTS.word_budget,
 ) -> PropertyVerdict:
     """Exterior-square criterion at a given certification depth.
 
@@ -227,7 +213,6 @@ def rank_one_property(
     """
     if t.d < 2:
         raise InputError("rank-one test needs dimension >= 2")
-    tol = pick(tol, DEFAULTS.rank_one_tol)
     b = bounds(t, depth, budget=budget)
     bw = bounds(exterior_square_tuple(t), depth, budget=budget)
     evidence = {
@@ -246,7 +231,7 @@ def rank_one_property(
     return PropertyVerdict(status, evidence)
 
 
-def eigen_separation_heuristic(t: MatrixTuple, gap_tol: float | None = None) -> bool:
+def eigen_separation_heuristic(t: MatrixTuple, gap_tol: float = DEFAULTS.eigen_gap_tol) -> bool:
     """True when every 2x2 slot has eigenvalues of distinct modulus.
 
     A pointwise check used to flag tuples whose slots all sit in the
@@ -254,7 +239,6 @@ def eigen_separation_heuristic(t: MatrixTuple, gap_tol: float | None = None) -> 
     """
     if t.d != 2:
         raise InputError("eigenvalue separation heuristic is defined for d = 2 only")
-    gap_tol = pick(gap_tol, DEFAULTS.eigen_gap_tol)
     for a in t.matrices:
         moduli = sorted(np.abs(np.linalg.eigvals(a)), reverse=True)
         if moduli[0] <= 0.0:

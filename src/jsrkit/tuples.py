@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config, linalg
 from .errors import ConvergenceError, InputError
-from .words import Word, _check_budget, necklace_prefixes, validate_word
+from .words import Word, necklace_prefixes, validate_word
 
 _FIELDS = ("real", "complex")
 
@@ -105,7 +105,7 @@ def product_along(t: MatrixTuple, w: Word) -> np.ndarray:
     return out
 
 
-def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None, budget=None):
+def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
     """Iterate (codes, stack) over the products of the words of length n, in lexicographic order.
 
     codes holds each word's int64 base-r index (words.word_at decodes it) and
@@ -115,11 +115,10 @@ def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None, budge
     whose whole subtree fits in config.BLOCK_BYTES, so no product array
     outgrows it.  necklaces=True keeps only least rotations.  prune(stack, k)
     is asked at each length 0 < k < n and returns a mask of the prefixes to
-    drop with every word below them.  r**n is checked against the budget once,
-    at the call; a non-finite product raises ConvergenceError.
+    drop with every word below them.  Callers check r**n against their budget
+    first; a non-finite product raises ConvergenceError.
     """
     r = t.r
-    _check_budget(r, n, budget)
     slots = np.stack(t.matrices)
     letters = np.arange(r, dtype=np.int64)
     row_bytes = slots[0].nbytes

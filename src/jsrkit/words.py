@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import DEFAULTS, pick
+from .config import DEFAULTS
 from .errors import BudgetError, InputError
 
 Word = tuple[int, ...]
@@ -82,8 +82,7 @@ def power(w: Word, p: int) -> Word:
     return w * p
 
 
-def _check_budget(r: int, n: int, budget: int | None) -> None:
-    budget = pick(budget, DEFAULTS.word_budget)
+def _check_budget(r: int, n: int, budget: int) -> None:
     if r < 1:
         raise InputError(f"alphabet size must be >= 1, got {r}")
     if n < 1:
@@ -95,13 +94,13 @@ def _check_budget(r: int, n: int, budget: int | None) -> None:
         )
 
 
-def enumerate_words(r: int, n: int, budget: int | None = None) -> Iterator[Word]:
+def enumerate_words(r: int, n: int, budget: int = DEFAULTS.word_budget) -> Iterator[Word]:
     """All words of length n over {1..r} in lexicographic order."""
     _check_budget(r, n, budget)
     return _cartesian(range(1, r + 1), repeat=n)
 
 
-def enumerate_necklaces(r: int, n: int, budget: int | None = None) -> Iterator[Word]:
+def enumerate_necklaces(r: int, n: int, budget: int = DEFAULTS.word_budget) -> Iterator[Word]:
     """One representative per rotation class, its least rotation, in lexicographic order."""
     _check_budget(r, n, budget)
     return _necklaces(r, n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from itertools import product
 
 import numpy as np
@@ -14,7 +15,7 @@ from jsrkit.bounds import (
     finiteness_verified_at_depth,
     spectral_maximal_candidates,
 )
-from jsrkit.errors import BudgetError, ConvergenceError
+from jsrkit.errors import BudgetError, ConvergenceError, InputError
 from jsrkit.tuples import MatrixTuple, exterior_square_tuple, product_along
 
 
@@ -168,6 +169,23 @@ def test_budget_partial_and_error():
         bounds(t, 2, budget=3)
     with pytest.raises(BudgetError):
         spectral_maximal_candidates(t, 5, budget=20)
+
+
+def test_candidate_budget_checked_before_any_product(monkeypatch):
+    # the package's name jsrkit.bounds is the function, so patch the module itself
+    walks = []
+    monkeypatch.setattr(importlib.import_module("jsrkit.bounds"), "product_blocks",
+                        lambda *a, **k: walks.append(a))
+    with pytest.raises(BudgetError, match="candidate scan to depth 5 exceeds enumeration budget 20"):
+        spectral_maximal_candidates(_shift_pair(), 5, budget=20)
+    assert walks == []
+
+
+def test_depth_below_one_is_input_error():
+    with pytest.raises(InputError, match="max_depth must be >= 1, got 0"):
+        bounds(_shift_pair(), 0)
+    with pytest.raises(InputError, match="depth must be >= 1, got 0"):
+        spectral_maximal_candidates(_shift_pair(), 0)
 
 
 def test_bounds_record_rejects_inverted_interval():

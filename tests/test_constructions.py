@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jsrkit
+from jsrkit import constructions
 from jsrkit.bounds import bounds
-from jsrkit.config import Defaults
 from jsrkit.errors import ConvergenceError, InputError
 from jsrkit.finiteness import sfh_evidence
 from jsrkit.linalg import op_norm, rank_eps, spectral_radius
@@ -118,10 +119,14 @@ def test_characteristic_self_check_failure_raises(monkeypatch):
 
 
 def test_characteristic_vanishing_check_uses_callers_budget(monkeypatch):
-    # 2**5 words fit the caller's budget but not the default one
-    monkeypatch.setattr("jsrkit.words.DEFAULTS", Defaults(word_budget=10))
-    t = characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=100)
-    assert t.d == 5
+    # the walk over the 2**5 base products runs when they fit the caller's budget, else is skipped
+    walks = []
+    walk = constructions.product_blocks
+    monkeypatch.setattr(constructions, "product_blocks", lambda t, n: walks.append(n) or walk(t, n))
+    assert characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=100).d == 5
+    assert walks == [5]
+    assert characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=10).d == 5
+    assert walks == [5]
 
 
 def test_package_has_no_assert_statements():
@@ -132,6 +137,32 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+# the public parameters for which None means something other than "use the default"
+_MEANINGFUL_NONE = {
+    "samples", "rho_hat", "extra", "LpNorm.weights",
+    "example_tuple.l1", "example_tuple.l2", "example_tuple.lam",
+}
+
+
+def test_public_defaults_are_bound_in_signatures():
+    # every other default is a value a caller could have passed, so None has no meaning there
+    found = []
+    for name in jsrkit.__all__:
+        obj = getattr(jsrkit, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):
+            continue
+        found += [
+            f"{name}.{p.name}"
+            for p in params
+            if p.default is None and not {p.name, f"{name}.{p.name}"} & _MEANINGFUL_NONE
+        ]
     assert found == []
 
 

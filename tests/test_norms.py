@@ -164,6 +164,17 @@ def test_verify_rejects_bad_rho_and_samples():
         verify_barabanov(t3, LpNorm(2.0), 1.0)  # needs explicit samples
 
 
+def test_matrix_norm_rejects_malformed_samples():
+    with pytest.raises(InputError, match="samples have dimension 3, tuple has 2"):
+        matrix_norm(LpNorm(2.0), np.eye(2), samples=np.ones((4, 3)))
+    with pytest.raises(InputError, match="empty sample set"):
+        matrix_norm(LpNorm(2.0), np.eye(2), samples=np.zeros((0, 2)))
+    # complex directions stay allowed for a real matrix, not for verifying a real tuple
+    assert matrix_norm(LpNorm(2.0), np.eye(2), samples=np.array([[1.0, 1j]])) == 1.0
+    with pytest.raises(InputError, match="complex samples supplied for a real tuple"):
+        verify_barabanov(_shift_pair(), LpNorm(2.0), 1.0, samples=np.array([[1.0, 1j]]))
+
+
 def test_verify_extremal():
     t = _shift_pair(0.3, 0.5)
     assert verify_extremal(t, LpNorm(2.0), 1.0).residual == 0.0

@@ -7,6 +7,8 @@ import pytest
 
 from jsrkit import config, linalg, tuples, words
 from jsrkit.errors import BudgetError, ConvergenceError, InputError
+from jsrkit.finiteness import sfh_evidence
+from jsrkit.norms import WeightedMaxNorm
 
 
 def _shift_pair():
@@ -116,9 +118,9 @@ def test_product_blocks_prune_drops_subtrees():
 
 def test_product_blocks_errors():
     t = _shift_pair()
-    # the budget is checked when the sweep is created, before any product is built
+    # the walker takes no budget: its caller checks r**n, here after admitting the norm
     with pytest.raises(BudgetError):
-        tuples.product_blocks(t, 10, budget=100)
+        sfh_evidence(t, (1, 2) * 5 + (1,), WeightedMaxNorm((1.0, 1.0)), 1.0, budget=100)
     # products that overflow raise ConvergenceError naming the length, with no warning
     big = tuples.MatrixTuple("real", (np.full((2, 2), 1e200),))
     with pytest.raises(ConvergenceError, match="length 2"):
