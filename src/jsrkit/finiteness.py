@@ -9,7 +9,6 @@ an explicit caveat and never claim a proof.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,11 +95,9 @@ def sfh_evidence(
     meaningless.  An offender is a word whose induced norm reaches
     rho_hat ** |omega| up to offender_tol; offenders are pooled across norms
     and sorted.  samples, when given, feeds both the verification and any
-    sampled matrix norms.
+    sampled matrix norms.  The verification also rejects a bad rho_hat.
     """
     omega = validate_word(omega, t.r)
-    if not math.isfinite(rho_hat) or rho_hat <= 0.0:
-        raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
     reps = _coerce_norms(norm_reps)
     for rep in reps:
         check = verify_barabanov(t, rep, rho_hat, tol=norm_check_tol, samples=samples)

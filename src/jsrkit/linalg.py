@@ -14,20 +14,20 @@ from itertools import combinations
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InputError
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
 def _require_square_stack(stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+        raise InputError(f"expected a stack of square matrices, got shape {stack.shape}")
     return stack
 
 
@@ -96,7 +96,7 @@ def exterior_square(a: np.ndarray) -> np.ndarray:
     a = _require_square(a)
     d = a.shape[0]
     if d < 2:
-        raise ValueError("exterior square needs dimension >= 2")
+        raise InputError("exterior square needs dimension >= 2")
     pairs = list(combinations(range(d), 2))
     out = np.zeros((len(pairs), len(pairs)), dtype=a.dtype)
     for row, (i, j) in enumerate(pairs):

@@ -18,7 +18,7 @@ than proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product as _cartesian
 
 import numpy as np
@@ -26,7 +26,8 @@ import numpy as np
 from . import config
 from .config import DEFAULTS
 from .errors import ConvergenceError, InputError
-from .tuples import MatrixTuple, _json_number, product_along
+from .linalg import _require_square
+from .tuples import MatrixTuple, _json_number, _seeded_rng, product_along
 from .words import Word, validate_word
 
 
@@ -140,20 +141,14 @@ def _mesh_interp(angles: np.ndarray, values: np.ndarray, pts: np.ndarray) -> np.
 
 def _eval_many(norm: NormRep, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts))
-    if isinstance(norm, WeightedMaxNorm):
-        if pts.shape[1] != len(norm.weights):
-            raise InputError(
-                f"norm expects dimension {len(norm.weights)}, got {pts.shape[1]}"
-            )
-        return np.max(np.abs(pts) * np.asarray(norm.weights), axis=1)
-    if isinstance(norm, LpNorm):
+    if isinstance(norm, (WeightedMaxNorm, LpNorm)):
         scaled = np.abs(pts)
         if norm.weights is not None:
             if pts.shape[1] != len(norm.weights):
-                raise InputError(
-                    f"norm expects dimension {len(norm.weights)}, got {pts.shape[1]}"
-                )
+                raise InputError(f"norm expects dimension {len(norm.weights)}, got {pts.shape[1]}")
             scaled = scaled * np.asarray(norm.weights)
+        if isinstance(norm, WeightedMaxNorm):
+            return np.max(scaled, axis=1)
         return np.sum(scaled ** norm.p, axis=1) ** (1.0 / norm.p)
     if isinstance(norm, MeshNorm):
         if pts.shape[1] != 2 or np.iscomplexobj(pts):
@@ -181,7 +176,7 @@ def sphere_samples(
     """Seeded unit-sphere sample directions for higher dimensions or complex tuples."""
     if d < 1 or count < 1:
         raise InputError("need d >= 1 and count >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     pts = rng.standard_normal((count, d))
     if field == "complex":
         pts = pts + 1j * rng.standard_normal((count, d))
@@ -190,21 +185,37 @@ def sphere_samples(
     return pts / norms[:, None]
 
 
-def _default_samples(t: MatrixTuple) -> np.ndarray:
-    if t.d == 2 and t.field == "real":
+def _check_samples(samples, d: int) -> np.ndarray:
+    pts = np.atleast_2d(np.asarray(samples))
+    if pts.size == 0:  # [] arrives as one row of no coordinates
+        raise InputError("empty sample set")
+    if pts.shape[1] != d:
+        raise InputError(f"samples have dimension {pts.shape[1]}, tuple has {d}")
+    return pts
+
+
+def _directions(samples, d: int, real: bool) -> np.ndarray:
+    """The caller's sample directions, else the circle mesh, which covers real d = 2 only."""
+    if samples is not None:
+        return _check_samples(samples, d)
+    if d == 2 and real:
         return circle_mesh()
     raise InputError(
         "supply sample directions: the built-in mesh covers real 2-dimensional tuples only"
     )
 
 
-def _check_samples(samples, d: int) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(samples))
-    if pts.shape[0] == 0:
-        raise InputError("empty sample set")
-    if pts.shape[1] != d:
-        raise InputError(f"samples have dimension {pts.shape[1]}, tuple has {d}")
-    return pts
+def _base_values(norm: NormRep, pts: np.ndarray) -> np.ndarray:
+    """The norm at each direction, which must be positive and finite for a ratio against it."""
+    base = _eval_many(norm, pts)
+    if np.any(base <= 0.0) or not np.all(np.isfinite(base)):
+        raise InputError("norm vanishes or blows up on a sample direction")
+    return base
+
+
+def _check_rho(rho_hat: float) -> None:
+    if not np.isfinite(rho_hat) or rho_hat <= 0:
+        raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
 
 
 @dataclass(frozen=True)
@@ -217,25 +228,15 @@ class VerificationReport:
     sample_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rho_hat": self.rho_hat,
-            "residual": self.residual,
-            "tol": self.tol,
-            "passed": self.passed,
-            "sample_count": self.sample_count,
-        }
+        return asdict(self)
 
 
 def _verify(t, norm, rho_hat, samples, tol, kind) -> VerificationReport:
-    if not np.isfinite(rho_hat) or rho_hat <= 0:
-        raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
-    pts = _default_samples(t) if samples is None else _check_samples(samples, t.d)
+    _check_rho(rho_hat)
+    pts = _directions(samples, t.d, t.field == "real")
     if t.field == "real" and np.iscomplexobj(pts):
         raise InputError("complex samples supplied for a real tuple")
-    base = _eval_many(norm, pts)
-    if np.any(base <= 0.0) or not np.all(np.isfinite(base)):
-        raise InputError("norm vanishes or blows up on a sample direction")
+    base = _base_values(norm, pts)
     images = np.stack([_eval_many(norm, pts @ a.T) for a in t.matrices])
     top = np.max(images, axis=0)
     if kind == "barabanov":
@@ -282,12 +283,7 @@ class ApproxResult:
     last_step: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "norm": norm_to_json_dict(self.norm),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "last_step": self.last_step,
-        }
+        return {**asdict(self), "norm": norm_to_json_dict(self.norm)}
 
 
 def approx_barabanov(
@@ -308,16 +304,13 @@ def approx_barabanov(
     """
     if t.field != "real" or t.d != 2:
         raise InputError("mesh approximation is limited to real 2-dimensional tuples")
-    if not np.isfinite(rho_hat) or rho_hat <= 0:
-        raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
+    _check_rho(rho_hat)
     if mesh_size < 8:
         raise InputError(f"mesh size too small: {mesh_size}")
 
     angles = np.arange(mesh_size) * (np.pi / mesh_size)
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
-    cur = _eval_many(init, pts)
-    if np.any(cur <= 0.0) or not np.all(np.isfinite(cur)):
-        raise InputError("initial norm must be positive on the mesh")
+    cur = _base_values(init, pts)
     cur = cur / cur[0]
     images = [pts @ a.T for a in t.matrices]
 
@@ -350,17 +343,9 @@ def approx_barabanov(
 
 def norm_distance(a: NormRep, b: NormRep, samples=None) -> float:
     """Sampled log-distance: max over directions of |log(phi_a / phi_b)|."""
-    if samples is None:
-        pts = circle_mesh()
-    else:
-        pts = np.atleast_2d(np.asarray(samples))
-        if pts.shape[0] == 0:
-            raise InputError("empty sample set")
-    va = _eval_many(a, pts)
-    vb = _eval_many(b, pts)
-    if np.any(va <= 0.0) or np.any(vb <= 0.0):
-        raise InputError("norms must be positive on every sample direction")
-    return float(np.max(np.abs(np.log(va / vb))))
+    d = 2 if samples is None else np.atleast_2d(samples).shape[1]  # each norm checks its own d
+    pts = _directions(samples, d, real=True)
+    return float(np.max(np.abs(np.log(_base_values(a, pts) / _base_values(b, pts)))))
 
 
 def _box_corners(weights: tuple[float, ...]) -> np.ndarray:
@@ -378,18 +363,11 @@ def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
     """
     if isinstance(norm, WeightedMaxNorm) and real and len(norm.weights) == d and d <= 10:
         pts = _box_corners(norm.weights)
-    elif samples is not None:
-        pts = _check_samples(samples, d)
-    elif isinstance(norm, MeshNorm):
-        ang = np.asarray(norm.angles)
-        pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    elif d == 2 and real:
-        pts = circle_mesh()
+    elif isinstance(norm, MeshNorm) and samples is None:
+        pts = np.column_stack([np.cos(norm.angles), np.sin(norm.angles)])
     else:
-        raise InputError("supply sample directions for this norm/matrix combination")
-    base = _eval_many(norm, pts)
-    if np.any(base <= 0.0):
-        raise InputError("norm vanishes on a sample direction")
+        pts = _directions(samples, d, real)
+    base = _base_values(norm, pts)
 
     def induced(stack: np.ndarray) -> np.ndarray:
         image_bytes = pts.size * np.result_type(pts, stack).itemsize
@@ -413,11 +391,9 @@ def matrix_norm(norm: NormRep, a: np.ndarray, samples=None) -> float:
     the given directions (mesh norms default to their own directions,
     planar norms to the standard circle mesh).
     """
-    a = np.asarray(a)
-    d = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != d:
-        raise InputError(f"matrix_norm needs a square matrix, got shape {a.shape}")
-    return float(_induced_norm(norm, d, real=not np.iscomplexobj(a), samples=samples)(a[None])[0])
+    a = _require_square(a)
+    induced = _induced_norm(norm, len(a), real=not np.iscomplexobj(a), samples=samples)
+    return float(induced(a[None])[0])
 
 
 def theta(t: MatrixTuple, w: Word, norm: NormRep, samples=None) -> float:

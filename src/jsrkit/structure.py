@@ -17,7 +17,7 @@ from . import linalg
 from .bounds import bounds
 from .config import DEFAULTS
 from .errors import InputError
-from .tuples import MatrixTuple, exterior_square_tuple
+from .tuples import MatrixTuple, _seeded_rng, exterior_square_tuple
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,7 @@ def is_irreducible(
     search continues until one is found; over the reals an unsuccessful
     search returns Unknown.
     """
+    rng = _seeded_rng(seed)
     d = t.d
     basis = algebra_basis(t, drop_tol)
     dim = len(basis)
@@ -163,7 +164,6 @@ def is_irreducible(
         yield from np.eye(d, dtype=dtype)
         for a in t.matrices:
             yield from eigenvectors(a)
-        rng = np.random.default_rng(seed)
         for _ in range(rounds):
             coeffs = rng.standard_normal(dim)
             if complex_field:

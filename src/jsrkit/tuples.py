@@ -182,6 +182,13 @@ def _entry_to_json(x, field: str):
     return float(np.real(x))
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for a seed numpy accepts; None, bools and the rest raise InputError."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _json_number(x, where: str) -> float:
     """float(x) for a JSON number; bools, non-numbers and out-of-range integers raise InputError."""
     if not isinstance(x, (int, float)) or isinstance(x, bool):

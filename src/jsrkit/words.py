@@ -5,11 +5,10 @@ comma-separated, e.g. "1,2,2".  Two words are rotation equivalent when
 one is a cyclic shift of the other; the canonical representative of a
 class (its necklace) is its lexicographically least rotation.
 
-Necklaces come straight from the Fredricksen-Kessler-Maiorana rule
-(Ruskey, Savage and Wang, "Generating necklaces", 1992).  word_index and
-word_at map a word to its base-r position in lexicographic order and back;
-the batched product sweep (tuples.product_blocks) names words that way,
-and necklace_prefixes filters such positions for it.
+word_index and word_at map a word to its base-r position in lexicographic
+order and back; the batched product sweep (tuples.product_blocks) names
+words that way, and necklace_prefixes filters such positions for it.
+enumerate_necklaces runs on the same filter, one word length at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import config
 from .config import DEFAULTS
 from .errors import BudgetError, InputError
 
@@ -103,25 +103,21 @@ def enumerate_words(r: int, n: int, budget: int = DEFAULTS.word_budget) -> Itera
 def enumerate_necklaces(r: int, n: int, budget: int = DEFAULTS.word_budget) -> Iterator[Word]:
     """One representative per rotation class, its least rotation, in lexicographic order."""
     _check_budget(r, n, budget)
-    return _necklaces(r, n)
+    return _least_rotations(r, n)
 
 
-def _necklaces(r: int, n: int) -> Iterator[Word]:
-    # FKM: step through the prenecklaces in lexicographic order.  The next
-    # one raises the last letter below r, at position i, and repeats the
-    # first i letters up to length n; it is a necklace iff i divides n.
-    w = [1] * n
-    yield tuple(w)
-    while True:
-        i = n
-        while i and w[i - 1] == r:
-            i -= 1
-        if not i:
-            return
-        w[i - 1] += 1
-        w = (w[:i] * (n // i + 1))[:n]
-        if n % i == 0:
-            yield tuple(w)
+def _least_rotations(r: int, n: int) -> Iterator[Word]:
+    # grow the prefixes that can begin a necklace, then add the last letter
+    # and decode for as many prefixes at a time as fit in BLOCK_BYTES
+    letters = np.arange(r, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)  # the empty word
+    for k in range(1, n):
+        codes = (codes[:, None] * r + letters).ravel()
+        codes = codes[necklace_prefixes(codes, r, k, n)]
+    step = max(1, config.BLOCK_BYTES // (8 * r * n))
+    for lo in range(0, len(codes), step):
+        last = (codes[lo:lo + step, None] * r + letters).ravel()
+        yield from _words_at(last[necklace_prefixes(last, r, n, n)], r, n)
 
 
 def word_index(w: Word, r: int) -> int:
@@ -134,11 +130,12 @@ def word_index(w: Word, r: int) -> int:
 
 def word_at(index: int, r: int, n: int) -> Word:
     """The word of length n over {1..r} at a lexicographic position; inverse of word_index."""
-    letters = []
-    for _ in range(n):
-        index, digit = divmod(int(index), r)
-        letters.append(digit + 1)
-    return tuple(reversed(letters))
+    return _words_at(np.array([index], dtype=np.int64), r, n)[0]
+
+
+def _words_at(codes: np.ndarray, r: int, n: int) -> list[Word]:
+    places = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return list(map(tuple, (codes[:, None] // places % r + 1).tolist()))
 
 
 def necklace_prefixes(codes: np.ndarray, r: int, k: int, n: int) -> np.ndarray:

@@ -129,13 +129,19 @@ def test_characteristic_vanishing_check_uses_callers_budget(monkeypatch):
     assert walks == [5]
 
 
+def _raises_value_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+
 def test_package_has_no_assert_statements():
-    # self-checks must raise explicitly so that they still run under python -O
+    # self-checks must raise explicitly so that they still run under python -O,
+    # and out-of-contract input raises a JsrkitError, never a bare ValueError
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(jsrkit.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Raise) and _raises_value_error(node)
     ]
     assert found == []
 

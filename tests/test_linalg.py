@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jsrkit import linalg
+from jsrkit.errors import InputError
 
 
 def _sigma_max_2x2_oracle(a):
@@ -104,7 +105,7 @@ def test_exterior_square_small_cases():
     assert w.shape == (1, 1)
     assert w[0, 0] == pytest.approx(-2.0, abs=1e-12)  # det
     assert np.allclose(linalg.exterior_square(np.eye(3)), np.eye(3), atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         linalg.exterior_square(np.array([[2.0]]))
 
 
@@ -139,5 +140,12 @@ def test_stacked_kernels_equal_one_matrix_calls_bitwise():
                 assert s == np.linalg.svd(a, compute_uv=False)[0]
                 assert rho == np.max(np.abs(np.linalg.eigvals(a)))
                 assert linalg.op_norm(a) == s and linalg.spectral_radius(a) == rho
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         linalg.op_norms(np.zeros((2, 2)))
+
+
+def test_non_square_input_is_input_error():
+    for kernel in (linalg.op_norm, linalg.spectral_radius, linalg.rank_eps,
+                   linalg.determinant, linalg.exterior_square):
+        with pytest.raises(InputError, match="expected a square matrix"):
+            kernel(np.ones((2, 3)))

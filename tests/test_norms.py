@@ -330,6 +330,42 @@ def test_theta_mesh_norm_uses_own_directions():
     assert theta(_swap_half_pair(), (2,), result.norm) == pytest.approx(0.5, rel=1e-9)
 
 
+def test_norm_checks_share_one_message_each():
+    # 0.7 ** 3000 underflows, so this norm is 0 on every direction off the axes
+    flat = LpNorm(3000.0)
+    positivity = "norm vanishes or blows up on a sample direction"
+    with pytest.raises(InputError, match=positivity):
+        verify_barabanov(_shift_pair(), flat, 1.0)
+    with pytest.raises(InputError, match=positivity):
+        matrix_norm(flat, np.eye(2))
+    with pytest.raises(InputError, match=positivity):
+        norm_distance(flat, LpNorm(2.0))
+    with pytest.raises(InputError, match=positivity):
+        norm_distance(LpNorm(2.0), flat)
+    with pytest.raises(InputError, match=positivity):
+        approx_barabanov(_shift_pair(0.3, 0.5), 1.0, init=flat)
+    infinite = np.array([[np.inf, 0.0]])
+    with pytest.raises(InputError, match=positivity):
+        matrix_norm(LpNorm(2.0), np.eye(2), samples=infinite)
+    with pytest.raises(InputError, match=positivity):
+        norm_distance(WeightedMaxNorm((1.0, 1.0)), LpNorm(2.0), samples=infinite)
+    for samples in ([], np.zeros((0, 2))):
+        with pytest.raises(InputError, match="empty sample set"):
+            norm_distance(LpNorm(2.0), LpNorm(3.0), samples=samples)
+    directions = "supply sample directions: the built-in mesh covers real 2-dimensional tuples only"
+    with pytest.raises(InputError, match=directions):
+        verify_barabanov(MatrixTuple("real", (np.eye(3),)), LpNorm(2.0), 1.0)
+    with pytest.raises(InputError, match=directions):
+        matrix_norm(LpNorm(2.0), np.eye(3))
+
+
+def test_sphere_samples_need_an_integer_seed():
+    assert np.array_equal(sphere_samples(2, 3, seed=np.int64(4)), sphere_samples(2, 3, seed=4))
+    for seed in (None, 1.0, True, -1, "0"):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            sphere_samples(2, 3, seed=seed)
+
+
 def test_sphere_samples_deterministic():
     a = sphere_samples(3, 16, seed=5)
     b = sphere_samples(3, 16, seed=5)

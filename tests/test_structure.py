@@ -91,6 +91,14 @@ def test_algebra_basis_is_orthonormal():
     assert np.allclose(gram, np.eye(len(basis)), atol=1e-10)
 
 
+def test_irreducible_needs_an_integer_seed():
+    # checked before the search, even when the verdict needs no random draw
+    assert is_irreducible(_shift_pair(), seed=np.int64(3)).status == "Certified"
+    for seed in (None, 2.5, False, -1):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            is_irreducible(_shift_pair(), seed=seed)
+
+
 def test_irreducible_certified_fixtures():
     verdict = is_irreducible(_sign_swap_pair())
     assert verdict.status == "Certified"

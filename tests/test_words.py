@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from jsrkit import words
+from jsrkit import config, words
 from jsrkit.errors import BudgetError, InputError
 
 
@@ -34,6 +34,10 @@ def _primitive_oracle(w):
 
 def _euler_phi(d):
     return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
+def _necklace_oracle(r, n):
+    return [w for w in product(range(1, r + 1), repeat=n) if w == _canonical_oracle(w)]
 
 
 def _necklace_count_oracle(r, n):
@@ -149,10 +153,18 @@ def test_necklace_representatives_are_canonical_and_complete():
         seen = {words.canonical_rotation(w) for w in words.enumerate_words(r, n)}
         assert set(reps) == seen
     # same words in the same order as the brute filter: bounds keeps the first witness on ties
-    for r in (1, 2, 3):
-        for n in range(1, 11):
-            brute = [w for w in product(range(1, r + 1), repeat=n) if w == _canonical_oracle(w)]
-            assert list(words.enumerate_necklaces(r, n)) == brute, (r, n)
+    for r, lengths in ((1, range(1, 11)), (2, range(1, 11)), (3, range(1, 11)), (4, range(1, 7))):
+        for n in lengths:
+            got = list(words.enumerate_necklaces(r, n))
+            assert got == _necklace_oracle(r, n), (r, n)
+            assert all(type(letter) is int for w in got for letter in w), (r, n)
+
+
+def test_necklaces_decoded_in_slices_keep_order(monkeypatch):
+    # a 64-byte cap decodes the words below one prefix at a time
+    monkeypatch.setattr(config, "BLOCK_BYTES", 64)
+    for r, n in ((1, 4), (2, 7), (3, 5)):
+        assert list(words.enumerate_necklaces(r, n)) == _necklace_oracle(r, n), (r, n)
 
 
 def test_word_index_is_lexicographic_position():
@@ -165,7 +177,7 @@ def test_word_index_is_lexicographic_position():
 def test_necklace_prefixes_keep_every_necklace_prefix():
     for r in (1, 2, 3):
         for n in range(1, 8):
-            necklaces = set(words.enumerate_necklaces(r, n))
+            necklaces = set(_necklace_oracle(r, n))
             for k in range(1, n + 1):
                 every = list(product(range(1, r + 1), repeat=k))
                 codes = np.array([words.word_index(w, r) for w in every], dtype=np.int64)
