@@ -14,13 +14,17 @@ Both sweeps take the products in lexicographic order from
 tuples.product_blocks, in blocks, with one numpy call per block
 (linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
 
-Each level runs its necklace sweep first.  The upper sweep then prunes by
-submultiplicativity: a prefix p of length k cannot contribute to the
-level-n maximum once op_norm(P_p) * M ** (n - k) falls strictly below the
-running maximum, where M is the largest slot norm.  The running maximum
-starts at the norm of the level's best necklace product, a value the
-maximum includes anyway, and rises after each block.  Strictness keeps
-ties, so pruning never changes the computed maximum.
+Each level runs its necklace sweep first.  The upper sweep then screens
+every product with linalg.op_norm_caps, a cheap upper bound on op_norm, and
+runs an SVD only on the survivors.  By submultiplicativity a prefix p of
+length k cannot contribute to the level-n maximum once
+cap(P_p) * M ** (n - k) falls strictly below the running maximum, where M is
+the largest slot norm, so it is dropped with every word below it; a full
+word whose cap falls strictly below the running maximum is skipped.  The
+running maximum starts at the norm of the level's best necklace product, a
+value the maximum includes anyway, and rises after each block.  Strictness
+keeps ties, and a skipped product's norm is below the maximum, so screening
+never changes the computed maximum.
 
 Budget accounting: each level n costs 2 * r**n words (one all-words sweep,
 one necklace sweep).  The deepest level whose running cost fits the budget
@@ -98,7 +102,7 @@ def _level_lower_max(t: MatrixTuple, n: int) -> tuple[float, Word]:
 
 
 def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, seed: float) -> float:
-    """Max of op_norm(P_w) over all words of length n, with prefix pruning.
+    """Max of op_norm(P_w) over all words of length n, screened by op_norm_caps.
 
     seed must be the norm of one of these products; it only prunes sooner.
     """
@@ -110,10 +114,12 @@ def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, seed: float) 
         except OverflowError:  # an infinite bound rules nothing out
             return np.zeros(len(stack), dtype=bool)
         with np.errstate(over="ignore"):
-            return linalg.op_norms(stack) * growth < best
+            return linalg.op_norm_caps(stack) * growth < best
 
     for _, stack in product_blocks(t, n, prune=prune):
-        best = max(best, float(np.max(linalg.op_norms(stack))))
+        live = stack[linalg.op_norm_caps(stack) >= best]
+        if len(live):
+            best = max(best, float(np.max(linalg.op_norms(live))))
     return best
 
 

@@ -127,7 +127,7 @@ def _rho(t: MatrixTuple, args) -> float:
 
 def _sample_directions(t: MatrixTuple, args):
     """Direction set for verification: explicit sphere draw, else planar mesh."""
-    if getattr(args, "samples", None):
+    if getattr(args, "samples", None) is not None:
         return sphere_samples(t.d, args.samples, seed=args.seed, field=t.field)
     if t.field == "real" and t.d == 2:
         return circle_mesh(args.mesh)

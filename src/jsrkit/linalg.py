@@ -4,7 +4,9 @@ Everything here works on square numpy arrays, real or complex.  Results
 are plain floats (norms, radii) or arrays; no state is kept.  op_norms and
 spectral_radii take a (k, d, d) stack and make one numpy call for all of
 it, which loops over LAPACK in C; op_norm and spectral_radius are their
-one-matrix forms.
+one-matrix forms.  op_norm_caps bounds op_norms from above row by row in a
+few array passes, with no LAPACK call, so callers can skip the SVD of rows
+whose bound already decides a comparison.
 """
 
 from __future__ import annotations
@@ -43,6 +45,32 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value computation failed: {exc}") from exc
     return s[:, 0]
+
+
+# ||P||_2 <= ||P||_F holds exactly; the margin covers the rounding on both
+# sides of the computed comparison.  The Frobenius sum of d*d squares and its
+# square root carry a relative error below (d*d + 1) * eps, and LAPACK's
+# sigma_1 is backward stable, off by a small multiple of d * eps relative.
+# For d up to about a hundred the two together stay below 1e-11, so the cap
+# holds even for rank-one rows, where ||P||_F equals sigma_1.
+_CAP_MARGIN = 1.0 + 1e-10
+
+
+def op_norm_caps(stack: np.ndarray) -> np.ndarray:
+    """Upper bound on op_norms(stack), row by row, from the Frobenius norm of each matrix.
+
+    Each |P| is first scaled by the power of two that brings its largest
+    entry into [0.5, 1), so the sum of squares neither underflows to 0 nor
+    overflows at any scale.  The scaling is exact except for entries below
+    2**-1022 times the largest, whose squares lie far under the margin.  It
+    is undone after the margin is applied; a bound past the float range is
+    inf, which rules nothing out.  An all-zero row gets 0.
+    """
+    mags = np.abs(_require_square_stack(stack))
+    _, exps = np.frexp(mags.max(axis=(1, 2)))
+    frob = np.linalg.norm(np.ldexp(mags, -exps[:, None, None]), axis=(1, 2))
+    with np.errstate(over="ignore"):
+        return np.ldexp(frob * _CAP_MARGIN, exps)
 
 
 def spectral_radii(stack: np.ndarray) -> np.ndarray:

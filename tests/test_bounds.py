@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import importlib
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -48,6 +48,17 @@ def _random_pair(rng, scale=1.0):
     return MatrixTuple(
         "real", tuple(scale * rng.standard_normal((2, 2)) for _ in range(2))
     )
+
+
+def _random_tuple(rng, r, d, kind="real", scale=1.0):
+    """r random d x d slots; kind is "real", "complex" or "rank-one" (real)."""
+    if kind == "rank-one":  # every product is rank one, so its Frobenius norm is its op_norm
+        mats = np.einsum("ki,kj->kij", rng.standard_normal((r, d)), rng.standard_normal((r, d)))
+    else:
+        mats = rng.standard_normal((r, d, d))
+    if kind == "complex":
+        mats = mats + 1j * rng.standard_normal((r, d, d))
+    return MatrixTuple("complex" if kind == "complex" else "real", tuple(scale * mats))
 
 
 def _unpruned_upper_oracle(t, n):
@@ -114,6 +125,29 @@ def test_pruned_upper_equals_unpruned():
             b = bounds(t, depth)
             oracle = min(_unpruned_upper_oracle(t, n) for n in range(1, depth + 1))
             assert b.upper == oracle
+    # the screening caps stay sound for complex entries and far from scale 1
+    for r, d in ((1, 5), (2, 3), (3, 2), (3, 4)):
+        for kind in ("real", "complex", "rank-one"):
+            for c in (1.0, 2.0 ** -200, 2.0 ** 200):
+                t = _random_tuple(rng, r, d, kind, c)
+                for depth in (1, 3, 4):
+                    oracle = min(_unpruned_upper_oracle(t, n) for n in range(1, depth + 1))
+                    assert bounds(t, depth).upper == oracle, (r, d, kind, c, depth)
+
+
+def test_upper_sweep_runs_svd_only_on_screened_leaves(monkeypatch):
+    rng = np.random.default_rng(20)
+    t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(6), (6, 6)) for _ in range(3)))
+    svd, rows = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        rows.append(len(a) if a.ndim == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    bounds(t, 7)
+    words_per_sweep = sum(3 ** n for n in range(1, 8))  # 3279
+    assert sum(rows) <= words_per_sweep // 10
 
 
 def test_lower_ignores_rotation_choice():
@@ -142,13 +176,42 @@ def test_monotone_in_depth():
 
 def test_scaling_equivariance():
     rng = np.random.default_rng(25)
-    for c in (0.5, 3.0):
+    for c, depths in ((0.5, (3,)), (3.0, (3,)), (2.0 ** -200, (3, 4)), (2.0 ** 200, (3, 4))):
         for _ in range(5):
             t = _random_pair(rng)
-            b = bounds(t, 3)
-            bs = bounds(tuples.scale(t, c), 3)
-            assert bs.lower == pytest.approx(c * b.lower, rel=1e-10)
-            assert bs.upper == pytest.approx(c * b.upper, rel=1e-10)
+            for depth in depths:
+                b = bounds(t, depth)
+                bs = bounds(tuples.scale(t, c), depth)
+                # compared at scale 1: pytest.approx's absolute floor of 1e-12
+                # would accept any two values near 2**-200
+                assert bs.lower / c == pytest.approx(b.lower, rel=1e-10)
+                assert bs.upper / c == pytest.approx(b.upper, rel=1e-10)
+
+
+def _seeded_small_tuples(seed):
+    rng = np.random.default_rng(seed)
+    for r, d in ((1, 4), (2, 2), (2, 4), (3, 3)):
+        for field in ("real", "complex"):
+            yield _random_tuple(rng, r, d, field, 1.0 / np.sqrt(d))
+
+
+def test_slot_permutation_invariance():
+    for t in _seeded_small_tuples(29):
+        b = bounds(t, 5)
+        for perm in permutations(range(t.r)):
+            bp = bounds(MatrixTuple(t.field, tuple(t.matrices[i] for i in perm)), 5)
+            assert bp.lower == pytest.approx(b.lower, rel=1e-10)
+            assert bp.upper == pytest.approx(b.upper, rel=1e-10)
+
+
+def test_transpose_invariance():
+    # (A_w1 ... A_wn)^T is the product of the reversed word over the transposes,
+    # so both sides see the same norms and radii, up to rounding
+    for t in _seeded_small_tuples(30):
+        b = bounds(t, 5)
+        bt = bounds(MatrixTuple(t.field, tuple(a.T for a in t.matrices)), 5)
+        assert bt.lower == pytest.approx(b.lower, rel=1e-10)
+        assert bt.upper == pytest.approx(b.upper, rel=1e-10)
 
 
 def test_wedge_bounds_sit_below_square():

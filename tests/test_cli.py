@@ -244,6 +244,17 @@ def test_verify_complex_tuple_with_sampled_sphere(capsys, tmp_path):
     assert json.loads(out)["result"]["passed"] is True
 
 
+def test_zero_samples_is_rejected_not_ignored(capsys, tmp_path):
+    # a real 2x2 tuple has a default mesh, which --samples 0 must not fall back to
+    path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
+    norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
+    for argv in (["barabanov", "verify", "--input", path, "--norm", norm_path, "--rho-hat", "1"],
+                 ["sfh", "--input", path, "--word", "1,2", "--norm", norm_path, "--rho-hat", "1"]):
+        code, out, err = _run(capsys, [*argv, "--samples", "0"])
+        assert code == 2 and out == ""
+        assert err == "error: need d >= 1 and count >= 1\n"
+
+
 def test_words_listing_text_and_json(capsys):
     code, out, _ = _run(capsys, ["words", "--alphabet", "2", "--length", "3", "--necklaces"])
     assert code == 0

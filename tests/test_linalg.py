@@ -144,6 +144,25 @@ def test_stacked_kernels_equal_one_matrix_calls_bitwise():
         linalg.op_norms(np.zeros((2, 2)))
 
 
+def test_op_norm_caps_bound_op_norms_at_every_scale():
+    rng = np.random.default_rng(27)
+    for d in (1, 2, 5):
+        for k in range(-1000, 1001, 40):
+            real = rng.standard_normal((6, d, d))
+            rank_one = np.einsum("ki,kj->kij", rng.standard_normal((6, d)), rng.standard_normal((6, d)))
+            for stack in (real, real + 1j * rng.standard_normal((6, d, d)), rank_one):
+                stack = np.concatenate([stack, np.zeros((1, d, d))]) * 2.0 ** k
+                caps, norms = linalg.op_norm_caps(stack), linalg.op_norms(stack)
+                assert (caps >= norms).all(), (d, k)
+                # the Frobenius norm is at most sqrt(rank) times sigma_1
+                assert (caps <= np.sqrt(d) * norms * (1 + 1e-9)).all(), (d, k)
+                assert caps[-1] == 0.0
+    # a bound past the float range is inf, with no warning, and rules nothing out
+    assert linalg.op_norm_caps(np.full((1, 2, 2), 2.0 ** 1023)).tolist() == [np.inf]
+    with pytest.raises(InputError):
+        linalg.op_norm_caps(np.zeros((2, 2)))
+
+
 def test_non_square_input_is_input_error():
     for kernel in (linalg.op_norm, linalg.spectral_radius, linalg.rank_eps,
                    linalg.determinant, linalg.exterior_square):
