@@ -14,16 +14,26 @@ Both sweeps take the products in lexicographic order from
 tuples.product_blocks, in blocks, with one numpy call per block
 (linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
 
-Each level runs its necklace sweep first.  The upper sweep then screens
-every product with linalg.op_norm_caps, a cheap upper bound on op_norm, and
-runs an SVD only on the survivors.  By submultiplicativity a prefix p of
-length k cannot contribute to the level-n maximum once
-cap(P_p) * M ** (n - k) falls strictly below the running maximum, where M is
-the largest slot norm, so it is dropped with every word below it; a full
-word whose cap falls strictly below the running maximum is skipped.  The
-running maximum starts at the norm of the level's best necklace product, a
-value the maximum includes anyway, and rises after each block.  Strictness
-keeps ties, and a skipped product's norm is below the maximum, so screening
+Each level runs its necklace sweep first.  It screens every necklace
+product with linalg.spectral_radius_caps, a cheap upper bound on the
+spectral radius, and takes eigenvalues only of those whose cap ** (1/n)
+is not strictly below best * (1 - 1e-9), where best is the running lower
+bound carried over from every earlier level and block (no screening while
+best <= 0).  A skipped necklace's value lies strictly below best, so it
+could not have raised it, and lower and its witness come out as if every
+necklace had been taken.  spectral_maximal_candidates runs the same scan,
+with (1 - tie_tol) times its running maximum as the floor.
+
+The upper sweep then screens every product with linalg.op_norm_caps, a
+cheap upper bound on op_norm, and runs an SVD only on the survivors.  By
+submultiplicativity a prefix p of length k cannot contribute to the
+level-n maximum once cap(P_p) * M ** (n - k) falls strictly below the
+running maximum, where M is the largest slot norm, so it is dropped with
+every word below it; a full word whose cap falls strictly below the
+running maximum is skipped.  The running maximum starts at the norm of the
+level's necklace product with the largest op_norm_caps value, a value the
+maximum includes anyway, and rises after each block.  Strictness keeps
+ties, and a skipped product's norm is below the maximum, so screening
 never changes the computed maximum.
 
 Budget accounting: each level n costs 2 * r**n words (one all-words sweep,
@@ -42,7 +52,7 @@ import numpy as np
 from . import linalg, words
 from .config import DEFAULTS
 from .errors import BudgetError, ConvergenceError, InputError
-from .tuples import MatrixTuple, product_along, product_blocks
+from .tuples import MatrixTuple, product_blocks
 from .words import Word
 
 
@@ -85,20 +95,53 @@ def _deepest_level(r: int, max_depth: int, budget: int, sweeps: int) -> int:
     return max_depth
 
 
-def _necklace_values(t: MatrixTuple, n: int):
-    """(word index, spectral_radius(P_w) ** (1/n)) for the necklaces w of length n, in order."""
+# A necklace is skipped when its radius cap, to the power 1/n, falls below
+# the floor times this factor.  The slack absorbs the rounding of the two
+# powers, so a skipped necklace's value lies strictly below the floor.
+_SCREEN_SLACK = 1.0 - 1e-9
+
+
+def _screened_necklaces(t: MatrixTuple, n: int, top: float, ratio: float = 1.0):
+    """Blocks (stack, codes, values) over the necklaces w of length n, in order.
+
+    stack holds every necklace product of the block.  codes and values, the
+    word indices and spectral_radius(P_w) ** (1/n), cover only the necklaces
+    whose spectral_radius_caps leave them able to reach the floor, ratio
+    times the running maximum: top, raised by every value found.  Skipped
+    values lie strictly below the floor; there is no screening while it is
+    <= 0.  ratio must not exceed 1, so a skipped value never raises the
+    running maximum.
+    """
     for codes, stack in product_blocks(t, n, necklaces=True):
-        radii = linalg.spectral_radii(stack).tolist()
-        yield from zip(codes.tolist(), [rho ** (1.0 / n) for rho in radii])
+        floor = ratio * top
+        live = np.ones(len(codes), dtype=bool)
+        if floor > 0:
+            # a non-finite cap compares False and keeps its row
+            live = ~(linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor * _SCREEN_SLACK)
+        radii = linalg.spectral_radii(stack[live]).tolist() if live.any() else []
+        values = [rho ** (1.0 / n) for rho in radii]
+        top = max([top, *values])
+        yield stack, codes[live].tolist(), values
 
 
-def _level_lower_max(t: MatrixTuple, n: int) -> tuple[float, Word]:
-    """Max of spectral_radius(P_w) ** (1/n) over the necklaces w of length n, and the first w."""
-    best, best_code = -np.inf, 0
-    for code, value in _necklace_values(t, n):
-        if value > best:
-            best, best_code = value, code
-    return best, words.word_at(best_code, t.r, n)
+def _level_lower_max(t: MatrixTuple, n: int, best: float, witness: Word):
+    """The necklaces of length n raise the running lower bound (best, witness).
+
+    Returns the raised pair and the necklace product with the largest
+    op_norm_caps value, whose norm seeds the upper sweep.  Only necklaces
+    that may beat best get eigenvalues (_screened_necklaces); a skipped one
+    could not have raised it, and ties keep the first word.
+    """
+    seed_cap, seed_product = -np.inf, None
+    for stack, codes, values in _screened_necklaces(t, n, best):
+        for code, value in zip(codes, values):
+            if value > best:
+                best, witness = value, words.word_at(code, t.r, n)
+        caps = linalg.op_norm_caps(stack)
+        i = int(np.argmax(caps))
+        if caps[i] > seed_cap:
+            seed_cap, seed_product = caps[i], stack[i]
+    return best, witness, seed_product
 
 
 def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, seed: float) -> float:
@@ -139,12 +182,8 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
     best_upper = np.inf
     upper_level = 0
     for n in range(1, depth + 1):
-        level_lower, level_witness = _level_lower_max(t, n)
-        if level_lower > best_lower:
-            best_lower = level_lower
-            witness = level_witness
-        seed = linalg.op_norm(product_along(t, level_witness))
-        level_max = _level_upper_max(t, n, slot_norm_max, seed)
+        best_lower, witness, seed_product = _level_lower_max(t, n, best_lower, witness)
+        level_max = _level_upper_max(t, n, slot_norm_max, linalg.op_norm(seed_product))
         level_upper = level_max ** (1.0 / n) if level_max > 0 else 0.0
         if level_upper < best_upper:
             best_upper = level_upper
@@ -174,15 +213,20 @@ def spectral_maximal_candidates(
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
+    # a negative window would let the screen skip the maximum itself
+    if not 0.0 <= tie_tol < np.inf:
+        raise InputError(f"tie_tol must be finite and >= 0, got {tie_tol}")
     r = t.r
     if _deepest_level(r, depth, budget, 1) < depth:
         raise BudgetError(
             f"candidate scan to depth {depth} exceeds enumeration budget {budget}"
         )
     values: list[tuple[int, int, float]] = []  # (length, word index, value)
+    lower = -np.inf
     for n in range(1, depth + 1):
-        values.extend((n, code, v) for code, v in _necklace_values(t, n))
-    lower = max(v for _, _, v in values)
+        for _, codes, level_values in _screened_necklaces(t, n, lower, 1.0 - tie_tol):
+            values.extend((n, code, v) for code, v in zip(codes, level_values))
+            lower = max([lower, *level_values])
     keep = [(words.word_at(code, r, n), v) for n, code, v in values if v >= lower * (1.0 - tie_tol)]
     keep.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return keep

@@ -4,9 +4,10 @@ Everything here works on square numpy arrays, real or complex.  Results
 are plain floats (norms, radii) or arrays; no state is kept.  op_norms and
 spectral_radii take a (k, d, d) stack and make one numpy call for all of
 it, which loops over LAPACK in C; op_norm and spectral_radius are their
-one-matrix forms.  op_norm_caps bounds op_norms from above row by row in a
-few array passes, with no LAPACK call, so callers can skip the SVD of rows
-whose bound already decides a comparison.
+one-matrix forms.  op_norm_caps and spectral_radius_caps bound op_norms and
+spectral_radii from above row by row in a few array passes, with no LAPACK
+call, so callers can skip the SVD or eigenvalues of rows whose bound already
+decides a comparison.
 """
 
 from __future__ import annotations
@@ -56,21 +57,70 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
 _CAP_MARGIN = 1.0 + 1e-10
 
 
+def _scaled_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, e) with S = P * 2**-e row by row, e putting each row's largest entry modulus in [0.5, 1).
+
+    An all-zero row has e = 0.  The scaling is exact except for entries
+    below 2**-1022 times the largest, which lie far under any margin here.
+    Complex rows are scaled through their real view, because ldexp rejects
+    complex input.
+    """
+    stack = _require_square_stack(stack)
+    _, exps = np.frexp(np.abs(stack).max(axis=(1, 2)))
+    if np.iscomplexobj(stack):
+        parts = np.ascontiguousarray(stack).view(stack.real.dtype)
+        return np.ldexp(parts, -exps[:, None, None]).view(stack.dtype), exps
+    return np.ldexp(stack, -exps[:, None, None]), exps
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each row of a contiguous stack, real or complex, in one einsum pass."""
+    parts = stack.view(stack.real.dtype) if np.iscomplexobj(stack) else stack
+    return np.sqrt(np.einsum("kij,kij->k", parts, parts))
+
+
 def op_norm_caps(stack: np.ndarray) -> np.ndarray:
     """Upper bound on op_norms(stack), row by row, from the Frobenius norm of each matrix.
 
-    Each |P| is first scaled by the power of two that brings its largest
-    entry into [0.5, 1), so the sum of squares neither underflows to 0 nor
-    overflows at any scale.  The scaling is exact except for entries below
-    2**-1022 times the largest, whose squares lie far under the margin.  It
+    Each row is first scaled by a power of two (_scaled_rows), so the sum of
+    squares neither underflows to 0 nor overflows at any scale.  The scaling
     is undone after the margin is applied; a bound past the float range is
     inf, which rules nothing out.  An all-zero row gets 0.
     """
-    mags = np.abs(_require_square_stack(stack))
-    _, exps = np.frexp(mags.max(axis=(1, 2)))
-    frob = np.linalg.norm(np.ldexp(mags, -exps[:, None, None]), axis=(1, 2))
+    scaled, exps = _scaled_rows(stack)
     with np.errstate(over="ignore"):
-        return np.ldexp(frob * _CAP_MARGIN, exps)
+        return np.ldexp(_frobenius(scaled) * _CAP_MARGIN, exps)
+
+
+# rho(P)**2 = rho(P @ P) <= ||P @ P||_2 <= ||P @ P||_F holds exactly; the added
+# term K * d * eps * ||P||_F**2 covers two absolute errors.  The computed
+# square is P @ P + E1 with |E1| <= d * eps * |P| @ |P| entrywise (underflow
+# aside, negligible after the scaling), so ||E1||_F <= d * eps * ||P||_F**2.
+# LAPACK's eigenvalues are exact for some P + E2 with ||E2||_2 <= p(d) * eps *
+# ||P||_2, p a modestly growing function (LAPACK Users' Guide, section 4.8),
+# and rho(P + E2)**2 <= ||(P + E2)**2||_2 <= ||P @ P||_2 + (2 * p(d) + p(d)**2
+# * eps) * eps * ||P||_F**2, which holds for defective P too.  With p(d) up to
+# 10 * d, K = 21 would do; K = 100 allows p(d) up to about 50 * d, and the term
+# is still below 3e-13 * ||P||_F**2 for d up to a dozen.  _CAP_MARGIN covers
+# the relative rounding of the two Frobenius sums, the square root and the
+# eigenvalue moduli.
+_RADIUS_CAP_K = 100.0
+
+
+def spectral_radius_caps(stack: np.ndarray) -> np.ndarray:
+    """Upper bound on spectral_radii(stack), row by row, from ||P @ P||_F ** (1/2).
+
+    Rows are scaled by a power of two as in op_norm_caps and squared in one
+    batched matmul; the bound holds for every row, defective or nilpotent
+    ones included (see _RADIUS_CAP_K).  A bound past the float range is inf,
+    which rules nothing out.  An all-zero row gets 0.
+    """
+    scaled, exps = _scaled_rows(stack)
+    d = scaled.shape[1]
+    square = _frobenius(np.matmul(scaled, scaled))
+    slack = _RADIUS_CAP_K * d * np.finfo(float).eps * _frobenius(scaled) ** 2
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(square * _CAP_MARGIN + slack) * _CAP_MARGIN, exps)
 
 
 def spectral_radii(stack: np.ndarray) -> np.ndarray:

@@ -307,6 +307,8 @@ def approx_barabanov(
     _check_rho(rho_hat)
     if mesh_size < 8:
         raise InputError(f"mesh size too small: {mesh_size}")
+    if max_iter < 1:
+        raise InputError(f"max_iter must be >= 1, got {max_iter}")
 
     angles = np.arange(mesh_size) * (np.pi / mesh_size)
     pts = np.column_stack([np.cos(angles), np.sin(angles)])

@@ -130,6 +130,8 @@ def is_irreducible(
     search continues until one is found; over the reals an unsuccessful
     search returns Unknown.
     """
+    if rounds < 0:
+        raise InputError(f"rounds must be >= 0, got {rounds}")
     rng = _seeded_rng(seed)
     d = t.d
     basis = algebra_basis(t, drop_tol)
@@ -213,6 +215,9 @@ def rank_one_property(
     """
     if t.d < 2:
         raise InputError("rank-one test needs dimension >= 2")
+    # tol >= 1 would make the Refuted test b.upper**2 * (1 - tol) <= 0 always pass
+    if not 0.0 < tol < 1.0:
+        raise InputError(f"tol must be in (0, 1), got {tol}")
     b = bounds(t, depth, budget=budget)
     bw = bounds(exterior_square_tuple(t), depth, budget=budget)
     evidence = {

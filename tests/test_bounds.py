@@ -68,6 +68,15 @@ def _unpruned_upper_oracle(t, n):
     return level ** (1.0 / n) if level > 0 else 0.0
 
 
+def _unscreened_necklace_values(t, depth):
+    """(word, spectral_radius(P_w) ** (1/|w|)) for every necklace up to depth, in scan order."""
+    return [
+        (w, linalg.spectral_radius(product_along(t, w)) ** (1.0 / n))
+        for n in range(1, depth + 1)
+        for w in words.enumerate_necklaces(t.r, n)
+    ]
+
+
 def test_shift_pair_closes_at_depth_two():
     b = bounds(_shift_pair(), 2)
     assert b.lower == pytest.approx(1.0, abs=1e-12)
@@ -150,6 +159,54 @@ def test_upper_sweep_runs_svd_only_on_screened_leaves(monkeypatch):
     assert sum(rows) <= words_per_sweep // 10
 
 
+def test_screened_lower_equals_unscreened_necklaces():
+    # lower, its witness (the first word reaching it) and the candidate lists
+    # are bitwise those of a sweep that takes eigenvalues of every necklace
+    rng = np.random.default_rng(31)
+    ties = MatrixTuple("real", (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                np.array([[1.0, 0.0], [1.0, -1.0]])))
+    cases = [(ties, 4), (_shift_pair(), 6), (_projector_swap_triple(), 4)]
+    for r, d in ((1, 5), (2, 3), (3, 2), (2, 4)):
+        for kind in ("real", "complex", "rank-one"):
+            for c in (1.0, 2.0 ** -200, 2.0 ** 200):
+                cases.append((_random_tuple(rng, r, d, kind, c), 5 if r < 3 else 4))
+    nilpotent = np.triu(rng.standard_normal((3, 3)), 1)
+    cases.append((MatrixTuple("real", (nilpotent, rng.standard_normal((3, 3)))), 5))
+    for t, depth in cases:
+        values = _unscreened_necklace_values(t, depth)
+        best, witness = -np.inf, None
+        for w, v in values:
+            if v > best:
+                best, witness = v, w
+        b = bounds(t, depth)
+        assert (b.lower, b.lower_witness) == (best, witness), (t, depth)
+        for tie_tol in (1e-9, 0.25):
+            floor = best * (1.0 - tie_tol)
+            keep = sorted(((w, v) for w, v in values if v >= floor), key=lambda i: (-i[1], len(i[0]), i[0]))
+            assert spectral_maximal_candidates(t, depth, tie_tol=tie_tol) == keep, (t, depth, tie_tol)
+
+
+def test_lower_sweep_runs_eigvals_only_on_screened_necklaces(monkeypatch):
+    rng = np.random.default_rng(20)
+    t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(6), (6, 6)) for _ in range(3)))
+    eigvals, rows = np.linalg.eigvals, []
+
+    def spy(a, *args, **kwargs):
+        rows.append(len(a) if a.ndim == 3 else 1)
+        return eigvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    bounds(t, 7)
+    necklaces = sum(len(list(words.enumerate_necklaces(3, n))) for n in range(1, 8))  # 540
+    assert sum(rows) <= necklaces // 10
+
+
+def test_candidate_tie_window_must_be_finite_and_nonnegative():
+    for tie_tol in (-1e-9, np.nan, np.inf):
+        with pytest.raises(InputError, match="tie_tol must be finite and >= 0"):
+            spectral_maximal_candidates(_shift_pair(), 2, tie_tol=tie_tol)
+
+
 def test_lower_ignores_rotation_choice():
     rng = np.random.default_rng(23)
     for _ in range(5):
@@ -212,6 +269,21 @@ def test_transpose_invariance():
         bt = bounds(MatrixTuple(t.field, tuple(a.T for a in t.matrices)), 5)
         assert bt.lower == pytest.approx(b.lower, rel=1e-10)
         assert bt.upper == pytest.approx(b.upper, rel=1e-10)
+
+
+def test_similarity_invariance():
+    # an orthogonal (unitary for complex tuples) similarity Q A Q^H keeps every
+    # product's singular values and eigenvalues, up to rounding
+    rng = np.random.default_rng(32)
+    for t in _seeded_small_tuples(33):
+        z = rng.standard_normal((t.d, t.d))
+        if t.field == "complex":
+            z = z + 1j * rng.standard_normal((t.d, t.d))
+        q = np.linalg.qr(z)[0]
+        b = bounds(t, 5)
+        bq = bounds(MatrixTuple(t.field, tuple(q @ a @ q.conj().T for a in t.matrices)), 5)
+        assert bq.lower == pytest.approx(b.lower, rel=1e-10)
+        assert bq.upper == pytest.approx(b.upper, rel=1e-10)
 
 
 def test_wedge_bounds_sit_below_square():

@@ -255,6 +255,55 @@ def test_zero_samples_is_rejected_not_ignored(capsys, tmp_path):
         assert err == "error: need d >= 1 and count >= 1\n"
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_rank1_tol_one_is_rejected_not_refuted(capsys, tmp_path):
+    # example 1 has the rank-one property; at tol 1 every tuple used to come out Refuted
+    path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
+    assert json.loads(Path(path).read_text())["truth"]["flags"]["rank_one"] is True
+    code, out, err = _run(capsys, ["rank1", "--input", path, "--depth", "6", "--tol", "1"])
+    assert (code, out, err) == (2, "", "error: tol must be in (0, 1), got 1.0\n")
+
+
+def test_out_of_range_options_exit_2_and_stdout_stays_strict_json(capsys, tmp_path):
+    path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
+    norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
+    approx = ["barabanov", "approx", "--input", path, "--rho-hat", "1"]
+    sfh = ["sfh", "--input", path, "--word", "1,2", "--norm", norm_path, "--rho-hat", "1"]
+    rejected = [
+        (approx + ["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        (approx + ["--max-iter", "-1"], "max_iter must be >= 1, got -1"),
+        (approx + ["--tol", "inf"], "tol must be finite, got inf"),
+        (["bounds", "--input", path, "--close-tol", "nan"], "close-tol must be >= 0, got nan"),
+        (["bounds", "--input", path, "--close-tol", "-1"], "close-tol must be >= 0, got -1.0"),
+        (["bounds", "--input", path, "--close-tol", "inf"], "close-tol must be finite, got inf"),
+        (["rank1", "--input", path, "--tol", "inf"], "tol must be finite, got inf"),
+        (["irreducible", "--input", path, "--rounds", "-1"], "rounds must be >= 0, got -1"),
+        (["irreducible", "--input", path, "--tol", "inf"], "tol must be finite, got inf"),
+        (["barabanov", "verify", "--input", path, "--norm", norm_path, "--rho-hat", "1",
+          "--tol", "inf"], "tol must be finite, got inf"),
+        (sfh + ["--tol", "inf"], "tol must be finite, got inf"),
+        (sfh + ["--norm-check-tol", "nan"], "norm-check-tol must be >= 0, got nan"),
+    ]
+    for argv, reason in rejected:
+        assert _run(capsys, argv) == (2, "", f"error: {reason}\n"), argv
+    # the smallest accepted values give standard JSON
+    accepted = [
+        approx + ["--max-iter", "1"],
+        ["bounds", "--input", path, "--close-tol", "0"],
+        ["irreducible", "--input", path, "--rounds", "0"],
+        sfh + ["--norm-check-tol", "0"],
+    ]
+    for argv in accepted:
+        code, out, _ = _run(capsys, argv)
+        assert code == 0, argv
+        _strict_json(out)
+
+
 def test_words_listing_text_and_json(capsys):
     code, out, _ = _run(capsys, ["words", "--alphabet", "2", "--length", "3", "--necklaces"])
     assert code == 0

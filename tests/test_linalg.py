@@ -163,6 +163,31 @@ def test_op_norm_caps_bound_op_norms_at_every_scale():
         linalg.op_norm_caps(np.zeros((2, 2)))
 
 
+def test_spectral_radius_caps_bound_spectral_radii_at_every_scale():
+    rng = np.random.default_rng(28)
+    for d in (1, 2, 4):
+        jordan = np.eye(d, k=1) + 0.5 * np.eye(d)
+        for k in range(-1000, 1001, 40):
+            real = rng.standard_normal((6, d, d))
+            # rotated nilpotent rows: eigvals returns rounding-level radii, up to eps ** (1/d)
+            q = np.linalg.qr(rng.standard_normal((6, d, d)))[0]
+            nilpotent = q @ np.triu(rng.standard_normal((6, d, d)), 1) @ q.transpose(0, 2, 1)
+            for stack in (real, real + 1j * rng.standard_normal((6, d, d)), nilpotent):
+                stack = np.concatenate([stack, jordan[None], np.zeros((1, d, d))]) * 2.0 ** k
+                caps, radii = linalg.spectral_radius_caps(stack), linalg.spectral_radii(stack)
+                assert (caps >= radii).all(), (d, k)
+                assert caps[-1] == 0.0
+        # a symmetric row has ||P @ P||_F <= sqrt(d) * rho**2, so the cap is tight to d ** (1/4)
+        sym = rng.standard_normal((6, d, d))
+        sym = sym + sym.transpose(0, 2, 1)
+        caps, radii = linalg.spectral_radius_caps(sym), linalg.spectral_radii(sym)
+        assert (caps <= d ** 0.25 * radii * (1 + 1e-9)).all(), d
+    # a bound past the float range is inf, with no warning, and rules nothing out
+    assert linalg.spectral_radius_caps(np.full((1, 2, 2), 2.0 ** 1023)).tolist() == [np.inf]
+    with pytest.raises(InputError):
+        linalg.spectral_radius_caps(np.zeros((2, 2)))
+
+
 def test_non_square_input_is_input_error():
     for kernel in (linalg.op_norm, linalg.spectral_radius, linalg.rank_eps,
                    linalg.determinant, linalg.exterior_square):

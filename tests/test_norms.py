@@ -263,6 +263,15 @@ def test_approx_barabanov_input_checks():
         approx_barabanov(MatrixTuple("real", (np.zeros((2, 2)),)), 1.0)
 
 
+def test_approx_barabanov_needs_one_iteration():
+    # with no sweep there is no step, and last_step would stay inf
+    for max_iter in (0, -1):
+        with pytest.raises(InputError, match=f"max_iter must be >= 1, got {max_iter}"):
+            approx_barabanov(_shift_pair(), 1.0, max_iter=max_iter)
+    result = approx_barabanov(_shift_pair(), 1.0, max_iter=1)
+    assert result.iterations == 1 and math.isfinite(result.last_step)
+
+
 def test_norm_distance_values():
     assert norm_distance(LpNorm(2.0), LpNorm(2.0)) == 0.0
     dist = norm_distance(WeightedMaxNorm((1.0, 1.0)), LpNorm(2.0))

@@ -226,6 +226,19 @@ def test_rank_one_requires_dimension_two():
         rank_one_property(MatrixTuple("real", (np.array([[1.0]]),)), 1)
 
 
+def test_rank_one_tol_must_lie_in_unit_interval():
+    # at tol >= 1 the Refuted test b.upper**2 * (1 - tol) <= 0 holds for every tuple
+    for tol in (1.0, 2.0, 0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="tol must be in"):
+            rank_one_property(_shift_pair(), 2, tol=tol)
+
+
+def test_irreducible_rounds_must_be_nonnegative():
+    assert is_irreducible(_shift_pair(), rounds=0).status == "Certified"
+    with pytest.raises(InputError, match="rounds must be >= 0, got -1"):
+        is_irreducible(_shift_pair(), rounds=-1)
+
+
 def test_wedge_never_exceeds_square():
     rng = np.random.default_rng(35)
     for _ in range(20):
