@@ -25,16 +25,20 @@ necklace had been taken.  spectral_maximal_candidates runs the same scan,
 with (1 - tie_tol) times its running maximum as the floor.
 
 The upper sweep then screens every product with linalg.op_norm_caps, a
-cheap upper bound on op_norm, and runs an SVD only on the survivors.  By
-submultiplicativity a prefix p of length k cannot contribute to the
-level-n maximum once cap(P_p) * M ** (n - k) falls strictly below the
-running maximum, where M is the largest slot norm, so it is dropped with
-every word below it; a full word whose cap falls strictly below the
-running maximum is skipped.  The running maximum starts at the norm of the
-level's necklace product with the largest op_norm_caps value, a value the
-maximum includes anyway, and rises after each block.  Strictness keeps
-ties, and a skipped product's norm is below the maximum, so screening
-never changes the computed maximum.
+cheap upper bound on op_norm, and runs an SVD only on the survivors.  It
+keeps the level maxima L_1 .. L_{n-1} of the earlier levels, with L_0 = 1
+for the empty word.  A product P_p of length k is dropped, with every word
+below it, once cap(P_p) * L_{n-k} falls strictly below the running maximum:
+each word below p has P_w = P_s P_p for a suffix s of length n - k, and
+op_norm(P_s P_p) <= op_norm(P_s) * op_norm(P_p) <= L_{n-k} * cap(P_p).  The
+same test takes prefixes (k < n) and full words (k = n, times L_0 = 1.0,
+which is exact).  The computed L_{n-k} and the computed products carry a
+rounding of a small multiple of n * d * eps, which the cap's margin
+(linalg._CAP_MARGIN, 1e-10) covers as it covers the rounding of sigma_1.
+The running maximum starts at the norm of the level's necklace product with
+the largest op_norm_caps value, a value the maximum includes anyway, and
+rises after each block.  Strictness keeps ties, and a skipped product's
+norm is below the maximum, so screening never changes the computed maximum.
 
 Budget accounting: each level n costs 2 * r**n words (one all-words sweep,
 one necklace sweep).  The deepest level whose running cost fits the budget
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, words
-from .config import DEFAULTS
+from .config import DEFAULTS, require_tol
 from .errors import BudgetError, ConvergenceError, InputError
 from .tuples import MatrixTuple, product_blocks
 from .words import Word
@@ -144,23 +148,24 @@ def _level_lower_max(t: MatrixTuple, n: int, best: float, witness: Word):
     return best, witness, seed_product
 
 
-def _level_upper_max(t: MatrixTuple, n: int, slot_norm_max: float, seed: float) -> float:
+def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float) -> float:
     """Max of op_norm(P_w) over all words of length n, screened by op_norm_caps.
 
-    seed must be the norm of one of these products; it only prunes sooner.
+    maxima[j] must be the level-j maximum for every j < n, with maxima[0] = 1.0
+    for the empty word; seed must be the norm of one of the level's products
+    and only prunes sooner.
     """
     best = seed
 
     def prune(stack: np.ndarray, k: int) -> np.ndarray:
-        try:
-            growth = slot_norm_max ** (n - k)
-        except OverflowError:  # an infinite bound rules nothing out
-            return np.zeros(len(stack), dtype=bool)
+        # every word below a prefix p of length k has P_w = P_s @ P_p for a
+        # suffix s of length n - k, so op_norm(P_w) <= cap(P_p) * maxima[n - k];
+        # a leaf (k = n) is multiplied by 1.0, exactly
         with np.errstate(over="ignore"):
-            return linalg.op_norm_caps(stack) * growth < best
+            return linalg.op_norm_caps(stack) * maxima[n - k] < best
 
     for _, stack in product_blocks(t, n, prune=prune):
-        live = stack[linalg.op_norm_caps(stack) >= best]
+        live = stack[~prune(stack, n)]
         if len(live):
             best = max(best, float(np.max(linalg.op_norms(live))))
     return best
@@ -175,15 +180,15 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
         raise BudgetError(
             f"enumeration budget {budget} cannot cover even level 1 ({2 * t.r} words)"
         )
-    slot_norm_max = max(linalg.op_norm(a) for a in t.matrices)
-
     best_lower = -np.inf
     witness: Word = (1,)
     best_upper = np.inf
     upper_level = 0
+    maxima = [1.0]
     for n in range(1, depth + 1):
         best_lower, witness, seed_product = _level_lower_max(t, n, best_lower, witness)
-        level_max = _level_upper_max(t, n, slot_norm_max, linalg.op_norm(seed_product))
+        level_max = _level_upper_max(t, n, maxima, linalg.op_norm(seed_product))
+        maxima.append(level_max)
         level_upper = level_max ** (1.0 / n) if level_max > 0 else 0.0
         if level_upper < best_upper:
             best_upper = level_upper
@@ -234,4 +239,5 @@ def spectral_maximal_candidates(
 
 def finiteness_verified_at_depth(b: JsrBounds, close_tol: float = DEFAULTS.close_tol) -> bool:
     """True when the certificate interval is closed to relative width close_tol."""
+    require_tol("close_tol", close_tol, zero_ok=True)
     return b.upper - b.lower <= close_tol * b.upper

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .bounds import bounds as jsr_bounds
 from .bounds import finiteness_verified_at_depth
-from .config import DEFAULTS
+from .config import DEFAULTS, require_tol
 from .errors import ConvergenceError, InputError
 from .finiteness import characteristic_word_search, sfh_evidence
 from .norms import (
@@ -77,15 +76,6 @@ def _require_depth(depth: int) -> int:
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     return depth
-
-
-def _require_tol(name: str, value: float, *, zero_ok: bool = False) -> float:
-    """A tolerance must be finite and positive, or 0 with zero_ok."""
-    if not (value >= 0 if zero_ok else value > 0):
-        raise InputError(f"{name} must be {'>= 0' if zero_ok else 'positive'}, got {value}")
-    if not math.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value}")
-    return value
 
 
 def _text_lines(prefix: str, value, out: list[str]) -> None:
@@ -140,7 +130,7 @@ def _sample_directions(t: MatrixTuple, args):
 
 def cmd_bounds(args) -> int:
     depth = _require_depth(args.depth)
-    _require_tol("close-tol", args.close_tol, zero_ok=True)
+    require_tol("close-tol", args.close_tol, zero_ok=True)
     t = _load_tuple(args.input)
     b = jsr_bounds(t, depth, budget=args.budget)
     result = b.to_json_dict()
@@ -151,7 +141,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_rank1(args) -> int:
     depth = _require_depth(args.depth)
-    _require_tol("tol", args.tol)
+    require_tol("tol", args.tol)
     t = _load_tuple(args.input)
     verdict = rank_one_property(t, depth, tol=args.tol, budget=args.budget)
     _emit(args, "rank1", verdict.to_json_dict())
@@ -159,7 +149,7 @@ def cmd_rank1(args) -> int:
 
 
 def cmd_irreducible(args) -> int:
-    _require_tol("tol", args.tol)
+    require_tol("tol", args.tol)
     t = _load_tuple(args.input)
     verdict = is_irreducible(t, drop_tol=args.tol, seed=args.seed, rounds=args.rounds)
     _emit(args, "irreducible", verdict.to_json_dict())
@@ -168,7 +158,7 @@ def cmd_irreducible(args) -> int:
 
 def cmd_barabanov_approx(args) -> int:
     _require_depth(args.depth)
-    _require_tol("tol", args.step_tol)
+    require_tol("tol", args.step_tol)
     t = _load_tuple(args.input)
     rho = _rho(t, args)
     result = approx_barabanov(
@@ -179,7 +169,7 @@ def cmd_barabanov_approx(args) -> int:
 
 
 def cmd_barabanov_verify(args) -> int:
-    _require_tol("tol", args.tol)
+    require_tol("tol", args.tol)
     t = _load_tuple(args.input)
     norm = _load_norm(args.norm)
     rho = _rho(t, args)
@@ -194,8 +184,8 @@ def cmd_barabanov_verify(args) -> int:
 
 def cmd_sfh(args) -> int:
     _require_depth(args.depth)
-    _require_tol("tol", args.offender_tol)
-    _require_tol("norm-check-tol", args.norm_check_tol, zero_ok=True)
+    require_tol("tol", args.offender_tol)
+    require_tol("norm-check-tol", args.norm_check_tol, zero_ok=True)
     t = _load_tuple(args.input)
     rho = _rho(t, args)
     directions = _sample_directions(t, args)

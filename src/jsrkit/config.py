@@ -9,7 +9,10 @@ resolved once, at the call, and the helpers below it take it resolved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -43,3 +46,12 @@ DEFAULTS = Defaults()
 # word products, or the images of one block under a sampled norm.  A fixed
 # bound on memory, not a tuning knob, so it is not a Defaults field.
 BLOCK_BYTES = 1 << 20
+
+
+def require_tol(name: str, value: float, *, zero_ok: bool = False) -> float:
+    """A tolerance must be finite and positive, or 0 with zero_ok; else InputError naming it."""
+    if not (value >= 0 if zero_ok else value > 0):
+        raise InputError(f"{name} must be {'>= 0' if zero_ok else 'positive'}, got {value}")
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value}")
+    return value

@@ -104,13 +104,7 @@ def characteristic_truth(r: int, n: int, omega: Word) -> dict:
         "jsr": 1.0,
         "characteristic_word": format_word(omega),
         "barabanov_norms": [],
-        "flags": {
-            "finiteness": True,
-            "strong_finiteness": True,
-            "rank_one": True,
-            "unique_norm": True,
-            "unbounded_agreements": True,
-        },
+        "flags": _flags(True, True, True, True, True),
     }
 
 

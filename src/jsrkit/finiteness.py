@@ -16,7 +16,7 @@ import numpy as np
 from . import words
 from .bounds import bounds as jsr_bounds
 from .bounds import spectral_maximal_candidates
-from .config import DEFAULTS
+from .config import DEFAULTS, require_tol
 from .errors import InputError
 from .norms import NormRep, _induced_norm, verify_barabanov
 from .tuples import MatrixTuple, product_blocks
@@ -98,6 +98,8 @@ def sfh_evidence(
     sampled matrix norms.  The verification also rejects a bad rho_hat.
     """
     omega = validate_word(omega, t.r)
+    require_tol("offender_tol", offender_tol)
+    require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
     reps = _coerce_norms(norm_reps)
     for rep in reps:
         check = verify_barabanov(t, rep, rho_hat, tol=norm_check_tol, samples=samples)

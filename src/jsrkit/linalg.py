@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, require_tol
 from .errors import ConvergenceError, InputError
 
 
@@ -158,6 +158,7 @@ def rank_eps(a: np.ndarray, tol: float = DEFAULTS.rank_tol) -> int:
     The zero matrix has rank 0.
     """
     a = _require_square(a)
+    require_tol("tol", tol, zero_ok=True)
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0

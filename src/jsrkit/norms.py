@@ -24,7 +24,7 @@ from itertools import product as _cartesian
 import numpy as np
 
 from . import config
-from .config import DEFAULTS
+from .config import DEFAULTS, require_tol
 from .errors import ConvergenceError, InputError
 from .linalg import _require_square
 from .tuples import MatrixTuple, _json_number, _seeded_rng, product_along
@@ -233,6 +233,7 @@ class VerificationReport:
 
 def _verify(t, norm, rho_hat, samples, tol, kind) -> VerificationReport:
     _check_rho(rho_hat)
+    require_tol("tol", tol, zero_ok=True)  # 0 demands an exact fixed point
     pts = _directions(samples, t.d, t.field == "real")
     if t.field == "real" and np.iscomplexobj(pts):
         raise InputError("complex samples supplied for a real tuple")
@@ -309,6 +310,7 @@ def approx_barabanov(
         raise InputError(f"mesh size too small: {mesh_size}")
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
+    require_tol("step_tol", step_tol)
 
     angles = np.arange(mesh_size) * (np.pi / mesh_size)
     pts = np.column_stack([np.cos(angles), np.sin(angles)])

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import linalg
 from .bounds import bounds
-from .config import DEFAULTS
+from .config import DEFAULTS, require_tol
 from .errors import InputError
-from .tuples import MatrixTuple, _seeded_rng, exterior_square_tuple
+from .tuples import MatrixTuple, _entry_to_json, _seeded_rng, exterior_square_tuple
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ def algebra_basis(t: MatrixTuple, drop_tol: float = DEFAULTS.span_drop_tol) -> l
     Closure under left multiplication by the slots, seeded with the
     identity, reaches every word product.
     """
+    require_tol("drop_tol", drop_tol)
     d = t.d
     dtype = np.complex128 if t.field == "complex" else np.float64
     flat_basis: list[np.ndarray] = []
@@ -155,7 +156,7 @@ def is_irreducible(
         evidence = {
             "algebra_dimension": dim,
             "subspace_dimension": rank,
-            "basis": _subspace_to_json(w, complex_field),
+            "basis": [[_entry_to_json(x, t.field) for x in col] for col in w.T],
         }
         return PropertyVerdict("Refuted", evidence)
 
@@ -184,17 +185,6 @@ def is_irreducible(
         else "real field: algebra dimension is deficient but no real invariant subspace was found"
     )
     return PropertyVerdict("Unknown", {"algebra_dimension": dim, "note": note})
-
-
-def _subspace_to_json(w: np.ndarray, complex_field: bool) -> list:
-    cols = []
-    for j in range(w.shape[1]):
-        col = w[:, j]
-        if complex_field:
-            cols.append([[float(x.real), float(x.imag)] for x in col])
-        else:
-            cols.append([float(x.real) for x in col])
-    return cols
 
 
 def rank_one_property(
@@ -244,6 +234,7 @@ def eigen_separation_heuristic(t: MatrixTuple, gap_tol: float = DEFAULTS.eigen_g
     """
     if t.d != 2:
         raise InputError("eigenvalue separation heuristic is defined for d = 2 only")
+    require_tol("gap_tol", gap_tol, zero_ok=True)
     for a in t.matrices:
         moduli = sorted(np.abs(np.linalg.eigvals(a)), reverse=True)
         if moduli[0] <= 0.0:

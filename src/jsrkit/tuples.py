@@ -171,8 +171,6 @@ def scale(t: MatrixTuple, c) -> MatrixTuple:
 
 def exterior_square_tuple(t: MatrixTuple) -> MatrixTuple:
     """Apply the second exterior power to every slot."""
-    if t.d < 2:
-        raise InputError("exterior square needs dimension >= 2")
     return MatrixTuple(t.field, tuple(linalg.exterior_square(a) for a in t.matrices))
 
 

@@ -142,6 +142,21 @@ def test_pruned_upper_equals_unpruned():
                 for depth in (1, 3, 4):
                     oracle = min(_unpruned_upper_oracle(t, n) for n in range(1, depth + 1))
                     assert bounds(t, depth).upper == oracle, (r, d, kind, c, depth)
+    # tuples where submultiplicativity is tight, L_(a+b) = L_a * L_b, so a
+    # subtree bound cap * L_(n-k) can meet the running maximum exactly
+    v = rng.standard_normal(4)
+    signed_swap = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    tight = [
+        MatrixTuple("real", tuple(c * np.outer(v, v) for c in (1.0, -0.5, 2.0))),
+        MatrixTuple("real", (np.diag([2.0, 0.5, -1.0]), np.diag([-1.0, 2.0, 0.25]))),
+        MatrixTuple("real", (signed_swap, signed_swap[[2, 0, 1]], -np.eye(3))),
+    ]
+    for t in tight:
+        for c in (1.0, 2.0 ** -200, 2.0 ** 200):
+            scaled = tuples.scale(t, c)
+            for depth in (1, 3, 4):
+                oracle = min(_unpruned_upper_oracle(scaled, n) for n in range(1, depth + 1))
+                assert bounds(scaled, depth).upper == oracle, (t, c, depth)
 
 
 def test_upper_sweep_runs_svd_only_on_screened_leaves(monkeypatch):
@@ -157,6 +172,29 @@ def test_upper_sweep_runs_svd_only_on_screened_leaves(monkeypatch):
     bounds(t, 7)
     words_per_sweep = sum(3 ** n for n in range(1, 8))  # 3279
     assert sum(rows) <= words_per_sweep // 10
+
+
+def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
+    # a prefix of length k is bounded by the level maximum L_(n-k), not by
+    # the largest slot norm to the power n - k, which prunes far less here
+    rng = np.random.default_rng(7)
+    t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
+    engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
+
+    def spy(t, n, *, necklaces=False, prune=None):
+        if prune is not None:
+            inner = prune
+
+            def prune(stack, k):
+                rows.append(len(stack))
+                return inner(stack, k)
+
+        return product_blocks(t, n, necklaces=necklaces, prune=prune)
+
+    monkeypatch.setattr(engine, "product_blocks", spy)
+    bounds(t, 11)
+    prefixes = sum(2 ** n - 2 for n in range(1, 12))  # 4072 over the 11 levels
+    assert sum(rows) <= prefixes // 10
 
 
 def test_screened_lower_equals_unscreened_necklaces():

@@ -1,0 +1,44 @@
+"""One tolerance rule, applied where the library takes each value."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from jsrkit.bounds import bounds, finiteness_verified_at_depth
+from jsrkit.constructions import example_tuple
+from jsrkit.errors import InputError
+from jsrkit.finiteness import sfh_evidence
+from jsrkit.linalg import rank_eps
+from jsrkit.norms import LpNorm, WeightedMaxNorm, approx_barabanov, circle_mesh, verify_barabanov
+from jsrkit.structure import eigen_separation_heuristic, is_irreducible
+from jsrkit.tuples import MatrixTuple
+
+
+def test_library_rejects_the_tolerances_the_cli_rejects():
+    shift = MatrixTuple("real", (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])))
+    ex1, _ = example_tuple(1, l1=0.3, l2=0.5)
+    maxnorm = WeightedMaxNorm((1.0, 1.0))
+    # at the defaults each call below reaches the other verdict
+    assert not verify_barabanov(shift, LpNorm(3.0), 1.0, samples=circle_mesh(720)).passed
+    assert not approx_barabanov(ex1, 1.0, max_iter=1).converged
+    assert [w for w, _ in sfh_evidence(ex1, (1,), maxnorm, 1.0).offenders] == [(2,)]
+    equal_moduli = MatrixTuple("real", (np.eye(2), np.diag([2.0, 1.0])))
+    assert not eigen_separation_heuristic(equal_moduli)
+    calls = {
+        "tol must be finite": lambda: verify_barabanov(
+            shift, LpNorm(3.0), 1.0, samples=circle_mesh(720), tol=np.inf
+        ),
+        "step_tol must be finite": lambda: approx_barabanov(ex1, 1.0, step_tol=np.inf),
+        "offender_tol must be positive": lambda: sfh_evidence(
+            ex1, (1,), maxnorm, 1.0, offender_tol=np.nan
+        ),
+        "close_tol must be >= 0": lambda: finiteness_verified_at_depth(bounds(shift, 2), np.nan),
+        "drop_tol must be finite": lambda: is_irreducible(ex1, drop_tol=np.inf),
+        # two public tolerances with no CLI flag follow the same rule
+        "gap_tol must be >= 0": lambda: eigen_separation_heuristic(equal_moduli, np.nan),
+        "tol must be >= 0": lambda: rank_eps(np.eye(2), np.nan),
+    }
+    for message, call in calls.items():
+        with pytest.raises(InputError, match=message):
+            call()
