@@ -21,8 +21,8 @@ is not strictly below best * (1 - 1e-9), where best is the running lower
 bound carried over from every earlier level and block (no screening while
 best <= 0).  A skipped necklace's value lies strictly below best, so it
 could not have raised it, and lower and its witness come out as if every
-necklace had been taken.  spectral_maximal_candidates runs the same scan,
-with (1 - tie_tol) times its running maximum as the floor.
+necklace had been taken.  spectral_maximal_candidates screens with the
+same _necklace_values, at (1 - tie_tol) times its running maximum.
 
 The upper sweep then screens every product with linalg.op_norm_caps, a
 cheap upper bound on op_norm, and runs an SVD only on the survivors.  It
@@ -105,27 +105,19 @@ def _deepest_level(r: int, max_depth: int, budget: int, sweeps: int) -> int:
 _SCREEN_SLACK = 1.0 - 1e-9
 
 
-def _screened_necklaces(t: MatrixTuple, n: int, top: float, ratio: float = 1.0):
-    """Blocks (stack, codes, values) over the necklaces w of length n, in order.
+def _necklace_values(stack: np.ndarray, n: int, floor: float):
+    """(live, values): the rows of a necklace block able to reach floor, and theirs.
 
-    stack holds every necklace product of the block.  codes and values, the
-    word indices and spectral_radius(P_w) ** (1/n), cover only the necklaces
-    whose spectral_radius_caps leave them able to reach the floor, ratio
-    times the running maximum: top, raised by every value found.  Skipped
-    values lie strictly below the floor; there is no screening while it is
-    <= 0.  ratio must not exceed 1, so a skipped value never raises the
-    running maximum.
+    live masks the rows that spectral_radius_caps does not rule out, values
+    holds spectral_radius(P_w) ** (1/n) of those rows, and a skipped row's
+    value lies strictly below floor.  Only floor > 0 screens (not a NaN floor).
     """
-    for codes, stack in product_blocks(t, n, necklaces=True):
-        floor = ratio * top
-        live = np.ones(len(codes), dtype=bool)
-        if floor > 0:
-            # a non-finite cap compares False and keeps its row
-            live = ~(linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor * _SCREEN_SLACK)
-        radii = linalg.spectral_radii(stack[live]).tolist() if live.any() else []
-        values = [rho ** (1.0 / n) for rho in radii]
-        top = max([top, *values])
-        yield stack, codes[live].tolist(), values
+    live = np.ones(len(stack), dtype=bool)
+    if floor > 0:
+        # a non-finite cap compares False and keeps its row
+        live = ~(linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor * _SCREEN_SLACK)
+    radii = linalg.spectral_radii(stack[live]).tolist() if live.any() else []
+    return live, [rho ** (1.0 / n) for rho in radii]
 
 
 def _level_lower_max(t: MatrixTuple, n: int, best: float, witness: Word):
@@ -133,12 +125,13 @@ def _level_lower_max(t: MatrixTuple, n: int, best: float, witness: Word):
 
     Returns the raised pair and the necklace product with the largest
     op_norm_caps value, whose norm seeds the upper sweep.  Only necklaces
-    that may beat best get eigenvalues (_screened_necklaces); a skipped one
-    could not have raised it, and ties keep the first word.
+    that may beat best get eigenvalues (best is _necklace_values' floor); a
+    skipped one could not have raised it, and ties keep the first word.
     """
     seed_cap, seed_product = -np.inf, None
-    for stack, codes, values in _screened_necklaces(t, n, best):
-        for code, value in zip(codes, values):
+    for codes, stack in product_blocks(t, n, necklaces=True):
+        live, values = _necklace_values(stack, n, best)
+        for code, value in zip(codes[live].tolist(), values):
             if value > best:
                 best, witness = value, words.word_at(code, t.r, n)
         caps = linalg.op_norm_caps(stack)
@@ -229,8 +222,9 @@ def spectral_maximal_candidates(
     values: list[tuple[int, int, float]] = []  # (length, word index, value)
     lower = -np.inf
     for n in range(1, depth + 1):
-        for _, codes, level_values in _screened_necklaces(t, n, lower, 1.0 - tie_tol):
-            values.extend((n, code, v) for code, v in zip(codes, level_values))
+        for codes, stack in product_blocks(t, n, necklaces=True):
+            live, level_values = _necklace_values(stack, n, (1.0 - tie_tol) * lower)
+            values.extend((n, code, v) for code, v in zip(codes[live].tolist(), level_values))
             lower = max([lower, *level_values])
     keep = [(words.word_at(code, r, n), v) for n, code, v in values if v >= lower * (1.0 - tie_tol)]
     keep.sort(key=lambda item: (-item[1], len(item[0]), item[0]))

@@ -82,14 +82,11 @@ def _text_lines(prefix: str, value, out: list[str]) -> None:
     if isinstance(value, dict):
         for key in sorted(value):
             _text_lines(f"{prefix}{key}." if prefix else f"{key}.", value[key], out)
-    elif isinstance(value, (list, tuple)):
-        if len(value) > 12 or any(isinstance(x, (dict, list, tuple)) for x in value):
-            for i, item in enumerate(value):
-                _text_lines(f"{prefix}{i}.", item, out)
-            if not value:
-                out.append(f"{prefix.rstrip('.')} = []")
-        else:
-            out.append(f"{prefix.rstrip('.')} = {json.dumps(value)}")
+    elif isinstance(value, (list, tuple)) and (
+        len(value) > 12 or any(isinstance(x, (dict, list, tuple)) for x in value)
+    ):
+        for i, item in enumerate(value):
+            _text_lines(f"{prefix}{i}.", item, out)
     else:
         out.append(f"{prefix.rstrip('.')} = {json.dumps(value)}")
 
@@ -186,6 +183,7 @@ def cmd_sfh(args) -> int:
     _require_depth(args.depth)
     require_tol("tol", args.offender_tol)
     require_tol("norm-check-tol", args.norm_check_tol, zero_ok=True)
+    omega = parse_word(args.word) if args.word is not None else None
     t = _load_tuple(args.input)
     rho = _rho(t, args)
     directions = _sample_directions(t, args)
@@ -205,8 +203,7 @@ def cmd_sfh(args) -> int:
         samples=directions,
         budget=args.budget,
     )
-    if args.word:
-        omega = parse_word(args.word)
+    if omega is not None:
         reports = [sfh_evidence(t, omega, reps, rho, **common)]
     else:
         reports = characteristic_word_search(t, args.depth, reps, rho, **common)

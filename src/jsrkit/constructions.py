@@ -8,10 +8,12 @@ alphabet is exactly zero.  example_tuple reproduces a small catalogue of
 structural flags are known in closed form.  All constructors are pure and
 return exact 0/1/lambda entries.
 
-Truth records are plain dicts ready for JSON embedding:
+Truth records are plain dicts ready for JSON embedding, all built by _truth:
 
     {"jsr": 1.0, "characteristic_word": "1,2" | None,
-     "barabanov_norms": [<norm dicts>], "flags": {...}}
+     "barabanov_norms": [<norm dicts>],
+     "flags": {"finiteness": ..., "strong_finiteness": ..., "rank_one": ...,
+               "unique_norm": ..., "unbounded_agreements": ...}}
 
 Flag values are True/False when known and None when not asserted.
 """
@@ -26,7 +28,7 @@ from . import linalg
 from .config import DEFAULTS
 from .errors import ConvergenceError, InputError
 from .norms import LpNorm, WeightedMaxNorm, norm_to_json_dict
-from .tuples import MatrixTuple, product_along, product_blocks
+from .tuples import MatrixTuple, _check_field, product_along, product_blocks
 from .words import (
     Word,
     format_word,
@@ -97,15 +99,23 @@ def characteristic_tuple(
     return t
 
 
+_FLAGS = ("finiteness", "strong_finiteness", "rank_one", "unique_norm", "unbounded_agreements")
+
+
+def _truth(word: str | None, norms, *flags) -> dict:
+    """The truth record of a set with jsr 1: word, norms, then one value per _FLAGS name."""
+    return {
+        "jsr": 1.0,
+        "characteristic_word": word,
+        "barabanov_norms": [norm_to_json_dict(norm) for norm in norms],
+        "flags": dict(zip(_FLAGS, flags, strict=True)),
+    }
+
+
 def characteristic_truth(r: int, n: int, omega: Word) -> dict:
     """Known facts about characteristic_tuple(r, n, omega)."""
     omega = validate_word(omega, r)
-    return {
-        "jsr": 1.0,
-        "characteristic_word": format_word(omega),
-        "barabanov_norms": [],
-        "flags": _flags(True, True, True, True, True),
-    }
+    return _truth(format_word(omega), [], True, True, True, True, True)
 
 
 def _coerce_param(name: str, value, field: str, *, allow_zero: bool):
@@ -129,20 +139,8 @@ def _coerce_param(name: str, value, field: str, *, allow_zero: bool):
     return scalar
 
 
-def _reject_params(example_id: int, **params):
-    for name, value in params.items():
-        if value is not None:
-            raise InputError(f"example {example_id} does not take parameter {name}")
-
-
-def _flags(finiteness, strong_finiteness, rank_one, unique_norm, unbounded_agreements):
-    return {
-        "finiteness": finiteness,
-        "strong_finiteness": strong_finiteness,
-        "rank_one": rank_one,
-        "unique_norm": unique_norm,
-        "unbounded_agreements": unbounded_agreements,
-    }
+# The parameters each catalogue example takes; only example 1's may be zero.
+_PARAMS = {1: ("l1", "l2"), 2: ("lam",), 3: ("lam",), 4: ("lam",), 5: ()}
 
 
 def example_tuple(
@@ -169,73 +167,34 @@ def example_tuple(
     Parameters are per id: l1 and l2 for id 1, lam for ids 2-4, none for 5.
     Complex parameters require field="complex".
     """
-    if field not in ("real", "complex"):
-        raise InputError(f"field must be 'real' or 'complex', got {field!r}")
-    if example_id == 1:
-        _reject_params(example_id, lam=lam)
-        a = _coerce_param("l1", l1, field, allow_zero=True)
-        b = _coerce_param("l2", l2, field, allow_zero=True)
-        t = MatrixTuple(field, (np.array([[0, 1], [a, 0]]), np.array([[0, b], [1, 0]])))
-        truth = {
-            "jsr": 1.0,
-            "characteristic_word": "1,2",
-            "barabanov_norms": [norm_to_json_dict(WeightedMaxNorm((1.0, 1.0)))],
-            "flags": _flags(True, True, True, True, True),
-        }
-    elif example_id == 2:
-        _reject_params(example_id, l1=l1, l2=l2)
-        a = _coerce_param("lam", lam, field, allow_zero=False)
-        t = MatrixTuple(field, (np.array([[1, 0], [0, a]]), np.array([[0, a], [a, 0]])))
-        truth = {
-            "jsr": 1.0,
-            "characteristic_word": None,
-            "barabanov_norms": [norm_to_json_dict(WeightedMaxNorm((1.0, abs(a))))],
-            "flags": _flags(True, False, True, True, True),
-        }
-    elif example_id == 3:
-        _reject_params(example_id, l1=l1, l2=l2)
-        a = _coerce_param("lam", lam, field, allow_zero=False)
-        t = MatrixTuple(
-            field, (np.array([[1, 0], [0, -1]]), np.array([[0, a], [a, 0]]))
-        )
-        norms = [LpNorm(1.0), LpNorm(2.0), WeightedMaxNorm((1.0, 1.0))]
-        truth = {
-            "jsr": 1.0,
-            "characteristic_word": None,
-            "barabanov_norms": [norm_to_json_dict(n) for n in norms],
-            "flags": _flags(True, None, False, False, True),
-        }
-    elif example_id == 4:
-        _reject_params(example_id, l1=l1, l2=l2)
-        a = _coerce_param("lam", lam, field, allow_zero=False)
-        t = MatrixTuple(
-            field,
-            (
-                np.array([[1, 0], [0, 0]]),
-                np.array([[0, 0], [0, 1]]),
-                np.array([[0, a], [a, 0]]),
-            ),
-        )
-        norms = [
-            WeightedMaxNorm((1.0, xi)) for xi in (abs(a), 1.0, 1.0 / abs(a))
-        ]
-        truth = {
-            "jsr": 1.0,
-            "characteristic_word": None,
-            "barabanov_norms": [norm_to_json_dict(n) for n in norms],
-            "flags": _flags(True, False, True, False, False),
-        }
-    elif example_id == 5:
-        _reject_params(example_id, l1=l1, l2=l2, lam=lam)
-        t = MatrixTuple(
-            field, (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5 * np.eye(2))
-        )
-        truth = {
-            "jsr": 1.0,
-            "characteristic_word": "1",
-            "barabanov_norms": [norm_to_json_dict(LpNorm(2.0))],
-            "flags": _flags(True, True, False, None, True),
-        }
-    else:
+    _check_field(field)
+    # ids compare by ==, not by hash: 1.0 and True name example 1, [1] none
+    takes = next((names for key, names in _PARAMS.items() if example_id == key), None)
+    if takes is None:
         raise InputError(f"example id must be 1..5, got {example_id}")
-    return t, truth
+    given = {"l1": l1, "l2": l2, "lam": lam}
+    for name, value in given.items():
+        if value is not None and name not in takes:
+            raise InputError(f"example {example_id} does not take parameter {name}")
+    l1, l2, lam = (
+        _coerce_param(name, value, field, allow_zero=example_id == 1) if name in takes else None
+        for name, value in given.items()
+    )
+    if example_id == 1:
+        mats = ([[0, 1], [l1, 0]], [[0, l2], [1, 0]])
+        truth = _truth("1,2", [WeightedMaxNorm((1.0, 1.0))], True, True, True, True, True)
+    elif example_id == 2:
+        mats = ([[1, 0], [0, lam]], [[0, lam], [lam, 0]])
+        truth = _truth(None, [WeightedMaxNorm((1.0, abs(lam)))], True, False, True, True, True)
+    elif example_id == 3:
+        mats = ([[1, 0], [0, -1]], [[0, lam], [lam, 0]])
+        norms = [LpNorm(1.0), LpNorm(2.0), WeightedMaxNorm((1.0, 1.0))]
+        truth = _truth(None, norms, True, None, False, False, True)
+    elif example_id == 4:
+        mats = ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, lam], [lam, 0]])
+        norms = [WeightedMaxNorm((1.0, xi)) for xi in (abs(lam), 1.0, 1.0 / abs(lam))]
+        truth = _truth(None, norms, True, False, True, False, False)
+    else:
+        mats = ([[0.0, 1.0], [1.0, 0.0]], 0.5 * np.eye(2))
+        truth = _truth("1", [LpNorm(2.0)], True, True, False, None, True)
+    return MatrixTuple(field, tuple(np.array(m) for m in mats)), truth

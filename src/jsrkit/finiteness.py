@@ -157,8 +157,13 @@ def characteristic_word_search(
 
     rho_hat defaults to the midpoint of the certified interval at the same
     depth.  Reports come back best first: widest margin, then shortest
-    candidate, then lexicographic.
+    candidate, then lexicographic.  The tolerances, the norms and the
+    candidate scan's depth, tie_tol and budget are checked before any scan.
     """
+    require_tol("offender_tol", offender_tol)
+    require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
+    reps = _coerce_norms(norm_reps)
+    candidates = spectral_maximal_candidates(t, depth, tie_tol=tie_tol, budget=budget)
     if rho_hat is None:
         b = jsr_bounds(t, depth, budget=budget)
         rho_hat = 0.5 * (b.lower + b.upper)
@@ -166,14 +171,14 @@ def characteristic_word_search(
         sfh_evidence(
             t,
             w,
-            norm_reps,
+            reps,
             rho_hat,
             offender_tol=offender_tol,
             norm_check_tol=norm_check_tol,
             samples=samples,
             budget=budget,
         )
-        for w, _ in spectral_maximal_candidates(t, depth, tie_tol=tie_tol, budget=budget)
+        for w, _ in candidates
     ]
     reports.sort(key=lambda rep: (-rep.margin, rep.depth, rep.candidate))
     return reports

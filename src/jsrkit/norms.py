@@ -27,7 +27,7 @@ from . import config
 from .config import DEFAULTS, require_tol
 from .errors import ConvergenceError, InputError
 from .linalg import _require_square
-from .tuples import MatrixTuple, _json_number, _seeded_rng, product_along
+from .tuples import MatrixTuple, _check_field, _json_number, _seeded_rng, product_along
 from .words import Word, validate_word
 
 
@@ -177,6 +177,7 @@ def sphere_samples(
     if d < 1 or count < 1:
         raise InputError("need d >= 1 and count >= 1")
     rng = _seeded_rng(seed)
+    _check_field(field)
     pts = rng.standard_normal((count, d))
     if field == "complex":
         pts = pts + 1j * rng.standard_normal((count, d))

@@ -24,6 +24,13 @@ from .words import Word, necklace_prefixes, validate_word
 _FIELDS = ("real", "complex")
 
 
+def _check_field(field) -> str:
+    """field must be one of _FIELDS; else InputError."""
+    if field not in _FIELDS:
+        raise InputError(f"field must be one of {_FIELDS}, got {field!r}")
+    return field
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixTuple:
     """Immutable ordered tuple of square matrices with a field tag."""
@@ -46,8 +53,7 @@ class MatrixTuple:
         )
 
     def __post_init__(self):
-        if self.field not in _FIELDS:
-            raise InputError(f"field must be one of {_FIELDS}, got {self.field!r}")
+        _check_field(self.field)
         if len(self.matrices) < 1:
             raise InputError("a matrix tuple needs at least one slot")
         dtype = np.complex128 if self.field == "complex" else np.float64
@@ -224,9 +230,7 @@ def from_json_dict(payload: dict) -> MatrixTuple:
     for key in ("field", "r", "d", "matrices"):
         if key not in payload:
             raise InputError(f"tuple payload missing key {key!r}")
-    field = payload["field"]
-    if field not in _FIELDS:
-        raise InputError(f"field must be one of {_FIELDS}, got {field!r}")
+    field = _check_field(payload["field"])
     r, d = payload["r"], payload["d"]
     if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in (r, d)):
         raise InputError("r and d must be positive integers")

@@ -13,6 +13,7 @@ import pytest
 
 import jsrkit
 from jsrkit.cli import main
+from jsrkit.finiteness import SFH_CAVEAT
 from jsrkit.norms import WeightedMaxNorm, norm_to_json_dict
 from jsrkit.tuples import MatrixTuple, to_json
 
@@ -329,6 +330,33 @@ def test_text_format_renders_flat_lines(capsys, tmp_path):
     lines = out.splitlines()
     assert "lower = 1.0" in lines
     assert "upper = 1.0" in lines
+
+
+def test_text_format_numbers_the_items_of_a_list_of_reports(capsys, tmp_path):
+    path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0", "--l2", "0"])
+    norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
+    argv = ["sfh", "--input", path, "--word", "1,2", "--norm", norm_path, "--rho-hat", "1"]
+    code, out, _ = _run(capsys, argv + ["--format", "text"])
+    assert code == 0
+    assert out.splitlines() == [
+        'reports.0.candidate = "1,2"',
+        f"reports.0.caveat = {json.dumps(SFH_CAVEAT)}",
+        "reports.0.depth = 2",
+        "reports.0.margin = 1.0",
+        "reports.0.norm_count = 1",
+        "reports.0.offenders = []",
+        "reports.0.passed = true",
+        "reports.0.rho_hat = 1.0",
+    ]
+
+
+def test_sfh_rejects_an_empty_word_before_loading_the_tuple(capsys, tmp_path):
+    path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0", "--l2", "0"])
+    norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
+    for tuple_path in (path, str(tmp_path / "missing.json")):
+        argv = ["sfh", "--input", tuple_path, "--word", "", "--norm", norm_path,
+                "--rho-hat", "1", "--depth", "2"]
+        assert _run(capsys, argv) == (2, "", "error: empty word\n")
 
 
 def test_construct_rejects_incomplete_parameters(capsys, tmp_path):

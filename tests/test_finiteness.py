@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jsrkit import norms
+from jsrkit import finiteness, norms
 from jsrkit.errors import InputError
 from jsrkit.finiteness import (
     SFH_CAVEAT,
@@ -148,6 +148,34 @@ def test_search_reports_offenders_for_every_candidate():
     assert [rep.candidate for rep in reports] == [(1,), (1, 1), (1, 1, 1)]
     assert all(not rep.passed for rep in reports)
     assert all(rep.margin == pytest.approx(0.0, abs=1e-9) for rep in reports)
+    # the norms are read once, so a one-shot iterable serves every candidate
+    once = characteristic_word_search(t, 3, iter([WeightedMaxNorm((1.0, lam))]), 1.0)
+    assert once == reports
+
+
+def test_search_checks_its_arguments_before_any_scan(monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("jsr_bounds", "spectral_maximal_candidates"):
+        monkeypatch.setattr(finiteness, name, spy(name, getattr(finiteness, name)))
+    t = _diag_dominant_pair(0.5)
+    norm = WeightedMaxNorm((1.0, 0.5))
+    bad = [
+        ((norm, None), {"offender_tol": float("nan")}, "offender_tol must be positive"),
+        ((norm, None), {"norm_check_tol": float("inf")}, "norm_check_tol must be finite"),
+        (([], 1.0), {}, "need at least one norm"),
+    ]
+    for (reps, rho_hat), kwargs, message in bad:
+        with pytest.raises(InputError, match=message):
+            characteristic_word_search(t, 14, reps, rho_hat, **kwargs)
+        assert calls == [], message
 
 
 def test_report_serialization():

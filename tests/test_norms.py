@@ -375,6 +375,17 @@ def test_sphere_samples_need_an_integer_seed():
             sphere_samples(2, 3, seed=seed)
 
 
+def test_sphere_samples_reject_an_unknown_field():
+    # the same check, and text, as a MatrixTuple with that field
+    message = "field must be one of ('real', 'complex'), got 'complx'"
+    with pytest.raises(InputError) as tuple_error:
+        MatrixTuple("complx", (np.eye(2),))
+    assert str(tuple_error.value) == message
+    with pytest.raises(InputError) as samples_error:
+        sphere_samples(2, 2, 0, field="complx")
+    assert str(samples_error.value) == message
+
+
 def test_sphere_samples_deterministic():
     a = sphere_samples(3, 16, seed=5)
     b = sphere_samples(3, 16, seed=5)
