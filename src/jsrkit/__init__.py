@@ -22,7 +22,6 @@ from .finiteness import (
     sfh_evidence,
 )
 from .linalg import (
-    determinant,
     exterior_square,
     op_norm,
     rank_eps,
@@ -49,7 +48,6 @@ from .norms import (
 from .structure import (
     PropertyVerdict,
     algebra_dimension,
-    eigen_separation_heuristic,
     is_irreducible,
     rank_one_property,
 )
@@ -101,8 +99,6 @@ __all__ = [
     "characteristic_tuple",
     "characteristic_word_search",
     "circle_mesh",
-    "determinant",
-    "eigen_separation_heuristic",
     "enumerate_necklaces",
     "enumerate_words",
     "eval_norm",

@@ -27,7 +27,6 @@ class Defaults:
     rank_one_tol: float = 1e-9     # relative separation for the exterior-square verdict
     rank_tol: float = 1e-9         # relative singular-value cutoff for numeric rank
     span_drop_tol: float = 1e-9    # relative residual cutoff in span closures
-    eigen_gap_tol: float = 1e-9    # relative modulus gap for the 2x2 separation heuristic
     witness_rounds: int = 200      # random restarts in the invariant-subspace search
     # norm machinery
     mesh_size: int = 720           # directions on the upper half circle / sample circle

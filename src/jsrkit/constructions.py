@@ -164,14 +164,16 @@ def example_tuple(
     5: coordinate swap plus half the identity.  Strong finiteness with
        word (1) at margin 1/2.
 
-    Parameters are per id: l1 and l2 for id 1, lam for ids 2-4, none for 5.
+    The id must be an int (a numpy integer will do; a bool, a float or a
+    string will not).  Parameters are per id: l1 and l2 for id 1, lam for
+    ids 2-4, none for 5.
     Complex parameters require field="complex".
     """
     _check_field(field)
-    # ids compare by ==, not by hash: 1.0 and True name example 1, [1] none
-    takes = next((names for key, names in _PARAMS.items() if example_id == key), None)
+    is_int = isinstance(example_id, (int, np.integer)) and not isinstance(example_id, bool)
+    takes = _PARAMS.get(int(example_id)) if is_int else None
     if takes is None:
-        raise InputError(f"example id must be 1..5, got {example_id}")
+        raise InputError(f"example id must be 1..5, got {example_id!r}")
     given = {"l1": l1, "l2": l2, "lam": lam}
     for name, value in given.items():
         if value is not None and name not in takes:

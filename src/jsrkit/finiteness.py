@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import words
+from . import linalg, words
 from .bounds import bounds as jsr_bounds
 from .bounds import spectral_maximal_candidates
 from .config import DEFAULTS, require_tol
 from .errors import InputError
-from .norms import NormRep, _induced_norm, verify_barabanov
+from .norms import NormRep, _check_rho, _check_samples, _induced_norm, verify_barabanov
 from .tuples import MatrixTuple, product_blocks
 from .words import Word, format_word, rotation_class, validate_word, word_at, word_index
 
@@ -96,6 +96,17 @@ def sfh_evidence(
     rho_hat ** |omega| up to offender_tol; offenders are pooled across norms
     and sorted.  samples, when given, feeds both the verification and any
     sampled matrix norms.  The verification also rejects a bad rho_hat.
+
+    Only competitors that can change the report are evaluated.  Per block and
+    per norm, each product P gets an upper bound on its computed induced
+    value, linalg.op_norm_caps(P) * c with c a constant of the norm and its
+    directions (norms._induced_norm; the bound is inf where the evaluation
+    could overflow or underflow).  The product with the largest bound is
+    evaluated first, then every product whose bound is not strictly below
+    min(threshold, level maximum so far).  A skipped product's value lies
+    strictly below the threshold, so it is no offender, and strictly below a
+    value the level maximum already holds, so it cannot raise it: margin and
+    offenders are bitwise those of a scan that evaluates every competitor.
     """
     omega = validate_word(omega, t.r)
     require_tol("offender_tol", offender_tol)
@@ -123,8 +134,17 @@ def sfh_evidence(
         codes, stack = codes[other], stack[other]
         if not len(codes):
             continue
-        for i, norm_of in enumerate(induced):
-            values = norm_of(stack)
+        caps = linalg.op_norm_caps(stack)
+        for i, (norm_of, bound_of) in enumerate(induced):
+            bound = bound_of(caps)
+            values = np.full(len(stack), -np.inf)  # a skipped row stays below both tests
+            top = int(np.argmax(bound))
+            values[top] = norm_of(stack[top:top + 1])[0]
+            # a NaN bound compares False and keeps its row
+            live = ~(bound < min(threshold, max(level_max[i], values[top])))
+            live[top] = False
+            if live.any():
+                values[live] = norm_of(stack[live])
             level_max[i] = max(level_max[i], float(np.max(values)))
             for j in np.flatnonzero(values >= threshold).tolist():
                 z, value = word_at(codes[j], t.r, n), float(values[j])
@@ -157,12 +177,17 @@ def characteristic_word_search(
 
     rho_hat defaults to the midpoint of the certified interval at the same
     depth.  Reports come back best first: widest margin, then shortest
-    candidate, then lexicographic.  The tolerances, the norms and the
-    candidate scan's depth, tie_tol and budget are checked before any scan.
+    candidate, then lexicographic.  The tolerances, the norms, a given
+    rho_hat, the samples' dimension and the candidate scan's depth, tie_tol
+    and budget are checked before any scan.
     """
     require_tol("offender_tol", offender_tol)
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
     reps = _coerce_norms(norm_reps)
+    if rho_hat is not None:
+        _check_rho(rho_hat)
+    if samples is not None:
+        _check_samples(samples, t.d)
     candidates = spectral_maximal_candidates(t, depth, tie_tol=tie_tol, budget=budget)
     if rho_hat is None:
         b = jsr_bounds(t, depth, budget=budget)

@@ -143,15 +143,6 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(spectral_radii(_require_square(a)[None])[0])
 
 
-def determinant(a: np.ndarray):
-    """Determinant; float for real input, complex otherwise."""
-    a = _require_square(a)
-    det = np.linalg.det(a)
-    if np.iscomplexobj(a):
-        return complex(det)
-    return float(det)
-
-
 def rank_eps(a: np.ndarray, tol: float = DEFAULTS.rank_tol) -> int:
     """Numeric rank: singular values above ``tol`` relative to the largest.
 

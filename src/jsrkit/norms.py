@@ -61,7 +61,12 @@ class LpNorm:
 
 @dataclass(frozen=True)
 class MeshNorm:
-    """Piecewise-linear-in-angle planar norm; angles must start at 0, rise, stay below pi."""
+    """Piecewise-linear-in-angle planar norm; angles must start at 0, rise, stay below pi.
+
+    The closed interpolation grid (the angles followed by pi, the values
+    followed by the first value again) is built once, at construction, and
+    every evaluation reads it.
+    """
 
     angles: tuple[float, ...]
     values: tuple[float, ...]
@@ -71,14 +76,18 @@ class MeshNorm:
         val = tuple(float(x) for x in self.values)
         if len(ang) < 2 or len(ang) != len(val):
             raise InputError("mesh norm needs matching angle/value lists of length >= 2")
+        grid, closed = np.array(ang + (np.pi,)), np.array(val + val[:1])
         if abs(ang[0]) > 1e-12:
             raise InputError("mesh angles must start at 0")
-        if any(b - a <= 0 for a, b in zip(ang, ang[1:])) or ang[-1] >= np.pi:
+        if np.any(np.diff(grid[:-1]) <= 0) or ang[-1] >= np.pi:
             raise InputError("mesh angles must increase strictly and stay below pi")
-        if any(not np.isfinite(x) or x <= 0 for x in val):
+        if not np.all(np.isfinite(closed) & (closed > 0)):
             raise InputError("mesh values must be positive and finite")
+        grid.flags.writeable = closed.flags.writeable = False
         object.__setattr__(self, "angles", ang)
         object.__setattr__(self, "values", val)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_closed", closed)
 
 
 NormRep = WeightedMaxNorm | LpNorm | MeshNorm
@@ -126,17 +135,16 @@ def norm_from_json_dict(payload: dict) -> NormRep:
     raise InputError(f"unknown norm variant {variant!r}")
 
 
-def _mesh_interp(angles: np.ndarray, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate the homogeneous-symmetric mesh extension at planar points."""
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    out = np.zeros(len(pts))
-    nz = radii > 0.0
-    theta = np.mod(np.arctan2(pts[nz, 1], pts[nz, 0]), np.pi)
-    theta = np.where(theta >= np.pi, 0.0, theta)
-    grid = np.append(angles, np.pi)
-    vals = np.append(values, values[0])
-    out[nz] = radii[nz] * np.interp(theta, grid, vals)
-    return out
+def _polar(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, theta) of planar points, theta folded into [0, pi) by the symmetry phi(-v) = phi(v)."""
+    theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), np.pi)
+    return np.hypot(pts[:, 0], pts[:, 1]), np.where(theta >= np.pi, 0.0, theta)
+
+
+def _mesh_interp(grid: np.ndarray, closed: np.ndarray, polar) -> np.ndarray:
+    """The homogeneous-symmetric mesh extension at points given by _polar, on a closed grid."""
+    radii, theta = polar
+    return np.where(radii > 0.0, radii * np.interp(theta, grid, closed), 0.0)
 
 
 def _eval_many(norm: NormRep, pts: np.ndarray) -> np.ndarray:
@@ -153,7 +161,7 @@ def _eval_many(norm: NormRep, pts: np.ndarray) -> np.ndarray:
     if isinstance(norm, MeshNorm):
         if pts.shape[1] != 2 or np.iscomplexobj(pts):
             raise InputError("mesh norms evaluate real 2-vectors only")
-        return _mesh_interp(np.asarray(norm.angles), np.asarray(norm.values), pts)
+        return _mesh_interp(norm._grid, norm._closed, _polar(pts))
     raise InputError(f"unknown norm representation {type(norm).__name__}")
 
 
@@ -285,7 +293,12 @@ class ApproxResult:
     last_step: float
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "norm": norm_to_json_dict(self.norm)}
+        return {
+            "norm": norm_to_json_dict(self.norm),
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "last_step": self.last_step,
+        }
 
 
 def approx_barabanov(
@@ -314,17 +327,19 @@ def approx_barabanov(
     require_tol("step_tol", step_tol)
 
     angles = np.arange(mesh_size) * (np.pi / mesh_size)
+    grid = np.append(angles, np.pi)
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
     cur = _base_values(init, pts)
     cur = cur / cur[0]
-    images = [pts @ a.T for a in t.matrices]
+    images = [_polar(pts @ a.T) for a in t.matrices]
 
     iterations = 0
     converged = False
     last_step = np.inf
     for _ in range(max_iter):
+        closed = np.append(cur, cur[0])
         nxt = np.max(
-            np.stack([_mesh_interp(angles, cur, img) for img in images]), axis=0
+            np.stack([_mesh_interp(grid, closed, img) for img in images]), axis=0
         ) / rho_hat
         # a value at rounding level of the largest is a direction the tuple maps to zero
         if not np.all(np.isfinite(nxt)) or np.any(nxt <= np.finfo(float).eps * np.max(nxt)):
@@ -359,17 +374,37 @@ def _box_corners(weights: tuple[float, ...]) -> np.ndarray:
     return signs * inv
 
 
-def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
-    """The map from a (k, d, d) stack to the k values max phi(a x) / phi(x), over one direction set.
+# The bound below carries this relative margin for the rounding of one
+# evaluation, on top of the margin of the Frobenius cap: the images (d * eps
+# relative to cap * |x_k|_2), the norm of each image (a few eps; an lp norm's
+# rounded exponent 1/p adds up to 710 * eps / p), the division by phi(x_k),
+# the factor c itself and the underflow that the cap range below leaves
+# (2**-44 of the bound).  For d up to a hundred they stay below 3e-13 in all.
+_BOUND_MARGIN = 1.0 + 1e-12
 
-    The directions and their norms are worked out once, so a scan over
-    many products pays for them once.  Images are taken for as many
-    matrices at a time as fit in config.BLOCK_BYTES.
+
+def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
+    """(induced, bound): two maps over one direction set x_1 .. x_m.
+
+    induced maps a (k, d, d) stack to the k values max_j phi(a x_j) / phi(x_j).
+    The directions and their norms are worked out once, so a scan over many
+    products pays for them once.  Images are taken for as many matrices at a
+    time as fit in config.BLOCK_BYTES.
+
+    bound maps linalg.op_norm_caps of a stack to upper bounds on those computed
+    values.  phi(y) <= K * |y|_2, with K = max w for a weighted max norm, max w *
+    d ** max(0, 1/p - 1/2) for an lp norm (1 for unit weights) and max(values)
+    for a mesh norm, so phi(a x_j) / phi(x_j) <= ||a||_2 * c with c = K * max_j
+    |x_j|_2 / phi(x_j), and the cap bounds ||a||_2.  The bound is cap * c *
+    _BOUND_MARGIN where the evaluation stays clear of overflow, and of underflow
+    beyond the margin: the weights or mesh values, the |x_j|_2 and the phi(x_j)
+    within [2**-64, 2**64], and the cap within [lo, hi] below, or 0 (a zero
+    matrix has the value 0 exactly).  Elsewhere the bound is inf.
     """
     if isinstance(norm, WeightedMaxNorm) and real and len(norm.weights) == d and d <= 10:
         pts = _box_corners(norm.weights)
     elif isinstance(norm, MeshNorm) and samples is None:
-        pts = np.column_stack([np.cos(norm.angles), np.sin(norm.angles)])
+        pts = np.column_stack([np.cos(norm._grid[:-1]), np.sin(norm._grid[:-1])])
     else:
         pts = _directions(samples, d, real)
     base = _base_values(norm, pts)
@@ -384,7 +419,26 @@ def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
             out[lo:lo + step] = np.max(values.reshape(len(images), -1) / base, axis=1)
         return out
 
-    return induced
+    scales = np.asarray(norm.values if isinstance(norm, MeshNorm) else norm.weights or (1.0,))
+    lengths = np.linalg.norm(pts, axis=1)
+    if not all(2.0 ** -64 <= np.min(v) and np.max(v) <= 2.0 ** 64 for v in (scales, lengths, base)):
+        return induced, lambda caps: np.full(len(caps), np.inf)
+    p = norm.p if isinstance(norm, LpNorm) else 1.0  # the power each image entry is raised to
+    k = np.max(scales) * (d ** max(0.0, 1.0 / p - 0.5) if isinstance(norm, LpNorm) else 1.0)
+    c = k * np.max(lengths / base) * _BOUND_MARGIN
+    # Each image has |y|_2 <= cap * 2**64 and each scale factor is below 2**64,
+    # so d powers (w |y_i|)**p stay below 2**1000 up to hi.  Underflow costs
+    # each image component d * 2**-1074 and each power 2**-1074: at most
+    # 2**64 * (d + 2)**2 * 2**(-1074 / p) in phi(y), and 2**64 times that in
+    # the value, which is below 2**-44 * cap * c from lo up.
+    lo = (d + 2) ** 2 * 2.0 ** (172 - 1074 / p) / c
+    hi = (2.0 ** 1000 / d) ** (1.0 / p) * 2.0 ** -128
+
+    def bound(caps: np.ndarray) -> np.ndarray:
+        safe = ((caps >= lo) & (caps <= hi)) | (caps == 0.0)
+        return np.where(safe, caps, np.inf) * c
+
+    return induced, bound
 
 
 def matrix_norm(norm: NormRep, a: np.ndarray, samples=None) -> float:
@@ -397,7 +451,7 @@ def matrix_norm(norm: NormRep, a: np.ndarray, samples=None) -> float:
     planar norms to the standard circle mesh).
     """
     a = _require_square(a)
-    induced = _induced_norm(norm, len(a), real=not np.iscomplexobj(a), samples=samples)
+    induced, _ = _induced_norm(norm, len(a), real=not np.iscomplexobj(a), samples=samples)
     return float(induced(a[None])[0])
 
 

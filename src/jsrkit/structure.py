@@ -225,20 +225,3 @@ def rank_one_property(
         status = "Unknown"
     return PropertyVerdict(status, evidence)
 
-
-def eigen_separation_heuristic(t: MatrixTuple, gap_tol: float = DEFAULTS.eigen_gap_tol) -> bool:
-    """True when every 2x2 slot has eigenvalues of distinct modulus.
-
-    A pointwise check used to flag tuples whose slots all sit in the
-    generic distinct-modulus regime; only defined for d = 2.
-    """
-    if t.d != 2:
-        raise InputError("eigenvalue separation heuristic is defined for d = 2 only")
-    require_tol("gap_tol", gap_tol, zero_ok=True)
-    for a in t.matrices:
-        moduli = sorted(np.abs(np.linalg.eigvals(a)), reverse=True)
-        if moduli[0] <= 0.0:
-            return False
-        if (moduli[0] - moduli[1]) / moduli[0] <= gap_tol:
-            return False
-    return True

@@ -197,6 +197,18 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
     assert sum(rows) <= prefixes // 10
 
 
+def test_upper_prune_margin_keeps_a_leaf_that_ties_its_prefix_bound():
+    # The running maximum starts at the product with the largest cap: a power
+    # of A1 = (1 - 2e-10) I, of norm (1 - 2e-10)**n.  The best leaf is A2 = e1 e1^T
+    # or its powers, of norm 1, rank one, so its Frobenius cap and the prefix
+    # bound cap(A2) * L_1 equal 1 up to rounding.  They clear the running
+    # maximum by 2e-10 relative, so a survival test shrunk by more than that
+    # (a factor 1 - 1e-9, say) drops them and puts upper below lower.
+    t = MatrixTuple("real", ((1.0 - 2e-10) * np.eye(2), np.diag([1.0, 0.0])))
+    b = bounds(t, 2)
+    assert (b.lower, b.upper, b.upper_level) == (1.0, 1.0, 1)
+
+
 def test_screened_lower_equals_unscreened_necklaces():
     # lower, its witness (the first word reaching it) and the candidate lists
     # are bitwise those of a sweep that takes eigenvalues of every necklace

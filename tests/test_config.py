@@ -11,7 +11,7 @@ from jsrkit.errors import InputError
 from jsrkit.finiteness import sfh_evidence
 from jsrkit.linalg import rank_eps
 from jsrkit.norms import LpNorm, WeightedMaxNorm, approx_barabanov, circle_mesh, verify_barabanov
-from jsrkit.structure import eigen_separation_heuristic, is_irreducible
+from jsrkit.structure import is_irreducible
 from jsrkit.tuples import MatrixTuple
 
 
@@ -23,8 +23,6 @@ def test_library_rejects_the_tolerances_the_cli_rejects():
     assert not verify_barabanov(shift, LpNorm(3.0), 1.0, samples=circle_mesh(720)).passed
     assert not approx_barabanov(ex1, 1.0, max_iter=1).converged
     assert [w for w, _ in sfh_evidence(ex1, (1,), maxnorm, 1.0).offenders] == [(2,)]
-    equal_moduli = MatrixTuple("real", (np.eye(2), np.diag([2.0, 1.0])))
-    assert not eigen_separation_heuristic(equal_moduli)
     calls = {
         "tol must be finite": lambda: verify_barabanov(
             shift, LpNorm(3.0), 1.0, samples=circle_mesh(720), tol=np.inf
@@ -35,8 +33,7 @@ def test_library_rejects_the_tolerances_the_cli_rejects():
         ),
         "close_tol must be >= 0": lambda: finiteness_verified_at_depth(bounds(shift, 2), np.nan),
         "drop_tol must be finite": lambda: is_irreducible(ex1, drop_tol=np.inf),
-        # two public tolerances with no CLI flag follow the same rule
-        "gap_tol must be >= 0": lambda: eigen_separation_heuristic(equal_moduli, np.nan),
+        # a public tolerance with no CLI flag follows the same rule
         "tol must be >= 0": lambda: rank_eps(np.eye(2), np.nan),
     }
     for message, call in calls.items():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,14 @@ def test_example_param_validation():
         example_tuple(5, lam=0.5)
     with pytest.raises(InputError):
         example_tuple(3, lam=0.5, field="rational")
+
+
+def test_example_ids_must_be_integers():
+    for bad in (True, False, 1.0, 3.0, "1", np.array([3]), None):
+        with pytest.raises(InputError, match=re.escape(f"example id must be 1..5, got {bad!r}")):
+            example_tuple(bad, lam=0.5)
+    t, _ = example_tuple(np.int64(5))
+    assert t == example_tuple(5)[0]
 
 
 def test_example_complex_parameters():

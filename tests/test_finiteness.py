@@ -13,9 +13,9 @@ from jsrkit.finiteness import (
     characteristic_word_search,
     sfh_evidence,
 )
-from jsrkit.norms import LpNorm, WeightedMaxNorm, matrix_norm, theta
-from jsrkit.tuples import MatrixTuple, product_along
-from jsrkit.words import power
+from jsrkit.norms import LpNorm, MeshNorm, WeightedMaxNorm, matrix_norm, sphere_samples, theta
+from jsrkit.tuples import MatrixTuple, product_along, product_blocks
+from jsrkit.words import power, rotation_class, word_at, word_index
 
 MAXNORM = WeightedMaxNorm((1.0, 1.0))
 
@@ -171,6 +171,10 @@ def test_search_checks_its_arguments_before_any_scan(monkeypatch):
         ((norm, None), {"offender_tol": float("nan")}, "offender_tol must be positive"),
         ((norm, None), {"norm_check_tol": float("inf")}, "norm_check_tol must be finite"),
         (([], 1.0), {}, "need at least one norm"),
+        ((norm, 0.0), {}, "rho_hat must be positive and finite, got 0.0"),
+        ((norm, float("nan")), {}, "rho_hat must be positive and finite, got nan"),
+        ((norm, -1.0), {}, "rho_hat must be positive and finite, got -1.0"),
+        ((norm, 1.0), {"samples": np.ones((4, 3))}, "samples have dimension 3, tuple has 2"),
     ]
     for (reps, rho_hat), kwargs, message in bad:
         with pytest.raises(InputError, match=message):
@@ -189,3 +193,120 @@ def test_report_serialization():
     clean = sfh_evidence(_shift_pair(), (1, 2), MAXNORM, 1.0).to_json_dict()
     assert clean["offenders"] == []
     assert clean["passed"] is True
+
+
+def _unscreened_scan(t, omega, reps, rho_hat, offender_tol, samples):
+    """(margin, offenders, level maxima) of the scan that evaluates every competitor."""
+    n = len(omega)
+    target = rho_hat ** n
+    threshold = target * (1.0 - offender_tol)
+    omega_codes = [word_index(z, t.r) for z in rotation_class(omega)]
+    real = t.field == "real"
+    induced = [norms._induced_norm(rep, t.d, real=real, samples=samples)[0] for rep in reps]
+    level_max = [0.0] * len(reps)
+    found = {}
+    for codes, stack in product_blocks(t, n):
+        other = ~np.isin(codes, omega_codes)
+        codes, stack = codes[other], stack[other]
+        if not len(codes):
+            continue
+        for i, norm_of in enumerate(induced):
+            values = norm_of(stack)
+            level_max[i] = max(level_max[i], float(np.max(values)))
+            for j in np.flatnonzero(values >= threshold).tolist():
+                z = word_at(codes[j], t.r, n)
+                found[z] = max(found.get(z, 0.0), float(values[j]))
+    margin = min([1.0] + [(target - m) / target for m in level_max])
+    return margin, sorted(found.items()), level_max
+
+
+def _random_slots(rng, kind, r, d):
+    if kind == "integer":  # small integers, so that many products tie exactly
+        return [rng.integers(-2, 3, (d, d)).astype(float) for _ in range(r)]
+    if kind == "rank-one":
+        return [np.outer(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(r)]
+    slots = [rng.standard_normal((d, d)) for _ in range(r)]
+    if kind == "complex":
+        slots = [a + 1j * rng.standard_normal((d, d)) for a in slots]
+    return slots
+
+
+def _random_norms(rng, d, real):
+    w = tuple(rng.uniform(0.3, 3.0, d))
+    reps = [WeightedMaxNorm(w), LpNorm(float(rng.choice([1.0, 1.5, 3.0])), w), LpNorm(2.0)]
+    if real and d == 2:
+        m = int(rng.integers(2, 40))
+        angles = np.sort(rng.uniform(0.0, np.pi, m))
+        angles[0] = 0.0
+        reps.append(MeshNorm(tuple(angles), tuple(rng.uniform(0.2, 2.0, m))))
+    return reps
+
+
+def test_screened_scan_equals_unscreened_scan_bitwise():
+    rng = np.random.default_rng(2009)
+    compared = 0
+    for case in range(120):
+        kind = ("real", "complex", "integer", "rank-one")[case % 4]
+        r, d = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        if kind != "complex" and case % 3 == 0:
+            d = 2
+        scale = (1.0, 2.0 ** 200, 2.0 ** -200)[case % 3]
+        n = int(rng.integers(1, 4 if scale != 1.0 else 5))
+        field = "complex" if kind == "complex" else "real"
+        t = MatrixTuple(field, tuple(scale * a for a in _random_slots(rng, kind, r, d)))
+        omega = tuple(int(x) for x in rng.integers(1, r + 1, n))
+        samples = None if field == "real" and d == 2 else sphere_samples(d, 40, case, field)
+        for rep in _random_norms(rng, d, field == "real"):
+            with np.errstate(all="ignore"):  # lp powers overflow and underflow at 2**+-600
+                *_, level_max = _unscreened_scan(t, omega, [rep], 1.0, 0.5, samples)
+                top = level_max[0] if 0 < level_max[0] < np.inf else scale ** n
+                # offenders at the top, below it, or none, where the level maximum sets the margin
+                for factor, offender_tol in ((1.0, 1e-6), (0.99, 1e-2), (1.3, 0.5), (3.0, 1e-6)):
+                    rho_hat = (factor * top) ** (1.0 / n)
+                    try:
+                        report = sfh_evidence(t, omega, rep, rho_hat, offender_tol=offender_tol,
+                                              norm_check_tol=1e300, samples=samples)
+                    except InputError:  # the sampled check cannot admit the norm
+                        continue
+                    margin, offenders, _ = _unscreened_scan(
+                        t, omega, [rep], rho_hat, offender_tol, samples
+                    )
+                    assert report.margin.hex() == margin.hex(), (case, rep)
+                    got = [(z, v.hex()) for z, v in report.offenders]
+                    assert got == [(z, v.hex()) for z, v in offenders], (case, rep)
+                    compared += 1
+    assert compared >= 1400
+
+
+def _counting_induced(monkeypatch):
+    """Count the products whose induced norm the scan evaluates."""
+    rows = []
+    build = finiteness._induced_norm
+
+    def counting(*args, **kwargs):
+        induced, bound = build(*args, **kwargs)
+        return (lambda stack: rows.append(len(stack)) or induced(stack)), bound
+
+    monkeypatch.setattr(finiteness, "_induced_norm", counting)
+    return rows
+
+
+def test_scan_evaluates_only_rows_that_can_change_the_report(monkeypatch):
+    rows = _counting_induced(monkeypatch)
+    t = _shift_pair(0.3, 0.5)  # example 1 (0.3, 0.5)
+    mesh = norms.approx_barabanov(t, 1.0, mesh_size=4096).norm
+    report = sfh_evidence(t, (1, 2) * 5, mesh, 1.0)
+    assert report.passed and report.margin == pytest.approx(0.5, abs=1e-6)
+    assert sum(rows) <= 102  # of the 1022 words outside the class of (1,2)^5
+
+
+def test_screen_margin_keeps_offenders_that_tie_the_bound(monkeypatch):
+    # A1 is rank one and maps the box corner (1, 1) onto (1, 0), so its induced
+    # sup norm 1 equals ||A1||_F * max |x|_2 / phi(x) = 2**-0.5 * 2**0.5 up to
+    # rounding: only the screen's margins keep these offenders
+    t = MatrixTuple("real", (np.array([[0.5, 0.5], [0.0, 0.0]]), np.eye(2)))
+    rows = _counting_induced(monkeypatch)
+    report = sfh_evidence(t, (2, 2, 2), MAXNORM, 1.0, offender_tol=1e-12)
+    assert report.offenders == (((1, 2, 2), 1.0), ((2, 1, 2), 1.0), ((2, 2, 1), 1.0))
+    # the four words with two or three 1s (values 0.5 and 0.25) are skipped
+    assert sum(rows) == 3

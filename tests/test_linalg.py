@@ -86,12 +86,6 @@ def test_radius_power_identity():
         assert r3 == pytest.approx(r1 ** 3, rel=1e-8, abs=1e-8)
 
 
-def test_determinant_hand_checked():
-    lam = 0.5
-    assert linalg.determinant(np.array([[1.0, 0.0], [0.0, -1.0]])) == pytest.approx(-1.0, abs=1e-12)
-    assert linalg.determinant(np.array([[0.0, lam], [lam, 0.0]])) == pytest.approx(-lam * lam, abs=1e-12)
-
-
 def test_rank_eps_values():
     assert linalg.rank_eps(np.eye(3)) == 3
     assert linalg.rank_eps(np.zeros((3, 3))) == 0
@@ -190,6 +184,6 @@ def test_spectral_radius_caps_bound_spectral_radii_at_every_scale():
 
 def test_non_square_input_is_input_error():
     for kernel in (linalg.op_norm, linalg.spectral_radius, linalg.rank_eps,
-                   linalg.determinant, linalg.exterior_square):
+                   linalg.exterior_square):
         with pytest.raises(InputError, match="expected a square matrix"):
             kernel(np.ones((2, 3)))

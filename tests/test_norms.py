@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from jsrkit import config, norms
+from jsrkit import config, linalg, norms
 from jsrkit.errors import ConvergenceError, InputError
 from jsrkit.norms import (
     ApproxResult,
@@ -424,6 +424,25 @@ def test_stacked_induced_norms_equal_one_matrix_formula_bitwise(monkeypatch):
                 image_bytes = ref_pts.size * stack.itemsize
                 for cap in (default_cap, 3 * image_bytes):
                     monkeypatch.setattr(config, "BLOCK_BYTES", cap)
-                    induced = norms._induced_norm(norm, d, real=field == "real", samples=samples)
+                    induced, bound = norms._induced_norm(
+                        norm, d, real=field == "real", samples=samples
+                    )
                     assert induced(stack).tolist() == want, (d, field, norm)
+                    assert np.all(bound(linalg.op_norm_caps(stack)) >= want), (d, field, norm)
                     assert matrix_norm(norm, stack[0], samples) == want[0]
+
+
+def test_value_bound_holds_where_powers_underflow_or_overflow():
+    # rank-one stacks along an axis meet the bound up to rounding; near 2**(-1074/p)
+    # an lp power rounds up to the least subnormal, which lifts the value past
+    # cap * c by up to 26%, and near 2**(1000/p) it overflows: there the bound is inf
+    a = 2.0 ** np.arange(-1074.0, 1024.0, 0.25)
+    rows = [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.3, 0.0]], [[0.6, 0.8], [0.0, 0.0]]]
+    stack = np.concatenate([a[:, None, None] * np.array(m) for m in rows])
+    caps = linalg.op_norm_caps(stack)
+    for norm in (LpNorm(1.0), LpNorm(1.5), LpNorm(3.0), LpNorm(2.0, (1.0, 3.0)),
+                 WeightedMaxNorm((1.0, 2.0))):
+        induced, bound = norms._induced_norm(norm, 2, real=True, samples=np.eye(2))
+        with np.errstate(all="ignore"):
+            values = induced(stack)
+        assert np.all(bound(caps) >= values), norm

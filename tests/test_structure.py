@@ -11,7 +11,6 @@ from jsrkit.structure import (
     PropertyVerdict,
     algebra_basis,
     algebra_dimension,
-    eigen_separation_heuristic,
     is_irreducible,
     rank_one_property,
 )
@@ -246,19 +245,6 @@ def test_wedge_never_exceeds_square():
         b = bounds(t, 3)
         bw = bounds(exterior_square_tuple(t), 3)
         assert bw.lower <= b.upper ** 2 + 1e-9
-
-
-def test_eigen_separation_heuristic():
-    assert eigen_separation_heuristic(MatrixTuple("real", (np.diag([2.0, 1.0]),)))
-    assert not eigen_separation_heuristic(
-        MatrixTuple("real", (np.array([[0.0, 1.0], [1.0, 0.0]]),))
-    )
-    assert not eigen_separation_heuristic(MatrixTuple("real", (np.diag([1.0, -1.0]),)))
-    assert not eigen_separation_heuristic(
-        MatrixTuple("real", (np.diag([2.0, 1.0]), np.zeros((2, 2))))
-    )
-    with pytest.raises(InputError):
-        eigen_separation_heuristic(MatrixTuple("real", (np.eye(3),)))
 
 
 def test_verdict_serialization():
