@@ -167,9 +167,5 @@ def exterior_square(a: np.ndarray) -> np.ndarray:
     d = a.shape[0]
     if d < 2:
         raise InputError("exterior square needs dimension >= 2")
-    pairs = list(combinations(range(d), 2))
-    out = np.zeros((len(pairs), len(pairs)), dtype=a.dtype)
-    for row, (i, j) in enumerate(pairs):
-        for col, (k, l) in enumerate(pairs):
-            out[row, col] = a[i, k] * a[j, l] - a[i, l] * a[j, k]
-    return out
+    i, j = np.array(list(combinations(range(d), 2))).T
+    return a[np.ix_(i, i)] * a[np.ix_(j, j)] - a[np.ix_(i, j)] * a[np.ix_(j, i)]

@@ -147,6 +147,25 @@ def _mesh_interp(grid: np.ndarray, closed: np.ndarray, polar) -> np.ndarray:
     return np.where(radii > 0.0, radii * np.interp(theta, grid, closed), 0.0)
 
 
+def _lp_rows(scaled: np.ndarray, p: float) -> np.ndarray:
+    """(sum_k scaled[:, k] ** p) ** (1/p) for each row of nonnegative entries.
+
+    A row whose sum of powers leaves [2**-960, 2**960] (it overflowed, or
+    underflowed, maybe to 0) is summed again after scaling by the power of
+    two that puts its largest entry in [0.5, 1), and its result scaled back.
+    Rows in that range, every scale-1 input among them, keep the plain sum.
+    """
+    with np.errstate(over="ignore"):
+        sums = np.sum(scaled ** p, axis=1)
+    out = sums ** (1.0 / p)
+    redo = ~((sums >= 2.0 ** -960) & (sums <= 2.0 ** 960))
+    if redo.any():
+        rows = scaled[redo]
+        _, exps = np.frexp(np.max(rows, axis=1))
+        out[redo] = np.ldexp(np.sum(np.ldexp(rows, -exps[:, None]) ** p, axis=1) ** (1.0 / p), exps)
+    return out
+
+
 def _eval_many(norm: NormRep, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts))
     if isinstance(norm, (WeightedMaxNorm, LpNorm)):
@@ -157,7 +176,7 @@ def _eval_many(norm: NormRep, pts: np.ndarray) -> np.ndarray:
             scaled = scaled * np.asarray(norm.weights)
         if isinstance(norm, WeightedMaxNorm):
             return np.max(scaled, axis=1)
-        return np.sum(scaled ** norm.p, axis=1) ** (1.0 / norm.p)
+        return _lp_rows(scaled, norm.p)
     if isinstance(norm, MeshNorm):
         if pts.shape[1] != 2 or np.iscomplexobj(pts):
             raise InputError("mesh norms evaluate real 2-vectors only")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config, linalg
 from .errors import ConvergenceError, InputError
-from .words import Word, necklace_prefixes, validate_word
+from .words import Word, necklace_children, validate_word
 
 _FIELDS = ("real", "complex")
 
@@ -119,42 +119,45 @@ def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
     at a time as A_letter @ P_prefix, product_along's sequence of 2-D
     products, so each P_w equals it bitwise.  Prefixes are split into pieces
     whose whole subtree fits in config.BLOCK_BYTES, so no product array
-    outgrows it.  necklaces=True keeps only least rotations.  prune(stack, k)
-    is asked at each length 0 < k < n and returns a mask of the prefixes to
-    drop with every word below them.  Callers check r**n against their budget
-    first; a non-finite product raises ConvergenceError.
+    outgrows it.  necklaces=True keeps only least rotations: each prefix
+    carries its FKM period, and words.necklace_children filters the children
+    as they are built.  prune(stack, k) is asked at each length 0 < k < n and
+    returns a mask of the prefixes to drop with every word below them.
+    Callers check r**n against their budget first; a non-finite product
+    raises ConvergenceError.
     """
     r = t.r
     slots = np.stack(t.matrices)
     letters = np.arange(r, dtype=np.int64)
     row_bytes = slots[0].nbytes
 
-    def descend(codes, stack, k):
-        # codes and stack hold prefixes of length k
-        if necklaces:
-            keep = necklace_prefixes(codes, r, k, n)
-            codes, stack = codes[keep], stack[keep]
+    def descend(codes, periods, stack, k):
+        # codes, periods (read only when necklaces) and stack hold prefixes of length k
         if k == n:
-            if len(codes):
-                yield codes, stack
+            yield codes, stack
             return
         piece = max(1, config.BLOCK_BYTES // (row_bytes * r ** (n - k)))
         for lo in range(0, len(codes), piece):
-            part, prefixes = codes[lo:lo + piece], stack[lo:lo + piece]
+            rows = slice(lo, lo + piece)
+            part, phase, prefixes = codes[rows], periods[rows], stack[rows]
             if prune is not None:
                 keep = ~prune(prefixes, k)
-                part, prefixes = part[keep], prefixes[keep]
-                if not len(part):
-                    continue
+                part, phase, prefixes = part[keep], phase[keep], prefixes[keep]
             with np.errstate(over="ignore", invalid="ignore"):
                 children = np.matmul(slots[None], prefixes[:, None]).reshape(-1, *slots.shape[1:])
             if not np.isfinite(children).all():
                 raise ConvergenceError(
                     f"products of length {k + 1} overflow; the tuple's scale is out of range"
                 )
-            yield from descend((part[:, None] * r + letters).ravel(), children, k + 1)
+            if necklaces:
+                part, phase, keep = necklace_children(part, phase, r, k, n)
+                children = children[keep]
+            else:
+                part = phase = (part[:, None] * r + letters).ravel()
+            if len(part):
+                yield from descend(part, phase, children, k + 1)
 
-    return descend(letters, slots, 1)
+    return descend(letters, np.ones(r, dtype=np.int64), slots, 1)
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:

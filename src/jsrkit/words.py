@@ -7,8 +7,8 @@ class (its necklace) is its lexicographically least rotation.
 
 word_index and word_at map a word to its base-r position in lexicographic
 order and back; the batched product sweep (tuples.product_blocks) names
-words that way, and necklace_prefixes filters such positions for it.
-enumerate_necklaces runs on the same filter, one word length at a time.
+words that way, and necklace_children grows such positions by one letter
+with the FKM rule for it.  enumerate_necklaces runs on the same rule.
 """
 
 from __future__ import annotations
@@ -107,17 +107,15 @@ def enumerate_necklaces(r: int, n: int, budget: int = DEFAULTS.word_budget) -> I
 
 
 def _least_rotations(r: int, n: int) -> Iterator[Word]:
-    # grow the prefixes that can begin a necklace, then add the last letter
-    # and decode for as many prefixes at a time as fit in BLOCK_BYTES
-    letters = np.arange(r, dtype=np.int64)
-    codes = np.zeros(1, dtype=np.int64)  # the empty word
-    for k in range(1, n):
-        codes = (codes[:, None] * r + letters).ravel()
-        codes = codes[necklace_prefixes(codes, r, k, n)]
+    # grow the pre-necklaces of length n - 1 from the empty word, then add the
+    # last letter and decode for as many prefixes at a time as fit in BLOCK_BYTES
+    codes, periods = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for k in range(n - 1):
+        codes, periods, _ = necklace_children(codes, periods, r, k, n)
     step = max(1, config.BLOCK_BYTES // (8 * r * n))
     for lo in range(0, len(codes), step):
-        last = (codes[lo:lo + step, None] * r + letters).ravel()
-        yield from _words_at(last[necklace_prefixes(last, r, n, n)], r, n)
+        last, _, _ = necklace_children(codes[lo:lo + step], periods[lo:lo + step], r, n - 1, n)
+        yield from _words_at(last, r, n)
 
 
 def word_index(w: Word, r: int) -> int:
@@ -138,17 +136,20 @@ def _words_at(codes: np.ndarray, r: int, n: int) -> list[Word]:
     return list(map(tuple, (codes[:, None] // places % r + 1).tolist()))
 
 
-def necklace_prefixes(codes: np.ndarray, r: int, k: int, n: int) -> np.ndarray:
-    """Mask of the word indices of length k that can begin a necklace of length n.
+def necklace_children(codes: np.ndarray, periods: np.ndarray, r: int, k: int, n: int):
+    """(codes, periods, keep): the pre-necklaces of length k + 1 grown from those of length k.
 
-    At k == n it is exact: the mask of the necklaces.  Below n it keeps every
-    prefix of a necklace and drops words with a suffix below their prefix of
-    the same length.
+    FKM rule (Cattell, Ruskey, Sawada, Serra, Miers, J. Algorithms 37, 2000):
+    a period is the length of the longest Lyndon prefix, 1 for the empty word.
+    A child letter may not be below the letter period places back; the period
+    stays when the two are equal and becomes k + 1 otherwise.  At length n
+    only necklaces, the children whose period divides n, are kept.  keep
+    masks all r children of each prefix, in lexicographic order.
     """
-    keep = np.ones(len(codes), dtype=bool)
-    for s in range(1, k):
-        if k == n:  # a necklace is its own least rotation
-            keep &= codes <= (codes % r ** (n - s)) * r ** s + codes // r ** (n - s)
-        else:  # no suffix of a necklace is below its prefix of the same length
-            keep &= codes % r ** (k - s) >= codes // r ** s
-    return keep
+    letters = np.arange(r, dtype=np.int64)
+    back = (codes // r ** (periods - 1) % r)[:, None]
+    periods = np.where(letters == back, periods[:, None], k + 1).ravel()
+    keep = (letters >= back).ravel()
+    if k + 1 == n:
+        keep &= n % periods == 0
+    return (codes[:, None] * r + letters).ravel()[keep], periods[keep], keep

@@ -262,6 +262,26 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def test_sfh_under_an_lp_norm_is_finite_at_scale_2_200(capsys, tmp_path):
+    # the offender values of a tuple scaled by 2**200 used to overflow under
+    # an l3 norm, so stdout carried Infinity; the margin is scale invariant
+    norm_path = tmp_path / "l3.json"
+    norm_path.write_text(json.dumps({"variant": "ellp", "p": 3}))
+    margins = []
+    for c, rho_hat in ((1.0, "1"), (2.0 ** 200, "1.6069380442589903e+60")):
+        t = MatrixTuple("real", (c * np.array([[0.0, 1.0], [0.5, 0.0]]),
+                                 c * np.array([[0.0, 0.5], [1.0, 0.0]])))
+        path = tmp_path / "t.json"
+        path.write_text(to_json(t))
+        code, out, err = _run(capsys, ["sfh", "--input", str(path), "--word", "1,2", "--norm",
+                                       str(norm_path), "--rho-hat", rho_hat,
+                                       "--norm-check-tol", "1e300"])
+        assert (code, err) == (0, "")
+        margins.append(_strict_json(out)["result"]["reports"][0]["margin"])
+    assert margins[1] == pytest.approx(margins[0], rel=1e-12)
+    assert margins[0] == pytest.approx(0.5, rel=1e-12)
+
+
 def test_rank1_tol_one_is_rejected_not_refuted(capsys, tmp_path):
     # example 1 has the rank-one property; at tol 1 every tuple used to come out Refuted
     path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])

@@ -70,6 +70,28 @@ def test_eval_norm_values():
     assert eval_norm(WeightedMaxNorm((1.0,)), [1.0 + 1.0j]) == pytest.approx(math.sqrt(2.0))
 
 
+def test_lp_norms_stay_finite_and_positive_at_extreme_scales():
+    # entries raised to the power p used to overflow to inf at 2**400 and
+    # flush to 0 at 2**-400, where the norm then read as vanishing (a
+    # RuntimeWarning fails the suite)
+    rng = np.random.default_rng(3)
+    assert eval_norm(LpNorm(3.0), [2.0 ** 400, 1.0]) == 2.0 ** 400
+    assert eval_norm(LpNorm(3.0), [2.0 ** -400, 0.0]) == 2.0 ** -400
+    assert norms._base_values(LpNorm(3.0), np.array([[2.0 ** -400, 0.0]]))[0] > 0
+    for p in (1.0, 1.5, 3.0, 10.0):
+        for weights in (None, (2.0, 0.5, 1.0)):
+            norm = LpNorm(p, weights)
+            pts = rng.standard_normal((6, 3))
+            pts[0, 1:] = 0.0
+            unit = norms._eval_many(norm, pts)
+            # rows at scale 1 are summed as they are, bit for bit
+            scaled = np.abs(pts) * np.asarray(weights or (1.0, 1.0, 1.0))
+            assert unit.tobytes() == (np.sum(scaled ** p, axis=1) ** (1.0 / p)).tobytes()
+            for c in (2.0 ** 400, 2.0 ** -400, 2.0 ** 1000, 2.0 ** -1000):
+                got = norms._eval_many(norm, c * pts) / c
+                assert got == pytest.approx(unit, rel=1e-12), (p, weights, c)
+
+
 def test_norm_validation():
     with pytest.raises(InputError):
         WeightedMaxNorm(())

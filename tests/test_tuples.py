@@ -116,6 +116,21 @@ def test_product_blocks_prune_drops_subtrees():
         assert set(asked) == {1, 2, 3, 4}
 
 
+def test_product_blocks_yield_no_empty_block(monkeypatch):
+    # one prefix per piece: (1,2,2,1) is a pre-necklace with no necklace
+    # child of length 5, and a prune that drops everything leaves nothing
+    t = tuples.MatrixTuple("real", (np.eye(2), 2.0 * np.eye(2)))
+    monkeypatch.setattr(config, "BLOCK_BYTES", 1)
+    got, blocks = _blocks(t, 5, necklaces=True)
+    assert got == list(words.enumerate_necklaces(2, 5))
+    assert all(len(codes) for codes, _ in blocks)
+    def drop_all(stack, k):
+        return np.ones(len(stack), dtype=bool)
+
+    for necklaces in (False, True):
+        assert _blocks(t, 5, necklaces=necklaces, prune=drop_all) == ([], [])
+
+
 def test_product_blocks_errors():
     t = _shift_pair()
     # the walker takes no budget: its caller checks r**n, here after admitting the norm
@@ -123,8 +138,9 @@ def test_product_blocks_errors():
         sfh_evidence(t, (1, 2) * 5 + (1,), WeightedMaxNorm((1.0, 1.0)), 1.0, budget=100)
     # products that overflow raise ConvergenceError naming the length, with no warning
     big = tuples.MatrixTuple("real", (np.full((2, 2), 1e200),))
-    with pytest.raises(ConvergenceError, match="length 2"):
-        list(tuples.product_blocks(big, 3))
+    for necklaces in (False, True):
+        with pytest.raises(ConvergenceError, match="length 2"):
+            list(tuples.product_blocks(big, 3, necklaces=necklaces))
 
 
 def test_product_along_validates_letters():

@@ -174,18 +174,39 @@ def test_word_index_is_lexicographic_position():
             assert words.word_at(i, r, n) == w
 
 
-def test_necklace_prefixes_keep_every_necklace_prefix():
+def _is_lyndon(w):
+    return all(w < rot for rot in _all_rotations(w)[1:])
+
+
+def test_necklace_children_keep_pre_necklaces_with_their_fkm_periods():
+    # walked from the empty word, the step keeps at each length k < n the
+    # pre-necklaces (no suffix below the prefix of the same length), which
+    # hold every necklace prefix, and at n the necklaces; each period is the
+    # length of the word's longest Lyndon prefix
+    strict = set()
     for r in (1, 2, 3):
         for n in range(1, 8):
             necklaces = set(_necklace_oracle(r, n))
+            codes, periods = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
             for k in range(1, n + 1):
-                every = list(product(range(1, r + 1), repeat=k))
-                codes = np.array([words.word_index(w, r) for w in every], dtype=np.int64)
-                mask = words.necklace_prefixes(codes, r, k, n)
-                kept = {w for w, keep in zip(every, mask.tolist()) if keep}
-                assert {w[:k] for w in necklaces} <= kept, (r, n, k)
+                children = (codes[:, None] * r + np.arange(r)).ravel()
+                codes, periods, keep = words.necklace_children(codes, periods, r, k - 1, n)
+                assert codes.tolist() == children[keep].tolist(), (r, n, k)
+                kept = [words.word_at(c, r, k) for c in codes.tolist()]
+                assert kept == sorted(kept), (r, n, k)
+                assert periods.tolist() == [
+                    max(j for j in range(1, k + 1) if _is_lyndon(w[:j])) for w in kept
+                ], (r, n, k)
                 if k == n:
-                    assert kept == necklaces, (r, n)
+                    assert set(kept) == necklaces, (r, n)
+                    continue
+                pre = {w for w in product(range(1, r + 1), repeat=k)
+                       if all(w[s:] >= w[:k - s] for s in range(1, k))}
+                prefixes = {w[:k] for w in necklaces}
+                assert set(kept) == pre and prefixes <= pre, (r, n, k)
+                if prefixes < pre:
+                    strict.add((r, n, k))
+    assert (2, 5, 4) in strict
 
 
 def test_budget_errors():
