@@ -14,15 +14,14 @@ Both sweeps take the products in lexicographic order from
 tuples.product_blocks, in blocks, with one numpy call per block
 (linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
 
-Each level runs its necklace sweep first.  It screens every necklace
-product with linalg.spectral_radius_caps, a cheap upper bound on the
-spectral radius, and takes eigenvalues only of those whose cap ** (1/n)
-is not strictly below best * (1 - 1e-9), where best is the running lower
-bound carried over from every earlier level and block (no screening while
-best <= 0).  A skipped necklace's value lies strictly below best, so it
-could not have raised it, and lower and its witness come out as if every
-necklace had been taken.  spectral_maximal_candidates screens with the
-same _necklace_values, at (1 - tie_tol) times its running maximum.
+One necklace sweep (_necklace_scan), over every level before the upper
+sweep, serves lower and spectral_maximal_candidates.  It screens necklace
+products with linalg.spectral_radius_caps, a cheap upper bound on the
+spectral radius, and takes eigenvalues only of those whose cap ** (1/n) is
+not strictly below (1 - _TIE_TOL) * best * (1 - 1e-9), best being the running
+maximum over earlier levels and blocks (no screening while best <= 0).  A
+skipped necklace lies strictly below the tie window, so lower, its witness
+and the candidates come out as if every necklace had been taken.
 
 The upper sweep then screens every product with linalg.op_norm_caps, a
 cheap upper bound on op_norm, and runs an SVD only on the survivors.  It
@@ -104,6 +103,9 @@ def _deepest_level(r: int, max_depth: int, budget: int, sweeps: int) -> int:
 # powers, so a skipped necklace's value lies strictly below the floor.
 _SCREEN_SLACK = 1.0 - 1e-9
 
+# A necklace whose value reaches (1 - _TIE_TOL) * lower ties the lower bound.
+_TIE_TOL = 1e-9
+
 
 def _necklace_values(stack: np.ndarray, n: int, floor: float):
     """(live, values): the rows of a necklace block able to reach floor, and theirs.
@@ -120,25 +122,30 @@ def _necklace_values(stack: np.ndarray, n: int, floor: float):
     return live, [rho ** (1.0 / n) for rho in radii]
 
 
-def _level_lower_max(t: MatrixTuple, n: int, best: float, witness: Word):
-    """The necklaces of length n raise the running lower bound (best, witness).
+def _necklace_scan(t: MatrixTuple, depth: int):
+    """(ties, seeds) from the necklaces of every length up to depth.
 
-    Returns the raised pair and the necklace product with the largest
-    op_norm_caps value, whose norm seeds the upper sweep.  Only necklaces
-    that may beat best get eigenvalues (best is _necklace_values' floor); a
-    skipped one could not have raised it, and ties keep the first word.
+    ties holds (values, n, codes) per block, in scan order (by length, then
+    lexicographic), of the necklaces whose value reaches (1 - _TIE_TOL) times
+    the largest.  seeds[n - 1] is the level-n necklace product with the largest
+    op_norm_caps value, whose norm seeds the upper sweep.
     """
-    seed_cap, seed_product = -np.inf, None
-    for codes, stack in product_blocks(t, n, necklaces=True):
-        live, values = _necklace_values(stack, n, best)
-        for code, value in zip(codes[live].tolist(), values):
-            if value > best:
-                best, witness = value, words.word_at(code, t.r, n)
-        caps = linalg.op_norm_caps(stack)
-        i = int(np.argmax(caps))
-        if caps[i] > seed_cap:
-            seed_cap, seed_product = caps[i], stack[i]
-    return best, witness, seed_product
+    blocks, seeds, top = [], [], -np.inf
+    for n in range(1, depth + 1):
+        seed_cap, seed = -np.inf, None
+        for codes, stack in product_blocks(t, n, necklaces=True):
+            live, values = _necklace_values(stack, n, (1.0 - _TIE_TOL) * top)
+            if values:
+                blocks.append((np.array(values), n, codes[live]))
+                top = max([top, *values])
+            caps = linalg.op_norm_caps(stack)
+            i = int(np.argmax(caps))
+            if caps[i] > seed_cap:
+                seed_cap, seed = caps[i], stack[i].copy()  # a copy frees the block
+        seeds.append(seed)
+    floor = (1.0 - _TIE_TOL) * top
+    ties = [(values[keep], n, codes[keep]) for values, n, codes in blocks if (keep := values >= floor).any()]
+    return ties, seeds
 
 
 def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float) -> float:
@@ -173,60 +180,47 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
         raise BudgetError(
             f"enumeration budget {budget} cannot cover even level 1 ({2 * t.r} words)"
         )
-    best_lower = -np.inf
-    witness: Word = (1,)
+    ties, seeds = _necklace_scan(t, depth)
+    # max keeps the first maximum in scan order, so ties keep the first word
+    lower, length, code = max(((v.max(), n, c[v.argmax()]) for v, n, c in ties), key=lambda tie: tie[0])
     best_upper = np.inf
     upper_level = 0
     maxima = [1.0]
-    for n in range(1, depth + 1):
-        best_lower, witness, seed_product = _level_lower_max(t, n, best_lower, witness)
-        level_max = _level_upper_max(t, n, maxima, linalg.op_norm(seed_product))
+    for n, seed in enumerate(seeds, start=1):
+        level_max = _level_upper_max(t, n, maxima, linalg.op_norm(seed))
         maxima.append(level_max)
         level_upper = level_max ** (1.0 / n) if level_max > 0 else 0.0
         if level_upper < best_upper:
             best_upper = level_upper
             upper_level = n
     return JsrBounds(
-        lower=float(best_lower),
+        lower=float(lower),
         upper=float(best_upper),
         depth=depth,
-        lower_witness=witness,
+        lower_witness=words.word_at(int(code), t.r, length),
         upper_level=upper_level,
         partial=depth < max_depth,
     )
 
 
 def spectral_maximal_candidates(
-    t: MatrixTuple,
-    depth: int,
-    *,
-    tie_tol: float = DEFAULTS.tie_tol,
-    budget: int = DEFAULTS.word_budget,
+    t: MatrixTuple, depth: int, *, budget: int = DEFAULTS.word_budget
 ) -> list[tuple[Word, float]]:
     """Rotation-class representatives whose averaged radius ties the lower bound.
 
     Scans every length up to ``depth`` and keeps representatives with
-    spectral_radius(P_w) ** (1/|w|) >= (1 - tie_tol) * lower.  Sorted by
+    spectral_radius(P_w) ** (1/|w|) >= (1 - _TIE_TOL) * lower.  Sorted by
     value descending, then length, then word.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    # a negative window would let the screen skip the maximum itself
-    if not 0.0 <= tie_tol < np.inf:
-        raise InputError(f"tie_tol must be finite and >= 0, got {tie_tol}")
-    r = t.r
-    if _deepest_level(r, depth, budget, 1) < depth:
+    if _deepest_level(t.r, depth, budget, 1) < depth:
         raise BudgetError(
             f"candidate scan to depth {depth} exceeds enumeration budget {budget}"
         )
-    values: list[tuple[int, int, float]] = []  # (length, word index, value)
-    lower = -np.inf
-    for n in range(1, depth + 1):
-        for codes, stack in product_blocks(t, n, necklaces=True):
-            live, level_values = _necklace_values(stack, n, (1.0 - tie_tol) * lower)
-            values.extend((n, code, v) for code, v in zip(codes[live].tolist(), level_values))
-            lower = max([lower, *level_values])
-    keep = [(words.word_at(code, r, n), v) for n, code, v in values if v >= lower * (1.0 - tie_tol)]
+    ties, _ = _necklace_scan(t, depth)
+    keep = [(words.word_at(code, t.r, n), value)
+            for values, n, codes in ties for value, code in zip(values.tolist(), codes.tolist())]
     keep.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return keep
 

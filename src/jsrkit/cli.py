@@ -34,7 +34,7 @@ from .bounds import bounds as jsr_bounds
 from .bounds import finiteness_verified_at_depth
 from .config import DEFAULTS, require_tol
 from .errors import ConvergenceError, InputError
-from .finiteness import characteristic_word_search, sfh_evidence
+from .finiteness import _midpoint, characteristic_word_search, sfh_evidence
 from .norms import (
     approx_barabanov,
     circle_mesh,
@@ -112,8 +112,7 @@ def _rho(t: MatrixTuple, args) -> float:
     depth = _require_depth(args.depth)
     if args.rho_hat is not None:
         return args.rho_hat
-    b = jsr_bounds(t, depth, budget=args.budget)
-    return 0.5 * (b.lower + b.upper)
+    return _midpoint(t, depth, args.budget)
 
 
 def _sample_directions(t: MatrixTuple, args):

@@ -5,6 +5,8 @@ they ran under.  Each public function binds the defaults it uses in its
 own signature (``budget: int = DEFAULTS.word_budget``), so a value is
 resolved once, at the call, and the helpers below it take it resolved.
 ``None`` is not a default: leave an argument out to get the value below.
+Every field is read outside this module; a fixed constant that no caller
+sets, like the tie window bounds._TIE_TOL, lives with its code instead.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ class Defaults:
     depth: int = 4
     word_budget: int = 10_000_000
     # bounds engine
-    tie_tol: float = 1e-9          # relative tie window for spectral-maximal candidates
     close_tol: float = 1e-9        # relative gap for finiteness_verified_at_depth
     # structure tests
     rank_one_tol: float = 1e-9     # relative separation for the exterior-square verdict

@@ -17,7 +17,7 @@ from . import linalg, words
 from .bounds import bounds as jsr_bounds
 from .bounds import spectral_maximal_candidates
 from .config import DEFAULTS, require_tol
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .norms import NormRep, _check_rho, _check_samples, _induced_norm, verify_barabanov
 from .tuples import MatrixTuple, product_blocks
 from .words import Word, format_word, rotation_class, validate_word, word_at, word_index
@@ -77,6 +77,19 @@ def _coerce_norms(norm_reps) -> tuple[NormRep, ...]:
     return reps
 
 
+def _admit(t: MatrixTuple, norm_reps, rho_hat: float, norm_check_tol: float, samples):
+    """The induced maps (norms._induced_norm) of the norms, each first passing verify_barabanov."""
+    reps = _coerce_norms(norm_reps)
+    for rep in reps:
+        check = verify_barabanov(t, rep, rho_hat, tol=norm_check_tol, samples=samples)
+        if not check.passed:
+            raise InputError(
+                "norm rejected: sampled relative residual "
+                f"{check.residual:.3e} exceeds {norm_check_tol:.1e}"
+            )
+    return [_induced_norm(rep, t.d, real=t.field == "real", samples=samples) for rep in reps]
+
+
 def sfh_evidence(
     t: MatrixTuple,
     omega: Word,
@@ -111,22 +124,17 @@ def sfh_evidence(
     omega = validate_word(omega, t.r)
     require_tol("offender_tol", offender_tol)
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
-    reps = _coerce_norms(norm_reps)
-    for rep in reps:
-        check = verify_barabanov(t, rep, rho_hat, tol=norm_check_tol, samples=samples)
-        if not check.passed:
-            raise InputError(
-                "norm rejected: sampled relative residual "
-                f"{check.residual:.3e} exceeds {norm_check_tol:.1e}"
-            )
+    induced = _admit(t, norm_reps, rho_hat, norm_check_tol, samples)
+    return _scan(t, omega, induced, rho_hat, offender_tol, budget)
 
+
+def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: float, budget: int) -> SfhReport:
+    """sfh_evidence's screened offender scan under induced maps that _admit returned."""
     n = len(omega)
     target = rho_hat ** n
     omega_codes = [word_index(z, t.r) for z in rotation_class(omega)]
-    real = t.field == "real"
-    induced = [_induced_norm(rep, t.d, real=real, samples=samples) for rep in reps]
     threshold = target * (1.0 - offender_tol)
-    level_max = [0.0] * len(reps)
+    level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}
     words._check_budget(t.r, n, budget)
     for codes, stack in product_blocks(t, n):
@@ -157,8 +165,19 @@ def sfh_evidence(
         rho_hat=rho_hat,
         margin=margin,
         offenders=offenders,
-        norm_count=len(reps),
+        norm_count=len(induced),
     )
+
+
+def _midpoint(t: MatrixTuple, depth: int, budget: int) -> float:
+    """The default rho_hat: the midpoint of bounds(t, depth), or BudgetError if the budget stops short."""
+    b = jsr_bounds(t, depth, budget=budget)
+    if b.partial:
+        raise BudgetError(
+            f"enumeration budget {budget} reaches depth {b.depth} of {depth}, "
+            "too shallow for the default rho_hat"
+        )
+    return 0.5 * (b.lower + b.upper)
 
 
 def characteristic_word_search(
@@ -167,7 +186,6 @@ def characteristic_word_search(
     norm_reps,
     rho_hat: float | None = None,
     *,
-    tie_tol: float = DEFAULTS.tie_tol,
     offender_tol: float = DEFAULTS.offender_tol,
     norm_check_tol: float = DEFAULTS.norm_check_tol,
     samples=None,
@@ -176,10 +194,11 @@ def characteristic_word_search(
     """Run sfh_evidence over every spectrum-maximal candidate up to depth.
 
     rho_hat defaults to the midpoint of the certified interval at the same
-    depth.  Reports come back best first: widest margin, then shortest
+    depth (_midpoint).  The norms are admitted once, for every candidate.
+    Reports come back best first: widest margin, then shortest
     candidate, then lexicographic.  The tolerances, the norms, a given
-    rho_hat, the samples' dimension and the candidate scan's depth, tie_tol
-    and budget are checked before any scan.
+    rho_hat, the samples' dimension and the candidate scan's depth and
+    budget are checked before any scan.
     """
     require_tol("offender_tol", offender_tol)
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
@@ -188,22 +207,10 @@ def characteristic_word_search(
         _check_rho(rho_hat)
     if samples is not None:
         _check_samples(samples, t.d)
-    candidates = spectral_maximal_candidates(t, depth, tie_tol=tie_tol, budget=budget)
+    candidates = spectral_maximal_candidates(t, depth, budget=budget)
     if rho_hat is None:
-        b = jsr_bounds(t, depth, budget=budget)
-        rho_hat = 0.5 * (b.lower + b.upper)
-    reports = [
-        sfh_evidence(
-            t,
-            w,
-            reps,
-            rho_hat,
-            offender_tol=offender_tol,
-            norm_check_tol=norm_check_tol,
-            samples=samples,
-            budget=budget,
-        )
-        for w, _ in candidates
-    ]
+        rho_hat = _midpoint(t, depth, budget)
+    induced = _admit(t, reps, rho_hat, norm_check_tol, samples)
+    reports = [_scan(t, w, induced, rho_hat, offender_tol, budget) for w, _ in candidates]
     reports.sort(key=lambda rep: (-rep.margin, rep.depth, rep.candidate))
     return reports

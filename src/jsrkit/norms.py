@@ -151,18 +151,20 @@ def _lp_rows(scaled: np.ndarray, p: float) -> np.ndarray:
     """(sum_k scaled[:, k] ** p) ** (1/p) for each row of nonnegative entries.
 
     A row whose sum of powers leaves [2**-960, 2**960] (it overflowed, or
-    underflowed, maybe to 0) is summed again after scaling by the power of
-    two that puts its largest entry in [0.5, 1), and its result scaled back.
-    Rows in that range, every scale-1 input among them, keep the plain sum.
+    underflowed, maybe to 0) is summed again divided by its largest entry m,
+    whose term is then exactly 1, so the sum lies in [1, d] for every finite
+    p, and its result is multiplied by m.  Rows in that range (every scale-1
+    input among them) and rows whose m is 0 or not finite keep the plain sum.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a value past the float range is inf
         sums = np.sum(scaled ** p, axis=1)
-    out = sums ** (1.0 / p)
-    redo = ~((sums >= 2.0 ** -960) & (sums <= 2.0 ** 960))
-    if redo.any():
-        rows = scaled[redo]
-        _, exps = np.frexp(np.max(rows, axis=1))
-        out[redo] = np.ldexp(np.sum(np.ldexp(rows, -exps[:, None]) ** p, axis=1) ** (1.0 / p), exps)
+        out = sums ** (1.0 / p)
+        redo = np.flatnonzero(~((sums >= 2.0 ** -960) & (sums <= 2.0 ** 960)))
+        if len(redo):
+            top = np.max(scaled[redo], axis=1)
+            finite = (top > 0) & (top < np.inf)
+            redo, top = redo[finite], top[finite]
+            out[redo] = top * np.sum((scaled[redo] / top[:, None]) ** p, axis=1) ** (1.0 / p)
     return out
 
 

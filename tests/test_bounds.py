@@ -222,6 +222,8 @@ def test_screened_lower_equals_unscreened_necklaces():
                 cases.append((_random_tuple(rng, r, d, kind, c), 5 if r < 3 else 4))
     nilpotent = np.triu(rng.standard_normal((3, 3)), 1)
     cases.append((MatrixTuple("real", (nilpotent, rng.standard_normal((3, 3)))), 5))
+    # slots 5e-10 and 2e-9 below the maximum: inside and outside the 1e-9 tie window
+    cases.append((MatrixTuple("real", tuple(np.array([[x]]) for x in (1.0, 1.0 - 5e-10, 1.0 - 2e-9))), 3))
     for t, depth in cases:
         values = _unscreened_necklace_values(t, depth)
         best, witness = -np.inf, None
@@ -230,10 +232,24 @@ def test_screened_lower_equals_unscreened_necklaces():
                 best, witness = v, w
         b = bounds(t, depth)
         assert (b.lower, b.lower_witness) == (best, witness), (t, depth)
-        for tie_tol in (1e-9, 0.25):
-            floor = best * (1.0 - tie_tol)
-            keep = sorted(((w, v) for w, v in values if v >= floor), key=lambda i: (-i[1], len(i[0]), i[0]))
-            assert spectral_maximal_candidates(t, depth, tie_tol=tie_tol) == keep, (t, depth, tie_tol)
+        floor = best * (1.0 - 1e-9)
+        keep = sorted(((w, v) for w, v in values if v >= floor), key=lambda i: (-i[1], len(i[0]), i[0]))
+        assert spectral_maximal_candidates(t, depth) == keep, (t, depth)
+
+
+def test_best_candidate_is_the_lower_bound_and_its_witness():
+    # one necklace scan feeds both, so they agree bitwise, ties and degenerate tuples included
+    rng = np.random.default_rng(43)
+    ties = MatrixTuple("real", (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                np.array([[1.0, 0.0], [1.0, -1.0]])))
+    zeros = MatrixTuple("real", (np.zeros((2, 2)), np.zeros((2, 2))))
+    cases = [(ties, 4), (_shift_pair(), 6), (_projector_swap_triple(), 4), (_diag_dominant_pair(), 6), (zeros, 6)]
+    for r, d in ((1, 3), (2, 2), (2, 4), (3, 3)):
+        for kind in ("real", "complex", "rank-one"):
+            cases.append((_random_tuple(rng, r, d, kind), 5 if r < 3 else 4))
+    for t, depth in cases:
+        b = bounds(t, depth)
+        assert spectral_maximal_candidates(t, depth)[0] == (b.lower_witness, b.lower), (t, depth)
 
 
 def test_lower_sweep_runs_eigvals_only_on_screened_necklaces(monkeypatch):
@@ -249,12 +265,6 @@ def test_lower_sweep_runs_eigvals_only_on_screened_necklaces(monkeypatch):
     bounds(t, 7)
     necklaces = sum(len(list(words.enumerate_necklaces(3, n))) for n in range(1, 8))  # 540
     assert sum(rows) <= necklaces // 10
-
-
-def test_candidate_tie_window_must_be_finite_and_nonnegative():
-    for tie_tol in (-1e-9, np.nan, np.inf):
-        with pytest.raises(InputError, match="tie_tol must be finite and >= 0"):
-            spectral_maximal_candidates(_shift_pair(), 2, tie_tol=tie_tol)
 
 
 def test_lower_ignores_rotation_choice():

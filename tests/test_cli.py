@@ -193,6 +193,28 @@ def test_barabanov_verify_pass_fail_and_strict(capsys, tmp_path):
     assert code == 1
 
 
+def test_default_rho_hat_needs_bounds_at_the_full_depth(capsys, tmp_path):
+    # the budget stops bounds short of --depth, and a default rho_hat must
+    # not come from that shallower interval while config.depth reads 6
+    path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
+    norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
+    runs = [
+        (100, 4, ["barabanov", "approx", "--input", path]),
+        (100, 4, ["barabanov", "verify", "--input", path, "--norm", norm_path]),
+        (200, 5, ["sfh", "--input", path, "--norm", norm_path]),
+        (200, 5, ["sfh", "--input", path, "--norm", norm_path, "--word", "1,2"]),
+    ]
+    for budget, reached, argv in runs:
+        argv = [*argv, "--depth", "6", "--budget", str(budget)]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: enumeration budget {budget} reaches depth {reached} of 6, "
+                       "too shallow for the default rho_hat\n")
+        code, out, err = _run(capsys, [*argv, "--rho-hat", "1"])  # a given rho_hat needs no bounds
+        assert code == 0, (argv, err)
+        assert json.loads(out)["config"]["rho_hat"] == 1.0
+
+
 def test_barabanov_approx_reports_convergence(capsys, tmp_path):
     path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
     code, out, _ = _run(capsys, ["barabanov", "approx", "--input", path, "--strict"])

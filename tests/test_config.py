@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import jsrkit
 from jsrkit.bounds import bounds, finiteness_verified_at_depth
+from jsrkit.config import Defaults
 from jsrkit.constructions import example_tuple
 from jsrkit.errors import InputError
 from jsrkit.finiteness import sfh_evidence
@@ -39,3 +45,12 @@ def test_library_rejects_the_tolerances_the_cli_rejects():
     for message, call in calls.items():
         with pytest.raises(InputError, match=message):
             call()
+
+
+def test_every_default_is_read_outside_config():
+    # a Defaults field that no module reads is a knob that turns nothing
+    modules = [path for path in Path(jsrkit.__file__).parent.glob("*.py") if path.name != "config.py"]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in modules)
+    names = [field.name for field in dataclasses.fields(Defaults)]
+    assert len(names) >= 10
+    assert [name for name in names if not re.search(rf"\bDEFAULTS\.{name}\b", text)] == []

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from jsrkit import finiteness, norms
-from jsrkit.errors import InputError
+from jsrkit.bounds import spectral_maximal_candidates
+from jsrkit.errors import BudgetError, InputError
 from jsrkit.finiteness import (
     SFH_CAVEAT,
     SfhReport,
@@ -180,6 +181,41 @@ def test_search_checks_its_arguments_before_any_scan(monkeypatch):
         with pytest.raises(InputError, match=message):
             characteristic_word_search(t, 14, reps, rho_hat, **kwargs)
         assert calls == [], message
+
+
+def test_search_admits_each_norm_once(monkeypatch):
+    # every candidate is scanned under the same norms, so a search with k
+    # candidates and m norms verifies and builds each norm once, not k times
+    t = _diag_dominant_pair(0.5)
+    reps = [WeightedMaxNorm((1.0, 0.5)), WeightedMaxNorm((2.0, 1.0))]
+    candidates = [w for w, _ in spectral_maximal_candidates(t, 3)]
+    assert len(candidates) == 3
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("verify_barabanov", "_induced_norm"):
+        monkeypatch.setattr(finiteness, name, spy(name, getattr(finiteness, name)))
+    reports = characteristic_word_search(t, 3, reps, 1.0)
+    assert sorted(calls) == ["_induced_norm"] * 2 + ["verify_barabanov"] * 2
+    single = [sfh_evidence(t, w, reps, 1.0) for w in candidates]
+    assert reports == sorted(single, key=lambda rep: (-rep.margin, rep.depth, rep.candidate))
+
+
+def test_search_default_rho_hat_needs_bounds_at_the_full_depth():
+    # bounds on a pair costs 2 * (2 + ... + 2**n) words, so budget 200 stops it at
+    # depth 5, and a default rho_hat must not come from that shallower interval
+    t = _shift_pair(0.3, 0.5)
+    with pytest.raises(BudgetError, match="budget 200 reaches depth 5 of 6, too shallow for the default rho_hat"):
+        characteristic_word_search(t, 6, MAXNORM, budget=200)
+    full = characteristic_word_search(t, 6, MAXNORM, budget=252)  # exactly depth 6
+    assert full == characteristic_word_search(t, 6, MAXNORM)
+    assert characteristic_word_search(t, 6, MAXNORM, 1.0, budget=200)  # a given rho_hat needs no bounds
 
 
 def test_report_serialization():

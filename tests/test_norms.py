@@ -92,6 +92,21 @@ def test_lp_norms_stay_finite_and_positive_at_extreme_scales():
                 assert got == pytest.approx(unit, rel=1e-12), (p, weights, c)
 
 
+def test_lp_norms_of_high_order_keep_nonzero_vectors():
+    # 0.5 ** 2000 underflows even after a power-of-two scaling, so the re-sum
+    # must divide by the largest entry for the norm not to vanish at [0.5, 0]
+    assert eval_norm(LpNorm(2000.0), [0.5, 0.0]) == 0.5
+    for p in (2000.0, 1e6):
+        norm = LpNorm(p)
+        for v in ([0.5, 0.0], [0.5, 0.25], [0.5, -0.5], [0.3, 0.5, -0.5]):
+            top = np.max(np.abs(v))
+            ties = np.count_nonzero(np.abs(v) == top)  # the other entries fall below 2**-1000 relative
+            for c in (1.0, 2.0 ** 400, 2.0 ** -400):
+                got = norms._eval_many(norm, c * np.array([v]))
+                assert got[0] / c == pytest.approx(top * ties ** (1.0 / p), rel=1e-15), (p, v, c)
+                assert norms._base_values(norm, c * np.array([v]))[0] > 0
+
+
 def test_norm_validation():
     with pytest.raises(InputError):
         WeightedMaxNorm(())
@@ -362,19 +377,19 @@ def test_theta_mesh_norm_uses_own_directions():
 
 
 def test_norm_checks_share_one_message_each():
-    # 0.7 ** 3000 underflows, so this norm is 0 on every direction off the axes
-    flat = LpNorm(3000.0)
+    # 1.7e308 * (|x| + |y|) passes the float range on the diagonal directions
+    huge = LpNorm(1.0, (1.7e308, 1.7e308))
     positivity = "norm vanishes or blows up on a sample direction"
     with pytest.raises(InputError, match=positivity):
-        verify_barabanov(_shift_pair(), flat, 1.0)
+        verify_barabanov(_shift_pair(), huge, 1.0)
     with pytest.raises(InputError, match=positivity):
-        matrix_norm(flat, np.eye(2))
+        matrix_norm(huge, np.eye(2))
     with pytest.raises(InputError, match=positivity):
-        norm_distance(flat, LpNorm(2.0))
+        norm_distance(huge, LpNorm(2.0))
     with pytest.raises(InputError, match=positivity):
-        norm_distance(LpNorm(2.0), flat)
+        norm_distance(LpNorm(2.0), huge)
     with pytest.raises(InputError, match=positivity):
-        approx_barabanov(_shift_pair(0.3, 0.5), 1.0, init=flat)
+        approx_barabanov(_shift_pair(0.3, 0.5), 1.0, init=huge)
     infinite = np.array([[np.inf, 0.0]])
     with pytest.raises(InputError, match=positivity):
         matrix_norm(LpNorm(2.0), np.eye(2), samples=infinite)
