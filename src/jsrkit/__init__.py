@@ -6,6 +6,8 @@ offender scans for spectrum-maximal product classes, and generators for
 reference tuples with known behaviour.
 """
 
+from importlib import import_module as _import_module
+
 from .bounds import (
     JsrBounds,
     bounds,
@@ -13,43 +15,12 @@ from .bounds import (
     spectral_maximal_candidates,
 )
 from .config import DEFAULTS
-from .constructions import characteristic_truth, characteristic_tuple, example_tuple
 from .errors import BudgetError, ConvergenceError, InputError, JsrkitError
-from .finiteness import (
-    SFH_CAVEAT,
-    SfhReport,
-    characteristic_word_search,
-    sfh_evidence,
-)
 from .linalg import (
     exterior_square,
     op_norm,
     rank_eps,
     spectral_radius,
-)
-from .norms import (
-    ApproxResult,
-    LpNorm,
-    MeshNorm,
-    VerificationReport,
-    WeightedMaxNorm,
-    approx_barabanov,
-    circle_mesh,
-    eval_norm,
-    matrix_norm,
-    norm_distance,
-    norm_from_json_dict,
-    norm_to_json_dict,
-    sphere_samples,
-    theta,
-    verify_barabanov,
-    verify_extremal,
-)
-from .structure import (
-    PropertyVerdict,
-    algebra_dimension,
-    is_irreducible,
-    rank_one_property,
 )
 from .tuples import (
     MatrixTuple,
@@ -71,6 +42,35 @@ from .words import (
     power,
     rotation_equivalent,
 )
+
+# The norm, offender-scan, structure and catalogue layers load on first
+# access to one of their names (PEP 562), so the enumeration core starts
+# alone.  bounds stays eager: importing the submodule jsrkit.bounds sets the
+# package attribute to the module, which __getattr__ could never replace.
+_LAZY = {
+    name: module
+    for module, names in {
+        "constructions": "characteristic_truth characteristic_tuple example_tuple",
+        "finiteness": "SFH_CAVEAT SfhReport characteristic_word_search sfh_evidence",
+        "norms": "ApproxResult LpNorm MeshNorm VerificationReport WeightedMaxNorm "
+        "approx_barabanov circle_mesh eval_norm matrix_norm norm_distance "
+        "norm_from_json_dict norm_to_json_dict sphere_samples theta "
+        "verify_barabanov verify_extremal",
+        "structure": "PropertyVerdict algebra_dimension is_irreducible rank_one_property",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -203,6 +203,17 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
     )
 
 
+def _midpoint(t: MatrixTuple, depth: int, budget: int) -> float:
+    """The default rho_hat: the midpoint of bounds(t, depth), or BudgetError if the budget stops short."""
+    b = bounds(t, depth, budget=budget)
+    if b.partial:
+        raise BudgetError(
+            f"enumeration budget {budget} reaches depth {b.depth} of {depth}, "
+            "too shallow for the default rho_hat"
+        )
+    return 0.5 * (b.lower + b.upper)
+
+
 def spectral_maximal_candidates(
     t: MatrixTuple, depth: int, *, budget: int = DEFAULTS.word_budget
 ) -> list[tuple[Word, float]]:

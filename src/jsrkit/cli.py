@@ -16,11 +16,14 @@ keys; a fixed invocation produces byte-identical output.  config echoes
 every option of the command (--format and --strict aside), with rho_hat
 resolved to the value used.
 
+Each command imports the modules it runs, so words and bounds load no
+norm, structure or catalogue code.
+
 Exit codes: 0 success; 1 under --strict when a verdict stays Unknown, a
 verification fails, an approximation does not converge, or an offender
 scan reports offenders; 2 on bad input (malformed file, out-of-range
-value, exhausted enumeration budget) or a numerical failure, with the
-reason on stderr.
+value, exhausted enumeration budget), a numerical failure or an allocation
+that fails, with the reason on stderr.
 """
 
 from __future__ import annotations
@@ -30,27 +33,12 @@ import json
 import sys
 from pathlib import Path
 
+from .bounds import _midpoint, finiteness_verified_at_depth
 from .bounds import bounds as jsr_bounds
-from .bounds import finiteness_verified_at_depth
 from .config import DEFAULTS, require_tol
 from .errors import ConvergenceError, InputError
-from .finiteness import _midpoint, characteristic_word_search, sfh_evidence
-from .norms import (
-    approx_barabanov,
-    circle_mesh,
-    norm_from_json_dict,
-    norm_to_json_dict,
-    sphere_samples,
-    verify_barabanov,
-)
-from .structure import is_irreducible, rank_one_property
 from .tuples import MatrixTuple, from_json, to_json
 from .words import enumerate_necklaces, enumerate_words, format_word, is_primitive, parse_word
-from .constructions import (
-    characteristic_truth,
-    characteristic_tuple,
-    example_tuple,
-)
 
 
 def _read_file(path: str) -> str:
@@ -65,6 +53,8 @@ def _load_tuple(path: str) -> MatrixTuple:
 
 
 def _load_norm(path: str):
+    from .norms import norm_from_json_dict
+
     try:
         payload = json.loads(_read_file(path))
     except json.JSONDecodeError as exc:
@@ -117,6 +107,8 @@ def _rho(t: MatrixTuple, args) -> float:
 
 def _sample_directions(t: MatrixTuple, args):
     """Direction set for verification: explicit sphere draw, else planar mesh."""
+    from .norms import circle_mesh, sphere_samples
+
     if getattr(args, "samples", None) is not None:
         return sphere_samples(t.d, args.samples, seed=args.seed, field=t.field)
     if t.field == "real" and t.d == 2:
@@ -136,6 +128,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_rank1(args) -> int:
+    from .structure import rank_one_property
+
     depth = _require_depth(args.depth)
     require_tol("tol", args.tol)
     t = _load_tuple(args.input)
@@ -145,6 +139,8 @@ def cmd_rank1(args) -> int:
 
 
 def cmd_irreducible(args) -> int:
+    from .structure import is_irreducible
+
     require_tol("tol", args.tol)
     t = _load_tuple(args.input)
     verdict = is_irreducible(t, drop_tol=args.tol, seed=args.seed, rounds=args.rounds)
@@ -153,6 +149,8 @@ def cmd_irreducible(args) -> int:
 
 
 def cmd_barabanov_approx(args) -> int:
+    from .norms import approx_barabanov
+
     _require_depth(args.depth)
     require_tol("tol", args.step_tol)
     t = _load_tuple(args.input)
@@ -165,6 +163,8 @@ def cmd_barabanov_approx(args) -> int:
 
 
 def cmd_barabanov_verify(args) -> int:
+    from .norms import norm_to_json_dict, verify_barabanov
+
     require_tol("tol", args.tol)
     t = _load_tuple(args.input)
     norm = _load_norm(args.norm)
@@ -179,6 +179,9 @@ def cmd_barabanov_verify(args) -> int:
 
 
 def cmd_sfh(args) -> int:
+    from .finiteness import characteristic_word_search, sfh_evidence
+    from .norms import approx_barabanov
+
     _require_depth(args.depth)
     require_tol("tol", args.offender_tol)
     require_tol("norm-check-tol", args.norm_check_tol, zero_ok=True)
@@ -212,6 +215,8 @@ def cmd_sfh(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .constructions import characteristic_truth, characteristic_tuple, example_tuple
+
     if args.example is not None:
         t, truth = example_tuple(
             args.example, field=args.field, l1=args.l1, l2=args.l2, lam=args.lam
@@ -354,6 +359,9 @@ def main(argv=None) -> int:
         return 2
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. --mesh or --samples far past the address space
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

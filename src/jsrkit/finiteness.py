@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, words
-from .bounds import bounds as jsr_bounds
-from .bounds import spectral_maximal_candidates
+from .bounds import _midpoint, spectral_maximal_candidates
 from .config import DEFAULTS, require_tol
-from .errors import BudgetError, InputError
+from .errors import InputError
 from .norms import NormRep, _check_rho, _check_samples, _induced_norm, verify_barabanov
 from .tuples import MatrixTuple, product_blocks
 from .words import Word, format_word, rotation_class, validate_word, word_at, word_index
@@ -169,17 +168,6 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
     )
 
 
-def _midpoint(t: MatrixTuple, depth: int, budget: int) -> float:
-    """The default rho_hat: the midpoint of bounds(t, depth), or BudgetError if the budget stops short."""
-    b = jsr_bounds(t, depth, budget=budget)
-    if b.partial:
-        raise BudgetError(
-            f"enumeration budget {budget} reaches depth {b.depth} of {depth}, "
-            "too shallow for the default rho_hat"
-        )
-    return 0.5 * (b.lower + b.upper)
-
-
 def characteristic_word_search(
     t: MatrixTuple,
     depth: int,
@@ -194,7 +182,7 @@ def characteristic_word_search(
     """Run sfh_evidence over every spectrum-maximal candidate up to depth.
 
     rho_hat defaults to the midpoint of the certified interval at the same
-    depth (_midpoint).  The norms are admitted once, for every candidate.
+    depth (bounds._midpoint).  The norms are admitted once, for every candidate.
     Reports come back best first: widest margin, then shortest
     candidate, then lexicographic.  The tolerances, the norms, a given
     rho_hat, the samples' dimension and the candidate scan's depth and

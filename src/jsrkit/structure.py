@@ -17,7 +17,7 @@ from . import linalg
 from .bounds import bounds
 from .config import DEFAULTS, require_tol
 from .errors import InputError
-from .tuples import MatrixTuple, _entry_to_json, _seeded_rng, exterior_square_tuple
+from .tuples import MatrixTuple, _check_seed, _entry_to_json, _seeded_rng, exterior_square_tuple
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def is_irreducible(
     """
     if rounds < 0:
         raise InputError(f"rounds must be >= 0, got {rounds}")
-    rng = _seeded_rng(seed)
+    _check_seed(seed)
     d = t.d
     basis = algebra_basis(t, drop_tol)
     dim = len(basis)
@@ -167,6 +167,7 @@ def is_irreducible(
         yield from np.eye(d, dtype=dtype)
         for a in t.matrices:
             yield from eigenvectors(a)
+        rng = _seeded_rng(seed)  # numpy.random loads only for a run that draws
         for _ in range(rounds):
             coeffs = rng.standard_normal(dim)
             if complex_field:

@@ -189,10 +189,19 @@ def _entry_to_json(x, field: str):
     return float(np.real(x))
 
 
-def _seeded_rng(seed) -> np.random.Generator:
-    """numpy's generator for a seed numpy accepts; None, bools and the rest raise InputError."""
+def _check_seed(seed) -> None:
+    """InputError unless numpy accepts seed: None, bools and the rest are refused."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for a checked seed.
+
+    numpy.random loads on first use, so a caller that may never draw checks
+    the seed up front and builds the generator just before its first draw.
+    """
+    _check_seed(seed)
     return np.random.default_rng(seed)
 
 

@@ -278,6 +278,23 @@ def test_zero_samples_is_rejected_not_ignored(capsys, tmp_path):
         assert err == "error: need d >= 1 and count >= 1\n"
 
 
+def test_huge_mesh_or_samples_is_out_of_memory_not_a_traceback(capsys, tmp_path):
+    # 10**17 points need hundreds of PiB, past any user address space of x86-64
+    # Linux, so numpy's allocation fails at once and pages nothing in
+    path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
+    norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
+    huge = str(10**17)
+    verify = ["barabanov", "verify", "--input", path, "--norm", norm_path, "--rho-hat", "1"]
+    for argv in (["barabanov", "approx", "--input", path, "--rho-hat", "1", "--mesh", huge],
+                 verify + ["--mesh", huge],
+                 verify + ["--samples", huge],
+                 ["sfh", "--input", path, "--word", "1,2", "--norm", norm_path, "--rho-hat", "1",
+                  "--samples", huge]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1, err
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")

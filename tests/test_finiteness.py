@@ -164,7 +164,7 @@ def test_search_checks_its_arguments_before_any_scan(monkeypatch):
 
         return counted
 
-    for name in ("jsr_bounds", "spectral_maximal_candidates"):
+    for name in ("_midpoint", "spectral_maximal_candidates"):
         monkeypatch.setattr(finiteness, name, spy(name, getattr(finiteness, name)))
     t = _diag_dominant_pair(0.5)
     norm = WeightedMaxNorm((1.0, 0.5))

@@ -98,6 +98,35 @@ def test_irreducible_needs_an_integer_seed():
             is_irreducible(_shift_pair(), seed=seed)
 
 
+def test_irreducible_rounds_draw_the_seeded_stream():
+    # two 2x2 blocks in a rotated basis; every slot block has complex
+    # eigenvalues, so neither a standard basis vector nor a slot eigenvector
+    # finds a block, and the verdict comes from the random rounds, whose
+    # draws decide which block is found
+    q, _ = np.linalg.qr(np.array([[1.0, 2, 0, 1], [0, 1, 3, 1], [2, 0, 1, 1], [1, 1, 1, 0]]))
+
+    def blocks(a, b):
+        m = np.zeros((4, 4))
+        m[:2, :2], m[2:, 2:] = a, b
+        return q @ m @ q.T
+
+    c, s = np.cos(1.0), np.sin(1.0)
+    t = MatrixTuple("real", (blocks([[c, -s], [s, c]], [[0.0, -0.5], [0.5, 0.0]]),
+                             blocks([[1.0, 2.0], [-3.0, 1.0]], [[0.0, 1.0], [-2.0, 1.0]])))
+    r3, r6, r18 = np.sqrt([3.0, 6.0, 18.0])
+    expected = {  # the seed picks the block; building the generator later keeps these
+        0: [[0.0, 2 / 3, 1 / 3, -2 / 3], [1 / r3, -1 / r3, 0.0, -1 / r3]],
+        1: [[-2 / r6, -1 / r6, 0.0, -1 / r6], [0.0, 1 / r18, -4 / r18, -1 / r18]],
+    }
+    for seed, basis in expected.items():
+        verdict = is_irreducible(t, seed=seed)
+        assert verdict.status == "Refuted"
+        assert verdict.evidence["algebra_dimension"] == 8
+        assert verdict.evidence["subspace_dimension"] == 2
+        assert np.allclose(verdict.evidence["basis"], basis, rtol=0.0, atol=1e-12), seed
+        _check_witness(t, verdict)
+
+
 def test_irreducible_certified_fixtures():
     verdict = is_irreducible(_sign_swap_pair())
     assert verdict.status == "Certified"
