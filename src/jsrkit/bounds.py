@@ -127,7 +127,8 @@ def _necklace_scan(t: MatrixTuple, depth: int):
 
     ties holds (values, n, codes) per block, in scan order (by length, then
     lexicographic), of the necklaces whose value reaches (1 - _TIE_TOL) times
-    the largest.  seeds[n - 1] is the level-n necklace product with the largest
+    the largest; when the largest is 0, only the first necklace, (1,), ties.
+    seeds[n - 1] is the level-n necklace product with the largest
     op_norm_caps value, whose norm seeds the upper sweep.
     """
     blocks, seeds, top = [], [], -np.inf
@@ -135,7 +136,7 @@ def _necklace_scan(t: MatrixTuple, depth: int):
         seed_cap, seed = -np.inf, None
         for codes, stack in product_blocks(t, n, necklaces=True):
             live, values = _necklace_values(stack, n, (1.0 - _TIE_TOL) * top)
-            if values:
+            if values and (not blocks or max(values) > 0.0):  # an all-zero block ties only at top 0
                 blocks.append((np.array(values), n, codes[live]))
                 top = max([top, *values])
             caps = linalg.op_norm_caps(stack)
@@ -143,6 +144,9 @@ def _necklace_scan(t: MatrixTuple, depth: int):
             if caps[i] > seed_cap:
                 seed_cap, seed = caps[i], stack[i].copy()  # a copy frees the block
         seeds.append(seed)
+    if top == 0.0:  # at a zero maximum only the first necklace, (1,), ties
+        values, n, codes = blocks[0]
+        return [(values[:1], n, codes[:1])], seeds
     floor = (1.0 - _TIE_TOL) * top
     ties = [(values[keep], n, codes[keep]) for values, n, codes in blocks if (keep := values >= floor).any()]
     return ties, seeds
@@ -221,7 +225,8 @@ def spectral_maximal_candidates(
 
     Scans every length up to ``depth`` and keeps representatives with
     spectral_radius(P_w) ** (1/|w|) >= (1 - _TIE_TOL) * lower.  Sorted by
-    value descending, then length, then word.
+    value descending, then length, then word.  When lower is 0, every
+    necklace would reach the window, and only the first, (1,), is kept.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")

@@ -142,6 +142,8 @@ def cmd_irreducible(args) -> int:
     from .structure import is_irreducible
 
     require_tol("tol", args.tol)
+    if args.tol >= 1.0:  # the algebra span would drop even the identity
+        raise InputError(f"tol must be in (0, 1), got {args.tol}")
     t = _load_tuple(args.input)
     verdict = is_irreducible(t, drop_tol=args.tol, seed=args.seed, rounds=args.rounds)
     _emit(args, "irreducible", verdict.to_json_dict())

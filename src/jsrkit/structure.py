@@ -29,48 +29,30 @@ class PropertyVerdict:
         return {"status": self.status, "evidence": self.evidence}
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).reshape(-1)
-
-
-def _try_extend(basis: list[np.ndarray], candidate: np.ndarray, drop_tol: float) -> bool:
-    """Orthonormal span extension with a relative drop tolerance."""
-    v = _flat(candidate).astype(complex if np.iscomplexobj(candidate) else float)
-    scale = np.linalg.norm(v)
-    if scale == 0.0:
-        return False
-    for _ in range(2):  # re-orthogonalize once for numerical safety
-        for q in basis:
-            v = v - np.vdot(q, v) * q
-    residual = np.linalg.norm(v)
-    if residual <= drop_tol * scale:
-        return False
-    basis.append(v / residual)
-    return True
-
-
 def algebra_basis(t: MatrixTuple, drop_tol: float = DEFAULTS.span_drop_tol) -> list[np.ndarray]:
     """Orthonormal basis (as d x d matrices) of span {identity and all products}.
 
     Closure under left multiplication by the slots, seeded with the
-    identity, reaches every word product.
+    identity, reaches every word product.  A candidate is kept when its residual
+    after two modified Gram-Schmidt passes exceeds drop_tol times its norm.
     """
     require_tol("drop_tol", drop_tol)
+    if drop_tol >= 1.0:  # even the identity would be dropped
+        raise InputError(f"drop_tol must be in (0, 1), got {drop_tol}")
     d = t.d
-    dtype = np.complex128 if t.field == "complex" else np.float64
-    flat_basis: list[np.ndarray] = []
-    mats: list[np.ndarray] = []
-    queue = [np.eye(d, dtype=dtype)]
-    while queue:
-        cand = queue.pop(0)
-        if _try_extend(flat_basis, cand, drop_tol):
-            added = flat_basis[-1].reshape(d, d)
-            mats.append(added)
-            if len(flat_basis) == d * d:
-                break
-            for a in t.matrices:
-                queue.append(a @ added)
-    return mats
+    basis: list[np.ndarray] = []
+    queue = [np.eye(d, dtype=t.matrices[0].dtype)]
+    while queue and len(basis) < d * d:
+        v = queue.pop(0).reshape(-1)
+        scale = np.linalg.norm(v)
+        for _ in range(2):  # re-orthogonalize once for numerical safety
+            for q in basis:
+                v = v - np.vdot(q, v) * q
+        residual = np.linalg.norm(v)
+        if scale > 0.0 and residual > drop_tol * scale:
+            basis.append(v / residual)
+            queue.extend(a @ basis[-1].reshape(d, d) for a in t.matrices)
+    return [q.reshape(d, d) for q in basis]
 
 
 def algebra_dimension(t: MatrixTuple, drop_tol: float = DEFAULTS.span_drop_tol) -> int:
@@ -81,9 +63,7 @@ def algebra_dimension(t: MatrixTuple, drop_tol: float = DEFAULTS.span_drop_tol) 
 def _orbit_subspace(basis: list[np.ndarray], v: np.ndarray, drop_tol: float):
     """Span of {B v} for B over the algebra basis; returns (rank, orthonormal columns)."""
     stack = np.stack([b @ v for b in basis])
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0, None
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
     rank = int(np.count_nonzero(s > drop_tol * s[0]))
     return rank, vh[:rank].conj().T
 
@@ -141,7 +121,7 @@ def is_irreducible(
         return PropertyVerdict("Certified", {"algebra_dimension": dim})
 
     complex_field = t.field == "complex"
-    dtype = np.complex128 if complex_field else np.float64
+    dtype = t.matrices[0].dtype
 
     def check(v: np.ndarray) -> PropertyVerdict | None:
         v = np.asarray(v, dtype=dtype)
@@ -149,7 +129,7 @@ def is_irreducible(
         if nrm == 0.0:
             return None
         rank, w = _orbit_subspace(basis, v / nrm, drop_tol)
-        if w is None or not 0 < rank < d:
+        if not 0 < rank < d:
             return None
         if _invariance_residual(t, w) > 1e-8:
             return None

@@ -252,6 +252,16 @@ def test_best_candidate_is_the_lower_bound_and_its_witness():
         assert spectral_maximal_candidates(t, depth)[0] == (b.lower_witness, b.lower), (t, depth)
 
 
+def test_a_zero_maximum_ties_only_the_first_necklace():
+    # the window (1 - 1e-9) * 0 admits every value, so every necklace used to be a candidate
+    zeros = MatrixTuple("real", (np.zeros((2, 2)), np.zeros((2, 2))))
+    nilpotent = MatrixTuple("real", (np.array([[0.0, 1.0], [0.0, 0.0]]),))
+    for t, depth in ((zeros, 8), (nilpotent, 6)):
+        assert spectral_maximal_candidates(t, depth) == [((1,), 0.0)]
+        b = bounds(t, depth)
+        assert (b.lower, b.lower_witness) == (0.0, (1,))
+
+
 def test_lower_sweep_runs_eigvals_only_on_screened_necklaces(monkeypatch):
     rng = np.random.default_rng(20)
     t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(6), (6, 6)) for _ in range(3)))

@@ -329,6 +329,15 @@ def test_rank1_tol_one_is_rejected_not_refuted(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: tol must be in (0, 1), got 1.0\n")
 
 
+def test_irreducible_tol_one_or_more_is_rejected_not_a_traceback(capsys, tmp_path):
+    # at drop tolerance 1 even the identity left the algebra span, whose empty
+    # basis then failed to stack
+    path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
+    for tol in ("1", "2"):
+        code, out, err = _run(capsys, ["irreducible", "--input", path, "--tol", tol])
+        assert (code, out, err) == (2, "", f"error: tol must be in (0, 1), got {float(tol)}\n")
+
+
 def test_out_of_range_options_exit_2_and_stdout_stays_strict_json(capsys, tmp_path):
     path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
     norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 import os
 import subprocess
@@ -70,3 +71,32 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     assert "jsrkit.constructions" in construct
     assert not construct & {"jsrkit.finiteness", "jsrkit.structure"}
     assert "jsrkit.structure" in irreducible and "numpy.random" not in irreducible
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions, classes and assignments named _x (not dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_private_helper_is_left_without_a_reference():
+    # a helper whose last caller went away should go with it
+    defined, used = {}, set()
+    for path in sorted(Path(jsrkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.update(dict.fromkeys(_private_definitions(tree), path.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert len(defined) > 40  # the walk saw the package
+    assert {name: where for name, where in defined.items() if name not in used} == {}

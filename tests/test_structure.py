@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jsrkit import linalg
+from jsrkit.config import DEFAULTS
 from jsrkit.errors import InputError
 from jsrkit.structure import (
     PropertyVerdict,
@@ -88,6 +89,88 @@ def test_algebra_basis_is_orthonormal():
     flat = np.stack([b.reshape(-1) for b in basis])
     gram = flat @ flat.conj().T
     assert np.allclose(gram, np.eye(len(basis)), atol=1e-10)
+
+
+def _reference_algebra_basis(t, drop_tol=DEFAULTS.span_drop_tol):
+    # the closure as first written: one candidate at a time through a
+    # boolean extension helper, with a flat and a matrix copy of the basis
+    def try_extend(basis, candidate):
+        v = np.asarray(candidate).reshape(-1).astype(complex if np.iscomplexobj(candidate) else float)
+        scale = np.linalg.norm(v)
+        if scale == 0.0:
+            return False
+        for _ in range(2):
+            for q in basis:
+                v = v - np.vdot(q, v) * q
+        residual = np.linalg.norm(v)
+        if residual <= drop_tol * scale:
+            return False
+        basis.append(v / residual)
+        return True
+
+    d = t.d
+    dtype = np.complex128 if t.field == "complex" else np.float64
+    flat_basis, mats = [], []
+    queue = [np.eye(d, dtype=dtype)]
+    while queue:
+        cand = queue.pop(0)
+        if try_extend(flat_basis, cand):
+            added = flat_basis[-1].reshape(d, d)
+            mats.append(added)
+            if len(flat_basis) == d * d:
+                break
+            for a in t.matrices:
+                queue.append(a @ added)
+    return mats
+
+
+def _oracle_tuples(count=150):
+    """Seeded tuples over both fields, d 2-6, r 1-3, of five kinds in turn."""
+    rng = np.random.default_rng(1515)
+    for i in range(count):
+        field = ("real", "complex")[i % 2]
+        d, r, kind = 2 + i % 5, 1 + (i // 5) % 3, (i // 15) % 5
+
+        def draw(shape):
+            if kind in (2, 3):  # integer entries
+                a = rng.integers(-2, 3, shape).astype(float)
+                return a + 1j * rng.integers(-2, 3, shape) if field == "complex" else a
+            a = rng.standard_normal(shape)
+            return a + 1j * rng.standard_normal(shape) if field == "complex" else a
+
+        slots = [draw((d, d)) for _ in range(r)]
+        if kind in (1, 3):  # a common invariant subspace of dimension d // 2
+            for a in slots:
+                a[d // 2:, :d // 2] = 0.0
+        if kind == 1:  # hidden by a rotation
+            q, _ = np.linalg.qr(draw((d, d)))
+            slots = [q @ a @ q.conj().T for a in slots]
+        if kind == 4:
+            slots[0] = np.zeros((d, d))
+        yield MatrixTuple(field, tuple(slots))
+
+
+def test_algebra_basis_matches_the_reference_closure_bit_for_bit():
+    for i, t in enumerate(_oracle_tuples()):
+        got, want = algebra_basis(t), _reference_algebra_basis(t)
+        assert len(got) == len(want), i
+        assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want)), i
+
+
+def test_algebra_basis_starts_at_the_scaled_identity():
+    # so the first orbit row B v of a unit vector v has norm 1 / sqrt(d) > 0
+    for t in (_sign_swap_pair(), MatrixTuple("complex", (np.diag([1j, 2.0, 0.0]),))):
+        assert np.array_equal(algebra_basis(t)[0], np.eye(t.d) / np.sqrt(t.d))
+
+
+def test_drop_tol_of_one_or_more_is_rejected():
+    # at drop_tol 1 even the identity was dropped: dimension 0 and an empty basis
+    for tol in (1.0, 2.0):
+        for call in (algebra_basis, algebra_dimension):
+            with pytest.raises(InputError, match=rf"drop_tol must be in \(0, 1\), got {tol}"):
+                call(_shift_pair(), tol)
+        with pytest.raises(InputError, match="drop_tol must be in"):
+            is_irreducible(_shift_pair(), drop_tol=tol)
 
 
 def test_irreducible_needs_an_integer_seed():
