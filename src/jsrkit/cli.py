@@ -35,7 +35,7 @@ from pathlib import Path
 
 from .bounds import _midpoint, finiteness_verified_at_depth
 from .bounds import bounds as jsr_bounds
-from .config import DEFAULTS, require_tol
+from .config import DEFAULTS, require_fraction, require_tol
 from .errors import ConvergenceError, InputError
 from .tuples import MatrixTuple, from_json, to_json
 from .words import enumerate_necklaces, enumerate_words, format_word, is_primitive, parse_word
@@ -141,9 +141,7 @@ def cmd_rank1(args) -> int:
 def cmd_irreducible(args) -> int:
     from .structure import is_irreducible
 
-    require_tol("tol", args.tol)
-    if args.tol >= 1.0:  # the algebra span would drop even the identity
-        raise InputError(f"tol must be in (0, 1), got {args.tol}")
+    require_fraction("tol", require_tol("tol", args.tol))
     t = _load_tuple(args.input)
     verdict = is_irreducible(t, drop_tol=args.tol, seed=args.seed, rounds=args.rounds)
     _emit(args, "irreducible", verdict.to_json_dict())

@@ -55,3 +55,10 @@ def require_tol(name: str, value: float, *, zero_ok: bool = False) -> float:
     if not math.isfinite(value):
         raise InputError(f"{name} must be finite, got {value}")
     return value
+
+
+def require_fraction(name: str, value: float) -> float:
+    """A relative tolerance must lie strictly between 0 and 1; else InputError naming it."""
+    if not 0.0 < value < 1.0:
+        raise InputError(f"{name} must be in (0, 1), got {value}")
+    return value

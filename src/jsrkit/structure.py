@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .bounds import bounds
-from .config import DEFAULTS, require_tol
+from .config import DEFAULTS, require_fraction, require_tol
 from .errors import InputError
 from .tuples import MatrixTuple, _check_seed, _entry_to_json, _seeded_rng, exterior_square_tuple
 
@@ -36,9 +36,7 @@ def algebra_basis(t: MatrixTuple, drop_tol: float = DEFAULTS.span_drop_tol) -> l
     identity, reaches every word product.  A candidate is kept when its residual
     after two modified Gram-Schmidt passes exceeds drop_tol times its norm.
     """
-    require_tol("drop_tol", drop_tol)
-    if drop_tol >= 1.0:  # even the identity would be dropped
-        raise InputError(f"drop_tol must be in (0, 1), got {drop_tol}")
+    require_fraction("drop_tol", require_tol("drop_tol", drop_tol))  # at 1 even the identity drops
     d = t.d
     basis: list[np.ndarray] = []
     queue = [np.eye(d, dtype=t.matrices[0].dtype)]
@@ -187,8 +185,7 @@ def rank_one_property(
     if t.d < 2:
         raise InputError("rank-one test needs dimension >= 2")
     # tol >= 1 would make the Refuted test b.upper**2 * (1 - tol) <= 0 always pass
-    if not 0.0 < tol < 1.0:
-        raise InputError(f"tol must be in (0, 1), got {tol}")
+    require_fraction("tol", tol)
     b = bounds(t, depth, budget=budget)
     bw = bounds(exterior_square_tuple(t), depth, budget=budget)
     evidence = {

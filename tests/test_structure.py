@@ -163,6 +163,18 @@ def test_algebra_basis_starts_at_the_scaled_identity():
         assert np.array_equal(algebra_basis(t)[0], np.eye(t.d) / np.sqrt(t.d))
 
 
+def test_a_nan_residual_drops_the_candidate():
+    # entries near the float maximum overflow a @ q, and inf - inf in the
+    # projection leaves a NaN residual; the reference closure kept such
+    # vectors (dimension 4, all NaN past the second), the loop drops them
+    t = MatrixTuple("real", (np.full((2, 2), 1.7e308), np.array([[1.0, 0.0], [1.0, 0.0]])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = algebra_basis(t), _reference_algebra_basis(t)
+    assert len(want) == 4 and all(np.isnan(w).any() for w in want[2:])
+    assert len(got) == 2 and all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(got[1], [[0.408248290463863, 0.0], [0.816496580927726, -0.408248290463863]])
+
+
 def test_drop_tol_of_one_or_more_is_rejected():
     # at drop_tol 1 even the identity was dropped: dimension 0 and an empty basis
     for tol in (1.0, 2.0):
