@@ -30,8 +30,8 @@ for the empty word.  A product P_p of length k is dropped, with every word
 below it, once cap(P_p) * L_{n-k} falls strictly below the running maximum:
 each word below p has P_w = P_s P_p for a suffix s of length n - k, and
 op_norm(P_s P_p) <= op_norm(P_s) * op_norm(P_p) <= L_{n-k} * cap(P_p).  The
-same test takes prefixes (k < n) and full words (k = n, times L_0 = 1.0,
-which is exact).  The computed L_{n-k} and the computed products carry a
+walker's prune takes prefixes (k < n) and full words (k = n, times L_0 =
+1.0, which is exact) alike.  The computed L_{n-k} and the computed products carry a
 rounding of a small multiple of n * d * eps, which the cap's margin
 (linalg._CAP_MARGIN, 1e-10) covers as it covers the rounding of sigma_1.
 The running maximum starts at the norm of the level's necklace product with
@@ -123,13 +123,14 @@ def _necklace_values(stack: np.ndarray, n: int, floor: float):
 
 
 def _necklace_scan(t: MatrixTuple, depth: int):
-    """(ties, seeds) from the necklaces of every length up to depth.
+    """(candidates, seeds) from the necklaces of every length up to depth.
 
-    ties holds (values, n, codes) per block, in scan order (by length, then
-    lexicographic), of the necklaces whose value reaches (1 - _TIE_TOL) times
-    the largest; when the largest is 0, only the first necklace, (1,), ties.
-    seeds[n - 1] is the level-n necklace product with the largest
-    op_norm_caps value, whose norm seeds the upper sweep.
+    candidates holds (word, value) for the necklaces whose value reaches
+    (1 - _TIE_TOL) times the largest, by value descending, then length, then
+    word, so the first is the lower bound and its witness; when the largest is
+    0, only the first necklace, (1,), ties.  seeds[n - 1] is the level-n
+    necklace product with the largest op_norm_caps value, whose norm seeds
+    the upper sweep.
     """
     blocks, seeds, top = [], [], -np.inf
     for n in range(1, depth + 1):
@@ -144,12 +145,14 @@ def _necklace_scan(t: MatrixTuple, depth: int):
             if caps[i] > seed_cap:
                 seed_cap, seed = caps[i], stack[i].copy()  # a copy frees the block
         seeds.append(seed)
-    if top == 0.0:  # at a zero maximum only the first necklace, (1,), ties
-        values, n, codes = blocks[0]
-        return [(values[:1], n, codes[:1])], seeds
-    floor = (1.0 - _TIE_TOL) * top
-    ties = [(values[keep], n, codes[keep]) for values, n, codes in blocks if (keep := values >= floor).any()]
-    return ties, seeds
+    if top == 0.0:
+        return [((1,), 0.0)], seeds
+    candidates = []
+    for values, n, codes in blocks:
+        keep = values >= (1.0 - _TIE_TOL) * top
+        candidates += zip(words._words_at(codes[keep], t.r, n), values[keep].tolist())
+    candidates.sort(key=lambda item: -item[1])  # stable: equal values keep scan order, length then word
+    return candidates, seeds
 
 
 def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float) -> float:
@@ -161,7 +164,7 @@ def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float) -
     """
     best = seed
 
-    def prune(stack: np.ndarray, k: int) -> np.ndarray:
+    def prune(codes: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
         # every word below a prefix p of length k has P_w = P_s @ P_p for a
         # suffix s of length n - k, so op_norm(P_w) <= cap(P_p) * maxima[n - k];
         # a leaf (k = n) is multiplied by 1.0, exactly
@@ -169,9 +172,7 @@ def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float) -
             return linalg.op_norm_caps(stack) * maxima[n - k] < best
 
     for _, stack in product_blocks(t, n, prune=prune):
-        live = stack[~prune(stack, n)]
-        if len(live):
-            best = max(best, float(np.max(linalg.op_norms(live))))
+        best = max(best, float(np.max(linalg.op_norms(stack))))
     return best
 
 
@@ -184,9 +185,8 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
         raise BudgetError(
             f"enumeration budget {budget} cannot cover even level 1 ({2 * t.r} words)"
         )
-    ties, seeds = _necklace_scan(t, depth)
-    # max keeps the first maximum in scan order, so ties keep the first word
-    lower, length, code = max(((v.max(), n, c[v.argmax()]) for v, n, c in ties), key=lambda tie: tie[0])
+    candidates, seeds = _necklace_scan(t, depth)
+    lower_witness, lower = candidates[0]
     best_upper = np.inf
     upper_level = 0
     maxima = [1.0]
@@ -198,10 +198,10 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
             best_upper = level_upper
             upper_level = n
     return JsrBounds(
-        lower=float(lower),
+        lower=lower,
         upper=float(best_upper),
         depth=depth,
-        lower_witness=words.word_at(int(code), t.r, length),
+        lower_witness=lower_witness,
         upper_level=upper_level,
         partial=depth < max_depth,
     )
@@ -234,11 +234,7 @@ def spectral_maximal_candidates(
         raise BudgetError(
             f"candidate scan to depth {depth} exceeds enumeration budget {budget}"
         )
-    ties, _ = _necklace_scan(t, depth)
-    keep = [(words.word_at(code, t.r, n), value)
-            for values, n, codes in ties for value, code in zip(values.tolist(), codes.tolist())]
-    keep.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
-    return keep
+    return _necklace_scan(t, depth)[0]
 
 
 def finiteness_verified_at_depth(b: JsrBounds, close_tol: float = DEFAULTS.close_tol) -> bool:

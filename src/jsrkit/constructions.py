@@ -90,11 +90,10 @@ def characteristic_tuple(
     if r_used**n <= budget:
         omega_codes = [word_index(z, r_used) for z in rotation_class(omega)]
         base = MatrixTuple(field, t.matrices[:r_used])
-        for codes, stack in product_blocks(base, n):
-            other = ~np.isin(codes, omega_codes)
-            live = np.flatnonzero(np.any(stack[other], axis=(1, 2)))
+        for codes, stack in product_blocks(base, n, prune=lambda c, _, k: np.isin(c, omega_codes if k == n else ())):
+            live = np.flatnonzero(np.any(stack, axis=(1, 2)))
             if live.size:
-                z = word_at(codes[other][live[0]], r_used, n)
+                z = word_at(codes[live[0]], r_used, n)
                 raise ConvergenceError(f"self-check failed: off-class P_{format_word(z)} != 0")
     return t
 

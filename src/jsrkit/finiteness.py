@@ -124,10 +124,11 @@ def sfh_evidence(
     require_tol("offender_tol", offender_tol)
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
     induced = _admit(t, norm_reps, rho_hat, norm_check_tol, samples)
-    return _scan(t, omega, induced, rho_hat, offender_tol, budget)
+    words._check_budget(t.r, len(omega), budget)
+    return _scan(t, omega, induced, rho_hat, offender_tol)
 
 
-def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: float, budget: int) -> SfhReport:
+def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: float) -> SfhReport:
     """sfh_evidence's screened offender scan under induced maps that _admit returned."""
     n = len(omega)
     target = rho_hat ** n
@@ -135,12 +136,7 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}
-    words._check_budget(t.r, n, budget)
-    for codes, stack in product_blocks(t, n):
-        other = ~np.isin(codes, omega_codes)
-        codes, stack = codes[other], stack[other]
-        if not len(codes):
-            continue
+    for codes, stack in product_blocks(t, n, prune=lambda c, _, k: np.isin(c, omega_codes if k == n else ())):
         caps = linalg.op_norm_caps(stack)
         for i, (norm_of, bound_of) in enumerate(induced):
             bound = bound_of(caps)
@@ -199,6 +195,6 @@ def characteristic_word_search(
     if rho_hat is None:
         rho_hat = _midpoint(t, depth, budget)
     induced = _admit(t, reps, rho_hat, norm_check_tol, samples)
-    reports = [_scan(t, w, induced, rho_hat, offender_tol, budget) for w, _ in candidates]
+    reports = [_scan(t, w, induced, rho_hat, offender_tol) for w, _ in candidates]
     reports.sort(key=lambda rep: (-rep.margin, rep.depth, rep.candidate))
     return reports

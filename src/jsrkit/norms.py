@@ -336,7 +336,8 @@ def approx_barabanov(
     Real 2-dimensional tuples only.  Values live on mesh directions over
     the upper half circle; each sweep is renormalized so phi(e1) = 1 and
     iteration stops when the log-distance between consecutive sweeps
-    drops below step_tol, or flags non-convergence at max_iter.
+    drops below step_tol, or flags non-convergence at max_iter.  After a 2-cycle
+    (a sweep repeats, bit for bit, the values of two sweeps back) it steps phi <- (phi + T phi) / 2.
     """
     if t.field != "real" or t.d != 2:
         raise InputError("mesh approximation is limited to real 2-dimensional tuples")
@@ -357,6 +358,7 @@ def approx_barabanov(
     iterations = 0
     converged = False
     last_step = np.inf
+    before, averaged = None, False  # before holds the values of two sweeps back
     for _ in range(max_iter):
         closed = np.append(cur, cur[0])
         nxt = np.max(
@@ -367,10 +369,13 @@ def approx_barabanov(
             raise ConvergenceError(
                 "mesh values lost positivity; the tuple maps some direction to zero"
             )
+        if averaged:
+            nxt = (cur + nxt) / 2
         nxt = nxt / nxt[0]
         iterations += 1
         last_step = float(np.max(np.abs(np.log(nxt / cur))))
-        cur = nxt
+        averaged = averaged or np.array_equal(nxt, before)
+        before, cur = cur, nxt
         if last_step < step_tol:
             converged = True
             break

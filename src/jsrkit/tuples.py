@@ -112,52 +112,51 @@ def product_along(t: MatrixTuple, w: Word) -> np.ndarray:
 
 
 def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
-    """Iterate (codes, stack) over the products of the words of length n, in lexicographic order.
+    """Yield (codes, stack) over the products of the words of length n, in lexicographic order.
 
     codes holds each word's int64 base-r index (words.word_at decodes it) and
-    stack the products P_w, (k, d, d).  Letters are added one batched layer
-    at a time as A_letter @ P_prefix, product_along's sequence of 2-D
-    products, so each P_w equals it bitwise.  Prefixes are split into pieces
-    whose whole subtree fits in config.BLOCK_BYTES, so no product array
-    outgrows it.  necklaces=True keeps only least rotations: each prefix
-    carries its FKM period, and words.necklace_children filters the children
-    as they are built.  prune(stack, k) is asked at each length 0 < k < n and
-    returns a mask of the prefixes to drop with every word below them.
-    Callers check r**n against their budget first; a non-finite product
-    raises ConvergenceError.
+    stack the products P_w, (k, d, d).  One loop grows pieces of prefixes from
+    the empty word, whose children are the slots, as A_letter @ P_prefix in
+    one batched layer, product_along's sequence of 2-D products, so each P_w
+    equals it bitwise.  Children are split into pieces whose whole subtree fits
+    in config.BLOCK_BYTES and pushed on a LIFO list in reverse.  necklaces=True
+    keeps only least rotations: each prefix carries its FKM period, and
+    words.necklace_children filters the children as they are built.
+    prune(codes, stack, k) is asked for every piece at every length 1 <= k <= n,
+    full words included, before it is grown or yielded, and masks the rows to
+    drop with every word below them.  No block is empty.  Callers check r**n
+    against their budget first; a non-finite product raises ConvergenceError.
     """
     r = t.r
     slots = np.stack(t.matrices)
-    letters = np.arange(r, dtype=np.int64)
-    row_bytes = slots[0].nbytes
-
-    def descend(codes, periods, stack, k):
-        # codes, periods (read only when necklaces) and stack hold prefixes of length k
+    leaf_rows = config.BLOCK_BYTES // slots[0].nbytes
+    # (codes, periods, stack, k) per piece of prefixes of length k; the empty word has no stack
+    pending = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), None, 0)]
+    while pending:
+        codes, periods, stack, k = pending.pop()
+        if prune is not None and k:
+            keep = ~prune(codes, stack, k)
+            if not keep.all():  # copy only when a row goes
+                codes, periods, stack = codes[keep], periods[keep], stack[keep]
         if k == n:
-            yield codes, stack
-            return
-        piece = max(1, config.BLOCK_BYTES // (row_bytes * r ** (n - k)))
-        for lo in range(0, len(codes), piece):
-            rows = slice(lo, lo + piece)
-            part, phase, prefixes = codes[rows], periods[rows], stack[rows]
-            if prune is not None:
-                keep = ~prune(prefixes, k)
-                part, phase, prefixes = part[keep], phase[keep], prefixes[keep]
-            with np.errstate(over="ignore", invalid="ignore"):
-                children = np.matmul(slots[None], prefixes[:, None]).reshape(-1, *slots.shape[1:])
-            if not np.isfinite(children).all():
-                raise ConvergenceError(
-                    f"products of length {k + 1} overflow; the tuple's scale is out of range"
-                )
-            if necklaces:
-                part, phase, keep = necklace_children(part, phase, r, k, n)
-                children = children[keep]
-            else:
-                part = phase = (part[:, None] * r + letters).ravel()
-            if len(part):
-                yield from descend(part, phase, children, k + 1)
-
-    return descend(letters, np.ones(r, dtype=np.int64), slots, 1)
+            if len(codes):
+                yield codes, stack
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            children = slots if k == 0 else np.matmul(slots[None], stack[:, None]).reshape(-1, *slots.shape[1:])
+        if not np.isfinite(children).all():
+            raise ConvergenceError(
+                f"products of length {k + 1} overflow; the tuple's scale is out of range"
+            )
+        if necklaces:
+            codes, periods, keep = necklace_children(codes, periods, r, k, n)
+            children = children[keep]
+        else:
+            codes = periods = (codes[:, None] * r + np.arange(r)).ravel()
+        # the words below one piece of length n - 1 make one block
+        piece = max(1, len(codes) if k + 1 == n else leaf_rows // r ** (n - k - 1))
+        for lo in reversed(range(0, len(codes), piece)):
+            pending.append((codes[lo:lo + piece], periods[lo:lo + piece], children[lo:lo + piece], k + 1))
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:

@@ -185,9 +185,10 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
         if prune is not None:
             inner = prune
 
-            def prune(stack, k):
-                rows.append(len(stack))
-                return inner(stack, k)
+            def prune(codes, stack, k):
+                if k < n:  # prefixes only: full words are asked about too
+                    rows.append(len(stack))
+                return inner(codes, stack, k)
 
         return product_blocks(t, n, necklaces=necklaces, prune=prune)
 

@@ -321,6 +321,21 @@ def test_sfh_under_an_lp_norm_is_finite_at_scale_2_200(capsys, tmp_path):
     assert margins[0] == pytest.approx(0.5, rel=1e-12)
 
 
+def test_sfh_word_of_1500_letters_on_one_slot_is_not_a_traceback(capsys, tmp_path):
+    # the product walker used to recurse once per letter, so a word this long
+    # ended in RecursionError with exit 1
+    path = tmp_path / "swap.json"
+    path.write_text(to_json(MatrixTuple("real", (np.array([[0.0, 1.0], [1.0, 0.0]]),))))
+    norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
+    word = ",".join(["1"] * 1500)
+    code, out, err = _run(capsys, ["sfh", "--input", str(path), "--word", word,
+                                   "--norm", norm_path, "--rho-hat", "1"])
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)["result"]["reports"]
+    assert report["candidate"] == word
+    assert (report["passed"], report["margin"]) == (True, 1.0)
+
+
 def test_rank1_tol_one_is_rejected_not_refuted(capsys, tmp_path):
     # example 1 has the rank-one property; at tol 1 every tuple used to come out Refuted
     path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])

@@ -123,7 +123,7 @@ def test_characteristic_vanishing_check_uses_callers_budget(monkeypatch):
     # the walk over the 2**5 base products runs when they fit the caller's budget, else is skipped
     walks = []
     walk = constructions.product_blocks
-    monkeypatch.setattr(constructions, "product_blocks", lambda t, n: walks.append(n) or walk(t, n))
+    monkeypatch.setattr(constructions, "product_blocks", lambda t, n, **kw: walks.append(n) or walk(t, n, **kw))
     assert characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=100).d == 5
     assert walks == [5]
     assert characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=10).d == 5

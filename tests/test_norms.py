@@ -272,6 +272,22 @@ def test_approx_barabanov_depends_on_init():
         assert verify_barabanov(t, res.norm, 1.0, tol=1e-3).passed
 
 
+def test_approx_barabanov_averages_out_of_a_two_cycle():
+    # from (1, 3) and (3, 1) the normalized map sends each norm onto the other,
+    # so plain sweeps ran all 500 at a last step of log 9; once a sweep repeats
+    # the values of two sweeps back, the averaged step converges
+    t = _shift_pair(0.3, 0.5)
+    rho_hat = linalg.spectral_radius(t.matrices[1] @ t.matrices[0]) ** 0.5
+    runs = [approx_barabanov(t, rho_hat, init=WeightedMaxNorm(w)) for w in ((1.0, 3.0), (3.0, 1.0))]
+    assert [(res.iterations, res.converged) for res in runs] == [(57, True), (58, True)]
+    for res in runs:
+        assert res.last_step < 1e-6
+        assert verify_barabanov(t, res.norm, rho_hat).residual < 1e-6
+    # a start that never cycles takes the plain sweeps, bit for bit
+    plain = approx_barabanov(t, rho_hat, init=WeightedMaxNorm((1.0, 1.0)))
+    assert (plain.iterations, plain.last_step) == (8, 7.731230869820479e-07)
+
+
 def test_approx_barabanov_rotation_is_instant_fixed_point():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     t = MatrixTuple("real", (rot,))

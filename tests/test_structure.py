@@ -10,6 +10,7 @@ from jsrkit.config import DEFAULTS
 from jsrkit.errors import InputError
 from jsrkit.structure import (
     PropertyVerdict,
+    _invariance_residual,
     algebra_basis,
     algebra_dimension,
     is_irreducible,
@@ -173,6 +174,20 @@ def test_a_nan_residual_drops_the_candidate():
     assert len(want) == 4 and all(np.isnan(w).any() for w in want[2:])
     assert len(got) == 2 and all(np.array_equal(g, w) for g, w in zip(got, want))
     assert np.array_equal(got[1], [[0.408248290463863, 0.0], [0.816496580927726, -0.408248290463863]])
+
+
+def test_invariance_near_the_float_maximum_refutes_with_the_true_line():
+    # the same pair: only the line through (1, 1) is invariant.  op_norm of the
+    # first slot used to overflow to inf, which let e_2 pass the invariance
+    # test; each slot is now scaled by a power of two first
+    t = MatrixTuple("real", (np.full((2, 2), 1.7e308), np.array([[1.0, 0.0], [1.0, 0.0]])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdict = is_irreducible(t)
+        assert _invariance_residual(t, np.array([[0.0], [1.0]])) > 0.1
+    assert verdict.status == "Refuted"
+    (line,) = verdict.evidence["basis"]
+    assert np.allclose(np.abs(line), [2 ** -0.5, 2 ** -0.5], rtol=0, atol=1e-15)
+    assert line[0] * line[1] > 0
 
 
 def test_drop_tol_of_one_or_more_is_rejected():

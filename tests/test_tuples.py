@@ -72,25 +72,37 @@ def _blocks(t, n, **kwargs):
 def test_product_blocks_match_product_along_bitwise(monkeypatch):
     rng = np.random.default_rng(15)
     default_cap = config.BLOCK_BYTES
-    for r in (1, 2, 3):
+    # one slot and 3000 letters, far past the interpreter's recursion limit,
+    # with an orthogonal or unitary slot so that the product stays finite
+    for r, lengths in ((1, range(1, 7)), (2, range(1, 7)), (3, range(1, 7)), (1, (3000,))):
         real = tuple(rng.standard_normal((3, 3)) for _ in range(r))
         cplx = tuple(a + 1j * rng.standard_normal((3, 3)) for a in real)
+        if 3000 in lengths:
+            real, cplx = (np.linalg.qr(real[0])[0],), (np.linalg.qr(cplx[0])[0],)
         for t in (tuples.MatrixTuple("real", real), tuples.MatrixTuple("complex", cplx)):
             # the default cap, and one of four products that forces many blocks
             for cap in (default_cap, 4 * t.matrices[0].nbytes):
                 monkeypatch.setattr(config, "BLOCK_BYTES", cap)
-                for n in range(1, 7):
+                for n in lengths:
                     for necklaces in (False, True):
                         got, blocks = _blocks(t, n, necklaces=necklaces)
                         want = words.enumerate_necklaces if necklaces else words.enumerate_words
                         assert got == list(want(r, n)), (r, n, necklaces)
                         stacks = [p for _, stack in blocks for p in stack]
-                        for w, p in zip(got, stacks):
-                            assert np.array_equal(p, tuples.product_along(t, w)), w
+                        for w, p in zip(got, stacks):  # bytes: signed zeros count too
+                            assert p.tobytes() == tuples.product_along(t, w).tobytes(), w
                         assert all(stack.nbytes <= cap for _, stack in blocks)
                         assert all(codes.dtype == np.int64 for codes, _ in blocks)
                         if cap < default_cap and len(got) > 4:
                             assert len(blocks) > 1
+                        if not necklaces:  # the largest block holds as many words as fit under cap
+                            fit = r * max(1, cap // t.matrices[0].nbytes // r) if n > 1 else r
+                            assert max(len(codes) for codes, _ in blocks) == min(fit, r ** n)
+    # the empty word's children are the slots themselves, not I @ A, so -0.0 stays
+    t = tuples.MatrixTuple("real", (np.array([[-0.0, 1.0], [0.5, -0.0]]),))
+    for necklaces in (False, True):
+        ((_, stack),) = tuples.product_blocks(t, 1, necklaces=necklaces)
+        assert stack.tobytes() == t.matrices[0].tobytes()
 
 
 def test_product_blocks_prune_drops_subtrees():
@@ -100,7 +112,7 @@ def test_product_blocks_prune_drops_subtrees():
     below = [tuples.product_along(t, (2, 1, x)) for x in (1, 2, 3)]
     asked = []
 
-    def prune(stack, k):
+    def prune(codes, stack, k):
         asked.append(k)
         # nothing below a dropped prefix is asked about
         assert not any(np.array_equal(p, q) for p in stack for q in below)
@@ -113,7 +125,7 @@ def test_product_blocks_prune_drops_subtrees():
         assert got == [w for w in every if w[:2] != (2, 1)]
         stacks = [p for _, stack in blocks for p in stack]
         assert all(np.array_equal(p, tuples.product_along(t, w)) for w, p in zip(got, stacks))
-        assert set(asked) == {1, 2, 3, 4}
+        assert set(asked) == {1, 2, 3, 4, 5}
 
 
 def test_product_blocks_yield_no_empty_block(monkeypatch):
@@ -124,7 +136,7 @@ def test_product_blocks_yield_no_empty_block(monkeypatch):
     got, blocks = _blocks(t, 5, necklaces=True)
     assert got == list(words.enumerate_necklaces(2, 5))
     assert all(len(codes) for codes, _ in blocks)
-    def drop_all(stack, k):
+    def drop_all(codes, stack, k):
         return np.ones(len(stack), dtype=bool)
 
     for necklaces in (False, True):
