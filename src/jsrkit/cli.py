@@ -183,7 +183,7 @@ def cmd_sfh(args) -> int:
     from .norms import approx_barabanov
 
     _require_depth(args.depth)
-    require_tol("tol", args.offender_tol)
+    require_fraction("tol", require_tol("tol", args.offender_tol))
     require_tol("norm-check-tol", args.norm_check_tol, zero_ok=True)
     omega = parse_word(args.word) if args.word is not None else None
     t = _load_tuple(args.input)

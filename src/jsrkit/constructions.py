@@ -28,16 +28,8 @@ from . import linalg
 from .config import DEFAULTS
 from .errors import ConvergenceError, InputError
 from .norms import LpNorm, WeightedMaxNorm, norm_to_json_dict
-from .tuples import MatrixTuple, _check_field, product_along, product_blocks
-from .words import (
-    Word,
-    format_word,
-    is_primitive,
-    rotation_class,
-    validate_word,
-    word_at,
-    word_index,
-)
+from .tuples import MatrixTuple, _check_field, off_class_blocks, product_along
+from .words import Word, format_word, is_primitive, validate_word, word_at
 
 
 def characteristic_tuple(
@@ -53,7 +45,7 @@ def characteristic_tuple(
 
     Verified on every call: rho(P_omega) = 1, rank(P_omega) = 1, op norms of
     the base slots equal 1, and (while r'**n stays within budget) the exact
-    vanishing of every off-class base product.
+    vanishing of every off-class base product: tuples.off_class_blocks yields none.
     """
     if r < 1:
         raise InputError(f"alphabet size must be >= 1, got {r}")
@@ -88,13 +80,8 @@ def characteristic_tuple(
     if any(np.array_equal(a, b) for a, b in combinations(t.matrices, 2)):
         raise ConvergenceError("self-check failed: two slots coincide")
     if r_used**n <= budget:
-        omega_codes = [word_index(z, r_used) for z in rotation_class(omega)]
-        base = MatrixTuple(field, t.matrices[:r_used])
-        for codes, stack in product_blocks(base, n, prune=lambda c, _, k: np.isin(c, omega_codes if k == n else ())):
-            live = np.flatnonzero(np.any(stack, axis=(1, 2)))
-            if live.size:
-                z = word_at(codes[live[0]], r_used, n)
-                raise ConvergenceError(f"self-check failed: off-class P_{format_word(z)} != 0")
+        for codes, _ in off_class_blocks(MatrixTuple(field, t.matrices[:r_used]), omega):  # only nonzero products
+            raise ConvergenceError(f"self-check failed: off-class P_{format_word(word_at(codes[0], r_used, n))} != 0")
     return t
 
 

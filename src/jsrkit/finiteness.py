@@ -15,11 +15,11 @@ import numpy as np
 
 from . import linalg, words
 from .bounds import _midpoint, spectral_maximal_candidates
-from .config import DEFAULTS, require_tol
+from .config import DEFAULTS, require_fraction, require_tol
 from .errors import InputError
 from .norms import NormRep, _check_rho, _check_samples, _induced_norm, verify_barabanov
-from .tuples import MatrixTuple, product_blocks
-from .words import Word, format_word, rotation_class, validate_word, word_at, word_index
+from .tuples import MatrixTuple, off_class_blocks
+from .words import Word, format_word, validate_word, word_at
 
 SFH_CAVEAT = (
     "numerical evidence only: norms were admitted by sampled verification and "
@@ -105,7 +105,7 @@ def sfh_evidence(
     Every supplied norm must first pass verify_barabanov at norm_check_tol;
     a rejected norm raises InputError since scanning under it would be
     meaningless.  An offender is a word whose induced norm reaches
-    rho_hat ** |omega| up to offender_tol; offenders are pooled across norms
+    rho_hat ** |omega| up to offender_tol in (0, 1); offenders are pooled across norms
     and sorted.  samples, when given, feeds both the verification and any
     sampled matrix norms.  The verification also rejects a bad rho_hat.
 
@@ -121,7 +121,7 @@ def sfh_evidence(
     offenders are bitwise those of a scan that evaluates every competitor.
     """
     omega = validate_word(omega, t.r)
-    require_tol("offender_tol", offender_tol)
+    require_fraction("offender_tol", require_tol("offender_tol", offender_tol))
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
     induced = _admit(t, norm_reps, rho_hat, norm_check_tol, samples)
     words._check_budget(t.r, len(omega), budget)
@@ -129,14 +129,14 @@ def sfh_evidence(
 
 
 def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: float) -> SfhReport:
-    """sfh_evidence's screened offender scan under induced maps that _admit returned."""
+    """sfh_evidence's screened offender scan under induced maps that _admit returned.
+    A zero competitor, which tuples.off_class_blocks skips, has value 0: no offender, no new maximum."""
     n = len(omega)
     target = rho_hat ** n
-    omega_codes = [word_index(z, t.r) for z in rotation_class(omega)]
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}
-    for codes, stack in product_blocks(t, n, prune=lambda c, _, k: np.isin(c, omega_codes if k == n else ())):
+    for codes, stack in off_class_blocks(t, omega):
         caps = linalg.op_norm_caps(stack)
         for i, (norm_of, bound_of) in enumerate(induced):
             bound = bound_of(caps)
@@ -184,7 +184,7 @@ def characteristic_word_search(
     rho_hat, the samples' dimension and the candidate scan's depth and
     budget are checked before any scan.
     """
-    require_tol("offender_tol", offender_tol)
+    require_fraction("offender_tol", require_tol("offender_tol", offender_tol))
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
     reps = _coerce_norms(norm_reps)
     if rho_hat is not None:

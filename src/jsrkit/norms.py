@@ -336,8 +336,8 @@ def approx_barabanov(
     Real 2-dimensional tuples only.  Values live on mesh directions over
     the upper half circle; each sweep is renormalized so phi(e1) = 1 and
     iteration stops when the log-distance between consecutive sweeps
-    drops below step_tol, or flags non-convergence at max_iter.  After a 2-cycle
-    (a sweep repeats, bit for bit, the values of two sweeps back) it steps phi <- (phi + T phi) / 2.
+    drops below step_tol, or flags non-convergence at max_iter.  After a 2-cycle (a sweep
+    repeats the values of two sweeps back to within 64 ulp) it steps phi <- (phi + T phi) / 2.
     """
     if t.field != "real" or t.d != 2:
         raise InputError("mesh approximation is limited to real 2-dimensional tuples")
@@ -374,7 +374,7 @@ def approx_barabanov(
         nxt = nxt / nxt[0]
         iterations += 1
         last_step = float(np.max(np.abs(np.log(nxt / cur))))
-        averaged = averaged or np.array_equal(nxt, before)
+        averaged = averaged or before is not None and np.allclose(nxt, before, rtol=64 * np.finfo(float).eps, atol=0)
         before, cur = cur, nxt
         if last_step < step_tol:
             converged = True

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config, linalg
 from .errors import ConvergenceError, InputError
-from .words import Word, necklace_children, validate_word
+from .words import Word, necklace_children, rotation_class, validate_word, word_index
 
 _FIELDS = ("real", "complex")
 
@@ -157,6 +157,19 @@ def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
         piece = max(1, len(codes) if k + 1 == n else leaf_rows // r ** (n - k - 1))
         for lo in reversed(range(0, len(codes), piece)):
             pending.append((codes[lo:lo + piece], periods[lo:lo + piece], children[lo:lo + piece], k + 1))
+
+
+def off_class_blocks(t: MatrixTuple, omega: Word):
+    """product_blocks over the words of length n = |omega| outside omega's rotation class.
+
+    The prune drops each exactly zero product, at every length, with its subtree
+    (a finite number times +-0 is +-0), and omega's rotations at k = n."""
+    rotations = [word_index(z, t.r) for z in rotation_class(omega)]
+
+    def prune(codes, stack, k):
+        zero = ~stack.any(axis=(1, 2))
+        return zero | np.isin(codes, rotations) if k == len(omega) else zero
+    return product_blocks(t, len(omega), prune=prune)
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:

@@ -15,7 +15,7 @@ import jsrkit
 from jsrkit.cli import main
 from jsrkit.finiteness import SFH_CAVEAT
 from jsrkit.norms import WeightedMaxNorm, norm_to_json_dict
-from jsrkit.tuples import MatrixTuple, to_json
+from jsrkit.tuples import MatrixTuple, from_json, scale, to_json
 
 
 def _run(capsys, argv):
@@ -133,6 +133,29 @@ def test_malformed_payload_exits_2_with_one_line(capsys, tmp_path, kind, payload
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_failures_past_the_input_checks_exit_2_in_process(capsys, tmp_path):
+    ex1 = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
+    huge = tmp_path / "huge.json"
+    huge.write_text(to_json(scale(from_json(Path(ex1).read_text()), 1e200)))
+    # the one slot maps no direction to zero, but its mesh iteration runs out of sweeps
+    spiral = tmp_path / "spiral.json"
+    spiral.write_text(to_json(MatrixTuple("real", (np.array([[1.0, -2.0], [0.5, 1.0]]),))))
+    brace = tmp_path / "brace.json"
+    brace.write_text("{")
+    cases = [
+        (["bounds", "--input", str(huge)],
+         "numerical failure: products of length 2 overflow; the tuple's scale is out of range\n"),
+        (["sfh", "--input", str(spiral), "--word", "1"],
+         "error: no norm supplied and the built-in approximation did not converge; pass --norm\n"),
+        (["barabanov", "verify", "--input", ex1, "--norm", str(brace), "--rho-hat", "1"],
+         f"error: malformed norm JSON in {brace}: "),
+    ]
+    for argv, reason in cases:
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(reason) and err.count("\n") == 1, err
 
 
 def test_budget_exhaustion_is_input_error(capsys, tmp_path):
@@ -371,6 +394,8 @@ def test_out_of_range_options_exit_2_and_stdout_stays_strict_json(capsys, tmp_pa
         (["barabanov", "verify", "--input", path, "--norm", norm_path, "--rho-hat", "1",
           "--tol", "inf"], "tol must be finite, got inf"),
         (sfh + ["--tol", "inf"], "tol must be finite, got inf"),
+        (sfh + ["--tol", "1"], "tol must be in (0, 1), got 1.0"),
+        (sfh + ["--tol", "1.5"], "tol must be in (0, 1), got 1.5"),
         (sfh + ["--norm-check-tol", "nan"], "norm-check-tol must be >= 0, got nan"),
     ]
     for argv, reason in rejected:

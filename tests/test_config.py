@@ -37,6 +37,9 @@ def test_library_rejects_the_tolerances_the_cli_rejects():
         "offender_tol must be positive": lambda: sfh_evidence(
             ex1, (1,), maxnorm, 1.0, offender_tol=np.nan
         ),
+        r"offender_tol must be in \(0, 1\), got 1.0": lambda: sfh_evidence(
+            ex1, (1,), maxnorm, 1.0, offender_tol=1.0
+        ),
         "close_tol must be >= 0": lambda: finiteness_verified_at_depth(bounds(shift, 2), np.nan),
         "drop_tol must be finite": lambda: is_irreducible(ex1, drop_tol=np.inf),
         # a public tolerance with no CLI flag follows the same rule

@@ -119,11 +119,19 @@ def test_characteristic_self_check_failure_raises(monkeypatch):
         characteristic_tuple(2, 3, (1, 2, 2))
 
 
+def test_characteristic_self_check_names_a_nonzero_off_class_product(monkeypatch):
+    # the walk yields only off-class products that are not zero, so any block it yields fails
+    block = (np.array([1]), np.ones((1, 3, 3)))
+    monkeypatch.setattr(constructions, "off_class_blocks", lambda t, omega: iter([block]))
+    with pytest.raises(ConvergenceError, match=r"^self-check failed: off-class P_1,1,2 != 0$"):
+        characteristic_tuple(2, 3, (1, 2, 2))
+
+
 def test_characteristic_vanishing_check_uses_callers_budget(monkeypatch):
     # the walk over the 2**5 base products runs when they fit the caller's budget, else is skipped
     walks = []
-    walk = constructions.product_blocks
-    monkeypatch.setattr(constructions, "product_blocks", lambda t, n, **kw: walks.append(n) or walk(t, n, **kw))
+    walk = constructions.off_class_blocks
+    monkeypatch.setattr(constructions, "off_class_blocks", lambda t, omega: walks.append(len(omega)) or walk(t, omega))
     assert characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=100).d == 5
     assert walks == [5]
     assert characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=10).d == 5

@@ -170,6 +170,7 @@ def test_search_checks_its_arguments_before_any_scan(monkeypatch):
     norm = WeightedMaxNorm((1.0, 0.5))
     bad = [
         ((norm, None), {"offender_tol": float("nan")}, "offender_tol must be positive"),
+        ((norm, None), {"offender_tol": 1.5}, r"offender_tol must be in \(0, 1\), got 1.5"),
         ((norm, None), {"norm_check_tol": float("inf")}, "norm_check_tol must be finite"),
         (([], 1.0), {}, "need at least one norm"),
         ((norm, 0.0), {}, "rho_hat must be positive and finite, got 0.0"),
@@ -312,6 +313,18 @@ def test_screened_scan_equals_unscreened_scan_bitwise():
                     assert got == [(z, v.hex()) for z, v in offenders], (case, rep)
                     compared += 1
     assert compared >= 1400
+
+
+def test_scan_under_norm_constants_past_2_64_evaluates_every_row():
+    # weights past 2**64 leave the screen no safe bound, so every competitor is
+    # evaluated; power-of-two weights scale each value exactly, so the reports
+    # equal the screened ones under (1, 0.5) bit for bit
+    t = _diag_dominant_pair(0.5)  # example 2
+    big, small = WeightedMaxNorm((2.0 ** 70, 2.0 ** 69)), WeightedMaxNorm((1.0, 0.5))
+    _, bound = norms._induced_norm(big, 2, real=True, samples=None)
+    assert np.all(bound(np.array([0.0, 0.5, 1.0])) == np.inf)
+    for omega in ((1,), (1, 2), (1, 1, 2)):
+        assert sfh_evidence(t, omega, big, 1.0) == sfh_evidence(t, omega, small, 1.0), omega
 
 
 def _counting_induced(monkeypatch):

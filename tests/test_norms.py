@@ -275,11 +275,11 @@ def test_approx_barabanov_depends_on_init():
 def test_approx_barabanov_averages_out_of_a_two_cycle():
     # from (1, 3) and (3, 1) the normalized map sends each norm onto the other,
     # so plain sweeps ran all 500 at a last step of log 9; once a sweep repeats
-    # the values of two sweeps back, the averaged step converges
+    # the values of two sweeps back to within 64 ulp, the averaged step converges
     t = _shift_pair(0.3, 0.5)
     rho_hat = linalg.spectral_radius(t.matrices[1] @ t.matrices[0]) ** 0.5
     runs = [approx_barabanov(t, rho_hat, init=WeightedMaxNorm(w)) for w in ((1.0, 3.0), (3.0, 1.0))]
-    assert [(res.iterations, res.converged) for res in runs] == [(57, True), (58, True)]
+    assert [(res.iterations, res.converged) for res in runs] == [(53, True), (52, True)]
     for res in runs:
         assert res.last_step < 1e-6
         assert verify_barabanov(t, res.norm, rho_hat).residual < 1e-6

@@ -7,8 +7,9 @@ import pytest
 
 from jsrkit import config, linalg, tuples, words
 from jsrkit.errors import BudgetError, ConvergenceError, InputError
+from jsrkit.constructions import characteristic_tuple
 from jsrkit.finiteness import sfh_evidence
-from jsrkit.norms import WeightedMaxNorm
+from jsrkit.norms import WeightedMaxNorm, sphere_samples
 
 
 def _shift_pair():
@@ -25,6 +26,8 @@ def test_construction_validation():
         tuples.MatrixTuple("real", ())
     with pytest.raises(InputError):
         tuples.MatrixTuple("real", (np.zeros((2, 3)),))
+    with pytest.raises(InputError, match="matrix dimension must be >= 1"):
+        tuples.MatrixTuple("real", (np.zeros((0, 0)),))
     with pytest.raises(InputError):
         tuples.MatrixTuple("real", (np.eye(2), np.eye(3)))
     with pytest.raises(InputError):
@@ -141,6 +144,44 @@ def test_product_blocks_yield_no_empty_block(monkeypatch):
 
     for necklaces in (False, True):
         assert _blocks(t, 5, necklaces=necklaces, prune=drop_all) == ([], [])
+
+
+def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
+    # sparse signed 0/1 slots: many products vanish, some only at the last letter
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        r, d, n = (int(rng.integers(1, hi)) for hi in (4, 5, 6))
+        t = tuples.MatrixTuple("real", tuple(rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (d, d)) for _ in range(r)))
+        omega = tuple(int(x) for x in rng.integers(1, r + 1, n))
+        blocks = list(tuples.off_class_blocks(t, omega))
+        codes = [int(c) for block, _ in blocks for c in block]
+        expected = [
+            code for code in range(r ** n)
+            if not words.rotation_equivalent(words.word_at(code, r, n), omega)
+            and np.any(tuples.product_along(t, words.word_at(code, r, n)))
+        ]
+        assert codes == expected, (r, d, omega)
+        for block, stack in blocks:
+            assert all(np.array_equal(p, tuples.product_along(t, words.word_at(c, r, n))) for c, p in zip(block, stack))
+
+
+def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length(monkeypatch):
+    # its products are partial permutations, so at most n of each length are
+    # nonzero: the walk asks about at most 2 * n of each length, not 2**k
+    asked = []
+    walk = tuples.product_blocks
+
+    def counting(t, n, *, prune, **kw):
+        return walk(t, n, prune=lambda codes, stack, k: asked.append(len(codes)) or prune(codes, stack, k), **kw)
+
+    monkeypatch.setattr(tuples, "product_blocks", counting)
+    omega = (1, 2, 2, 1, 2, 1, 1, 2, 2, 2, 1, 2, 1, 1, 1, 2)
+    t = characteristic_tuple(2, 16, omega)  # its self-check walks the off-class products
+    assert 0 < sum(asked) <= 2 * 16 ** 2
+    asked.clear()
+    report = sfh_evidence(t, omega, WeightedMaxNorm((1.0,) * 16), 1.0, samples=sphere_samples(16, 64, seed=0))
+    assert (report.passed, report.margin) == (True, 1.0)
+    assert 0 < sum(asked) <= 2 * 16 ** 2
 
 
 def test_product_blocks_errors():
