@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bounds import _midpoint, finiteness_verified_at_depth
@@ -38,7 +40,7 @@ from .bounds import bounds as jsr_bounds
 from .config import DEFAULTS, require_fraction, require_tol
 from .errors import ConvergenceError, InputError
 from .tuples import MatrixTuple, from_json, to_json
-from .words import enumerate_necklaces, enumerate_words, format_word, is_primitive, parse_word
+from .words import parse_word, render_words, word_blocks
 
 
 def _read_file(path: str) -> str:
@@ -81,6 +83,32 @@ def _text_lines(prefix: str, value, out: list[str]) -> None:
         out.append(f"{prefix.rstrip('.')} = {json.dumps(value)}")
 
 
+def _dumps(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, at the given indent.
+
+    A list of strings, or of finite floats, is formatted with one join; dicts
+    with string keys and other lists recurse, and everything else (scalars,
+    empty containers, other keys) goes to json.dumps itself.
+    """
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        inner = indent + "  "
+        items = (f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
+                 for key in sorted(value))
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        elif kinds == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            items = (_dumps(item, inner) for item in value)
+    else:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
 _NOT_CONFIG = ("command", "mode", "func", "format", "strict")
 
 
@@ -90,7 +118,7 @@ def _emit(args, command: str, result, **overrides) -> None:
         for name in _NOT_CONFIG:
             config.pop(name, None)
         payload = {"command": command, "config": config, "result": result}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
     else:
         lines: list[str] = []
         _text_lines("", result, lines)
@@ -231,18 +259,17 @@ def cmd_construct(args) -> int:
 
 
 def cmd_words(args) -> int:
-    source = enumerate_necklaces if args.necklaces else enumerate_words
-    listed = [
-        w
-        for w in source(args.alphabet, args.length, args.budget)
-        if not args.primitive_only or is_primitive(w)
-    ]
+    r, n = args.alphabet, args.length
+    blocks = word_blocks(
+        r, n, necklaces=args.necklaces, primitive_only=args.primitive_only, budget=args.budget
+    )
+    texts = (render_words(codes, r, n) for codes in blocks)
     if args.format == "json":
-        result = {"count": len(listed), "words": [format_word(w) for w in listed]}
-        _emit(args, "words", result)
+        listed = [word for text in texts for word in text.splitlines()]
+        _emit(args, "words", {"count": len(listed), "words": listed})
     else:
-        for w in listed:
-            sys.stdout.write(format_word(w) + "\n")
+        for text in texts:  # one write per block
+            sys.stdout.write(text)
     return 0
 
 

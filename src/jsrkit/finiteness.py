@@ -128,11 +128,22 @@ def sfh_evidence(
     return _scan(t, omega, induced, rho_hat, offender_tol)
 
 
+def _target(rho_hat: float, n: int) -> float:
+    """rho_hat ** n, the growth rate a scan compares against; InputError unless positive and finite."""
+    try:
+        target = rho_hat ** n
+    except OverflowError:  # a float power raises where numpy would return inf
+        target = np.inf
+    if not 0.0 < target < np.inf:
+        raise InputError(f"rho_hat ** {n} = {target} leaves the float range; rescale the tuple")
+    return target
+
+
 def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: float) -> SfhReport:
     """sfh_evidence's screened offender scan under induced maps that _admit returned.
     A zero competitor, which tuples.off_class_blocks skips, has value 0: no offender, no new maximum."""
     n = len(omega)
-    target = rho_hat ** n
+    target = _target(rho_hat, n)
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}

@@ -72,8 +72,8 @@ class MeshNorm:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        ang = tuple(float(x) for x in self.angles)
-        val = tuple(float(x) for x in self.values)
+        ang = tuple(map(float, self.angles))
+        val = tuple(map(float, self.values))
         if len(ang) < 2 or len(ang) != len(val):
             raise InputError("mesh norm needs matching angle/value lists of length >= 2")
         grid, closed = np.array(ang + (np.pi,)), np.array(val + val[:1])
@@ -110,6 +110,8 @@ def _number_list(payload: dict, key: str) -> tuple:
     values = payload[key]
     if not isinstance(values, list):
         raise InputError(f"norm {key!r} must be a list of numbers")
+    if set(map(type, values)) <= {float}:
+        return tuple(values)  # the norm's constructor converts them, once
     return tuple(_json_number(x, f"norm {key!r}") for x in values)
 
 

@@ -8,12 +8,15 @@ class (its necklace) is its lexicographically least rotation.
 word_index and word_at map a word to its base-r position in lexicographic
 order and back; the batched product sweep (tuples.product_blocks) names
 words that way, and necklace_children grows such positions by one letter
-with the FKM rule for it.  enumerate_necklaces runs on the same rule.
+with the FKM rule for it.  word_blocks lists words, necklaces and primitive
+words as blocks of such positions on the same rule; enumerate_words and
+enumerate_necklaces decode its blocks to tuples, and render_words turns a
+block into text without building them.
 """
 
 from __future__ import annotations
 
-from itertools import product as _cartesian
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -92,30 +95,90 @@ def _check_budget(r: int, n: int, budget: int) -> None:
         raise BudgetError(
             f"enumeration of {r}^{n} = {total} words exceeds budget {budget}; lower the length"
         )
+    if total >= 1 << 63:
+        raise BudgetError(f"{r}^{n} words do not fit int64 word indices; lower the length")
 
 
 def enumerate_words(r: int, n: int, budget: int = DEFAULTS.word_budget) -> Iterator[Word]:
     """All words of length n over {1..r} in lexicographic order."""
-    _check_budget(r, n, budget)
-    return _cartesian(range(1, r + 1), repeat=n)
+    return _decoded(word_blocks(r, n, budget=budget), r, n)
 
 
 def enumerate_necklaces(r: int, n: int, budget: int = DEFAULTS.word_budget) -> Iterator[Word]:
     """One representative per rotation class, its least rotation, in lexicographic order."""
+    return _decoded(word_blocks(r, n, necklaces=True, budget=budget), r, n)
+
+
+def _decoded(blocks: Iterator[np.ndarray], r: int, n: int) -> Iterator[Word]:
+    return chain.from_iterable(_words_at(codes, r, n) for codes in blocks)
+
+
+def word_blocks(
+    r: int,
+    n: int,
+    *,
+    necklaces: bool = False,
+    primitive_only: bool = False,
+    budget: int = DEFAULTS.word_budget,
+) -> Iterator[np.ndarray]:
+    """The word_index codes of the words of length n over {1..r}, in lexicographic order.
+
+    Codes come in non-empty int64 blocks whose digit arrays (n int64 per
+    word) fit in config.BLOCK_BYTES.  necklaces keeps one word per rotation
+    class, its least rotation; primitive_only keeps the words that are no
+    proper power (is_primitive), among necklaces the Lyndon words.  The
+    budget is checked at the call.
+    """
     _check_budget(r, n, budget)
-    return _least_rotations(r, n)
+    if necklaces:
+        blocks = (codes[periods == n] if primitive_only else codes
+                  for codes, periods in _least_rotations(r, n))
+    else:
+        blocks = (codes[_primitive(codes, r, n)] if primitive_only else codes
+                  for codes in _all_codes(r, n))
+    return (codes for codes in blocks if len(codes))
 
 
-def _least_rotations(r: int, n: int) -> Iterator[Word]:
+def _all_codes(r: int, n: int) -> Iterator[np.ndarray]:
+    total, step = r ** n, max(1, config.BLOCK_BYTES // (8 * n))
+    for lo in range(0, total, step):
+        yield np.arange(lo, min(lo + step, total), dtype=np.int64)
+
+
+def _least_rotations(r: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # grow the pre-necklaces of length n - 1 from the empty word, then add the
-    # last letter and decode for as many prefixes at a time as fit in BLOCK_BYTES
+    # last letter for as many prefixes at a time as fit in BLOCK_BYTES; a
+    # necklace is a Lyndon word exactly when its FKM period is n
     codes, periods = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     for k in range(n - 1):
         codes, periods, _ = necklace_children(codes, periods, r, k, n)
     step = max(1, config.BLOCK_BYTES // (8 * r * n))
     for lo in range(0, len(codes), step):
-        last, _, _ = necklace_children(codes[lo:lo + step], periods[lo:lo + step], r, n - 1, n)
-        yield from _words_at(last, r, n)
+        last, last_periods, _ = necklace_children(
+            codes[lo:lo + step], periods[lo:lo + step], r, n - 1, n
+        )
+        yield last, last_periods
+
+
+def _primitive(codes: np.ndarray, r: int, n: int) -> np.ndarray:
+    # a word with a period d dividing n is its first d letters repeated n // d times
+    keep = np.ones(len(codes), dtype=bool)
+    for d in range(1, n):
+        if n % d == 0:
+            repunit = sum(r ** (d * j) for j in range(n // d))
+            keep &= codes != codes // r ** (n - d) * repunit
+    return keep
+
+
+def render_words(codes: np.ndarray, r: int, n: int) -> str:
+    """The words at codes in text form, one "1,2,2\\n" line each, built from their digit array."""
+    digits = _digits(codes, r, n)
+    if r > 9:
+        return "".join(",".join(map(str, row)) + "\n" for row in (digits + 1).tolist())
+    text = np.full((len(codes), 2 * n), ord(","), dtype=np.uint8)
+    text[:, ::2] = digits + ord("1")
+    text[:, -1] = ord("\n")
+    return text.tobytes().decode("ascii")
 
 
 def word_index(w: Word, r: int) -> int:
@@ -131,9 +194,13 @@ def word_at(index: int, r: int, n: int) -> Word:
     return _words_at(np.array([index], dtype=np.int64), r, n)[0]
 
 
+def _digits(codes: np.ndarray, r: int, n: int) -> np.ndarray:
+    """The (k, n) array of 0-based letters of the words at codes."""
+    return codes[:, None] // r ** np.arange(n - 1, -1, -1, dtype=np.int64) % r
+
+
 def _words_at(codes: np.ndarray, r: int, n: int) -> list[Word]:
-    places = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return list(map(tuple, (codes[:, None] // places % r + 1).tolist()))
+    return list(map(tuple, (_digits(codes, r, n) + 1).tolist()))
 
 
 def necklace_children(codes: np.ndarray, periods: np.ndarray, r: int, k: int, n: int):

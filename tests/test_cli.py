@@ -2,20 +2,37 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jsrkit
+from jsrkit import cli, config, words
 from jsrkit.cli import main
 from jsrkit.finiteness import SFH_CAVEAT
 from jsrkit.norms import WeightedMaxNorm, norm_to_json_dict
 from jsrkit.tuples import MatrixTuple, from_json, scale, to_json
+
+
+@pytest.fixture(autouse=True)
+def _emitter_matches_json_dumps(monkeypatch):
+    """Every JSON report these tests produce, and each value nested in it,
+    must come out of cli._dumps exactly as json.dumps renders it."""
+    dumps = cli._dumps
+
+    def checked(value, indent=""):
+        text = dumps(value, indent)
+        assert text == json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        return text
+
+    monkeypatch.setattr(cli, "_dumps", checked)
 
 
 def _run(capsys, argv):
@@ -357,6 +374,96 @@ def test_sfh_word_of_1500_letters_on_one_slot_is_not_a_traceback(capsys, tmp_pat
     (report,) = json.loads(out)["result"]["reports"]
     assert report["candidate"] == word
     assert (report["passed"], report["margin"]) == (True, 1.0)
+
+
+@pytest.mark.parametrize(
+    "scale_exp, word, rho_hat",
+    [(-600, "1,2", "2.409919865102884e-181"), (500, "1,2,1,2", "3.273390607896142e+150")],
+)
+def test_sfh_target_outside_the_float_range_is_input_error(capsys, tmp_path, scale_exp, word, rho_hat):
+    # rho_hat ** |word| used to underflow to 0 (ZeroDivisionError) or overflow
+    # (OverflowError), each a traceback with exit 1
+    c = 2.0 ** scale_exp
+    t = MatrixTuple("real", (c * np.array([[0.0, 1.0], [0.5, 0.0]]),
+                             c * np.array([[0.0, 0.3], [1.0, 0.0]])))
+    path = tmp_path / "t.json"
+    path.write_text(to_json(t))
+    norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
+    code, out, err = _run(capsys, ["sfh", "--input", str(path), "--word", word,
+                                   "--norm", norm_path, "--rho-hat", rho_hat])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: rho_hat ** {len(word.split(','))} = ") and err.count("\n") == 1, err
+
+
+JSON_CORPUS = [
+    {},
+    [],
+    {"empty": {}, "list": [], "nested": [[], [{}], [[1.0, 2.0], [3.0]]]},
+    [1, 2.0, "three", None, True, [4], {"five": 5}],
+    [True, False, None],
+    [2 ** 53 + 1, -(2 ** 64), 0],
+    [-0.0, 5e-324, 1e16, 1.5],
+    [1e16, float("nan")],
+    [float("inf"), -float("inf")],
+    ["caf\u00e9", "tab\tquote\"back\\slash", "\x00\x1f", "\ud83d\ude00", ""],
+    {"z": "\u2013", "a": [["x"]], "m": {"k": (1.0, 2.0)}},
+    {2: "int key", 1.5: {"float key": [1.0]}},
+    "scalar",
+    -0.0,
+    None,
+]
+
+
+@pytest.mark.parametrize("value", JSON_CORPUS, ids=range(len(JSON_CORPUS)))
+def test_emitter_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def _words_argv(r, n, necklaces, primitive_only, fmt):
+    flags = ["--necklaces"] * necklaces + ["--primitive-only"] * primitive_only
+    return ["words", "--alphabet", str(r), "--length", str(n), *flags, "--format", fmt]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 10, 11])
+def test_words_listing_matches_tuple_rendering_block_by_block(monkeypatch, r):
+    # 1 KiB blocks: a handful of words each, so most listings take several
+    # blocks and several writes; r >= 10 stops at n = 4 to keep this quick
+    monkeypatch.setattr(config, "BLOCK_BYTES", 1024)
+    for n, necklaces, primitive_only in product(range(1, 7), (False, True), (False, True)):
+        if r ** n > 20000:
+            continue
+        source = words.enumerate_necklaces if necklaces else words.enumerate_words
+        want = [words.format_word(w) for w in source(r, n)
+                if not primitive_only or words.is_primitive(w)]
+        blocks = list(words.word_blocks(r, n, necklaces=necklaces, primitive_only=primitive_only))
+        out = _Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(_words_argv(r, n, necklaces, primitive_only, "text")) == 0
+        assert out.getvalue() == "".join(w + "\n" for w in want)
+        assert len(out.sizes) == len(blocks)  # one write per block
+        assert max(out.sizes, default=0) <= config.BLOCK_BYTES // 2
+        out = _Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(_words_argv(r, n, necklaces, primitive_only, "json")) == 0
+        payload = {
+            "command": "words",
+            "config": {"alphabet": r, "budget": 10000000, "length": n,
+                       "necklaces": necklaces, "primitive_only": primitive_only},
+            "result": {"count": len(want), "words": want},
+        }
+        assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_rank1_tol_one_is_rejected_not_refuted(capsys, tmp_path):

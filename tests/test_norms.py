@@ -159,6 +159,28 @@ def test_norm_serialization_round_trip():
         norm_from_json_dict({"weights": [1.0]})
 
 
+@pytest.mark.parametrize("key", ["angles", "values"])
+@pytest.mark.parametrize(
+    "entry, reason",
+    [(True, "non-numeric entry"), ("1.5", "non-numeric entry"), (None, "non-numeric entry"),
+     (10 ** 400, "integer entry too large for a float")],
+)
+def test_mesh_norm_json_rejects_bad_entries(key, entry, reason):
+    payload = {"variant": "mesh", "angles": [0.0, 1.0, 2.0], "values": [1.0, 2.0, 1.5]}
+    payload[key] = payload[key][:1] + [entry] + payload[key][2:]
+    with pytest.raises(InputError) as info:
+        norm_from_json_dict(payload)
+    assert str(info.value) == f"norm {key!r}: {reason}"
+
+
+def test_mesh_norm_json_takes_ints_as_floats():
+    norm = norm_from_json_dict({"variant": "mesh", "angles": [0, 1.0, 2], "values": [1, 2.0, 1.5]})
+    assert norm == MeshNorm((0.0, 1.0, 2.0), (1.0, 2.0, 1.5))
+    assert all(type(x) is float for x in norm.angles + norm.values)
+    with pytest.raises(InputError, match="must be a list of numbers"):
+        norm_from_json_dict({"variant": "mesh", "angles": (0.0, 1.0), "values": [1.0, 1.0]})
+
+
 def test_verify_barabanov_exact_fixtures():
     report = verify_barabanov(_shift_pair(), WeightedMaxNorm((1.0, 1.0)), 1.0)
     assert report.residual == 0.0

@@ -219,3 +219,8 @@ def test_budget_errors():
     # checked once, when the enumeration is created, before any word is produced
     with pytest.raises(BudgetError):
         words.enumerate_necklaces(2, 10, budget=100)
+    # word indices are int64: past 2**63 words no budget admits the listing
+    for listing in (words.enumerate_words, words.enumerate_necklaces):
+        with pytest.raises(BudgetError, match="int64"):
+            listing(2, 63, budget=2 ** 64)
+        listing(2, 62, budget=2 ** 64)
