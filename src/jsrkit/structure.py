@@ -34,23 +34,26 @@ def algebra_basis(t: MatrixTuple, drop_tol: float = DEFAULTS.span_drop_tol) -> l
 
     Closure under left multiplication by the slots, seeded with the
     identity, reaches every word product.  A candidate is kept when its residual
-    after two modified Gram-Schmidt passes exceeds drop_tol times its norm.
+    after two classical Gram-Schmidt passes exceeds drop_tol times its norm.
     """
     require_fraction("drop_tol", require_tol("drop_tol", drop_tol))  # at 1 even the identity drops
     d = t.d
-    basis: list[np.ndarray] = []
     queue = [np.eye(d, dtype=t.matrices[0].dtype)]
-    while queue and len(basis) < d * d:
-        v = queue.pop(0).reshape(-1)
-        scale = np.linalg.norm(v)
-        for _ in range(2):  # re-orthogonalize once for numerical safety
-            for q in basis:
-                v = v - np.vdot(q, v) * q
-        residual = np.linalg.norm(v)
-        if scale > 0.0 and residual > drop_tol * scale:
-            basis.append(v / residual)
-            queue.extend(a @ basis[-1].reshape(d, d) for a in t.matrices)
-    return [q.reshape(d, d) for q in basis]
+    basis = np.empty((d * d, d * d), dtype=queue[0].dtype)  # rows basis[:k] are orthonormal
+    k = 0
+    # entries near the float maximum overflow to inf and leave NaN residuals, which the keep test drops
+    with np.errstate(over="ignore", invalid="ignore"):
+        while queue and k < d * d:
+            v = queue.pop(0).reshape(-1)
+            scale = np.linalg.norm(v)
+            for _ in range(2):  # the second pass restores orthogonality to working precision
+                v = v - (basis[:k].conj() @ v) @ basis[:k]
+            residual = np.linalg.norm(v)
+            if scale > 0.0 and residual > drop_tol * scale:
+                basis[k] = v / residual
+                queue.extend(a @ basis[k].reshape(d, d) for a in t.matrices)
+                k += 1
+    return list(basis[:k].reshape(k, d, d))
 
 
 def algebra_dimension(t: MatrixTuple, drop_tol: float = DEFAULTS.span_drop_tol) -> int:

@@ -164,11 +164,12 @@ def off_class_blocks(t: MatrixTuple, omega: Word):
 
     The prune drops each exactly zero product, at every length, with its subtree
     (a finite number times +-0 is +-0), and omega's rotations at k = n."""
-    rotations = [word_index(z, t.r) for z in rotation_class(omega)]
+    rotations = np.array([word_index(z, t.r) for z in rotation_class(omega)], dtype=np.int64)
 
     def prune(codes, stack, k):
         zero = ~stack.any(axis=(1, 2))
-        return zero | np.isin(codes, rotations) if k == len(omega) else zero
+        # compared against each of the <= n rotations: np.isin may sort, which loads numpy.ma
+        return zero | (codes[:, None] == rotations).any(axis=1) if k == len(omega) else zero
     return product_blocks(t, len(omega), prune=prune)
 
 

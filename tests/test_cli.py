@@ -596,12 +596,25 @@ def test_invalid_depth_and_tol_rejected(capsys, tmp_path):
     assert "tol" in err
 
 
-def _bounds_subprocess(flags, path):
+def _cli_subprocess(flags, *args):
     # a child process, so that anything printed to stderr, warnings included, is seen
     src = str(Path(jsrkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, *flags, "-m", "jsrkit.cli", "bounds", "--input", str(path), "--depth", "3"]
+    argv = [sys.executable, *flags, "-m", "jsrkit.cli", *args]
     return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+def test_irreducible_near_the_float_maximum_prints_no_warning(tmp_path):
+    # a @ q overflows in the algebra closure; its NaN residuals drop those
+    # candidates, so numpy has nothing to report
+    big = tmp_path / "big.json"
+    big.write_text(to_json(MatrixTuple("real", (np.full((2, 2), 1.7e308), np.array([[1.0, 0.0], [1.0, 0.0]])))))
+    proc = _cli_subprocess([], "irreducible", "--input", str(big))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)["result"]
+    assert result["status"] == "Refuted" and result["evidence"]["subspace_dimension"] == 1
+    (line,) = result["evidence"]["basis"]
+    assert np.allclose(np.abs(line), [2 ** -0.5, 2 ** -0.5], rtol=0, atol=1e-15) and line[0] * line[1] > 0
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -609,7 +622,7 @@ def test_underflowing_tuple_is_numerical_failure(tmp_path, flags):
     # every product of length >= 2 underflows to zero, so upper 0 < lower 1e-200
     tiny = tmp_path / "tiny.json"
     tiny.write_text(to_json(MatrixTuple("real", (np.full((2, 2), 1e-200),))))
-    proc = _bounds_subprocess(flags, tiny)
+    proc = _cli_subprocess(flags, "bounds", "--input", str(tiny), "--depth", "3")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
@@ -620,7 +633,7 @@ def test_overflowing_tuple_is_numerical_failure(tmp_path, flags):
     # every product of length 2 overflows to inf: one line, no numpy warning before it
     big = tmp_path / "big.json"
     big.write_text(to_json(MatrixTuple("real", (np.full((2, 2), 1e200),))))
-    proc = _bounds_subprocess(flags, big)
+    proc = _cli_subprocess(flags, "bounds", "--input", str(big), "--depth", "3")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (

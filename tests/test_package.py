@@ -42,7 +42,7 @@ def test_package_bounds_stays_the_function_once_the_submodules_load():
 
 
 def _loaded(argv, cwd):
-    """The jsrkit modules and numpy.random that `python -m jsrkit.cli argv` imports."""
+    """The jsrkit modules, numpy.random and numpy.ma that `python -m jsrkit.cli argv` imports."""
     src = str(Path(jsrkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "jsrkit.cli", *argv],
@@ -50,7 +50,7 @@ def _loaded(argv, cwd):
     assert proc.returncode == 0, proc.stderr
     names = {line.rsplit("|", 1)[1].strip()
              for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    return {name for name in names if name.startswith("jsrkit") or name == "numpy.random"}
+    return {name for name in names if name.startswith("jsrkit") or name in ("numpy.random", "numpy.ma")}
 
 
 def test_each_command_imports_only_the_layers_it_runs(tmp_path):
@@ -64,12 +64,15 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     words = _loaded(["words", "--alphabet", "2", "--length", "3"], tmp_path)
     bounds = _loaded(["bounds", "--input", "pair.json", "--depth", "3"], tmp_path)
     construct = _loaded(["construct", "--word", "1,2"], tmp_path)
+    # n = 12 checks the 2^12 - 12 off-class products in blocks large enough that np.isin would sort
+    long_word = _loaded(["construct", "--word", "1,2,1,1,2,2,2,2,1,2,2,2"], tmp_path)
     irreducible = _loaded(["irreducible", "--input", "pair.json"], tmp_path)
 
     assert core <= words and not words & LAYERS
     assert core <= bounds and not bounds & LAYERS
     assert "jsrkit.constructions" in construct
     assert not construct & {"jsrkit.finiteness", "jsrkit.structure"}
+    assert "numpy.ma" not in construct and "numpy.ma" not in long_word
     assert "jsrkit.structure" in irreducible and "numpy.random" not in irreducible
 
 

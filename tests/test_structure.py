@@ -92,9 +92,28 @@ def test_algebra_basis_is_orthonormal():
     assert np.allclose(gram, np.eye(len(basis)), atol=1e-10)
 
 
+def _cgs2_algebra_basis(t, drop_tol=DEFAULTS.span_drop_tol):
+    # the same closure with the basis as a list of flat vectors: each
+    # candidate is projected twice, each time with all coefficients at once
+    d = t.d
+    flat, queue = [], [np.eye(d, dtype=t.matrices[0].dtype)]
+    while queue and len(flat) < d * d:
+        v = queue.pop(0).reshape(-1)
+        scale = np.linalg.norm(v)
+        q = np.array(flat, dtype=v.dtype).reshape(len(flat), d * d)
+        for _ in range(2):
+            v = v - (q.conj() @ v) @ q
+        residual = np.linalg.norm(v)
+        if scale > 0.0 and residual > drop_tol * scale:
+            flat.append(v / residual)
+            queue.extend(a @ flat[-1].reshape(d, d) for a in t.matrices)
+    return [f.reshape(d, d) for f in flat]
+
+
 def _reference_algebra_basis(t, drop_tol=DEFAULTS.span_drop_tol):
     # the closure as first written: one candidate at a time through a
-    # boolean extension helper, with a flat and a matrix copy of the basis
+    # boolean extension helper, with a flat and a matrix copy of the basis,
+    # orthogonalised by modified Gram-Schmidt, one basis vector at a time
     def try_extend(basis, candidate):
         v = np.asarray(candidate).reshape(-1).astype(complex if np.iscomplexobj(candidate) else float)
         scale = np.linalg.norm(v)
@@ -153,9 +172,45 @@ def _oracle_tuples(count=150):
 
 def test_algebra_basis_matches_the_reference_closure_bit_for_bit():
     for i, t in enumerate(_oracle_tuples()):
-        got, want = algebra_basis(t), _reference_algebra_basis(t)
+        got, want = algebra_basis(t), _cgs2_algebra_basis(t)
         assert len(got) == len(want), i
         assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want)), i
+
+
+def _span_projector(basis):
+    flat = np.stack([b.reshape(-1) for b in basis])
+    return flat.T @ flat.conj()
+
+
+def test_algebra_basis_spans_what_modified_gram_schmidt_spans():
+    # a second oracle: the first closure, whose last digits differ
+    for i, t in enumerate(_oracle_tuples()):
+        got, want = algebra_basis(t), _reference_algebra_basis(t)
+        assert len(got) == len(want) and got[0].dtype == want[0].dtype, i
+        assert np.max(np.abs(_span_projector(got) - _span_projector(want))) <= 1e-12, i
+        flat = np.stack([g.reshape(-1) for g in got])
+        assert np.max(np.abs(flat.conj() @ flat.T - np.eye(len(got)))) <= 1e-12, i
+
+
+def _witness_projector(verdict, field):
+    w = _witness_columns(verdict, field)
+    return w @ w.conj().T
+
+
+def test_witnesses_span_the_subspace_the_first_closure_finds(monkeypatch):
+    # a Refuted basis may turn within its subspace; the subspace stays.
+    # Five rounds give the same statuses as the default 200 on these tuples
+    tuples = list(_oracle_tuples())
+    got = [is_irreducible(t, rounds=5) for t in tuples]
+    monkeypatch.setattr("jsrkit.structure.algebra_basis", _reference_algebra_basis)
+    for i, (t, g) in enumerate(zip(tuples, got)):
+        w = is_irreducible(t, rounds=5)
+        assert g.status == w.status, i
+        keys = ("algebra_dimension", "subspace_dimension")
+        assert [g.evidence.get(k) for k in keys] == [w.evidence.get(k) for k in keys], i
+        if g.status == "Refuted":
+            diff = _witness_projector(g, t.field) - _witness_projector(w, t.field)
+            assert np.max(np.abs(diff)) <= 1e-12, i
 
 
 def test_algebra_basis_starts_at_the_scaled_identity():
@@ -244,13 +299,16 @@ def test_irreducible_certified_fixtures():
     assert is_irreducible(_shift_pair()).status == "Certified"
 
 
+def _witness_columns(verdict, field):
+    cols = verdict.evidence["basis"]
+    if field == "complex":
+        return np.array([[complex(re, im) for re, im in col] for col in cols]).T
+    return np.array(cols, dtype=float).T
+
+
 def _check_witness(t, verdict):
     assert verdict.status == "Refuted"
-    cols = verdict.evidence["basis"]
-    if t.field == "complex":
-        w = np.array([[complex(re, im) for re, im in col] for col in cols]).T
-    else:
-        w = np.array(cols, dtype=float).T
+    w = _witness_columns(verdict, t.field)
     k = w.shape[1]
     assert 0 < k < t.d
     for a in t.matrices:
