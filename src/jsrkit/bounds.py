@@ -48,34 +48,27 @@ BudgetError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg, words
 from .config import DEFAULTS, require_tol
 from .errors import BudgetError, ConvergenceError, InputError
-from .tuples import MatrixTuple, product_blocks
+from .tuples import MatrixTuple, _Record, product_blocks
 from .words import Word
 
 
-@dataclass(frozen=True)
-class JsrBounds:
+class JsrBounds(_Record):
     """Certificate lower <= jsr <= upper at a given enumeration depth."""
 
-    lower: float
-    upper: float
-    depth: int
-    lower_witness: Word
-    upper_level: int
-    partial: bool
+    __slots__ = _fields = ("lower", "upper", "depth", "lower_witness", "upper_level", "partial")
 
-    def __post_init__(self):
+    def __init__(self, lower: float, upper: float, depth: int, lower_witness: Word,
+                 upper_level: int, partial: bool):
         # slack is relative to the larger end, so the check holds at every scale
-        if self.lower > self.upper + 1e-12 * max(self.lower, self.upper):
-            raise ConvergenceError(
-                f"bounds out of order: lower {self.lower} > upper {self.upper}"
-            )
+        if lower > upper + 1e-12 * max(lower, upper):
+            raise ConvergenceError(f"bounds out of order: lower {lower} > upper {upper}")
+        self._set(lower=lower, upper=upper, depth=depth, lower_witness=lower_witness,
+                  upper_level=upper_level, partial=partial)
 
     def to_json_dict(self) -> dict:
         return {

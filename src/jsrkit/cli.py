@@ -17,7 +17,9 @@ every option of the command (--format and --strict aside), with rho_hat
 resolved to the value used.
 
 Each command imports the modules it runs, so words and bounds load no
-norm, structure or catalogue code.
+norm, structure or catalogue code, and each call builds the subparser of
+the command it names only.  Records are created without dataclasses, so no
+call pays for their import or generated code.
 
 Exit codes: 0 success; 1 under --strict when a verdict stays Unknown, a
 verification fails, an approximation does not converge, or an offender
@@ -280,105 +282,124 @@ def _add_io(p, *, fmt_default="json"):
                    help="exit 1 on Unknown / failed / non-converged results")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every command, in the order build_parser adds them
+_COMMANDS = ("bounds", "rank1", "irreducible", "barabanov", "sfh", "construct", "words")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The jsrkit parser; given a command name, with that command's subparser only."""
     parser = argparse.ArgumentParser(
         prog="jsrkit",
         description="Joint-spectral-radius analysis of finite matrix tuples.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one subparser still names every command in the usage line that top-level errors
+    # print; the full parser keeps None, so its invalid-choice error names "command"
+    every = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    wanted = _COMMANDS if command is None else (command,)
 
-    p = sub.add_parser("bounds", help="certified lower/upper bounds")
-    _add_io(p)
-    p.add_argument("--depth", type=int, default=DEFAULTS.depth)
-    p.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
-    p.add_argument("--close-tol", type=float, default=DEFAULTS.close_tol)
-    p.set_defaults(func=cmd_bounds)
+    if "bounds" in wanted:
+        p = sub.add_parser("bounds", help="certified lower/upper bounds")
+        _add_io(p)
+        p.add_argument("--depth", type=int, default=DEFAULTS.depth)
+        p.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
+        p.add_argument("--close-tol", type=float, default=DEFAULTS.close_tol)
+        p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("rank1", help="exterior-square rank-one test")
-    _add_io(p)
-    p.add_argument("--depth", type=int, default=DEFAULTS.depth)
-    p.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
-    p.add_argument("--tol", type=float, default=DEFAULTS.rank_one_tol)
-    p.set_defaults(func=cmd_rank1)
+    if "rank1" in wanted:
+        p = sub.add_parser("rank1", help="exterior-square rank-one test")
+        _add_io(p)
+        p.add_argument("--depth", type=int, default=DEFAULTS.depth)
+        p.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
+        p.add_argument("--tol", type=float, default=DEFAULTS.rank_one_tol)
+        p.set_defaults(func=cmd_rank1)
 
-    p = sub.add_parser("irreducible", help="common-invariant-subspace test")
-    _add_io(p)
-    p.add_argument("--tol", type=float, default=DEFAULTS.span_drop_tol)
-    p.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    p.add_argument("--rounds", type=int, default=DEFAULTS.witness_rounds)
-    p.set_defaults(func=cmd_irreducible)
+    if "irreducible" in wanted:
+        p = sub.add_parser("irreducible", help="common-invariant-subspace test")
+        _add_io(p)
+        p.add_argument("--tol", type=float, default=DEFAULTS.span_drop_tol)
+        p.add_argument("--seed", type=int, default=DEFAULTS.seed)
+        p.add_argument("--rounds", type=int, default=DEFAULTS.witness_rounds)
+        p.set_defaults(func=cmd_irreducible)
 
-    p = sub.add_parser("barabanov", help="extremal norm approximation/verification")
-    mode = p.add_subparsers(dest="mode", required=True)
+    if "barabanov" in wanted:
+        p = sub.add_parser("barabanov", help="extremal norm approximation/verification")
+        mode = p.add_subparsers(dest="mode", required=True)
 
-    pa = mode.add_parser("approx", help="planar mesh fixed-point iteration")
-    _add_io(pa)
-    pa.add_argument("--rho-hat", type=float, default=None,
-                    help="defaults to the midpoint of certified bounds")
-    pa.add_argument("--depth", type=int, default=DEFAULTS.depth)
-    pa.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
-    pa.add_argument("--mesh", type=int, default=DEFAULTS.mesh_size)
-    pa.add_argument("--max-iter", type=int, default=DEFAULTS.max_iter)
-    pa.add_argument("--tol", dest="step_tol", metavar="TOL", type=float,
-                    default=DEFAULTS.step_tol)
-    pa.set_defaults(func=cmd_barabanov_approx)
+        pa = mode.add_parser("approx", help="planar mesh fixed-point iteration")
+        _add_io(pa)
+        pa.add_argument("--rho-hat", type=float, default=None,
+                        help="defaults to the midpoint of certified bounds")
+        pa.add_argument("--depth", type=int, default=DEFAULTS.depth)
+        pa.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
+        pa.add_argument("--mesh", type=int, default=DEFAULTS.mesh_size)
+        pa.add_argument("--max-iter", type=int, default=DEFAULTS.max_iter)
+        pa.add_argument("--tol", dest="step_tol", metavar="TOL", type=float,
+                        default=DEFAULTS.step_tol)
+        pa.set_defaults(func=cmd_barabanov_approx)
 
-    pv = mode.add_parser("verify", help="sampled functional-equation residual")
-    _add_io(pv)
-    pv.add_argument("--norm", required=True, help="path to norm JSON")
-    pv.add_argument("--rho-hat", type=float, default=None)
-    pv.add_argument("--depth", type=int, default=DEFAULTS.depth)
-    pv.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
-    pv.add_argument("--mesh", type=int, default=DEFAULTS.mesh_size)
-    pv.add_argument("--samples", type=int, default=None,
-                    help="random sphere directions (needed when d > 2 or complex)")
-    pv.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    pv.add_argument("--tol", type=float, default=DEFAULTS.verify_tol)
-    pv.set_defaults(func=cmd_barabanov_verify)
+        pv = mode.add_parser("verify", help="sampled functional-equation residual")
+        _add_io(pv)
+        pv.add_argument("--norm", required=True, help="path to norm JSON")
+        pv.add_argument("--rho-hat", type=float, default=None)
+        pv.add_argument("--depth", type=int, default=DEFAULTS.depth)
+        pv.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
+        pv.add_argument("--mesh", type=int, default=DEFAULTS.mesh_size)
+        pv.add_argument("--samples", type=int, default=None,
+                        help="random sphere directions (needed when d > 2 or complex)")
+        pv.add_argument("--seed", type=int, default=DEFAULTS.seed)
+        pv.add_argument("--tol", type=float, default=DEFAULTS.verify_tol)
+        pv.set_defaults(func=cmd_barabanov_verify)
 
-    p = sub.add_parser("sfh", help="offender scan for a candidate word")
-    _add_io(p)
-    p.add_argument("--word", default=None, help="candidate word; omit to search")
-    p.add_argument("--norm", dest="norms", metavar="NORM", action="append", default=None,
-                   help="path to norm JSON; repeatable; omit to approximate one")
-    p.add_argument("--rho-hat", type=float, default=None)
-    p.add_argument("--depth", type=int, default=DEFAULTS.depth)
-    p.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
-    p.add_argument("--mesh", type=int, default=DEFAULTS.mesh_size)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    p.add_argument("--norm-check-tol", type=float, default=DEFAULTS.norm_check_tol)
-    p.add_argument("--tol", dest="offender_tol", metavar="TOL", type=float,
-                   default=DEFAULTS.offender_tol, help="offender admission tolerance")
-    p.set_defaults(func=cmd_sfh)
+    if "sfh" in wanted:
+        p = sub.add_parser("sfh", help="offender scan for a candidate word")
+        _add_io(p)
+        p.add_argument("--word", default=None, help="candidate word; omit to search")
+        p.add_argument("--norm", dest="norms", metavar="NORM", action="append", default=None,
+                       help="path to norm JSON; repeatable; omit to approximate one")
+        p.add_argument("--rho-hat", type=float, default=None)
+        p.add_argument("--depth", type=int, default=DEFAULTS.depth)
+        p.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
+        p.add_argument("--mesh", type=int, default=DEFAULTS.mesh_size)
+        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--seed", type=int, default=DEFAULTS.seed)
+        p.add_argument("--norm-check-tol", type=float, default=DEFAULTS.norm_check_tol)
+        p.add_argument("--tol", dest="offender_tol", metavar="TOL", type=float,
+                       default=DEFAULTS.offender_tol, help="offender admission tolerance")
+        p.set_defaults(func=cmd_sfh)
 
-    p = sub.add_parser("construct", help="emit a reference tuple as JSON")
-    what = p.add_mutually_exclusive_group(required=True)
-    what.add_argument("--example", type=int, default=None, help="catalogue id 1..5")
-    what.add_argument("--word", default=None, help="characteristic word, e.g. 1,2,2")
-    p.add_argument("--alphabet", type=int, default=None,
-                   help="alphabet size for --word (default: largest letter)")
-    p.add_argument("--field", choices=("real", "complex"), default="real")
-    p.add_argument("--l1", type=float, default=None)
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.set_defaults(func=cmd_construct)
+    if "construct" in wanted:
+        p = sub.add_parser("construct", help="emit a reference tuple as JSON")
+        what = p.add_mutually_exclusive_group(required=True)
+        what.add_argument("--example", type=int, default=None, help="catalogue id 1..5")
+        what.add_argument("--word", default=None, help="characteristic word, e.g. 1,2,2")
+        p.add_argument("--alphabet", type=int, default=None,
+                       help="alphabet size for --word (default: largest letter)")
+        p.add_argument("--field", choices=("real", "complex"), default="real")
+        p.add_argument("--l1", type=float, default=None)
+        p.add_argument("--l2", type=float, default=None)
+        p.add_argument("--lam", type=float, default=None)
+        p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("words", help="list words or necklace representatives")
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--necklaces", action="store_true",
-                   help="one representative per rotation class")
-    p.add_argument("--primitive-only", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_words)
+    if "words" in wanted:
+        p = sub.add_parser("words", help="list words or necklace representatives")
+        p.add_argument("--alphabet", type=int, required=True)
+        p.add_argument("--length", type=int, required=True)
+        p.add_argument("--necklaces", action="store_true",
+                       help="one representative per rotation class")
+        p.add_argument("--primitive-only", action="store_true")
+        p.add_argument("--budget", type=int, default=DEFAULTS.word_budget)
+        p.add_argument("--format", choices=("json", "text"), default="text")
+        p.set_defaults(func=cmd_words)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --help, no arguments and unknown names get the full parser and its messages
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -12,13 +12,12 @@ sets, like the tie window bounds._TIE_TOL, lives with its code instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Defaults:
+class Defaults(NamedTuple):
     # enumeration
     depth: int = 4
     word_budget: int = 10_000_000

@@ -9,7 +9,7 @@ an explicit caveat and never claim a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ SFH_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class SfhReport:
+class SfhReport(NamedTuple):
     """Scan result for one candidate rotation class.
 
     margin is the worst relative gap (rho_hat**n - max_z ||P_z||) / rho_hat**n

@@ -18,8 +18,8 @@ than proof.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import product as _cartesian
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,40 +27,35 @@ from . import config
 from .config import DEFAULTS, require_tol
 from .errors import ConvergenceError, InputError
 from .linalg import _require_square
-from .tuples import MatrixTuple, _check_field, _json_number, _seeded_rng, product_along
+from .tuples import MatrixTuple, _check_field, _json_number, _Record, _seeded_rng, product_along
 from .words import Word, validate_word
 
 
-@dataclass(frozen=True)
-class WeightedMaxNorm:
-    weights: tuple[float, ...]
+class WeightedMaxNorm(_Record):
+    __slots__ = _fields = ("weights",)
 
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+    def __init__(self, weights: tuple[float, ...]):
+        w = tuple(float(x) for x in weights)
         if len(w) == 0 or any(not np.isfinite(x) or x <= 0 for x in w):
             raise InputError("weighted max norm needs positive finite weights")
-        object.__setattr__(self, "weights", w)
+        self._set(weights=w)
 
 
-@dataclass(frozen=True)
-class LpNorm:
-    p: float
-    weights: tuple[float, ...] | None = None
+class LpNorm(_Record):
+    __slots__ = _fields = ("p", "weights")
 
-    def __post_init__(self):
-        p = float(self.p)
+    def __init__(self, p: float, weights: tuple[float, ...] | None = None):
+        p = float(p)
         if not np.isfinite(p) or p < 1.0:
             raise InputError("p must be finite and >= 1; use WeightedMaxNorm for the sup norm")
-        object.__setattr__(self, "p", p)
-        if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) == 0 or any(not np.isfinite(x) or x <= 0 for x in w):
+        if weights is not None:
+            weights = tuple(float(x) for x in weights)
+            if len(weights) == 0 or any(not np.isfinite(x) or x <= 0 for x in weights):
                 raise InputError("lp weights must be positive and finite")
-            object.__setattr__(self, "weights", w)
+        self._set(p=p, weights=weights)
 
 
-@dataclass(frozen=True)
-class MeshNorm:
+class MeshNorm(_Record):
     """Piecewise-linear-in-angle planar norm; angles must start at 0, rise, stay below pi.
 
     The closed interpolation grid (the angles followed by pi, the values
@@ -68,12 +63,12 @@ class MeshNorm:
     every evaluation reads it.
     """
 
-    angles: tuple[float, ...]
-    values: tuple[float, ...]
+    _fields = ("angles", "values")
+    __slots__ = _fields + ("_grid", "_closed")
 
-    def __post_init__(self):
-        ang = tuple(map(float, self.angles))
-        val = tuple(map(float, self.values))
+    def __init__(self, angles: tuple[float, ...], values: tuple[float, ...]):
+        ang = tuple(map(float, angles))
+        val = tuple(map(float, values))
         if len(ang) < 2 or len(ang) != len(val):
             raise InputError("mesh norm needs matching angle/value lists of length >= 2")
         grid, closed = np.array(ang + (np.pi,)), np.array(val + val[:1])
@@ -84,10 +79,7 @@ class MeshNorm:
         if not np.all(np.isfinite(closed) & (closed > 0)):
             raise InputError("mesh values must be positive and finite")
         grid.flags.writeable = closed.flags.writeable = False
-        object.__setattr__(self, "angles", ang)
-        object.__setattr__(self, "values", val)
-        object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_closed", closed)
+        self._set(angles=ang, values=val, _grid=grid, _closed=closed)
 
 
 NormRep = WeightedMaxNorm | LpNorm | MeshNorm
@@ -250,8 +242,7 @@ def _check_rho(rho_hat: float) -> None:
         raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     kind: str  # "barabanov" | "extremal"
     rho_hat: float
     residual: float
@@ -260,7 +251,7 @@ class VerificationReport:
     sample_count: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _verify(t, norm, rho_hat, samples, tol, kind) -> VerificationReport:
@@ -308,8 +299,7 @@ def verify_extremal(
     return _verify(t, norm, rho_hat, samples, tol, "extremal")
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(NamedTuple):
     norm: MeshNorm
     iterations: int
     converged: bool

@@ -9,7 +9,7 @@ Unknown by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .errors import InputError
 from .tuples import MatrixTuple, _check_seed, _entry_to_json, _seeded_rng, exterior_square_tuple
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(NamedTuple):
     status: str  # "Certified" | "Refuted" | "Unknown"
     evidence: dict
 

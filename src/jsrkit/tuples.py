@@ -13,7 +13,6 @@ files carrying extra metadata (e.g. a "truth" block) round-trip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +30,49 @@ def _check_field(field) -> str:
     return field
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixTuple:
+class _Record:
+    """Immutable record over __slots__: the base of the records that check their input.
+
+    __init__ stores each slot once, through _set; any later assignment raises
+    AttributeError.  Equality, hashing, repr and pickling cover the public
+    fields named in _fields, in order, so a cached slot stays out of them.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class MatrixTuple(_Record):
     """Immutable ordered tuple of square matrices with a field tag."""
 
-    field: str
-    matrices: tuple[np.ndarray, ...]
+    __slots__ = _fields = ("field", "matrices")
 
     __hash__ = None
 
@@ -52,16 +88,16 @@ class MatrixTuple:
             )
         )
 
-    def __post_init__(self):
-        _check_field(self.field)
-        if len(self.matrices) < 1:
+    def __init__(self, field: str, matrices):
+        _check_field(field)
+        if len(matrices) < 1:
             raise InputError("a matrix tuple needs at least one slot")
-        dtype = np.complex128 if self.field == "complex" else np.float64
+        dtype = np.complex128 if field == "complex" else np.float64
         frozen = []
         d = None
-        for idx, raw in enumerate(self.matrices):
+        for idx, raw in enumerate(matrices):
             a = np.asarray(raw)
-            if self.field == "real" and np.iscomplexobj(a):
+            if field == "real" and np.iscomplexobj(a):
                 if np.any(a.imag != 0):
                     raise InputError(f"slot {idx + 1} has complex entries in a real tuple")
                 a = a.real
@@ -80,7 +116,7 @@ class MatrixTuple:
             frozen.append(a)
         if d < 1:
             raise InputError("matrix dimension must be >= 1")
-        object.__setattr__(self, "matrices", tuple(frozen))
+        self._set(field=field, matrices=tuple(frozen))
 
     @property
     def r(self) -> int:

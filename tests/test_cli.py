@@ -747,6 +747,17 @@ options:
   --seed SEED
   --rounds ROUNDS
 """,
+    "barabanov": """\
+usage: jsrkit barabanov [-h] {approx,verify} ...
+
+positional arguments:
+  {approx,verify}
+    approx         planar mesh fixed-point iteration
+    verify         sampled functional-equation residual
+
+options:
+  -h, --help       show this help message and exit
+""",
     "barabanov approx": """\
 usage: jsrkit barabanov approx [-h] --input INPUT [--format {json,text}]
                                [--strict] [--rho-hat RHO_HAT] [--depth DEPTH]
@@ -848,3 +859,73 @@ def test_subcommand_help_is_unchanged(capsys, monkeypatch, subcommand):
         main([*subcommand.split(), "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == HELP[subcommand]
+
+
+# main builds one subparser for a named command and the full parser otherwise;
+# what either can print is pinned here
+COMMANDS = ("bounds", "rank1", "irreducible", "barabanov", "sfh", "construct", "words")
+
+TOP_USAGE = """\
+usage: jsrkit [-h]
+              {bounds,rank1,irreducible,barabanov,sfh,construct,words} ...
+"""
+
+TOP_HELP = TOP_USAGE + """
+Joint-spectral-radius analysis of finite matrix tuples.
+
+positional arguments:
+  {bounds,rank1,irreducible,barabanov,sfh,construct,words}
+    bounds              certified lower/upper bounds
+    rank1               exterior-square rank-one test
+    irreducible         common-invariant-subspace test
+    barabanov           extremal norm approximation/verification
+    sfh                 offender scan for a candidate word
+    construct           emit a reference tuple as JSON
+    words               list words or necklace representatives
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def _exit_and_streams(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_top_level_help_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_and_streams(capsys, lambda: main(["--help"])) == (0, TOP_HELP, "")
+
+
+def test_parser_errors_are_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_and_streams(capsys, lambda: main(["nope"]))
+    unknown = TOP_USAGE + "jsrkit: error: argument command: invalid choice: 'nope' (choose from %s)\n"
+    # newer argparse releases list the choices without quotes
+    assert (code, out) == (2, "")
+    assert err in (unknown % ", ".join(map(repr, COMMANDS)), unknown % ", ".join(COMMANDS))
+
+    assert _exit_and_streams(capsys, lambda: main(["bounds"])) == (2, "", """\
+usage: jsrkit bounds [-h] --input INPUT [--format {json,text}] [--strict]
+                     [--depth DEPTH] [--budget BUDGET] [--close-tol CLOSE_TOL]
+jsrkit bounds: error: the following arguments are required: --input
+""")
+    # the top-level parser reports leftovers, with its usage line naming every command
+    leftover = ["words", "--alphabet", "2", "--length", "3", "extra"]
+    assert _exit_and_streams(capsys, lambda: main(leftover)) == (
+        2, "", TOP_USAGE + "jsrkit: error: unrecognized arguments: extra\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["words", "--alphabet", "2", "--length", "3", "--necklaces"],
+                                  ["nope"], ["--help"]])
+def test_main_reads_sys_argv_like_an_argument_list(capsys, monkeypatch, argv):
+    # the console script calls main() with no arguments
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["jsrkit", *argv])
+    assert _exit_and_streams(capsys, main) == _exit_and_streams(capsys, lambda: main(list(argv)))

@@ -1,10 +1,12 @@
-"""The package front: every public name resolves, and each command loads only what it runs."""
+"""The package front: every public name resolves, each command loads only what it runs,
+and every record is an immutable value."""
 
 from __future__ import annotations
 
 import ast
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,11 @@ import numpy as np
 import pytest
 
 import jsrkit
+from jsrkit.bounds import JsrBounds
+from jsrkit.config import DEFAULTS
+from jsrkit.finiteness import SfhReport
+from jsrkit.norms import ApproxResult, LpNorm, MeshNorm, VerificationReport, WeightedMaxNorm
+from jsrkit.structure import PropertyVerdict
 from jsrkit.tuples import MatrixTuple, to_json
 
 LAYERS = {"jsrkit.norms", "jsrkit.finiteness", "jsrkit.structure", "jsrkit.constructions"}
@@ -42,7 +49,8 @@ def test_package_bounds_stays_the_function_once_the_submodules_load():
 
 
 def _loaded(argv, cwd):
-    """The jsrkit modules, numpy.random and numpy.ma that `python -m jsrkit.cli argv` imports."""
+    """The jsrkit modules, numpy.random, numpy.ma and dataclasses that
+    `python -m jsrkit.cli argv` imports."""
     src = str(Path(jsrkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "jsrkit.cli", *argv],
@@ -50,7 +58,8 @@ def _loaded(argv, cwd):
     assert proc.returncode == 0, proc.stderr
     names = {line.rsplit("|", 1)[1].strip()
              for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    return {name for name in names if name.startswith("jsrkit") or name in ("numpy.random", "numpy.ma")}
+    return {name for name in names
+            if name.startswith("jsrkit") or name in ("numpy.random", "numpy.ma", "dataclasses")}
 
 
 def test_each_command_imports_only_the_layers_it_runs(tmp_path):
@@ -67,6 +76,8 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     # n = 12 checks the 2^12 - 12 off-class products in blocks large enough that np.isin would sort
     long_word = _loaded(["construct", "--word", "1,2,1,1,2,2,2,2,1,2,2,2"], tmp_path)
     irreducible = _loaded(["irreducible", "--input", "pair.json"], tmp_path)
+    approx = _loaded(["barabanov", "approx", "--input", "pair.json", "--rho-hat", "1"], tmp_path)
+    sfh = _loaded(["sfh", "--input", "pair.json", "--word", "1,2", "--rho-hat", "1"], tmp_path)
 
     assert core <= words and not words & LAYERS
     assert core <= bounds and not bounds & LAYERS
@@ -74,6 +85,46 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     assert not construct & {"jsrkit.finiteness", "jsrkit.structure"}
     assert "numpy.ma" not in construct and "numpy.ma" not in long_word
     assert "jsrkit.structure" in irreducible and "numpy.random" not in irreducible
+    assert "jsrkit.norms" in approx and {"jsrkit.finiteness", "jsrkit.norms"} <= sfh
+    # records are built without dataclasses, whose import and generated code every op would pay
+    for loaded in (words, bounds, construct, long_word, irreducible, approx, sfh):
+        assert "dataclasses" not in loaded
+
+
+# each record, built from fresh lists so that two calls give equal, distinct objects
+RECORDS = {
+    "Defaults": lambda: DEFAULTS,
+    "MatrixTuple": lambda: MatrixTuple("real", [[[0, 1], [2, 0]]]),
+    "JsrBounds": lambda: JsrBounds(0.5, 1.0, 2, (1, 2), 1, False),
+    "PropertyVerdict": lambda: PropertyVerdict("Certified", {"dimension": 4}),
+    "VerificationReport": lambda: VerificationReport("barabanov", 1.0, 0.0, 1e-9, True, 8),
+    "ApproxResult": lambda: ApproxResult(MeshNorm([0, 1], [1, 2]), 3, True, 1e-7),
+    "SfhReport": lambda: SfhReport((1, 2), 2, 1.0, 0.5, (), 1),
+    "WeightedMaxNorm": lambda: WeightedMaxNorm([1, 2]),
+    "LpNorm": lambda: LpNorm(3, [1, 2]),
+    "MeshNorm": lambda: MeshNorm([0, 1], [1, 2]),
+}
+# each norm's repr, which shows the public fields only, and a norm of its kind with another value
+NORMS = {
+    "WeightedMaxNorm": ("WeightedMaxNorm(weights=(1.0, 2.0))", WeightedMaxNorm((1.0, 3.0))),
+    "LpNorm": ("LpNorm(p=3.0, weights=(1.0, 2.0))", LpNorm(3.0)),
+    "MeshNorm": ("MeshNorm(angles=(0.0, 1.0), values=(1.0, 2.0))", MeshNorm((0.0, 1.0), (1.0, 3.0))),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_record_is_an_immutable_value(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name and len(type(record)._fields) >= 1
+    for field in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert pickle.loads(pickle.dumps(record)) == record
+    if name in NORMS:
+        shown, other = NORMS[name]
+        twin = RECORDS[name]()
+        assert twin is not record and twin == record and hash(twin) == hash(record)
+        assert other != record and repr(record) == shown
 
 
 def _private_definitions(tree: ast.Module) -> set[str]:
