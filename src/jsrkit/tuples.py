@@ -16,9 +16,9 @@ import json
 
 import numpy as np
 
-from . import config, linalg
+from . import linalg
 from .errors import ConvergenceError, InputError
-from .words import Word, necklace_children, rotation_class, validate_word, word_index
+from .words import Word, prefix_blocks, rotation_class, validate_word, word_index
 
 _FIELDS = ("real", "complex")
 
@@ -150,49 +150,27 @@ def product_along(t: MatrixTuple, w: Word) -> np.ndarray:
 def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
     """Yield (codes, stack) over the products of the words of length n, in lexicographic order.
 
-    codes holds each word's int64 base-r index (words.word_at decodes it) and
-    stack the products P_w, (k, d, d).  One loop grows pieces of prefixes from
-    the empty word, whose children are the slots, as A_letter @ P_prefix in
-    one batched layer, product_along's sequence of 2-D products, so each P_w
-    equals it bitwise.  Children are split into pieces whose whole subtree fits
-    in config.BLOCK_BYTES and pushed on a LIFO list in reverse.  necklaces=True
-    keeps only least rotations: each prefix carries its FKM period, and
-    words.necklace_children filters the children as they are built.
-    prune(codes, stack, k) is asked for every piece at every length 1 <= k <= n,
-    full words included, before it is grown or yielded, and masks the rows to
-    drop with every word below them.  No block is empty.  Callers check r**n
-    against their budget first; a non-finite product raises ConvergenceError.
+    words.prefix_blocks with one product per row: codes holds each word's
+    int64 base-r index (words.word_at decodes it) and stack the products P_w,
+    (k, d, d).  The empty word's children are the slots and a prefix's are
+    A_letter @ P_prefix in one batched layer, product_along's 2-D products,
+    so each P_w equals it bitwise.  necklaces and prune(codes, stack, k) are
+    prefix_blocks' own, and a block exceeds config.BLOCK_BYTES only when one
+    prefix's r children do.  Callers check r**n against their budget first;
+    a non-finite product raises ConvergenceError.
     """
-    r = t.r
     slots = np.stack(t.matrices)
-    leaf_rows = config.BLOCK_BYTES // slots[0].nbytes
-    # (codes, periods, stack, k) per piece of prefixes of length k; the empty word has no stack
-    pending = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), None, 0)]
-    while pending:
-        codes, periods, stack, k = pending.pop()
-        if prune is not None and k:
-            keep = ~prune(codes, stack, k)
-            if not keep.all():  # copy only when a row goes
-                codes, periods, stack = codes[keep], periods[keep], stack[keep]
-        if k == n:
-            if len(codes):
-                yield codes, stack
-            continue
+
+    def grow(k, stack=None):
+        if stack is None:  # the empty word
+            return (slots,)
         with np.errstate(over="ignore", invalid="ignore"):
-            children = slots if k == 0 else np.matmul(slots[None], stack[:, None]).reshape(-1, *slots.shape[1:])
+            children = np.matmul(slots[None], stack[:, None]).reshape(-1, *slots.shape[1:])
         if not np.isfinite(children).all():
-            raise ConvergenceError(
-                f"products of length {k + 1} overflow; the tuple's scale is out of range"
-            )
-        if necklaces:
-            codes, periods, keep = necklace_children(codes, periods, r, k, n)
-            children = children[keep]
-        else:
-            codes = periods = (codes[:, None] * r + np.arange(r)).ravel()
-        # the words below one piece of length n - 1 make one block
-        piece = max(1, len(codes) if k + 1 == n else leaf_rows // r ** (n - k - 1))
-        for lo in reversed(range(0, len(codes), piece)):
-            pending.append((codes[lo:lo + piece], periods[lo:lo + piece], children[lo:lo + piece], k + 1))
+            raise ConvergenceError(f"products of length {k + 1} overflow; the tuple's scale is out of range")
+        return (children,)
+    blocks = prefix_blocks(t.r, n, slots[0].nbytes, necklaces=necklaces, prune=prune, grow=grow)
+    return ((codes, stack) for codes, _, stack in blocks)
 
 
 def off_class_blocks(t: MatrixTuple, omega: Word):

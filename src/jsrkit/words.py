@@ -6,12 +6,14 @@ one is a cyclic shift of the other; the canonical representative of a
 class (its necklace) is its lexicographically least rotation.
 
 word_index and word_at map a word to its base-r position in lexicographic
-order and back; the batched product sweep (tuples.product_blocks) names
-words that way, and necklace_children grows such positions by one letter
-with the FKM rule for it.  word_blocks lists words, necklaces and primitive
-words as blocks of such positions on the same rule; enumerate_words and
-enumerate_necklaces decode its blocks to tuples, and render_words turns a
-block into text without building them.
+order and back.  prefix_blocks is the one prefix walker: it grows such
+positions one letter at a time from the empty word, keeps necklaces by the
+FKM rule of necklace_children, and yields the words of one length in
+blocks that exceed config.BLOCK_BYTES only when one prefix's r children
+do.  The batched product sweep (tuples.product_blocks) runs on it with one
+product per row, and word_blocks lists words, necklaces and primitive words
+on it; enumerate_words and enumerate_necklaces decode its blocks to tuples,
+and render_words turns a block into text without building them.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ def format_word(w: Word) -> str:
 
 
 def validate_word(w: Word, r: int | None = None) -> Word:
-    w = tuple(int(letter) for letter in w)
+    """w as a tuple of Python ints; letters must be Python or numpy integers, not bools."""
+    letters = tuple(w) if np.iterable(w) else None
+    if letters is None or not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in letters):
+        raise InputError(f"word {w!r} is not a sequence of integer letters")
+    w = tuple(map(int, letters))
     if len(w) == 0:
         raise InputError("empty word")
     if any(letter < 1 for letter in w):
@@ -113,51 +119,64 @@ def _decoded(blocks: Iterator[np.ndarray], r: int, n: int) -> Iterator[Word]:
     return chain.from_iterable(_words_at(codes, r, n) for codes in blocks)
 
 
-def word_blocks(
-    r: int,
-    n: int,
-    *,
-    necklaces: bool = False,
-    primitive_only: bool = False,
-    budget: int = DEFAULTS.word_budget,
-) -> Iterator[np.ndarray]:
+def word_blocks(r: int, n: int, *, necklaces: bool = False, primitive_only: bool = False,
+                budget: int = DEFAULTS.word_budget) -> Iterator[np.ndarray]:
     """The word_index codes of the words of length n over {1..r}, in lexicographic order.
 
-    Codes come in non-empty int64 blocks whose digit arrays (n int64 per
-    word) fit in config.BLOCK_BYTES.  necklaces keeps one word per rotation
-    class, its least rotation; primitive_only keeps the words that are no
-    proper power (is_primitive), among necklaces the Lyndon words.  The
-    budget is checked at the call.
+    Codes come in non-empty int64 blocks from prefix_blocks, whose digit
+    arrays (n int64 per word) fit in config.BLOCK_BYTES unless one prefix's
+    r children do not.  necklaces keeps one word per rotation class, its
+    least rotation; primitive_only keeps the words that are no proper power
+    (is_primitive), among necklaces the Lyndon words.  The budget is checked
+    at the call.
     """
     _check_budget(r, n, budget)
-    if necklaces:
-        blocks = (codes[periods == n] if primitive_only else codes
-                  for codes, periods in _least_rotations(r, n))
-    else:
-        blocks = (codes[_primitive(codes, r, n)] if primitive_only else codes
-                  for codes in _all_codes(r, n))
+    blocks = prefix_blocks(r, n, 8 * n, necklaces=necklaces)
+    if not primitive_only:
+        return (codes for codes, _ in blocks)
+    # a necklace is a Lyndon word exactly when its FKM period is n
+    blocks = (codes[periods == n] if necklaces else codes[_primitive(codes, r, n)]
+              for codes, periods in blocks)
     return (codes for codes in blocks if len(codes))
 
 
-def _all_codes(r: int, n: int) -> Iterator[np.ndarray]:
-    total, step = r ** n, max(1, config.BLOCK_BYTES // (8 * n))
-    for lo in range(0, total, step):
-        yield np.arange(lo, min(lo + step, total), dtype=np.int64)
+def prefix_blocks(r: int, n: int, row_bytes: int, *, necklaces=False, prune=None, grow=None):
+    """Yield (codes, periods, *rows) over the words of length n over {1..r}, in lexicographic order.
 
-
-def _least_rotations(r: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # grow the pre-necklaces of length n - 1 from the empty word, then add the
-    # last letter for as many prefixes at a time as fit in BLOCK_BYTES; a
-    # necklace is a Lyndon word exactly when its FKM period is n
-    codes, periods = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    for k in range(n - 1):
-        codes, periods, _ = necklace_children(codes, periods, r, k, n)
-    step = max(1, config.BLOCK_BYTES // (8 * r * n))
-    for lo in range(0, len(codes), step):
-        last, last_periods, _ = necklace_children(
-            codes[lo:lo + step], periods[lo:lo + step], r, n - 1, n
-        )
-        yield last, last_periods
+    The one prefix walker: a while loop over a LIFO list of pieces
+    (k, codes, periods, *rows) of prefixes of length k, from the empty word.
+    Children are split into pieces of BLOCK_BYTES // row_bytes // r rows and
+    pushed in reverse, so the children of one piece make at most one block: a
+    block exceeds config.BLOCK_BYTES only when one prefix's r children do,
+    and a depth-n walk holds about n blocks.  grow(k, *rows) returns the
+    arrays that go with the r children of each prefix of length k.
+    necklaces=True keeps least rotations by necklace_children, with their FKM
+    periods (otherwise periods are the codes).  prune(codes, *rows, k) is
+    asked for every piece at every length 1 <= k <= n before it is grown or
+    yielded, and masks the rows to drop with every word below them.  No block
+    is empty.
+    """
+    leaf_rows = config.BLOCK_BYTES // row_bytes
+    pending = [(0, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+    while pending:
+        k, codes, periods, *rows = pending.pop()
+        if prune is not None and k:
+            keep = ~prune(codes, *rows, k)
+            if not keep.all():  # copy only when a row goes
+                codes, periods, *rows = (a[keep] for a in (codes, periods, *rows))
+        if k == n:
+            if len(codes):
+                yield codes, periods, *rows
+            continue
+        rows = grow(k, *rows) if grow is not None else ()
+        if necklaces:
+            codes, periods, keep = necklace_children(codes, periods, r, k, n)
+            rows = [a[keep] for a in rows]
+        else:
+            codes = periods = (codes[:, None] * r + np.arange(r)).ravel()
+        step = max(1, len(codes) if k + 1 == n else leaf_rows // r)
+        for lo in reversed(range(0, len(codes), step)):
+            pending.append((k + 1, *(a[lo:lo + step] for a in (codes, periods, *rows))))
 
 
 def _primitive(codes: np.ndarray, r: int, n: int) -> np.ndarray:

@@ -146,6 +146,33 @@ def test_product_blocks_yield_no_empty_block(monkeypatch):
         assert _blocks(t, 5, necklaces=necklaces, prune=drop_all) == ([], [])
 
 
+def test_product_blocks_cut_prefix_pieces_by_rows(monkeypatch):
+    # with a cap of a few products and a prune that drops nothing, every piece
+    # of prefixes holds max(1, leaf_rows // r) rows, whatever its length, but
+    # the last slice of its parent's children; the LIFO list never holds more
+    # than n * leaf_rows rows
+    rng = np.random.default_rng(19)
+    for r, leaf_rows in ((1, 3), (2, 6), (2, 5), (3, 7), (3, 3)):
+        t = tuples.MatrixTuple("real", tuple(0.5 * rng.standard_normal((2, 2)) for _ in range(r)))
+        monkeypatch.setattr(config, "BLOCK_BYTES", leaf_rows * t.matrices[0].nbytes)
+        step = max(1, leaf_rows // r)
+        for n in range(1, 9):
+            waiting, peak = [r], [0]  # the empty word's r children wait first
+
+            def keep_all(codes, stack, k):
+                if k < n:
+                    last = codes[-1] % r == r - 1
+                    assert len(codes) == step or (len(codes) < step and last), (r, leaf_rows, n, k)
+                peak[0] = max(peak[0], waiting[0])
+                waiting[0] += (r - 1 if k < n else -1) * len(codes)
+                return np.zeros(len(codes), dtype=bool)
+
+            got, blocks = _blocks(t, n, prune=keep_all)
+            assert got == list(words.enumerate_words(r, n))
+            assert waiting[0] == 0 and 0 < peak[0] <= n * leaf_rows, (r, leaf_rows, n)
+            assert all(len(codes) <= r * step for codes, _ in blocks)
+
+
 def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
     # sparse signed 0/1 slots: many products vanish, some only at the last letter
     rng = np.random.default_rng(17)
@@ -202,6 +229,8 @@ def test_product_along_validates_letters():
         tuples.product_along(t, (1, 3))
     with pytest.raises(InputError):
         tuples.product_along(t, ())
+    with pytest.raises(InputError):  # not slot 1
+        tuples.product_along(t, (1.9,))
 
 
 def test_product_of_word_power():

@@ -161,10 +161,27 @@ def test_necklace_representatives_are_canonical_and_complete():
 
 
 def test_necklaces_decoded_in_slices_keep_order(monkeypatch):
-    # a 64-byte cap decodes the words below one prefix at a time
+    # a 64-byte cap decodes the words below one prefix at a time, for every listing
     monkeypatch.setattr(config, "BLOCK_BYTES", 64)
     for r, n in ((1, 4), (2, 7), (3, 5)):
+        every = list(product(range(1, r + 1), repeat=n))
         assert list(words.enumerate_necklaces(r, n)) == _necklace_oracle(r, n), (r, n)
+        assert list(words.enumerate_words(r, n)) == every, (r, n)
+        for necklaces in (False, True):
+            want = [w for w in (_necklace_oracle(r, n) if necklaces else every) if _primitive_oracle(w)]
+            blocks = list(words.word_blocks(r, n, necklaces=necklaces, primitive_only=True))
+            assert all(len(codes) for codes in blocks), (r, n, necklaces)
+            assert [words.word_at(c, r, n) for codes in blocks for c in codes.tolist()] == want, (r, n, necklaces)
+
+
+def test_validate_word_takes_integer_letters_only():
+    got = words.validate_word((1, np.int64(2), np.uint8(3)), 3)
+    assert got == (1, 2, 3) and all(type(letter) is int for letter in got)
+    assert words.validate_word(np.array([2, 1])) == (2, 1)
+    # a float, bool or text letter is refused, never truncated to an integer
+    for bad in ((1.9, 2.5), (1.0,), (True, 2), (np.float64(2.0),), (np.bool_(True),), ("1", "2"), "1,2", 3, None):
+        with pytest.raises(InputError, match="integer letters"):
+            words.validate_word(bad)
 
 
 def test_word_index_is_lexicographic_position():
