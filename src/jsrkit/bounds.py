@@ -15,13 +15,13 @@ tuples.product_blocks, in blocks, with one numpy call per block
 (linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
 
 One necklace sweep (_necklace_scan), over every level before the upper
-sweep, serves lower and spectral_maximal_candidates.  It screens necklace
-products with linalg.spectral_radius_caps, a cheap upper bound on the
-spectral radius, and takes eigenvalues only of those whose cap ** (1/n) is
-not strictly below (1 - _TIE_TOL) * best * (1 - 1e-9), best being the running
-maximum over earlier levels and blocks (no screening while best <= 0).  A
-skipped necklace lies strictly below the tie window, so lower, its witness
-and the candidates come out as if every necklace had been taken.
+sweep, serves lower and spectral_maximal_candidates.  Its walk's prune
+drops each necklace whose linalg.spectral_radius_caps value (a cheap upper
+bound on the spectral radius) ** (1/n) is strictly below (1 - _TIE_TOL) *
+best * (1 - 1e-9), best being the running maximum over earlier levels and
+blocks (no screening while best <= 0), and eigenvalues are taken of the
+rest.  A skipped necklace lies strictly below the tie window, so lower, its
+witness and the candidates come out as if every necklace had been taken.
 
 The upper sweep then screens every product with linalg.op_norm_caps, a
 cheap upper bound on op_norm, and runs an SVD only on the survivors.  It
@@ -100,21 +100,6 @@ _SCREEN_SLACK = 1.0 - 1e-9
 _TIE_TOL = 1e-9
 
 
-def _necklace_values(stack: np.ndarray, n: int, floor: float):
-    """(live, values): the rows of a necklace block able to reach floor, and theirs.
-
-    live masks the rows that spectral_radius_caps does not rule out, values
-    holds spectral_radius(P_w) ** (1/n) of those rows, and a skipped row's
-    value lies strictly below floor.  Only floor > 0 screens (not a NaN floor).
-    """
-    live = np.ones(len(stack), dtype=bool)
-    if floor > 0:
-        # a non-finite cap compares False and keeps its row
-        live = ~(linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor * _SCREEN_SLACK)
-    radii = linalg.spectral_radii(stack[live]).tolist() if live.any() else []
-    return live, [rho ** (1.0 / n) for rho in radii]
-
-
 def _necklace_scan(t: MatrixTuple, depth: int):
     """(candidates, seeds) from the necklaces of every length up to depth.
 
@@ -126,17 +111,28 @@ def _necklace_scan(t: MatrixTuple, depth: int):
     the upper sweep.
     """
     blocks, seeds, top = [], [], -np.inf
-    for n in range(1, depth + 1):
-        seed_cap, seed = -np.inf, None
-        for codes, stack in product_blocks(t, n, necklaces=True):
-            live, values = _necklace_values(stack, n, (1.0 - _TIE_TOL) * top)
-            if values and (not blocks or max(values) > 0.0):  # an all-zero block ties only at top 0
-                blocks.append((np.array(values), n, codes[live]))
-                top = max([top, *values])
+
+    def prune(codes: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
+        # at k = n the seed sees every necklace, then rows strictly below floor go (none while floor <= 0 or NaN)
+        nonlocal seed_cap, seed
+        drop = np.zeros(len(stack), dtype=bool)
+        if k == n:
             caps = linalg.op_norm_caps(stack)
             i = int(np.argmax(caps))
             if caps[i] > seed_cap:
                 seed_cap, seed = caps[i], stack[i].copy()  # a copy frees the block
+            floor = (1.0 - _TIE_TOL) * top
+            if floor > 0:  # a non-finite cap compares False and keeps its row
+                drop = linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor * _SCREEN_SLACK
+        return drop
+
+    for n in range(1, depth + 1):
+        seed_cap, seed = -np.inf, None
+        for codes, stack in product_blocks(t, n, necklaces=True, prune=prune):
+            values = [rho ** (1.0 / n) for rho in linalg.spectral_radii(stack).tolist()]
+            if not blocks or max(values) > 0.0:  # an all-zero block ties only at top 0
+                blocks.append((np.array(values), n, codes))
+                top = max([top, *values])
         seeds.append(seed)
     if top == 0.0:
         return [((1,), 0.0)], seeds

@@ -71,14 +71,12 @@ def _orbit_subspace(basis: list[np.ndarray], v: np.ndarray, drop_tol: float):
 def _invariance_residual(t: MatrixTuple, w: np.ndarray) -> float:
     """max over the slots A of |A w - w w* A w| / max(1, op_norm(A)), for orthonormal columns w."""
     worst = 0.0
-    for a in t.matrices:
-        # 2**-e puts the largest entry in [0.5, 1), so nothing overflows, and it cancels exactly below
-        _, e = np.frexp(max(np.max(np.abs(a)), 2.0 ** -1000))  # the floor keeps 2**-e finite
-        scaled = np.ldexp(a.view(np.float64), -e).view(a.dtype)  # real and imaginary parts alike
-        image = scaled @ w
-        proj = w @ (w.conj().T @ image)
-        denom = max(np.ldexp(1.0, -e), linalg.op_norm(scaled))
-        worst = max(worst, float(np.linalg.norm(image - proj) / denom))
+    # 2**-e puts each slot's largest entry in [0.5, 1), so nothing overflows, and it cancels exactly below
+    scaled, exps = linalg._scaled_rows(np.stack(t.matrices))
+    for a, e in zip(scaled, exps.tolist()):
+        image = a @ w
+        denom = max(np.ldexp(1.0, min(-e, 1023)), linalg.op_norm(a))  # capped only for all-subnormal slots
+        worst = max(worst, float(np.linalg.norm(image - w @ (w.conj().T @ image)) / denom))
     return worst
 
 

@@ -150,14 +150,14 @@ def product_along(t: MatrixTuple, w: Word) -> np.ndarray:
 def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
     """Yield (codes, stack) over the products of the words of length n, in lexicographic order.
 
-    words.prefix_blocks with one product per row: codes holds each word's
-    int64 base-r index (words.word_at decodes it) and stack the products P_w,
-    (k, d, d).  The empty word's children are the slots and a prefix's are
-    A_letter @ P_prefix in one batched layer, product_along's 2-D products,
-    so each P_w equals it bitwise.  necklaces and prune(codes, stack, k) are
-    prefix_blocks' own, and a block exceeds config.BLOCK_BYTES only when one
-    prefix's r children do.  Callers check r**n against their budget first;
-    a non-finite product raises ConvergenceError.
+    The generator of words.prefix_blocks with one product per row: codes
+    holds each word's int64 base-r index (words.word_at decodes it) and stack
+    the products P_w, (k, d, d).  The empty word's children are the slots and
+    a prefix's are A_letter @ P_prefix in one batched layer, product_along's
+    2-D products, so each P_w equals it bitwise.  necklaces and prune(codes,
+    stack, k) are prefix_blocks' own, and a block exceeds config.BLOCK_BYTES
+    only when one prefix's r children do.  Callers check r**n against their
+    budget first; a non-finite product raises ConvergenceError.
     """
     slots = np.stack(t.matrices)
 
@@ -169,8 +169,7 @@ def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
         if not np.isfinite(children).all():
             raise ConvergenceError(f"products of length {k + 1} overflow; the tuple's scale is out of range")
         return (children,)
-    blocks = prefix_blocks(t.r, n, slots[0].nbytes, necklaces=necklaces, prune=prune, grow=grow)
-    return ((codes, stack) for codes, _, stack in blocks)
+    return prefix_blocks(t.r, n, slots[0].nbytes, necklaces=necklaces, prune=prune, grow=grow)
 
 
 def off_class_blocks(t: MatrixTuple, omega: Word):

@@ -8,12 +8,12 @@ class (its necklace) is its lexicographically least rotation.
 word_index and word_at map a word to its base-r position in lexicographic
 order and back.  prefix_blocks is the one prefix walker: it grows such
 positions one letter at a time from the empty word, keeps necklaces by the
-FKM rule of necklace_children, and yields the words of one length in
-blocks that exceed config.BLOCK_BYTES only when one prefix's r children
-do.  The batched product sweep (tuples.product_blocks) runs on it with one
-product per row, and word_blocks lists words, necklaces and primitive words
-on it; enumerate_words and enumerate_necklaces decode its blocks to tuples,
-and render_words turns a block into text without building them.
+FKM rule of necklace_children, runs each screen with one mask per row as
+its prune, and yields (codes, *rows) blocks of the words of one length.
+tuples.product_blocks is the walker with one product per row; word_blocks
+lists words, necklaces and, by a prune, primitive words on it.
+enumerate_words and enumerate_necklaces decode its blocks to tuples, and
+render_words turns a block into text without building them.
 """
 
 from __future__ import annotations
@@ -127,21 +127,19 @@ def word_blocks(r: int, n: int, *, necklaces: bool = False, primitive_only: bool
     arrays (n int64 per word) fit in config.BLOCK_BYTES unless one prefix's
     r children do not.  necklaces keeps one word per rotation class, its
     least rotation; primitive_only keeps the words that are no proper power
-    (is_primitive), among necklaces the Lyndon words.  The budget is checked
-    at the call.
+    (is_primitive), among necklaces the Lyndon words, by a prune on the full
+    words.  The budget is checked at the call.
     """
     _check_budget(r, n, budget)
-    blocks = prefix_blocks(r, n, 8 * n, necklaces=necklaces)
-    if not primitive_only:
-        return (codes for codes, _ in blocks)
-    # a necklace is a Lyndon word exactly when its FKM period is n
-    blocks = (codes[periods == n] if necklaces else codes[_primitive(codes, r, n)]
-              for codes, periods in blocks)
-    return (codes for codes in blocks if len(codes))
+
+    def proper_powers(codes, k):
+        return ~_primitive(codes, r, n) if k == n else np.zeros(len(codes), dtype=bool)
+    prune = proper_powers if primitive_only else None
+    return (codes for codes, in prefix_blocks(r, n, 8 * n, necklaces=necklaces, prune=prune))
 
 
 def prefix_blocks(r: int, n: int, row_bytes: int, *, necklaces=False, prune=None, grow=None):
-    """Yield (codes, periods, *rows) over the words of length n over {1..r}, in lexicographic order.
+    """Yield (codes, *rows) over the words of length n over {1..r}, in lexicographic order.
 
     The one prefix walker: a while loop over a LIFO list of pieces
     (k, codes, periods, *rows) of prefixes of length k, from the empty word.
@@ -150,11 +148,11 @@ def prefix_blocks(r: int, n: int, row_bytes: int, *, necklaces=False, prune=None
     block exceeds config.BLOCK_BYTES only when one prefix's r children do,
     and a depth-n walk holds about n blocks.  grow(k, *rows) returns the
     arrays that go with the r children of each prefix of length k.
-    necklaces=True keeps least rotations by necklace_children, with their FKM
-    periods (otherwise periods are the codes).  prune(codes, *rows, k) is
-    asked for every piece at every length 1 <= k <= n before it is grown or
-    yielded, and masks the rows to drop with every word below them.  No block
-    is empty.
+    necklaces=True keeps least rotations by necklace_children; their FKM
+    periods stay in the walk.  prune(codes, *rows, k) is asked for every
+    piece at every length 1 <= k <= n before it is grown or yielded, and masks
+    the rows to drop with every word below them: each screen with one mask
+    per row runs there.  No block is empty.
     """
     leaf_rows = config.BLOCK_BYTES // row_bytes
     pending = [(0, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
@@ -166,17 +164,26 @@ def prefix_blocks(r: int, n: int, row_bytes: int, *, necklaces=False, prune=None
                 codes, periods, *rows = (a[keep] for a in (codes, periods, *rows))
         if k == n:
             if len(codes):
-                yield codes, periods, *rows
+                yield codes, *rows
             continue
         rows = grow(k, *rows) if grow is not None else ()
         if necklaces:
             codes, periods, keep = necklace_children(codes, periods, r, k, n)
             rows = [a[keep] for a in rows]
         else:
-            codes = periods = (codes[:, None] * r + np.arange(r)).ravel()
+            codes = periods = _children(codes, r)
         step = max(1, len(codes) if k + 1 == n else leaf_rows // r)
         for lo in reversed(range(0, len(codes), step)):
             pending.append((k + 1, *(a[lo:lo + step] for a in (codes, periods, *rows))))
+
+
+def _children(codes: np.ndarray, r: int) -> np.ndarray:
+    """The codes of the r children of each prefix, in lexicographic order, by r strided writes."""
+    out = np.empty((len(codes), r), dtype=np.int64)
+    base = codes * r
+    for letter in range(r):
+        np.add(base, letter, out=out[:, letter])
+    return out.ravel()
 
 
 def _primitive(codes: np.ndarray, r: int, n: int) -> np.ndarray:
@@ -238,4 +245,4 @@ def necklace_children(codes: np.ndarray, periods: np.ndarray, r: int, k: int, n:
     keep = (letters >= back).ravel()
     if k + 1 == n:
         keep &= n % periods == 0
-    return (codes[:, None] * r + letters).ravel()[keep], periods[keep], keep
+    return _children(codes, r)[keep], periods[keep], keep

@@ -182,7 +182,7 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
     engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
 
     def spy(t, n, *, necklaces=False, prune=None):
-        if prune is not None:
+        if prune is not None and not necklaces:  # the upper sweep only: the necklace scan prunes too
             inner = prune
 
             def prune(codes, stack, k):
@@ -196,6 +196,35 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
     bounds(t, 11)
     prefixes = sum(2 ** n - 2 for n in range(1, 12))  # 4072 over the 11 levels
     assert sum(rows) <= prefixes // 10
+
+
+def test_necklace_walk_yields_only_rows_that_reach_eigenvalues(monkeypatch):
+    # the lower screen runs in the walk's prune, so no sweep filters a block
+    # after the walk yields it: every necklace product yielded, and no other,
+    # reaches linalg.spectral_radii, in the same order
+    rng = np.random.default_rng(7)
+    t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
+    engine = importlib.import_module("jsrkit.bounds")
+    product_blocks, spectral_radii = tuples.product_blocks, linalg.spectral_radii
+    yielded, radii = [], []
+
+    def walk(t, n, *, necklaces=False, prune=None):
+        for codes, stack in product_blocks(t, n, necklaces=necklaces, prune=prune):
+            if necklaces:
+                yielded.append(stack.tobytes())
+            yield codes, stack
+
+    def spy(stack):
+        radii.append(stack.tobytes())
+        return spectral_radii(stack)
+
+    monkeypatch.setattr(engine, "product_blocks", walk)
+    monkeypatch.setattr(linalg, "spectral_radii", spy)
+    bounds(t, 11)
+    rows = len(b"".join(yielded)) // t.matrices[0].nbytes
+    assert b"".join(yielded) == b"".join(radii)
+    # the screen drops most necklaces here
+    assert 0 < rows < sum(len(list(words.enumerate_necklaces(2, n))) for n in range(1, 12)) // 2
 
 
 def test_upper_prune_margin_keeps_a_leaf_that_ties_its_prefix_bound():
