@@ -14,8 +14,9 @@ Both sweeps take the products in lexicographic order from
 tuples.product_blocks, in blocks, with one numpy call per block
 (linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
 
-One necklace sweep (_necklace_scan), over every level before the upper
-sweep, serves lower and spectral_maximal_candidates.  Its walk's prune
+One level loop (_levels) runs, for n = 1 .. depth, level n's necklace walk
+and then level n's upper sweep; the walks serve lower and
+spectral_maximal_candidates, which runs no upper sweep.  Each walk's prune
 drops each necklace whose linalg.spectral_radius_caps value (a cheap upper
 bound on the spectral radius) ** (1/n) is strictly below (1 - _TIE_TOL) *
 best * (1 - 1e-9), best being the running maximum over earlier levels and
@@ -23,7 +24,7 @@ blocks (no screening while best <= 0), and eigenvalues are taken of the
 rest.  A skipped necklace lies strictly below the tie window, so lower, its
 witness and the candidates come out as if every necklace had been taken.
 
-The upper sweep then screens every product with linalg.op_norm_caps, a
+Each upper sweep screens every product with linalg.op_norm_caps, a
 cheap upper bound on op_norm, and runs an SVD only on the survivors.  It
 keeps the level maxima L_1 .. L_{n-1} of the earlier levels, with L_0 = 1
 for the empty word.  A product P_p of length k is dropped, with every word
@@ -100,17 +101,39 @@ _SCREEN_SLACK = 1.0 - 1e-9
 _TIE_TOL = 1e-9
 
 
-def _necklace_scan(t: MatrixTuple, depth: int):
-    """(candidates, seeds) from the necklaces of every length up to depth.
+def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float) -> float:
+    """Max of op_norm(P_w) over all words of length n, screened by op_norm_caps.
+
+    maxima[j] must be the level-j maximum for every j < n, with maxima[0] = 1.0
+    for the empty word; seed must be the norm of one of the level's products
+    and only prunes sooner.
+    """
+    best = seed
+
+    def prune(codes: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
+        # every word below a prefix p of length k has P_w = P_s @ P_p for a
+        # suffix s of length n - k, so op_norm(P_w) <= cap(P_p) * maxima[n - k];
+        # a leaf (k = n) is multiplied by 1.0, exactly
+        with np.errstate(over="ignore"):
+            return linalg.op_norm_caps(stack) * maxima[n - k] < best
+
+    for _, stack in product_blocks(t, n, prune=prune):
+        best = max(best, float(np.max(linalg.op_norms(stack))))
+    return best
+
+
+def _levels(t: MatrixTuple, depth: int, *, upper: bool):
+    """(candidates, maxima) from levels 1 .. depth, each its necklace walk, then with upper its sweep.
 
     candidates holds (word, value) for the necklaces whose value reaches
     (1 - _TIE_TOL) times the largest, by value descending, then length, then
     word, so the first is the lower bound and its witness; when the largest is
-    0, only the first necklace, (1,), ties.  seeds[n - 1] is the level-n
-    necklace product with the largest op_norm_caps value, whose norm seeds
-    the upper sweep.
+    0, only the first necklace, (1,), ties.  maxima[n] is the level-n upper
+    maximum L_n, after maxima[0] = 1.0 for the empty word; the sweep is seeded
+    by the norm of the level's necklace product with the largest op_norm_caps
+    value.  Without upper, maxima is [1.0].
     """
-    blocks, seeds, top = [], [], -np.inf
+    blocks, maxima, top = [], [1.0], -np.inf
 
     def prune(codes: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
         # at k = n the seed sees every necklace, then rows strictly below floor go (none while floor <= 0 or NaN)
@@ -133,36 +156,16 @@ def _necklace_scan(t: MatrixTuple, depth: int):
             if not blocks or max(values) > 0.0:  # an all-zero block ties only at top 0
                 blocks.append((np.array(values), n, codes))
                 top = max([top, *values])
-        seeds.append(seed)
+        if upper:
+            maxima.append(_level_upper_max(t, n, maxima, linalg.op_norm(seed)))
     if top == 0.0:
-        return [((1,), 0.0)], seeds
+        return [((1,), 0.0)], maxima
     candidates = []
     for values, n, codes in blocks:
         keep = values >= (1.0 - _TIE_TOL) * top
         candidates += zip(words._words_at(codes[keep], t.r, n), values[keep].tolist())
     candidates.sort(key=lambda item: -item[1])  # stable: equal values keep scan order, length then word
-    return candidates, seeds
-
-
-def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float) -> float:
-    """Max of op_norm(P_w) over all words of length n, screened by op_norm_caps.
-
-    maxima[j] must be the level-j maximum for every j < n, with maxima[0] = 1.0
-    for the empty word; seed must be the norm of one of the level's products
-    and only prunes sooner.
-    """
-    best = seed
-
-    def prune(codes: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
-        # every word below a prefix p of length k has P_w = P_s @ P_p for a
-        # suffix s of length n - k, so op_norm(P_w) <= cap(P_p) * maxima[n - k];
-        # a leaf (k = n) is multiplied by 1.0, exactly
-        with np.errstate(over="ignore"):
-            return linalg.op_norm_caps(stack) * maxima[n - k] < best
-
-    for _, stack in product_blocks(t, n, prune=prune):
-        best = max(best, float(np.max(linalg.op_norms(stack))))
-    return best
+    return candidates, maxima
 
 
 def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget) -> JsrBounds:
@@ -174,21 +177,14 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
         raise BudgetError(
             f"enumeration budget {budget} cannot cover even level 1 ({2 * t.r} words)"
         )
-    candidates, seeds = _necklace_scan(t, depth)
+    candidates, maxima = _levels(t, depth, upper=True)
     lower_witness, lower = candidates[0]
-    best_upper = np.inf
-    upper_level = 0
-    maxima = [1.0]
-    for n, seed in enumerate(seeds, start=1):
-        level_max = _level_upper_max(t, n, maxima, linalg.op_norm(seed))
-        maxima.append(level_max)
-        level_upper = level_max ** (1.0 / n) if level_max > 0 else 0.0
-        if level_upper < best_upper:
-            best_upper = level_upper
-            upper_level = n
+    roots = [(m ** (1.0 / n) if m > 0 else 0.0, n) for n, m in enumerate(maxima[1:], start=1)]
+    # the first level with the least L_n ** (1/n); (inf, 0) stands while no level is below inf
+    upper, upper_level = min([(np.inf, 0), *roots])
     return JsrBounds(
         lower=lower,
-        upper=float(best_upper),
+        upper=float(upper),
         depth=depth,
         lower_witness=lower_witness,
         upper_level=upper_level,
@@ -223,7 +219,7 @@ def spectral_maximal_candidates(
         raise BudgetError(
             f"candidate scan to depth {depth} exceeds enumeration budget {budget}"
         )
-    return _necklace_scan(t, depth)[0]
+    return _levels(t, depth, upper=False)[0]
 
 
 def finiteness_verified_at_depth(b: JsrBounds, close_tol: float = DEFAULTS.close_tol) -> bool:

@@ -32,16 +32,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bounds import _midpoint, finiteness_verified_at_depth
 from .bounds import bounds as jsr_bounds
 from .config import DEFAULTS, require_fraction, require_tol
 from .errors import ConvergenceError, InputError
-from .tuples import MatrixTuple, from_json, to_json
+from .tuples import MatrixTuple, _dumps, from_json, to_json
 from .words import parse_word, render_words, word_blocks
 
 
@@ -83,32 +81,6 @@ def _text_lines(prefix: str, value, out: list[str]) -> None:
             _text_lines(f"{prefix}{i}.", item, out)
     else:
         out.append(f"{prefix.rstrip('.')} = {json.dumps(value)}")
-
-
-def _dumps(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte, at the given indent.
-
-    A list of strings, or of finite floats, is formatted with one join; dicts
-    with string keys and other lists recurse, and everything else (scalars,
-    empty containers, other keys) goes to json.dumps itself.
-    """
-    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
-        inner = indent + "  "
-        items = (f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
-                 for key in sorted(value))
-    elif isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            items = map(encode_basestring_ascii, value)
-        elif kinds == {float} and all(map(math.isfinite, value)):
-            items = map(float.__repr__, value)
-        else:
-            items = (_dumps(item, inner) for item in value)
-    else:
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 _NOT_CONFIG = ("command", "mode", "func", "format", "strict")

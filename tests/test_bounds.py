@@ -182,7 +182,7 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
     engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
 
     def spy(t, n, *, necklaces=False, prune=None):
-        if prune is not None and not necklaces:  # the upper sweep only: the necklace scan prunes too
+        if prune is not None and not necklaces:  # the upper sweep only: the necklace walk prunes too
             inner = prune
 
             def prune(codes, stack, k):
@@ -196,6 +196,24 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
     bounds(t, 11)
     prefixes = sum(2 ** n - 2 for n in range(1, 12))  # 4072 over the 11 levels
     assert sum(rows) <= prefixes // 10
+
+
+def test_levels_run_their_necklace_walk_then_their_upper_sweep(monkeypatch):
+    # bounds runs level n's necklace walk, then level n's all-words sweep,
+    # before level n + 1; the candidate search runs the necklace walks alone
+    engine, product_blocks, walks = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
+
+    def spy(t, n, *, necklaces=False, prune=None):
+        walks.append((n, necklaces))
+        return product_blocks(t, n, necklaces=necklaces, prune=prune)
+
+    monkeypatch.setattr(engine, "product_blocks", spy)
+    t = _diag_dominant_pair()
+    bounds(t, 4)
+    assert walks == [(n, necklaces) for n in range(1, 5) for necklaces in (True, False)]
+    walks.clear()
+    spectral_maximal_candidates(t, 4)
+    assert walks == [(n, True) for n in range(1, 5)]
 
 
 def test_necklace_walk_yields_only_rows_that_reach_eigenvalues(monkeypatch):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import jsrkit
-from jsrkit import cli, config, words
+from jsrkit import cli, config, tuples, words
 from jsrkit.cli import main
 from jsrkit.finiteness import SFH_CAVEAT
 from jsrkit.norms import WeightedMaxNorm, norm_to_json_dict
@@ -23,15 +23,17 @@ from jsrkit.tuples import MatrixTuple, from_json, scale, to_json
 
 @pytest.fixture(autouse=True)
 def _emitter_matches_json_dumps(monkeypatch):
-    """Every JSON report these tests produce, and each value nested in it,
-    must come out of cli._dumps exactly as json.dumps renders it."""
-    dumps = cli._dumps
+    """Every JSON report and tuple file these tests produce, and each value
+    nested in it, must come out of tuples._dumps exactly as json.dumps renders
+    it.  cli holds its own name for the emitter, so both are patched."""
+    dumps = tuples._dumps
 
     def checked(value, indent=""):
         text = dumps(value, indent)
         assert text == json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
         return text
 
+    monkeypatch.setattr(tuples, "_dumps", checked)
     monkeypatch.setattr(cli, "_dumps", checked)
 
 
@@ -416,7 +418,7 @@ JSON_CORPUS = [
 
 @pytest.mark.parametrize("value", JSON_CORPUS, ids=range(len(JSON_CORPUS)))
 def test_emitter_matches_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert tuples._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class _Writes(io.StringIO):

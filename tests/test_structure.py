@@ -417,6 +417,21 @@ def test_rank_one_certified_generic():
     assert verdict.status == "Certified"
 
 
+def test_rank_one_wedge_bounds_stay_accurate_near_rank_one():
+    # every wedge product of length n has norm and spectral radius exactly
+    # 1e-3 ** n (each slot has determinant 1e-3), while sigma_2 / sigma_1 of
+    # the 2x2 products falls toward eps: sigma_1 * sigma_2 read off a rounded
+    # d x d product is wrong by orders of magnitude there (1.6e29 for (1,2)^4
+    # against 1e-24), so the wedge sweep must run on the exterior-square slots
+    t = MatrixTuple("real", (np.array([[1.0, 1e3], [0.0, 1e-3]]),
+                             np.array([[1e-3, 0.0], [1e3, 1.0]])))
+    verdict = rank_one_property(t, 8)
+    assert verdict.status == "Certified"
+    wedge = verdict.evidence["wedge_bounds"]
+    for value in (wedge["lower"], wedge["upper"]):
+        assert abs(value - 1e-3) <= 1e-12 * 1e-3
+
+
 def test_rank_one_requires_dimension_two():
     with pytest.raises(InputError):
         rank_one_property(MatrixTuple("real", (np.array([[1.0]]),)), 1)
