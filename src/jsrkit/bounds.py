@@ -40,11 +40,12 @@ the largest op_norm_caps value, a value the maximum includes anyway, and
 rises after each block.  Strictness keeps ties, and a skipped product's
 norm is below the maximum, so screening never changes the computed maximum.
 
-Budget accounting: each level n costs 2 * r**n words (one all-words sweep,
-one necklace sweep).  The deepest level whose running cost fits the budget
-is worked out before the first product is built; stopping short of the
-requested depth sets partial, and a budget too small for level 1 raises
-BudgetError.
+Budget accounting: the budget counts the rows the level walks keep, each row
+a prune is asked about, summed over every length, walk and level.  Past the
+budget both prunes drop every row, so a walk ends with the pieces already
+waiting in it, and the level whose count passed is dropped: its necklaces,
+their share of lower and its maximum.  Stopping short of the requested depth
+sets partial; a budget that level 1 passes raises BudgetError.
 """
 
 from __future__ import annotations
@@ -82,16 +83,6 @@ class JsrBounds(_Record):
         }
 
 
-def _deepest_level(r: int, max_depth: int, budget: int, sweeps: int) -> int:
-    """The deepest n <= max_depth with sweeps * (r + r**2 + ... + r**n) <= budget, or 0."""
-    spent = 0
-    for n in range(1, max_depth + 1):
-        spent += sweeps * r ** n
-        if spent > budget:
-            return n - 1
-    return max_depth
-
-
 # A necklace is skipped when its radius cap, to the power 1/n, falls below
 # the floor times this factor.  The slack absorbs the rounding of the two
 # powers, so a skipped necklace's value lies strictly below the floor.
@@ -101,12 +92,13 @@ _SCREEN_SLACK = 1.0 - 1e-9
 _TIE_TOL = 1e-9
 
 
-def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float) -> float:
+def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float, charge) -> float:
     """Max of op_norm(P_w) over all words of length n, screened by op_norm_caps.
 
     maxima[j] must be the level-j maximum for every j < n, with maxima[0] = 1.0
     for the empty word; seed must be the norm of one of the level's products
-    and only prunes sooner.
+    and only prunes sooner.  charge is _levels' budget count: it takes the
+    prune's mask and returns the mask to apply.
     """
     best = seed
 
@@ -115,15 +107,15 @@ def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float) -
         # suffix s of length n - k, so op_norm(P_w) <= cap(P_p) * maxima[n - k];
         # a leaf (k = n) is multiplied by 1.0, exactly
         with np.errstate(over="ignore"):
-            return linalg.op_norm_caps(stack) * maxima[n - k] < best
+            return charge(linalg.op_norm_caps(stack) * maxima[n - k] < best)
 
     for _, stack in product_blocks(t, n, prune=prune):
         best = max(best, float(np.max(linalg.op_norms(stack))))
     return best
 
 
-def _levels(t: MatrixTuple, depth: int, *, upper: bool):
-    """(candidates, maxima) from levels 1 .. depth, each its necklace walk, then with upper its sweep.
+def _levels(t: MatrixTuple, depth: int, budget: int, *, upper: bool):
+    """(candidates, maxima, reached) from levels 1 .. depth, each its necklace walk, then with upper its sweep.
 
     candidates holds (word, value) for the necklaces whose value reaches
     (1 - _TIE_TOL) times the largest, by value descending, then length, then
@@ -131,9 +123,16 @@ def _levels(t: MatrixTuple, depth: int, *, upper: bool):
     0, only the first necklace, (1,), ties.  maxima[n] is the level-n upper
     maximum L_n, after maxima[0] = 1.0 for the empty word; the sweep is seeded
     by the norm of the level's necklace product with the largest op_norm_caps
-    value.  Without upper, maxima is [1.0].
+    value.  Without upper, maxima is [1.0].  reached is the last level within
+    the budget; both come from levels 1 .. reached only (no candidates at 0).
     """
-    blocks, maxima, top = [], [1.0], -np.inf
+    blocks, maxima, top, spent = [], [1.0], -np.inf, 0
+
+    def charge(drop: np.ndarray) -> np.ndarray:
+        # every row a prune is asked about was kept by the walk and counts; past the budget every row goes
+        nonlocal spent
+        spent += len(drop)
+        return drop | (spent > budget)
 
     def prune(codes: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
         # at k = n the seed sees every necklace, then rows strictly below floor go (none while floor <= 0 or NaN)
@@ -147,41 +146,41 @@ def _levels(t: MatrixTuple, depth: int, *, upper: bool):
             floor = (1.0 - _TIE_TOL) * top
             if floor > 0:  # a non-finite cap compares False and keeps its row
                 drop = linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor * _SCREEN_SLACK
-        return drop
+        return charge(drop)
 
     for n in range(1, depth + 1):
-        seed_cap, seed = -np.inf, None
+        seed_cap, seed, before = -np.inf, None, (len(blocks), top)
         for codes, stack in product_blocks(t, n, necklaces=True, prune=prune):
             values = [rho ** (1.0 / n) for rho in linalg.spectral_radii(stack).tolist()]
             if not blocks or max(values) > 0.0:  # an all-zero block ties only at top 0
                 blocks.append((np.array(values), n, codes))
                 top = max([top, *values])
-        if upper:
-            maxima.append(_level_upper_max(t, n, maxima, linalg.op_norm(seed)))
+        if upper and spent <= budget:
+            maxima.append(_level_upper_max(t, n, maxima, linalg.op_norm(seed), charge))
+        if spent > budget:  # level n is dropped whole
+            del blocks[before[0]:], maxima[n:]
+            top, depth = before[1], n - 1
+            break
     if top == 0.0:
-        return [((1,), 0.0)], maxima
+        return [((1,), 0.0)], maxima, depth
     candidates = []
     for values, n, codes in blocks:
         keep = values >= (1.0 - _TIE_TOL) * top
         candidates += zip(words._words_at(codes[keep], t.r, n), values[keep].tolist())
     candidates.sort(key=lambda item: -item[1])  # stable: equal values keep scan order, length then word
-    return candidates, maxima
+    return candidates, maxima, depth
 
 
 def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget) -> JsrBounds:
     """Certified bounds through enumeration depth ``max_depth``."""
     if max_depth < 1:
         raise InputError(f"max_depth must be >= 1, got {max_depth}")
-    depth = _deepest_level(t.r, max_depth, budget, 2)
+    candidates, maxima, depth = _levels(t, max_depth, budget, upper=True)
     if depth == 0:
-        raise BudgetError(
-            f"enumeration budget {budget} cannot cover even level 1 ({2 * t.r} words)"
-        )
-    candidates, maxima = _levels(t, depth, upper=True)
+        raise BudgetError(f"enumeration budget {budget} cannot cover even level 1")
     lower_witness, lower = candidates[0]
-    roots = [(m ** (1.0 / n) if m > 0 else 0.0, n) for n, m in enumerate(maxima[1:], start=1)]
-    # the first level with the least L_n ** (1/n); (inf, 0) stands while no level is below inf
-    upper, upper_level = min([(np.inf, 0), *roots])
+    # the first level with the least L_n ** (1/n)
+    upper, upper_level = min((m ** (1.0 / n), n) for n, m in enumerate(maxima[1:], start=1))
     return JsrBounds(
         lower=lower,
         upper=float(upper),
@@ -215,11 +214,10 @@ def spectral_maximal_candidates(
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    if _deepest_level(t.r, depth, budget, 1) < depth:
-        raise BudgetError(
-            f"candidate scan to depth {depth} exceeds enumeration budget {budget}"
-        )
-    return _levels(t, depth, upper=False)[0]
+    candidates, _, reached = _levels(t, depth, budget, upper=False)
+    if reached < depth:
+        raise BudgetError(f"candidate scan to depth {depth} exceeds enumeration budget {budget}")
+    return candidates
 
 
 def finiteness_verified_at_depth(b: JsrBounds, close_tol: float = DEFAULTS.close_tol) -> bool:

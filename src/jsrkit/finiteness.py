@@ -191,8 +191,8 @@ def characteristic_word_search(
     depth (bounds._midpoint).  The norms are admitted once, for every candidate.
     Reports come back best first: widest margin, then shortest
     candidate, then lexicographic.  The tolerances, the norms, a given
-    rho_hat, the samples' dimension and the candidate scan's depth and
-    budget are checked before any scan.
+    rho_hat, the samples' dimension and the candidate scan's depth, and its
+    budget while it walks, are checked before any offender scan.
     """
     require_fraction("offender_tol", require_tol("offender_tol", offender_tol))
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)

@@ -45,6 +45,8 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value computation failed: {exc}") from exc
+    if not np.isfinite(s[:, 0]).all():
+        raise ConvergenceError("singular values overflow; the tuple's scale is out of range")
     return s[:, 0]
 
 
@@ -130,7 +132,10 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
         eig = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue computation failed: {exc}") from exc
-    return np.max(np.abs(eig), axis=1)
+    radii = np.max(np.abs(eig), axis=1)
+    if not np.isfinite(radii).all():
+        raise ConvergenceError("eigenvalue moduli overflow; the tuple's scale is out of range")
+    return radii
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -161,11 +166,16 @@ def exterior_square(a: np.ndarray) -> np.ndarray:
 
     Rows and columns are indexed by index pairs (i, j) with i < j in
     lexicographic order, so the result is m x m with m = d(d-1)/2 and
-    entry[(i,j),(k,l)] = a[i,k]a[j,l] - a[i,l]a[j,k].  Requires d >= 2.
+    entry[(i,j),(k,l)] = a[i,k]a[j,l] - a[i,l]a[j,k].  Requires d >= 2; a
+    minor past the float range raises ConvergenceError.
     """
     a = _require_square(a)
     d = a.shape[0]
     if d < 2:
         raise InputError("exterior square needs dimension >= 2")
     i, j = np.array(list(combinations(range(d), 2))).T
-    return a[np.ix_(i, i)] * a[np.ix_(j, j)] - a[np.ix_(i, j)] * a[np.ix_(j, i)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        minors = a[np.ix_(i, i)] * a[np.ix_(j, j)] - a[np.ix_(i, j)] * a[np.ix_(j, i)]
+    if not np.isfinite(minors).all():
+        raise ConvergenceError("2x2 minors overflow; the tuple's scale is out of range")
+    return minors

@@ -160,8 +160,8 @@ def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
     a prefix's are A_letter @ P_prefix in one batched layer, product_along's
     2-D products, so each P_w equals it bitwise.  necklaces and prune(codes,
     stack, k) are prefix_blocks' own, and a block exceeds config.BLOCK_BYTES
-    only when one prefix's r children do.  Callers check r**n against their
-    budget first; a non-finite product raises ConvergenceError.
+    only when one prefix's r children do.  Callers charge their own budget
+    (r**n or rows in prune); a non-finite product raises ConvergenceError.
     """
     slots = np.stack(t.matrices)
 

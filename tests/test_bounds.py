@@ -424,14 +424,49 @@ def test_budget_partial_and_error():
         spectral_maximal_candidates(t, 5, budget=20)
 
 
-def test_candidate_budget_checked_before_any_product(monkeypatch):
-    # the package's name jsrkit.bounds is the function, so patch the module itself
-    walks = []
-    monkeypatch.setattr(importlib.import_module("jsrkit.bounds"), "product_blocks",
-                        lambda *a, **k: walks.append(a))
-    with pytest.raises(BudgetError, match="candidate scan to depth 5 exceeds enumeration budget 20"):
-        spectral_maximal_candidates(_shift_pair(), 5, budget=20)
-    assert walks == []
+def test_candidate_budget_counts_the_rows_the_walks_keep(monkeypatch):
+    # the necklace walks keep every pre-necklace and necklace here, 2, 5, 9, 16
+    # and 26 rows at levels 1 .. 5, so the scan to depth 5 needs a budget of 58
+    engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, {}
+
+    def spy(t, n, *, necklaces=False, prune=None):
+        def counted(codes, stack, k):
+            rows[n] = rows.get(n, 0) + len(stack)
+            return prune(codes, stack, k)
+
+        return product_blocks(t, n, necklaces=necklaces, prune=counted)
+
+    monkeypatch.setattr(engine, "product_blocks", spy)
+    candidates = spectral_maximal_candidates(_shift_pair(), 5, budget=58)
+    assert rows == {1: 2, 2: 5, 3: 9, 4: 16, 5: 26}
+    assert candidates == spectral_maximal_candidates(_shift_pair(), 5)
+    for budget in (57, 20):
+        with pytest.raises(BudgetError, match=f"candidate scan to depth 5 exceeds enumeration budget {budget}$"):
+            spectral_maximal_candidates(_shift_pair(), 5, budget=budget)
+
+
+def test_budget_binds_a_one_slot_walk():
+    # each walk keeps one row per length, so levels 1 .. 13 keep 2 * (1 + ... + 13) = 182
+    # rows, and level 14, which would pass 200, is dropped
+    b = bounds(MatrixTuple("real", (np.array([[0.0, 1.0], [1.0, 0.0]]),)), 100, budget=200)
+    assert (b.lower, b.upper, b.depth, b.upper_level, b.partial) == (1.0, 1.0, 13, 1, True)
+
+
+def test_pruned_walks_go_deeper_on_the_same_budget():
+    rng = np.random.default_rng(11)
+    t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(6), (6, 6)) for _ in range(2)))
+    b = bounds(t, 60, budget=10 ** 4)
+    assert (b.depth, b.partial) == (13, True)
+    full = bounds(t, 13)
+    assert (b.lower, b.upper, b.lower_witness, b.upper_level) == (
+        full.lower, full.upper, full.lower_witness, full.upper_level)
+
+
+def test_unprunable_walks_go_no_deeper_on_the_same_budget():
+    # nothing prunes an orthogonal pair: its walks keep every prefix, at least 2 * 2**n rows per level
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
+    b = bounds(MatrixTuple("real", (q, q.T)), 60, budget=10 ** 4)
+    assert (b.depth, b.partial) == (11, True)
 
 
 def test_depth_below_one_is_input_error():

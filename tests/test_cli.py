@@ -243,8 +243,8 @@ def test_default_rho_hat_needs_bounds_at_the_full_depth(capsys, tmp_path):
     runs = [
         (100, 4, ["barabanov", "approx", "--input", path]),
         (100, 4, ["barabanov", "verify", "--input", path, "--norm", norm_path]),
-        (200, 5, ["sfh", "--input", path, "--norm", norm_path]),
-        (200, 5, ["sfh", "--input", path, "--norm", norm_path, "--word", "1,2"]),
+        (150, 5, ["sfh", "--input", path, "--norm", norm_path]),
+        (150, 5, ["sfh", "--input", path, "--norm", norm_path, "--word", "1,2"]),
     ]
     for budget, reached, argv in runs:
         argv = [*argv, "--depth", "6", "--budget", str(budget)]
@@ -641,6 +641,16 @@ def test_overflowing_tuple_is_numerical_failure(tmp_path, flags):
     assert proc.stderr == (
         "numerical failure: products of length 2 overflow; the tuple's scale is out of range\n"
     )
+
+
+@pytest.mark.parametrize("command, entry", [("bounds", 1e308), ("rank1", 1e160)])
+def test_results_past_the_float_range_are_numerical_failures(tmp_path, command, entry):
+    # every entry is finite, but the bounds' norms (1e308) or the exterior square's minors (1e160) are not
+    big = tmp_path / "big.json"
+    big.write_text(to_json(MatrixTuple("real", (np.full((2, 2), entry),))))
+    proc = _cli_subprocess(["-W", "error::RuntimeWarning"], command, "--input", str(big), "--depth", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_overflowing_pruning_bound_keeps_every_prefix(capsys, tmp_path):

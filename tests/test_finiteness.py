@@ -209,14 +209,15 @@ def test_search_admits_each_norm_once(monkeypatch):
 
 
 def test_search_default_rho_hat_needs_bounds_at_the_full_depth():
-    # bounds on a pair costs 2 * (2 + ... + 2**n) words, so budget 200 stops it at
-    # depth 5, and a default rho_hat must not come from that shallower interval
+    # bounds on this pair keeps 126 rows through level 5 and 194 through level 6,
+    # so budget 150 stops it at depth 5, and a default rho_hat must not come
+    # from that shallower interval
     t = _shift_pair(0.3, 0.5)
-    with pytest.raises(BudgetError, match="budget 200 reaches depth 5 of 6, too shallow for the default rho_hat"):
-        characteristic_word_search(t, 6, MAXNORM, budget=200)
-    full = characteristic_word_search(t, 6, MAXNORM, budget=252)  # exactly depth 6
+    with pytest.raises(BudgetError, match="budget 150 reaches depth 5 of 6, too shallow for the default rho_hat"):
+        characteristic_word_search(t, 6, MAXNORM, budget=150)
+    full = characteristic_word_search(t, 6, MAXNORM, budget=194)  # exactly depth 6
     assert full == characteristic_word_search(t, 6, MAXNORM)
-    assert characteristic_word_search(t, 6, MAXNORM, 1.0, budget=200)  # a given rho_hat needs no bounds
+    assert characteristic_word_search(t, 6, MAXNORM, 1.0, budget=150)  # a given rho_hat needs no bounds
 
 
 def test_report_serialization():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jsrkit import linalg
-from jsrkit.errors import InputError
+from jsrkit.errors import ConvergenceError, InputError
 
 
 def _sigma_max_2x2_oracle(a):
@@ -187,3 +187,14 @@ def test_non_square_input_is_input_error():
                    linalg.exterior_square):
         with pytest.raises(InputError, match="expected a square matrix"):
             kernel(np.ones((2, 3)))
+
+
+def test_results_past_the_float_range_are_convergence_errors():
+    # every entry is finite, but sigma_1 and rho are 2e308, and the minors of 1e160 are 1e320
+    big = np.full((2, 2), 1e308)
+    for kernel in (linalg.op_norm, linalg.spectral_radius):
+        with pytest.raises(ConvergenceError, match="overflow; the tuple's scale is out of range"):
+            kernel(big)
+    assert linalg.op_norm(np.full((2, 2), 1e160)) == pytest.approx(2e160)
+    with pytest.raises(ConvergenceError, match="2x2 minors overflow"):
+        linalg.exterior_square(np.full((2, 2), 1e160))
