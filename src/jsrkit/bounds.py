@@ -40,12 +40,12 @@ the largest op_norm_caps value, a value the maximum includes anyway, and
 rises after each block.  Strictness keeps ties, and a skipped product's
 norm is below the maximum, so screening never changes the computed maximum.
 
-Budget accounting: the budget counts the rows the level walks keep, each row
-a prune is asked about, summed over every length, walk and level.  Past the
-budget both prunes drop every row, so a walk ends with the pieces already
-waiting in it, and the level whose count passed is dropped: its necklaces,
-their share of lower and its maximum.  Stopping short of the requested depth
-sets partial; a budget that level 1 passes raises BudgetError.
+Budget accounting: the level walks share one tuples._Budget, which
+product_blocks charges for every row a prune is asked about, summed over
+every length, walk and level.  Its BudgetError, past the budget or past int64
+word codes, drops the level whose walk raised it: its necklaces, their share
+of lower and its maximum.  Stopping short of the requested depth sets
+partial; a budget that level 1 passes raises BudgetError.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 from . import linalg, words
 from .config import DEFAULTS, require_tol
 from .errors import BudgetError, ConvergenceError, InputError
-from .tuples import MatrixTuple, _Record, product_blocks
+from .tuples import MatrixTuple, _Budget, _Record, product_blocks
 from .words import Word
 
 
@@ -92,13 +92,12 @@ _SCREEN_SLACK = 1.0 - 1e-9
 _TIE_TOL = 1e-9
 
 
-def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float, charge) -> float:
+def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float, budget: _Budget) -> float:
     """Max of op_norm(P_w) over all words of length n, screened by op_norm_caps.
 
     maxima[j] must be the level-j maximum for every j < n, with maxima[0] = 1.0
     for the empty word; seed must be the norm of one of the level's products
-    and only prunes sooner.  charge is _levels' budget count: it takes the
-    prune's mask and returns the mask to apply.
+    and only prunes sooner.  budget is _levels' counter.
     """
     best = seed
 
@@ -107,9 +106,9 @@ def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float, c
         # suffix s of length n - k, so op_norm(P_w) <= cap(P_p) * maxima[n - k];
         # a leaf (k = n) is multiplied by 1.0, exactly
         with np.errstate(over="ignore"):
-            return charge(linalg.op_norm_caps(stack) * maxima[n - k] < best)
+            return linalg.op_norm_caps(stack) * maxima[n - k] < best
 
-    for _, stack in product_blocks(t, n, prune=prune):
+    for _, stack in product_blocks(t, n, budget, prune=prune):
         best = max(best, float(np.max(linalg.op_norms(stack))))
     return best
 
@@ -126,13 +125,7 @@ def _levels(t: MatrixTuple, depth: int, budget: int, *, upper: bool):
     value.  Without upper, maxima is [1.0].  reached is the last level within
     the budget; both come from levels 1 .. reached only (no candidates at 0).
     """
-    blocks, maxima, top, spent = [], [1.0], -np.inf, 0
-
-    def charge(drop: np.ndarray) -> np.ndarray:
-        # every row a prune is asked about was kept by the walk and counts; past the budget every row goes
-        nonlocal spent
-        spent += len(drop)
-        return drop | (spent > budget)
+    blocks, maxima, top, counter = [], [1.0], -np.inf, _Budget(budget)
 
     def prune(codes: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
         # at k = n the seed sees every necklace, then rows strictly below floor go (none while floor <= 0 or NaN)
@@ -146,18 +139,19 @@ def _levels(t: MatrixTuple, depth: int, budget: int, *, upper: bool):
             floor = (1.0 - _TIE_TOL) * top
             if floor > 0:  # a non-finite cap compares False and keeps its row
                 drop = linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor * _SCREEN_SLACK
-        return charge(drop)
+        return drop
 
     for n in range(1, depth + 1):
         seed_cap, seed, before = -np.inf, None, (len(blocks), top)
-        for codes, stack in product_blocks(t, n, necklaces=True, prune=prune):
-            values = [rho ** (1.0 / n) for rho in linalg.spectral_radii(stack).tolist()]
-            if not blocks or max(values) > 0.0:  # an all-zero block ties only at top 0
-                blocks.append((np.array(values), n, codes))
-                top = max([top, *values])
-        if upper and spent <= budget:
-            maxima.append(_level_upper_max(t, n, maxima, linalg.op_norm(seed), charge))
-        if spent > budget:  # level n is dropped whole
+        try:
+            for codes, stack in product_blocks(t, n, counter, necklaces=True, prune=prune):
+                values = [rho ** (1.0 / n) for rho in linalg.spectral_radii(stack).tolist()]
+                if not blocks or max(values) > 0.0:  # an all-zero block ties only at top 0
+                    blocks.append((np.array(values), n, codes))
+                    top = max([top, *values])
+            if upper:
+                maxima.append(_level_upper_max(t, n, maxima, linalg.op_norm(seed), counter))
+        except BudgetError:  # past the budget, or past int64 word codes: level n is dropped whole
             del blocks[before[0]:], maxima[n:]
             top, depth = before[1], n - 1
             break

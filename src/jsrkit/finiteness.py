@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, words
+from . import linalg
 from .bounds import _midpoint, spectral_maximal_candidates
 from .config import DEFAULTS, require_fraction, require_tol
 from .errors import InputError
@@ -105,8 +105,9 @@ def sfh_evidence(
     a rejected norm raises InputError since scanning under it would be
     meaningless.  An offender is a word whose induced norm reaches
     rho_hat ** |omega| up to offender_tol in (0, 1); offenders are pooled across norms
-    and sorted.  samples, when given, feeds both the verification and any
-    sampled matrix norms.  The verification also rejects a bad rho_hat.
+    and sorted.  samples, when given, feeds both the verification, which also
+    rejects a bad rho_hat, and any sampled matrix norms.  budget counts the
+    rows that the scan's walk keeps (tuples.off_class_blocks).
 
     Only competitors that can change the report are evaluated.  Per block and
     per norm, each product P gets an upper bound on its computed induced
@@ -123,8 +124,7 @@ def sfh_evidence(
     require_fraction("offender_tol", require_tol("offender_tol", offender_tol))
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
     induced = _admit(t, norm_reps, rho_hat, norm_check_tol, samples)
-    words._check_budget(t.r, len(omega), budget)
-    return _scan(t, omega, induced, rho_hat, offender_tol)
+    return _scan(t, omega, induced, rho_hat, offender_tol, budget)
 
 
 def _target(rho_hat: float, n: int) -> float:
@@ -138,7 +138,7 @@ def _target(rho_hat: float, n: int) -> float:
     return target
 
 
-def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: float) -> SfhReport:
+def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: float, budget: int) -> SfhReport:
     """sfh_evidence's screened offender scan under induced maps that _admit returned.
     A zero competitor, which tuples.off_class_blocks skips, has value 0: no offender, no new maximum."""
     n = len(omega)
@@ -146,7 +146,7 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}
-    for codes, stack in off_class_blocks(t, omega):
+    for codes, stack in off_class_blocks(t, omega, budget):
         caps = linalg.op_norm_caps(stack)
         for i, (norm_of, bound_of) in enumerate(induced):
             bound = bound_of(caps)
@@ -189,10 +189,10 @@ def characteristic_word_search(
 
     rho_hat defaults to the midpoint of the certified interval at the same
     depth (bounds._midpoint).  The norms are admitted once, for every candidate.
-    Reports come back best first: widest margin, then shortest
-    candidate, then lexicographic.  The tolerances, the norms, a given
-    rho_hat, the samples' dimension and the candidate scan's depth, and its
-    budget while it walks, are checked before any offender scan.
+    Reports come back best first: widest margin, then shortest candidate,
+    then lexicographic.  The tolerances, the norms, a given rho_hat, the
+    samples' dimension and the candidate scan's depth, and its budget while it
+    walks, are checked before any offender scan; each scan has its own budget.
     """
     require_fraction("offender_tol", require_tol("offender_tol", offender_tol))
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
@@ -205,6 +205,6 @@ def characteristic_word_search(
     if rho_hat is None:
         rho_hat = _midpoint(t, depth, budget)
     induced = _admit(t, reps, rho_hat, norm_check_tol, samples)
-    reports = [_scan(t, w, induced, rho_hat, offender_tol) for w, _ in candidates]
+    reports = [_scan(t, w, induced, rho_hat, offender_tol, budget) for w, _ in candidates]
     reports.sort(key=lambda rep: (-rep.margin, rep.depth, rep.candidate))
     return reports

@@ -21,8 +21,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceError, InputError
-from .words import Word, prefix_blocks, rotation_class, validate_word, word_index
+from .errors import BudgetError, ConvergenceError, InputError
+from .words import Word, _check_codes, prefix_blocks, rotation_class, validate_word, word_index
 
 _FIELDS = ("real", "complex")
 
@@ -151,7 +151,14 @@ def product_along(t: MatrixTuple, w: Word) -> np.ndarray:
     return out
 
 
-def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
+class _Budget:
+    """The rows that the product walks of one call have asked about (spent), and their limit."""
+
+    def __init__(self, limit: int):
+        self.limit, self.spent = limit, 0
+
+
+def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, necklaces=False, prune=None):
     """Yield (codes, stack) over the products of the words of length n, in lexicographic order.
 
     The generator of words.prefix_blocks with one product per row: codes
@@ -160,10 +167,18 @@ def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
     a prefix's are A_letter @ P_prefix in one batched layer, product_along's
     2-D products, so each P_w equals it bitwise.  necklaces and prune(codes,
     stack, k) are prefix_blocks' own, and a block exceeds config.BLOCK_BYTES
-    only when one prefix's r children do.  Callers charge their own budget
-    (r**n or rows in prune); a non-finite product raises ConvergenceError.
+    only when one prefix's r children do.  Each row is charged to budget, one
+    call's counter, before prune sees it: BudgetError past its limit, or at the
+    call if r**n >= 2**63.  A non-finite product raises ConvergenceError.
     """
+    _check_codes(t.r, n)
     slots = np.stack(t.matrices)
+
+    def charged(codes, stack, k):
+        budget.spent += len(codes)
+        if budget.spent > budget.limit:
+            raise BudgetError(f"enumeration of products of length {n} exceeds budget {budget.limit} rows")
+        return prune(codes, stack, k) if prune is not None else np.zeros(len(codes), dtype=bool)
 
     def grow(k, stack=None):
         if stack is None:  # the empty word
@@ -173,32 +188,33 @@ def product_blocks(t: MatrixTuple, n: int, *, necklaces=False, prune=None):
         if not np.isfinite(children).all():
             raise ConvergenceError(f"products of length {k + 1} overflow; the tuple's scale is out of range")
         return (children,)
-    return prefix_blocks(t.r, n, slots[0].nbytes, necklaces=necklaces, prune=prune, grow=grow)
+    return prefix_blocks(t.r, n, slots[0].nbytes, necklaces=necklaces, prune=charged, grow=grow)
 
 
-def off_class_blocks(t: MatrixTuple, omega: Word):
+def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
     """product_blocks over the words of length n = |omega| outside omega's rotation class.
 
     The prune drops each exactly zero product, at every length, with its subtree
-    (a finite number times +-0 is +-0), and omega's rotations at k = n."""
-    rotations = np.array([word_index(z, t.r) for z in rotation_class(omega)], dtype=np.int64)
-
+    (a finite number times +-0 is +-0), and omega's rotations at k = n.  The
+    walk is charged against a budget of its own."""
     def prune(codes, stack, k):
         zero = ~stack.any(axis=(1, 2))
         # compared against each of the <= n rotations: np.isin may sort, which loads numpy.ma
         return zero | (codes[:, None] == rotations).any(axis=1) if k == len(omega) else zero
-    return product_blocks(t, len(omega), prune=prune)
+    blocks = product_blocks(t, len(omega), _Budget(budget), prune=prune)  # first: the codes must fit int64
+    rotations = np.array([word_index(z, t.r) for z in rotation_class(omega)], dtype=np.int64)
+    return blocks
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:
-    """max over slots of the Euclidean operator norm of the difference."""
+    """max over slots of the Euclidean operator norm of the difference; ConvergenceError past the float range."""
     if s.r != t.r or s.d != t.d:
-        raise InputError(
-            f"shape mismatch: ({s.r} slots, d={s.d}) vs ({t.r} slots, d={t.d})"
-        )
-    return max(
-        linalg.op_norm(a - b) for a, b in zip(s.matrices, t.matrices)
-    )
+        raise InputError(f"shape mismatch: ({s.r} slots, d={s.d}) vs ({t.r} slots, d={t.d})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.stack(s.matrices) - np.stack(t.matrices)
+    if not np.isfinite(diffs).all():
+        raise ConvergenceError("slot differences overflow; the tuples' scale is out of range")
+    return float(np.max(linalg.op_norms(diffs)))
 
 
 def scale(t: MatrixTuple, c) -> MatrixTuple:

@@ -98,10 +98,12 @@ def _check_budget(r: int, n: int, budget: int) -> None:
         raise InputError(f"word length must be >= 1, got {n}")
     total = r ** n
     if total > budget:
-        raise BudgetError(
-            f"enumeration of {r}^{n} = {total} words exceeds budget {budget}; lower the length"
-        )
-    if total >= 1 << 63:
+        raise BudgetError(f"enumeration of {r}^{n} = {total} words exceeds budget {budget}; lower the length")
+    _check_codes(r, n)
+
+
+def _check_codes(r: int, n: int) -> None:
+    if r ** n >= 1 << 63:
         raise BudgetError(f"{r}^{n} words do not fit int64 word indices; lower the length")
 
 
@@ -128,7 +130,7 @@ def word_blocks(r: int, n: int, *, necklaces: bool = False, primitive_only: bool
     r children do not.  necklaces keeps one word per rotation class, its
     least rotation; primitive_only keeps the words that are no proper power
     (is_primitive), among necklaces the Lyndon words, by a prune on the full
-    words.  The budget is checked at the call.
+    words.  The budget, r**n words, is checked at the call, before any is written.
     """
     _check_budget(r, n, budget)
 
@@ -152,7 +154,7 @@ def prefix_blocks(r: int, n: int, row_bytes: int, *, necklaces=False, prune=None
     periods stay in the walk.  prune(codes, *rows, k) is asked for every
     piece at every length 1 <= k <= n before it is grown or yielded, and masks
     the rows to drop with every word below them: each screen with one mask
-    per row runs there.  No block is empty.
+    per row runs there.  No block is empty, and no budget is charged here.
     """
     leaf_rows = config.BLOCK_BYTES // row_bytes
     pending = [(0, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]

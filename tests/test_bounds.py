@@ -181,7 +181,7 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
     t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
     engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
 
-    def spy(t, n, *, necklaces=False, prune=None):
+    def spy(t, n, budget, *, necklaces=False, prune=None):
         if prune is not None and not necklaces:  # the upper sweep only: the necklace walk prunes too
             inner = prune
 
@@ -190,7 +190,7 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
                     rows.append(len(stack))
                 return inner(codes, stack, k)
 
-        return product_blocks(t, n, necklaces=necklaces, prune=prune)
+        return product_blocks(t, n, budget, necklaces=necklaces, prune=prune)
 
     monkeypatch.setattr(engine, "product_blocks", spy)
     bounds(t, 11)
@@ -203,9 +203,9 @@ def test_levels_run_their_necklace_walk_then_their_upper_sweep(monkeypatch):
     # before level n + 1; the candidate search runs the necklace walks alone
     engine, product_blocks, walks = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
 
-    def spy(t, n, *, necklaces=False, prune=None):
+    def spy(t, n, budget, *, necklaces=False, prune=None):
         walks.append((n, necklaces))
-        return product_blocks(t, n, necklaces=necklaces, prune=prune)
+        return product_blocks(t, n, budget, necklaces=necklaces, prune=prune)
 
     monkeypatch.setattr(engine, "product_blocks", spy)
     t = _diag_dominant_pair()
@@ -226,8 +226,8 @@ def test_necklace_walk_yields_only_rows_that_reach_eigenvalues(monkeypatch):
     product_blocks, spectral_radii = tuples.product_blocks, linalg.spectral_radii
     yielded, radii = [], []
 
-    def walk(t, n, *, necklaces=False, prune=None):
-        for codes, stack in product_blocks(t, n, necklaces=necklaces, prune=prune):
+    def walk(t, n, budget, *, necklaces=False, prune=None):
+        for codes, stack in product_blocks(t, n, budget, necklaces=necklaces, prune=prune):
             if necklaces:
                 yielded.append(stack.tobytes())
             yield codes, stack
@@ -429,12 +429,12 @@ def test_candidate_budget_counts_the_rows_the_walks_keep(monkeypatch):
     # and 26 rows at levels 1 .. 5, so the scan to depth 5 needs a budget of 58
     engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, {}
 
-    def spy(t, n, *, necklaces=False, prune=None):
+    def spy(t, n, budget, *, necklaces=False, prune=None):
         def counted(codes, stack, k):
             rows[n] = rows.get(n, 0) + len(stack)
             return prune(codes, stack, k)
 
-        return product_blocks(t, n, necklaces=necklaces, prune=counted)
+        return product_blocks(t, n, budget, necklaces=necklaces, prune=counted)
 
     monkeypatch.setattr(engine, "product_blocks", spy)
     candidates = spectral_maximal_candidates(_shift_pair(), 5, budget=58)

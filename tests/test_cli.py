@@ -653,6 +653,21 @@ def test_results_past_the_float_range_are_numerical_failures(tmp_path, command, 
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_words_past_int64_codes_end_in_one_line(tmp_path):
+    # 2**64 words of length 64: the construction skips its off-class check, and the scan
+    # refuses before it turns omega's rotations into int64 codes
+    word = ",".join(["1"] * 63 + ["2"])
+    proc = _cli_subprocess([], "construct", "--word", word, "--alphabet", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (tmp_path / "c64.json").write_text(proc.stdout)
+    (tmp_path / "w64.json").write_text(json.dumps(norm_to_json_dict(WeightedMaxNorm((1.0,) * 64))))
+    proc = _cli_subprocess([], "sfh", "--input", str(tmp_path / "c64.json"), "--word", word,
+                           "--norm", str(tmp_path / "w64.json"), "--rho-hat", "1", "--samples", "64")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_overflowing_pruning_bound_keeps_every_prefix(capsys, tmp_path):
     # the products of a large nilpotent slot stay finite, but its norm squared does not
     path = tmp_path / "nil.json"

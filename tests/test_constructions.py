@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import jsrkit
-from jsrkit import constructions
+from jsrkit import constructions, tuples
 from jsrkit.bounds import bounds
 from jsrkit.errors import ConvergenceError, InputError
 from jsrkit.finiteness import sfh_evidence
@@ -122,20 +122,20 @@ def test_characteristic_self_check_failure_raises(monkeypatch):
 def test_characteristic_self_check_names_a_nonzero_off_class_product(monkeypatch):
     # the walk yields only off-class products that are not zero, so any block it yields fails
     block = (np.array([1]), np.ones((1, 3, 3)))
-    monkeypatch.setattr(constructions, "off_class_blocks", lambda t, omega: iter([block]))
+    monkeypatch.setattr(constructions, "off_class_blocks", lambda t, omega, budget: iter([block]))
     with pytest.raises(ConvergenceError, match=r"^self-check failed: off-class P_1,1,2 != 0$"):
         characteristic_tuple(2, 3, (1, 2, 2))
 
 
-def test_characteristic_vanishing_check_uses_callers_budget(monkeypatch):
-    # the walk over the 2**5 base products runs when they fit the caller's budget, else is skipped
-    walks = []
-    walk = constructions.off_class_blocks
-    monkeypatch.setattr(constructions, "off_class_blocks", lambda t, omega: walks.append(len(omega)) or walk(t, omega))
-    assert characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=100).d == 5
-    assert walks == [5]
-    assert characteristic_tuple(2, 5, (1, 1, 2, 1, 2), budget=10).d == 5
-    assert walks == [5]
+def test_characteristic_vanishing_check_charges_the_rows_it_keeps(monkeypatch):
+    # the off-class walk keeps at most 2 * 24 rows per length, so it runs at the
+    # default budget of 10**7 rows, which the 2**24 words of length 24 would pass
+    counters = []
+    walk = tuples.product_blocks
+    monkeypatch.setattr(tuples, "product_blocks", lambda t, n, budget, **kw: counters.append(budget) or walk(t, n, budget, **kw))
+    assert characteristic_tuple(2, 24, (1,) * 23 + (2,)).d == 24
+    (counter,) = counters
+    assert 0 < counter.spent <= 2 * 24 ** 2
 
 
 def _raises_value_error(node) -> bool:

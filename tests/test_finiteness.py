@@ -7,6 +7,8 @@ import pytest
 
 from jsrkit import finiteness, norms
 from jsrkit.bounds import spectral_maximal_candidates
+from jsrkit.config import DEFAULTS
+from jsrkit.constructions import characteristic_tuple
 from jsrkit.errors import BudgetError, InputError
 from jsrkit.finiteness import (
     SFH_CAVEAT,
@@ -15,7 +17,7 @@ from jsrkit.finiteness import (
     sfh_evidence,
 )
 from jsrkit.norms import LpNorm, MeshNorm, WeightedMaxNorm, matrix_norm, sphere_samples, theta
-from jsrkit.tuples import MatrixTuple, product_along, product_blocks
+from jsrkit.tuples import MatrixTuple, _Budget, product_along, product_blocks
 from jsrkit.words import power, rotation_class, word_at, word_index
 
 MAXNORM = WeightedMaxNorm((1.0, 1.0))
@@ -220,6 +222,14 @@ def test_search_default_rho_hat_needs_bounds_at_the_full_depth():
     assert characteristic_word_search(t, 6, MAXNORM, 1.0, budget=150)  # a given rho_hat needs no bounds
 
 
+def test_scan_of_a_long_characteristic_word_charges_the_rows_it_keeps():
+    # 2**24 words would pass the default budget, but the off-class walk keeps at most 2 * 24 rows per length
+    omega = (1,) * 23 + (2,)
+    t = characteristic_tuple(2, 24, omega)
+    report = sfh_evidence(t, omega, WeightedMaxNorm((1.0,) * 24), 1.0, samples=sphere_samples(24, 64, seed=0))
+    assert (report.passed, report.margin) == (True, 1.0)
+
+
 def test_report_serialization():
     report = sfh_evidence(_diag_dominant_pair(), (1,), WeightedMaxNorm((1.0, 0.5)), 1.0)
     payload = report.to_json_dict()
@@ -243,7 +253,7 @@ def _unscreened_scan(t, omega, reps, rho_hat, offender_tol, samples):
     induced = [norms._induced_norm(rep, t.d, real=real, samples=samples)[0] for rep in reps]
     level_max = [0.0] * len(reps)
     found = {}
-    for codes, stack in product_blocks(t, n):
+    for codes, stack in product_blocks(t, n, _Budget(DEFAULTS.word_budget)):
         other = ~np.isin(codes, omega_codes)
         codes, stack = codes[other], stack[other]
         if not len(codes):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from jsrkit.errors import BudgetError, ConvergenceError, InputError
 from jsrkit.constructions import characteristic_tuple
 from jsrkit.finiteness import sfh_evidence
 from jsrkit.norms import WeightedMaxNorm, sphere_samples
+
+
+def _budget():
+    """A fresh counter at the default budget, for one call's product walks."""
+    return tuples._Budget(config.DEFAULTS.word_budget)
 
 
 def _shift_pair():
@@ -67,7 +74,7 @@ def test_product_along_order_convention():
 
 def _blocks(t, n, **kwargs):
     """product_blocks as (list of words, list of blocks)."""
-    blocks = list(tuples.product_blocks(t, n, **kwargs))
+    blocks = list(tuples.product_blocks(t, n, _budget(), **kwargs))
     got = [words.word_at(c, t.r, n) for codes, _ in blocks for c in codes.tolist()]
     return got, blocks
 
@@ -104,7 +111,7 @@ def test_product_blocks_match_product_along_bitwise(monkeypatch):
     # the empty word's children are the slots themselves, not I @ A, so -0.0 stays
     t = tuples.MatrixTuple("real", (np.array([[-0.0, 1.0], [0.5, -0.0]]),))
     for necklaces in (False, True):
-        ((_, stack),) = tuples.product_blocks(t, 1, necklaces=necklaces)
+        ((_, stack),) = tuples.product_blocks(t, 1, _budget(), necklaces=necklaces)
         assert stack.tobytes() == t.matrices[0].tobytes()
 
 
@@ -180,7 +187,7 @@ def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
         r, d, n = (int(rng.integers(1, hi)) for hi in (4, 5, 6))
         t = tuples.MatrixTuple("real", tuple(rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (d, d)) for _ in range(r)))
         omega = tuple(int(x) for x in rng.integers(1, r + 1, n))
-        blocks = list(tuples.off_class_blocks(t, omega))
+        blocks = list(tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget))
         codes = [int(c) for block, _ in blocks for c in block]
         expected = [
             code for code in range(r ** n)
@@ -198,8 +205,8 @@ def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length
     asked = []
     walk = tuples.product_blocks
 
-    def counting(t, n, *, prune, **kw):
-        return walk(t, n, prune=lambda codes, stack, k: asked.append(len(codes)) or prune(codes, stack, k), **kw)
+    def counting(t, n, budget, *, prune, **kw):
+        return walk(t, n, budget, prune=lambda codes, stack, k: asked.append(len(codes)) or prune(codes, stack, k), **kw)
 
     monkeypatch.setattr(tuples, "product_blocks", counting)
     omega = (1, 2, 2, 1, 2, 1, 1, 2, 2, 2, 1, 2, 1, 1, 1, 2)
@@ -212,15 +219,15 @@ def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length
 
 
 def test_product_blocks_errors():
-    t = _shift_pair()
-    # the walker takes no budget: its caller checks r**n, here after admitting the norm
-    with pytest.raises(BudgetError):
-        sfh_evidence(t, (1, 2) * 5 + (1,), WeightedMaxNorm((1.0, 1.0)), 1.0, budget=100)
+    # no product of this pair is zero, so the scan of length 11 keeps every prefix and passes 100 rows
+    t = tuples.MatrixTuple("real", (np.diag([1.0, 0.5]), np.array([[0.0, 0.5], [0.5, 0.0]])))
+    with pytest.raises(BudgetError, match="^enumeration of products of length 11 exceeds budget 100 rows$"):
+        sfh_evidence(t, (1, 2) * 5 + (1,), WeightedMaxNorm((1.0, 0.5)), 1.0, budget=100)
     # products that overflow raise ConvergenceError naming the length, with no warning
     big = tuples.MatrixTuple("real", (np.full((2, 2), 1e200),))
     for necklaces in (False, True):
         with pytest.raises(ConvergenceError, match="length 2"):
-            list(tuples.product_blocks(big, 3, necklaces=necklaces))
+            list(tuples.product_blocks(big, 3, _budget(), necklaces=necklaces))
 
 
 def test_product_along_validates_letters():
@@ -273,6 +280,15 @@ def test_tuple_distance():
     assert tuples.tuple_distance(a, b) == pytest.approx(want, rel=1e-12)
     with pytest.raises(InputError):
         tuples.tuple_distance(t, a)
+
+
+def test_tuple_distance_past_the_float_range_fails_without_a_warning():
+    # 1e308 - (-1e308) overflows: one ConvergenceError, and no numpy RuntimeWarning before it
+    a, b = (tuples.MatrixTuple("real", (np.full((2, 2), x),)) for x in (1e308, -1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConvergenceError, match="out of range"):
+            tuples.tuple_distance(a, b)
 
 
 def test_scale():
