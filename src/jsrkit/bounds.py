@@ -42,10 +42,10 @@ norm is below the maximum, so screening never changes the computed maximum.
 
 Budget accounting: the level walks share one tuples._Budget, which
 product_blocks charges for every row a prune is asked about, summed over
-every length, walk and level.  Its BudgetError, past the budget or past int64
-word codes, drops the level whose walk raised it: its necklaces, their share
-of lower and its maximum.  Stopping short of the requested depth sets
-partial; a budget that level 1 passes raises BudgetError.
+every length, walk and level.  Its BudgetError, past the budget, drops the
+level whose walk raised it: its necklaces, their share of lower and its
+maximum.  Stopping short of the requested depth sets partial; a budget
+that level 1 passes raises BudgetError.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float, b
     """
     best = seed
 
-    def prune(codes: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
+    def prune(digits: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
         # every word below a prefix p of length k has P_w = P_s @ P_p for a
         # suffix s of length n - k, so op_norm(P_w) <= cap(P_p) * maxima[n - k];
         # a leaf (k = n) is multiplied by 1.0, exactly
@@ -127,7 +127,7 @@ def _levels(t: MatrixTuple, depth: int, budget: int, *, upper: bool):
     """
     blocks, maxima, top, counter = [], [1.0], -np.inf, _Budget(budget)
 
-    def prune(codes: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
+    def prune(digits: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
         # at k = n the seed sees every necklace, then rows strictly below floor go (none while floor <= 0 or NaN)
         nonlocal seed_cap, seed
         drop = np.zeros(len(stack), dtype=bool)
@@ -144,23 +144,23 @@ def _levels(t: MatrixTuple, depth: int, budget: int, *, upper: bool):
     for n in range(1, depth + 1):
         seed_cap, seed, before = -np.inf, None, (len(blocks), top)
         try:
-            for codes, stack in product_blocks(t, n, counter, necklaces=True, prune=prune):
+            for digits, stack in product_blocks(t, n, counter, necklaces=True, prune=prune):
                 values = [rho ** (1.0 / n) for rho in linalg.spectral_radii(stack).tolist()]
                 if not blocks or max(values) > 0.0:  # an all-zero block ties only at top 0
-                    blocks.append((np.array(values), n, codes))
+                    blocks.append((np.array(values), digits))
                     top = max([top, *values])
             if upper:
                 maxima.append(_level_upper_max(t, n, maxima, linalg.op_norm(seed), counter))
-        except BudgetError:  # past the budget, or past int64 word codes: level n is dropped whole
+        except BudgetError:  # past the budget: level n is dropped whole
             del blocks[before[0]:], maxima[n:]
             top, depth = before[1], n - 1
             break
     if top == 0.0:
         return [((1,), 0.0)], maxima, depth
     candidates = []
-    for values, n, codes in blocks:
+    for values, digits in blocks:
         keep = values >= (1.0 - _TIE_TOL) * top
-        candidates += zip(words._words_at(codes[keep], t.r, n), values[keep].tolist())
+        candidates += zip(words._words_at(digits[keep]), values[keep].tolist())
     candidates.sort(key=lambda item: -item[1])  # stable: equal values keep scan order, length then word
     return candidates, maxima, depth
 

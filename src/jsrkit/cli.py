@@ -233,11 +233,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_words(args) -> int:
-    r, n = args.alphabet, args.length
-    blocks = word_blocks(
-        r, n, necklaces=args.necklaces, primitive_only=args.primitive_only, budget=args.budget
-    )
-    texts = (render_words(codes, r, n) for codes in blocks)
+    blocks = word_blocks(args.alphabet, args.length, necklaces=args.necklaces,
+                         primitive_only=args.primitive_only, budget=args.budget)
+    texts = map(render_words, blocks)
     if args.format == "json":
         listed = [word for text in texts for word in text.splitlines()]
         _emit(args, "words", {"count": len(listed), "words": listed})

@@ -29,7 +29,7 @@ from .config import DEFAULTS
 from .errors import ConvergenceError, InputError
 from .norms import LpNorm, WeightedMaxNorm, norm_to_json_dict
 from .tuples import MatrixTuple, _check_field, off_class_blocks, product_along
-from .words import Word, format_word, is_primitive, validate_word, word_at
+from .words import Word, _words_at, format_word, is_primitive, validate_word
 
 
 def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") -> MatrixTuple:
@@ -42,9 +42,9 @@ def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") ->
     so slots stay pairwise distinct with norms below one.
 
     Verified on every call: rho(P_omega) = 1, rank(P_omega) = 1, op norms of
-    the base slots equal 1, and (while r'**n < 2**63, the int64 word codes'
-    limit) the exact vanishing of every off-class base product:
-    tuples.off_class_blocks yields none, at the default budget.
+    the base slots equal 1, and the exact vanishing of every off-class base
+    product: tuples.off_class_blocks yields none, at the default budget,
+    which its walk of at most r' * n**2 rows stays far within.
     """
     if r < 1:
         raise InputError(f"alphabet size must be >= 1, got {r}")
@@ -78,9 +78,8 @@ def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") ->
         raise ConvergenceError("self-check failed: a slot of omega does not have norm 1")
     if any(np.array_equal(a, b) for a, b in combinations(t.matrices, 2)):
         raise ConvergenceError("self-check failed: two slots coincide")
-    if r_used**n < 1 << 63:  # the walk keeps at most r' * n**2 rows, far within the budget
-        for codes, _ in off_class_blocks(MatrixTuple(field, t.matrices[:r_used]), omega, DEFAULTS.word_budget):
-            raise ConvergenceError(f"self-check failed: off-class P_{format_word(word_at(codes[0], r_used, n))} != 0")
+    for digits, _ in off_class_blocks(MatrixTuple(field, t.matrices[:r_used]), omega, DEFAULTS.word_budget):
+        raise ConvergenceError(f"self-check failed: off-class P_{format_word(_words_at(digits[:1])[0])} != 0")
     return t
 
 

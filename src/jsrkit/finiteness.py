@@ -19,7 +19,7 @@ from .config import DEFAULTS, require_fraction, require_tol
 from .errors import InputError
 from .norms import NormRep, _check_rho, _check_samples, _induced_norm, verify_barabanov
 from .tuples import MatrixTuple, off_class_blocks
-from .words import Word, format_word, validate_word, word_at
+from .words import Word, _words_at, format_word, validate_word
 
 SFH_CAVEAT = (
     "numerical evidence only: norms were admitted by sampled verification and "
@@ -146,7 +146,7 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}
-    for codes, stack in off_class_blocks(t, omega, budget):
+    for digits, stack in off_class_blocks(t, omega, budget):
         caps = linalg.op_norm_caps(stack)
         for i, (norm_of, bound_of) in enumerate(induced):
             bound = bound_of(caps)
@@ -159,8 +159,8 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
             if live.any():
                 values[live] = norm_of(stack[live])
             level_max[i] = max(level_max[i], float(np.max(values)))
-            for j in np.flatnonzero(values >= threshold).tolist():
-                z, value = word_at(codes[j], t.r, n), float(values[j])
+            hits = np.flatnonzero(values >= threshold)
+            for z, value in zip(_words_at(digits[hits]), values[hits].tolist()):
                 offender_values[z] = max(offender_values.get(z, 0.0), value)
     margin = min([1.0] + [(target - m) / target for m in level_max])
     offenders = tuple(sorted(offender_values.items()))

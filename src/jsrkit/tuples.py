@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetError, ConvergenceError, InputError
-from .words import Word, _check_codes, prefix_blocks, rotation_class, validate_word, word_index
+from .words import Word, _rows_among, prefix_blocks, rotation_class, validate_word
 
 _FIELDS = ("real", "complex")
 
@@ -159,26 +159,25 @@ class _Budget:
 
 
 def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, necklaces=False, prune=None):
-    """Yield (codes, stack) over the products of the words of length n, in lexicographic order.
+    """Yield (digits, stack) over the products of the words of length n, in lexicographic order.
 
-    The generator of words.prefix_blocks with one product per row: codes
-    holds each word's int64 base-r index (words.word_at decodes it) and stack
-    the products P_w, (k, d, d).  The empty word's children are the slots and
-    a prefix's are A_letter @ P_prefix in one batched layer, product_along's
-    2-D products, so each P_w equals it bitwise.  necklaces and prune(codes,
-    stack, k) are prefix_blocks' own, and a block exceeds config.BLOCK_BYTES
-    only when one prefix's r children do.  Each row is charged to budget, one
-    call's counter, before prune sees it: BudgetError past its limit, or at the
-    call if r**n >= 2**63.  A non-finite product raises ConvergenceError.
+    The generator of words.prefix_blocks with one product per row: digits
+    holds each word's row of 0-based letters (words._words_at decodes it)
+    and stack the products P_w, (k, d, d).  The empty word's children are
+    the slots and a prefix's are A_letter @ P_prefix in one batched layer,
+    product_along's 2-D products, so each P_w equals it bitwise.  necklaces
+    and prune(digits, stack, k) are prefix_blocks' own, and a block exceeds
+    config.BLOCK_BYTES only when one prefix's r children do.  Each row is
+    charged to budget, one call's counter, before prune sees it: BudgetError
+    past its limit.  A non-finite product raises ConvergenceError.
     """
-    _check_codes(t.r, n)
     slots = np.stack(t.matrices)
 
-    def charged(codes, stack, k):
-        budget.spent += len(codes)
+    def charged(digits, stack, k):
+        budget.spent += len(digits)
         if budget.spent > budget.limit:
             raise BudgetError(f"enumeration of products of length {n} exceeds budget {budget.limit} rows")
-        return prune(codes, stack, k) if prune is not None else np.zeros(len(codes), dtype=bool)
+        return prune(digits, stack, k) if prune is not None else np.zeros(len(digits), dtype=bool)
 
     def grow(k, stack=None):
         if stack is None:  # the empty word
@@ -195,15 +194,14 @@ def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
     """product_blocks over the words of length n = |omega| outside omega's rotation class.
 
     The prune drops each exactly zero product, at every length, with its subtree
-    (a finite number times +-0 is +-0), and omega's rotations at k = n.  The
-    walk is charged against a budget of its own."""
-    def prune(codes, stack, k):
+    (a finite number times +-0 is +-0), and omega's rotations at k = n, looked
+    up by words._rows_among.  The walk is charged against a budget of its own."""
+    rotation = _rows_among(rotation_class(omega), t.r)
+
+    def prune(digits, stack, k):
         zero = ~stack.any(axis=(1, 2))
-        # compared against each of the <= n rotations: np.isin may sort, which loads numpy.ma
-        return zero | (codes[:, None] == rotations).any(axis=1) if k == len(omega) else zero
-    blocks = product_blocks(t, len(omega), _Budget(budget), prune=prune)  # first: the codes must fit int64
-    rotations = np.array([word_index(z, t.r) for z in rotation_class(omega)], dtype=np.int64)
-    return blocks
+        return zero | rotation(digits) if k == len(omega) else zero
+    return product_blocks(t, len(omega), _Budget(budget), prune=prune)
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:

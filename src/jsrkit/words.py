@@ -5,15 +5,15 @@ comma-separated, e.g. "1,2,2".  Two words are rotation equivalent when
 one is a cyclic shift of the other; the canonical representative of a
 class (its necklace) is its lexicographically least rotation.
 
-word_index and word_at map a word to its base-r position in lexicographic
-order and back.  prefix_blocks is the one prefix walker: it grows such
-positions one letter at a time from the empty word, keeps necklaces by the
-FKM rule of necklace_children, runs each screen with one mask per row as
-its prune, and yields (codes, *rows) blocks of the words of one length.
+In a walk a word is a row of 0-based letters (_digit_rows), and
+prefix_blocks is the one prefix walker: it grows such rows one letter at a
+time from the empty word, keeps necklaces by the FKM rule of
+necklace_children, runs each screen with one mask per row as its prune,
+and yields (digits, *rows) blocks of the words of one length.
 tuples.product_blocks is the walker with one product per row; word_blocks
 lists words, necklaces and, by a prune, primitive words on it.
-enumerate_words and enumerate_necklaces decode its blocks to tuples, and
-render_words turns a block into text without building them.
+enumerate_words and enumerate_necklaces decode its blocks to tuples
+(_words_at: digits + 1), and render_words turns a block into text.
 """
 
 from __future__ import annotations
@@ -91,148 +91,139 @@ def power(w: Word, p: int) -> Word:
     return w * p
 
 
-def _check_budget(r: int, n: int, budget: int) -> None:
-    if r < 1:
-        raise InputError(f"alphabet size must be >= 1, got {r}")
-    if n < 1:
-        raise InputError(f"word length must be >= 1, got {n}")
-    total = r ** n
-    if total > budget:
-        raise BudgetError(f"enumeration of {r}^{n} = {total} words exceeds budget {budget}; lower the length")
-    _check_codes(r, n)
-
-
-def _check_codes(r: int, n: int) -> None:
-    if r ** n >= 1 << 63:
-        raise BudgetError(f"{r}^{n} words do not fit int64 word indices; lower the length")
-
-
 def enumerate_words(r: int, n: int, budget: int = DEFAULTS.word_budget) -> Iterator[Word]:
     """All words of length n over {1..r} in lexicographic order."""
-    return _decoded(word_blocks(r, n, budget=budget), r, n)
+    return chain.from_iterable(map(_words_at, word_blocks(r, n, budget=budget)))
 
 
 def enumerate_necklaces(r: int, n: int, budget: int = DEFAULTS.word_budget) -> Iterator[Word]:
     """One representative per rotation class, its least rotation, in lexicographic order."""
-    return _decoded(word_blocks(r, n, necklaces=True, budget=budget), r, n)
-
-
-def _decoded(blocks: Iterator[np.ndarray], r: int, n: int) -> Iterator[Word]:
-    return chain.from_iterable(_words_at(codes, r, n) for codes in blocks)
+    return chain.from_iterable(map(_words_at, word_blocks(r, n, necklaces=True, budget=budget)))
 
 
 def word_blocks(r: int, n: int, *, necklaces: bool = False, primitive_only: bool = False,
                 budget: int = DEFAULTS.word_budget) -> Iterator[np.ndarray]:
-    """The word_index codes of the words of length n over {1..r}, in lexicographic order.
+    """The digit rows of the words of length n over {1..r}, in lexicographic order.
 
-    Codes come in non-empty int64 blocks from prefix_blocks, whose digit
-    arrays (n int64 per word) fit in config.BLOCK_BYTES unless one prefix's
-    r children do not.  necklaces keeps one word per rotation class, its
-    least rotation; primitive_only keeps the words that are no proper power
-    (is_primitive), among necklaces the Lyndon words, by a prune on the full
-    words.  The budget, r**n words, is checked at the call, before any is written.
+    Rows come in non-empty blocks from prefix_blocks, each row counted as
+    8 * n bytes, the n references of its decoded word, so that a decoded
+    block fits in config.BLOCK_BYTES unless one prefix's r children do not.
+    necklaces keeps one word per rotation class, its least rotation;
+    primitive_only keeps the words that are no proper power (is_primitive),
+    among necklaces the Lyndon words, by a prune on the full words.  The
+    budget, r**n words, is checked at the call, before any is written.
     """
-    _check_budget(r, n, budget)
+    if r < 1:
+        raise InputError(f"alphabet size must be >= 1, got {r}")
+    if n < 1:
+        raise InputError(f"word length must be >= 1, got {n}")
+    if r ** n > budget:
+        raise BudgetError(f"enumeration of {r}^{n} = {r ** n} words exceeds budget {budget}; lower the length")
 
-    def proper_powers(codes, k):
-        return ~_primitive(codes, r, n) if k == n else np.zeros(len(codes), dtype=bool)
+    def proper_powers(digits, k):
+        return ~_primitive(digits) if k == n else np.zeros(len(digits), dtype=bool)
     prune = proper_powers if primitive_only else None
-    return (codes for codes, in prefix_blocks(r, n, 8 * n, necklaces=necklaces, prune=prune))
+    return (digits for digits, in prefix_blocks(r, n, 8 * n, necklaces=necklaces, prune=prune))
 
 
 def prefix_blocks(r: int, n: int, row_bytes: int, *, necklaces=False, prune=None, grow=None):
-    """Yield (codes, *rows) over the words of length n over {1..r}, in lexicographic order.
+    """Yield (digits, *rows) over the words of length n over {1..r}, in lexicographic order.
 
     The one prefix walker: a while loop over a LIFO list of pieces
-    (k, codes, periods, *rows) of prefixes of length k, from the empty word.
-    Children are split into pieces of BLOCK_BYTES // row_bytes // r rows and
-    pushed in reverse, so the children of one piece make at most one block: a
-    block exceeds config.BLOCK_BYTES only when one prefix's r children do,
-    and a depth-n walk holds about n blocks.  grow(k, *rows) returns the
-    arrays that go with the r children of each prefix of length k.
-    necklaces=True keeps least rotations by necklace_children; their FKM
-    periods stay in the walk.  prune(codes, *rows, k) is asked for every
-    piece at every length 1 <= k <= n before it is grown or yielded, and masks
-    the rows to drop with every word below them: each screen with one mask
-    per row runs there.  No block is empty, and no budget is charged here.
+    (k, digits, periods, *rows) of prefixes of length k, from the empty word,
+    digits being their (rows, k) digit rows.  Children are split into pieces
+    of BLOCK_BYTES // row_bytes // r rows and pushed in reverse, so the
+    children of one piece make at most one block: a block exceeds
+    config.BLOCK_BYTES only when one prefix's r children do, and a depth-n
+    walk holds about n blocks.  grow(k, *rows) returns the arrays that go
+    with the r children of each prefix of length k.  necklaces=True keeps
+    least rotations by necklace_children; their FKM periods stay in the
+    walk.  prune(digits, *rows, k) is asked for every piece at every length
+    1 <= k <= n before it is grown or yielded, and masks the rows to drop
+    with every word below them: each screen with one mask per row runs
+    there.  No block is empty, and no budget is charged here.
     """
     leaf_rows = config.BLOCK_BYTES // row_bytes
-    pending = [(0, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+    pending = [(0, _digit_rows([()], r), np.ones(1, dtype=np.int64))]
     while pending:
-        k, codes, periods, *rows = pending.pop()
+        k, digits, periods, *rows = pending.pop()
         if prune is not None and k:
-            keep = ~prune(codes, *rows, k)
-            if not keep.all():  # copy only when a row goes
-                codes, periods, *rows = (a[keep] for a in (codes, periods, *rows))
+            keep = ~prune(digits, *rows, k)
+            if not keep.all():  # copy only when a row goes; compress copies small rows faster than a[keep]
+                digits, periods, *rows = (np.compress(keep, a, axis=0) for a in (digits, periods, *rows))
         if k == n:
-            if len(codes):
-                yield codes, *rows
+            if len(digits):
+                yield digits, *rows
             continue
         rows = grow(k, *rows) if grow is not None else ()
         if necklaces:
-            codes, periods, keep = necklace_children(codes, periods, r, k, n)
-            rows = [a[keep] for a in rows]
+            digits, periods, keep = necklace_children(digits, periods, r, n)
+            rows = [np.compress(keep, a, axis=0) for a in rows]
         else:
-            codes = periods = _children(codes, r)
-        step = max(1, len(codes) if k + 1 == n else leaf_rows // r)
-        for lo in reversed(range(0, len(codes), step)):
-            pending.append((k + 1, *(a[lo:lo + step] for a in (codes, periods, *rows))))
+            digits = periods = _children(digits, r)
+        step = max(1, len(digits) if k + 1 == n else leaf_rows // r)
+        for lo in reversed(range(0, len(digits), step)):
+            pending.append((k + 1, *(a[lo:lo + step] for a in (digits, periods, *rows))))
 
 
-def _children(codes: np.ndarray, r: int) -> np.ndarray:
-    """The codes of the r children of each prefix, in lexicographic order, by r strided writes."""
-    out = np.empty((len(codes), r), dtype=np.int64)
-    base = codes * r
+def _digit_rows(ws, r: int) -> np.ndarray:
+    """The 0-based letters of words of one length over {1..r}, one row each.
+
+    The one place the walks' dtype is chosen: the least unsigned type that holds r (uint8 up to 255)."""
+    return np.array(list(ws), dtype=np.min_scalar_type(r)) - 1
+
+
+def _children(digits: np.ndarray, r: int) -> np.ndarray:
+    """The digit rows of the r children of each prefix, in lexicographic order, by r strided copies."""
+    m, k = digits.shape
+    out = np.empty((m, r, k + 1), dtype=digits.dtype)
     for letter in range(r):
-        np.add(base, letter, out=out[:, letter])
-    return out.ravel()
+        out[:, letter, :k] = digits
+        out[:, letter, k] = letter
+    return out.reshape(m * r, k + 1)
 
 
-def _primitive(codes: np.ndarray, r: int, n: int) -> np.ndarray:
-    # a word with a period d dividing n is its first d letters repeated n // d times
-    keep = np.ones(len(codes), dtype=bool)
+def _primitive(digits: np.ndarray) -> np.ndarray:
+    # a word with a period d dividing n equals its shift by d
+    n = digits.shape[1]
+    keep = np.ones(len(digits), dtype=bool)
     for d in range(1, n):
         if n % d == 0:
-            repunit = sum(r ** (d * j) for j in range(n // d))
-            keep &= codes != codes // r ** (n - d) * repunit
+            keep &= (digits[:, d:] != digits[:, :-d]).any(axis=1)
     return keep
 
 
-def render_words(codes: np.ndarray, r: int, n: int) -> str:
-    """The words at codes in text form, one "1,2,2\\n" line each, built from their digit array."""
-    digits = _digits(codes, r, n)
-    if r > 9:
+def _rows_among(ws, r: int):
+    """A mask of the digit rows that spell one of the words ws, all of one length, over {1..r}.
+
+    Each row, as one byte string, is looked up by np.searchsorted among the
+    sorted ones of ws (np.isin may sort, which loads numpy.ma)."""
+    def key(digits):  # keys of one width: a plain byte order, trailing zero bytes included
+        return np.ascontiguousarray(digits).view(f"S{digits.shape[1] * digits.itemsize}")[:, 0]
+    keys = np.sort(key(_digit_rows(ws, r)))
+
+    def among(digits: np.ndarray) -> np.ndarray:
+        found = key(digits)
+        return keys[np.minimum(keys.searchsorted(found), len(keys) - 1)] == found
+    return among
+
+
+def render_words(digits: np.ndarray) -> str:
+    """The words of digit rows in text form, one "1,2,2\\n" line each, built from the rows."""
+    if digits.max() >= 9:
         return "".join(",".join(map(str, row)) + "\n" for row in (digits + 1).tolist())
-    text = np.full((len(codes), 2 * n), ord(","), dtype=np.uint8)
+    text = np.full((len(digits), 2 * digits.shape[1]), ord(","), dtype=np.uint8)
     text[:, ::2] = digits + ord("1")
     text[:, -1] = ord("\n")
     return text.tobytes().decode("ascii")
 
 
-def word_index(w: Word, r: int) -> int:
-    """w's position among the words of its length in lexicographic order (its base-r value)."""
-    index = 0
-    for letter in w:
-        index = index * r + letter - 1
-    return index
+def _words_at(digits: np.ndarray) -> list[Word]:
+    return list(map(tuple, (digits + 1).tolist()))
 
 
-def word_at(index: int, r: int, n: int) -> Word:
-    """The word of length n over {1..r} at a lexicographic position; inverse of word_index."""
-    return _words_at(np.array([index], dtype=np.int64), r, n)[0]
-
-
-def _digits(codes: np.ndarray, r: int, n: int) -> np.ndarray:
-    """The (k, n) array of 0-based letters of the words at codes."""
-    return codes[:, None] // r ** np.arange(n - 1, -1, -1, dtype=np.int64) % r
-
-
-def _words_at(codes: np.ndarray, r: int, n: int) -> list[Word]:
-    return list(map(tuple, (_digits(codes, r, n) + 1).tolist()))
-
-
-def necklace_children(codes: np.ndarray, periods: np.ndarray, r: int, k: int, n: int):
-    """(codes, periods, keep): the pre-necklaces of length k + 1 grown from those of length k.
+def necklace_children(digits: np.ndarray, periods: np.ndarray, r: int, n: int):
+    """(digits, periods, keep): the pre-necklaces of length k + 1 grown from those of length k.
 
     FKM rule (Cattell, Ruskey, Sawada, Serra, Miers, J. Algorithms 37, 2000):
     a period is the length of the longest Lyndon prefix, 1 for the empty word.
@@ -241,10 +232,11 @@ def necklace_children(codes: np.ndarray, periods: np.ndarray, r: int, k: int, n:
     only necklaces, the children whose period divides n, are kept.  keep
     masks all r children of each prefix, in lexicographic order.
     """
-    letters = np.arange(r, dtype=np.int64)
-    back = (codes // r ** (periods - 1) % r)[:, None]
+    m, k = digits.shape
+    letters = np.arange(r, dtype=digits.dtype)
+    back = (digits[np.arange(m), k - periods] if k else np.zeros(m, dtype=digits.dtype))[:, None]
     periods = np.where(letters == back, periods[:, None], k + 1).ravel()
     keep = (letters >= back).ravel()
     if k + 1 == n:
         keep &= n % periods == 0
-    return _children(codes, r)[keep], periods[keep], keep
+    return np.compress(keep, _children(digits, r), axis=0), periods[keep], keep

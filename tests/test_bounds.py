@@ -96,6 +96,15 @@ def test_nilpotent_singleton():
     assert finiteness_verified_at_depth(b)
 
 
+def test_scalar_slots_past_one_byte_letters():
+    # 300 letters take two bytes each; the jsr of 1x1 slots is the largest |entry|
+    entries = np.random.default_rng(27).standard_normal(300)
+    b = bounds(MatrixTuple("real", tuple(np.full((1, 1), x) for x in entries)), 2)
+    top = int(np.argmax(np.abs(entries)))
+    assert b.lower == b.upper == abs(entries[top])
+    assert (b.lower_witness, b.depth, b.partial) == ((top + 1,), 2, False)
+
+
 def test_projector_swap_triple_depth_one():
     b = bounds(_projector_swap_triple(), 1)
     assert b.lower == pytest.approx(1.0, abs=1e-12)
@@ -185,10 +194,10 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
         if prune is not None and not necklaces:  # the upper sweep only: the necklace walk prunes too
             inner = prune
 
-            def prune(codes, stack, k):
+            def prune(digits, stack, k):
                 if k < n:  # prefixes only: full words are asked about too
                     rows.append(len(stack))
-                return inner(codes, stack, k)
+                return inner(digits, stack, k)
 
         return product_blocks(t, n, budget, necklaces=necklaces, prune=prune)
 
@@ -227,10 +236,10 @@ def test_necklace_walk_yields_only_rows_that_reach_eigenvalues(monkeypatch):
     yielded, radii = [], []
 
     def walk(t, n, budget, *, necklaces=False, prune=None):
-        for codes, stack in product_blocks(t, n, budget, necklaces=necklaces, prune=prune):
+        for digits, stack in product_blocks(t, n, budget, necklaces=necklaces, prune=prune):
             if necklaces:
                 yielded.append(stack.tobytes())
-            yield codes, stack
+            yield digits, stack
 
     def spy(stack):
         radii.append(stack.tobytes())
@@ -430,9 +439,9 @@ def test_candidate_budget_counts_the_rows_the_walks_keep(monkeypatch):
     engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, {}
 
     def spy(t, n, budget, *, necklaces=False, prune=None):
-        def counted(codes, stack, k):
+        def counted(digits, stack, k):
             rows[n] = rows.get(n, 0) + len(stack)
-            return prune(codes, stack, k)
+            return prune(digits, stack, k)
 
         return product_blocks(t, n, budget, necklaces=necklaces, prune=counted)
 

@@ -522,6 +522,13 @@ def test_out_of_range_options_exit_2_and_stdout_stays_strict_json(capsys, tmp_pa
         _strict_json(out)
 
 
+def test_words_listing_over_a_wide_alphabet_ends_with_its_last_letter(capsys):
+    code, out, _ = _run(capsys, ["words", "--alphabet", "300", "--length", "2", "--format", "text"])
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 300 ** 2
+    assert lines[0] == "1,1" and lines[-1] == "300,300"
+
+
 def test_words_listing_text_and_json(capsys):
     code, out, _ = _run(capsys, ["words", "--alphabet", "2", "--length", "3", "--necklaces"])
     assert code == 0
@@ -653,19 +660,20 @@ def test_results_past_the_float_range_are_numerical_failures(tmp_path, command, 
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
-def test_words_past_int64_codes_end_in_one_line(tmp_path):
-    # 2**64 words of length 64: the construction skips its off-class check, and the scan
-    # refuses before it turns omega's rotations into int64 codes
-    word = ",".join(["1"] * 63 + ["2"])
+@pytest.mark.parametrize("n", [64, 100])
+def test_words_past_62_letters_pass_their_class_scan(tmp_path, n):
+    # 2**n words of length n: the construction runs its off-class check and the
+    # scan keeps a few rows per length, with no ceiling on the word length
+    word = ",".join(["1"] * (n - 1) + ["2"])
     proc = _cli_subprocess([], "construct", "--word", word, "--alphabet", "2")
     assert (proc.returncode, proc.stderr) == (0, "")
-    (tmp_path / "c64.json").write_text(proc.stdout)
-    (tmp_path / "w64.json").write_text(json.dumps(norm_to_json_dict(WeightedMaxNorm((1.0,) * 64))))
-    proc = _cli_subprocess([], "sfh", "--input", str(tmp_path / "c64.json"), "--word", word,
-                           "--norm", str(tmp_path / "w64.json"), "--rho-hat", "1", "--samples", "64")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
+    (tmp_path / "c.json").write_text(proc.stdout)
+    (tmp_path / "w.json").write_text(json.dumps(norm_to_json_dict(WeightedMaxNorm((1.0,) * n))))
+    proc = _cli_subprocess([], "sfh", "--input", str(tmp_path / "c.json"), "--word", word,
+                           "--norm", str(tmp_path / "w.json"), "--rho-hat", "1", "--samples", "64")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (report,) = json.loads(proc.stdout)["result"]["reports"]
+    assert (report["passed"], report["margin"]) == (True, 1.0)
 
 
 def test_overflowing_pruning_bound_keeps_every_prefix(capsys, tmp_path):

@@ -18,7 +18,7 @@ from jsrkit.finiteness import (
 )
 from jsrkit.norms import LpNorm, MeshNorm, WeightedMaxNorm, matrix_norm, sphere_samples, theta
 from jsrkit.tuples import MatrixTuple, _Budget, product_along, product_blocks
-from jsrkit.words import power, rotation_class, word_at, word_index
+from jsrkit.words import _words_at, power, rotation_class
 
 MAXNORM = WeightedMaxNorm((1.0, 1.0))
 
@@ -248,21 +248,22 @@ def _unscreened_scan(t, omega, reps, rho_hat, offender_tol, samples):
     n = len(omega)
     target = rho_hat ** n
     threshold = target * (1.0 - offender_tol)
-    omega_codes = [word_index(z, t.r) for z in rotation_class(omega)]
+    rotations = rotation_class(omega)
     real = t.field == "real"
     induced = [norms._induced_norm(rep, t.d, real=real, samples=samples)[0] for rep in reps]
     level_max = [0.0] * len(reps)
     found = {}
-    for codes, stack in product_blocks(t, n, _Budget(DEFAULTS.word_budget)):
-        other = ~np.isin(codes, omega_codes)
-        codes, stack = codes[other], stack[other]
-        if not len(codes):
+    for digits, stack in product_blocks(t, n, _Budget(DEFAULTS.word_budget)):
+        zs = _words_at(digits)
+        other = np.array([z not in rotations for z in zs], dtype=bool)
+        zs, stack = [z for z, keep in zip(zs, other) if keep], stack[other]
+        if not zs:
             continue
         for i, norm_of in enumerate(induced):
             values = norm_of(stack)
             level_max[i] = max(level_max[i], float(np.max(values)))
             for j in np.flatnonzero(values >= threshold).tolist():
-                z = word_at(codes[j], t.r, n)
+                z = zs[j]
                 found[z] = max(found.get(z, 0.0), float(values[j]))
     margin = min([1.0] + [(target - m) / target for m in level_max])
     return margin, sorted(found.items()), level_max

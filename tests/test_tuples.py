@@ -75,7 +75,7 @@ def test_product_along_order_convention():
 def _blocks(t, n, **kwargs):
     """product_blocks as (list of words, list of blocks)."""
     blocks = list(tuples.product_blocks(t, n, _budget(), **kwargs))
-    got = [words.word_at(c, t.r, n) for codes, _ in blocks for c in codes.tolist()]
+    got = [w for digits, _ in blocks for w in words._words_at(digits)]
     return got, blocks
 
 
@@ -102,12 +102,13 @@ def test_product_blocks_match_product_along_bitwise(monkeypatch):
                         for w, p in zip(got, stacks):  # bytes: signed zeros count too
                             assert p.tobytes() == tuples.product_along(t, w).tobytes(), w
                         assert all(stack.nbytes <= cap for _, stack in blocks)
-                        assert all(codes.dtype == np.int64 for codes, _ in blocks)
+                        assert all(digits.shape == (len(stack), n) and digits.dtype == np.uint8
+                                   for digits, stack in blocks)
                         if cap < default_cap and len(got) > 4:
                             assert len(blocks) > 1
                         if not necklaces:  # the largest block holds as many words as fit under cap
                             fit = r * max(1, cap // t.matrices[0].nbytes // r) if n > 1 else r
-                            assert max(len(codes) for codes, _ in blocks) == min(fit, r ** n)
+                            assert max(len(digits) for digits, _ in blocks) == min(fit, r ** n)
     # the empty word's children are the slots themselves, not I @ A, so -0.0 stays
     t = tuples.MatrixTuple("real", (np.array([[-0.0, 1.0], [0.5, -0.0]]),))
     for necklaces in (False, True):
@@ -122,7 +123,7 @@ def test_product_blocks_prune_drops_subtrees():
     below = [tuples.product_along(t, (2, 1, x)) for x in (1, 2, 3)]
     asked = []
 
-    def prune(codes, stack, k):
+    def prune(digits, stack, k):
         asked.append(k)
         # nothing below a dropped prefix is asked about
         assert not any(np.array_equal(p, q) for p in stack for q in below)
@@ -145,8 +146,8 @@ def test_product_blocks_yield_no_empty_block(monkeypatch):
     monkeypatch.setattr(config, "BLOCK_BYTES", 1)
     got, blocks = _blocks(t, 5, necklaces=True)
     assert got == list(words.enumerate_necklaces(2, 5))
-    assert all(len(codes) for codes, _ in blocks)
-    def drop_all(codes, stack, k):
+    assert all(len(digits) for digits, _ in blocks)
+    def drop_all(digits, stack, k):
         return np.ones(len(stack), dtype=bool)
 
     for necklaces in (False, True):
@@ -166,18 +167,18 @@ def test_product_blocks_cut_prefix_pieces_by_rows(monkeypatch):
         for n in range(1, 9):
             waiting, peak = [r], [0]  # the empty word's r children wait first
 
-            def keep_all(codes, stack, k):
+            def keep_all(digits, stack, k):
                 if k < n:
-                    last = codes[-1] % r == r - 1
-                    assert len(codes) == step or (len(codes) < step and last), (r, leaf_rows, n, k)
+                    last = digits[-1, -1] == r - 1
+                    assert len(digits) == step or (len(digits) < step and last), (r, leaf_rows, n, k)
                 peak[0] = max(peak[0], waiting[0])
-                waiting[0] += (r - 1 if k < n else -1) * len(codes)
-                return np.zeros(len(codes), dtype=bool)
+                waiting[0] += (r - 1 if k < n else -1) * len(digits)
+                return np.zeros(len(digits), dtype=bool)
 
             got, blocks = _blocks(t, n, prune=keep_all)
             assert got == list(words.enumerate_words(r, n))
             assert waiting[0] == 0 and 0 < peak[0] <= n * leaf_rows, (r, leaf_rows, n)
-            assert all(len(codes) <= r * step for codes, _ in blocks)
+            assert all(len(digits) <= r * step for digits, _ in blocks)
 
 
 def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
@@ -188,15 +189,14 @@ def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
         t = tuples.MatrixTuple("real", tuple(rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (d, d)) for _ in range(r)))
         omega = tuple(int(x) for x in rng.integers(1, r + 1, n))
         blocks = list(tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget))
-        codes = [int(c) for block, _ in blocks for c in block]
+        got = [w for digits, _ in blocks for w in words._words_at(digits)]
         expected = [
-            code for code in range(r ** n)
-            if not words.rotation_equivalent(words.word_at(code, r, n), omega)
-            and np.any(tuples.product_along(t, words.word_at(code, r, n)))
+            w for w in words.enumerate_words(r, n)
+            if not words.rotation_equivalent(w, omega) and np.any(tuples.product_along(t, w))
         ]
-        assert codes == expected, (r, d, omega)
-        for block, stack in blocks:
-            assert all(np.array_equal(p, tuples.product_along(t, words.word_at(c, r, n))) for c, p in zip(block, stack))
+        assert got == expected, (r, d, omega)
+        for digits, stack in blocks:
+            assert all(np.array_equal(p, tuples.product_along(t, w)) for w, p in zip(words._words_at(digits), stack))
 
 
 def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length(monkeypatch):
@@ -206,16 +206,31 @@ def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length
     walk = tuples.product_blocks
 
     def counting(t, n, budget, *, prune, **kw):
-        return walk(t, n, budget, prune=lambda codes, stack, k: asked.append(len(codes)) or prune(codes, stack, k), **kw)
+        return walk(t, n, budget, prune=lambda digits, stack, k: asked.append(len(digits)) or prune(digits, stack, k), **kw)
 
     monkeypatch.setattr(tuples, "product_blocks", counting)
-    omega = (1, 2, 2, 1, 2, 1, 1, 2, 2, 2, 1, 2, 1, 1, 1, 2)
-    t = characteristic_tuple(2, 16, omega)  # its self-check walks the off-class products
-    assert 0 < sum(asked) <= 2 * 16 ** 2
-    asked.clear()
-    report = sfh_evidence(t, omega, WeightedMaxNorm((1.0,) * 16), 1.0, samples=sphere_samples(16, 64, seed=0))
-    assert (report.passed, report.margin) == (True, 1.0)
-    assert 0 < sum(asked) <= 2 * 16 ** 2
+    # past 62 letters too, where 2**63 words would not fit one int64 index each
+    for omega in ((1, 2, 2, 1, 2, 1, 1, 2, 2, 2, 1, 2, 1, 1, 1, 2), (1,) * 62 + (2,)):
+        n = len(omega)
+        asked.clear()
+        t = characteristic_tuple(2, n, omega)  # its self-check walks the off-class products
+        assert 0 < sum(asked) <= 2 * n ** 2, n
+        asked.clear()
+        report = sfh_evidence(t, omega, WeightedMaxNorm((1.0,) * n), 1.0, samples=sphere_samples(n, 64, seed=0))
+        assert (report.passed, report.margin) == (True, 1.0), n
+        assert 0 < sum(asked) <= 2 * n ** 2, n
+
+
+def test_off_class_blocks_look_rotations_up_by_their_bytes():
+    # no product is zero, so exactly the rotations go: those of (2, 1, 1) end in
+    # zero digits, and letters over an alphabet of 300 take two bytes each
+    for r, omega in ((2, (2, 1, 1)), (300, (7, 290))):
+        t = tuples.MatrixTuple("real", tuple(np.full((1, 1), 1.0 + letter / r) for letter in range(r)))
+        got = [w for digits, _ in tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget)
+               for w in words._words_at(digits)]
+        rotations = words.rotation_class(omega)
+        assert got == [w for w in words.enumerate_words(r, len(omega)) if w not in rotations], (r, omega)
+        assert len(got) == r ** len(omega) - len(rotations), (r, omega)
 
 
 def test_product_blocks_errors():

@@ -160,6 +160,13 @@ def test_necklace_representatives_are_canonical_and_complete():
             assert all(type(letter) is int for w in got for letter in w), (r, n)
 
 
+def test_listings_over_wide_alphabets_equal_the_oracle():
+    # letters of one byte up to r = 255, of two bytes past it
+    for r in (255, 256, 300):
+        assert list(words.enumerate_words(r, 2)) == list(product(range(1, r + 1), repeat=2)), r
+        assert list(words.enumerate_necklaces(r, 2)) == _necklace_oracle(r, 2), r
+
+
 def test_necklaces_decoded_in_slices_keep_order(monkeypatch):
     # a 64-byte cap decodes the words below one prefix at a time, for every listing
     monkeypatch.setattr(config, "BLOCK_BYTES", 64)
@@ -170,8 +177,8 @@ def test_necklaces_decoded_in_slices_keep_order(monkeypatch):
         for necklaces in (False, True):
             want = [w for w in (_necklace_oracle(r, n) if necklaces else every) if _primitive_oracle(w)]
             blocks = list(words.word_blocks(r, n, necklaces=necklaces, primitive_only=True))
-            assert all(len(codes) for codes in blocks), (r, n, necklaces)
-            assert [words.word_at(c, r, n) for codes in blocks for c in codes.tolist()] == want, (r, n, necklaces)
+            assert all(len(digits) for digits in blocks), (r, n, necklaces)
+            assert [w for digits in blocks for w in words._words_at(digits)] == want, (r, n, necklaces)
 
 
 def test_validate_word_takes_integer_letters_only():
@@ -182,13 +189,6 @@ def test_validate_word_takes_integer_letters_only():
     for bad in ((1.9, 2.5), (1.0,), (True, 2), (np.float64(2.0),), (np.bool_(True),), ("1", "2"), "1,2", 3, None):
         with pytest.raises(InputError, match="integer letters"):
             words.validate_word(bad)
-
-
-def test_word_index_is_lexicographic_position():
-    for r, n in ((1, 3), (2, 4), (3, 3)):
-        for i, w in enumerate(product(range(1, r + 1), repeat=n)):
-            assert words.word_index(w, r) == i
-            assert words.word_at(i, r, n) == w
 
 
 def _is_lyndon(w):
@@ -204,12 +204,12 @@ def test_necklace_children_keep_pre_necklaces_with_their_fkm_periods():
     for r in (1, 2, 3):
         for n in range(1, 8):
             necklaces = set(_necklace_oracle(r, n))
-            codes, periods = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+            digits, periods = np.zeros((1, 0), dtype=np.uint8), np.ones(1, dtype=np.int64)
             for k in range(1, n + 1):
-                children = (codes[:, None] * r + np.arange(r)).ravel()
-                codes, periods, keep = words.necklace_children(codes, periods, r, k - 1, n)
-                assert codes.tolist() == children[keep].tolist(), (r, n, k)
-                kept = [words.word_at(c, r, k) for c in codes.tolist()]
+                children = [row + [letter] for row in digits.tolist() for letter in range(r)]
+                digits, periods, keep = words.necklace_children(digits, periods, r, n)
+                assert digits.tolist() == [row for row, kept in zip(children, keep) if kept], (r, n, k)
+                kept = words._words_at(digits)
                 assert kept == sorted(kept), (r, n, k)
                 assert periods.tolist() == [
                     max(j for j in range(1, k + 1) if _is_lyndon(w[:j])) for w in kept
@@ -236,8 +236,3 @@ def test_budget_errors():
     # checked once, when the enumeration is created, before any word is produced
     with pytest.raises(BudgetError):
         words.enumerate_necklaces(2, 10, budget=100)
-    # word indices are int64: past 2**63 words no budget admits the listing
-    for listing in (words.enumerate_words, words.enumerate_necklaces):
-        with pytest.raises(BudgetError, match="int64"):
-            listing(2, 63, budget=2 ** 64)
-        listing(2, 62, budget=2 ** 64)
