@@ -125,7 +125,7 @@ def _levels(t: MatrixTuple, depth: int, budget: int, *, upper: bool):
     value.  Without upper, maxima is [1.0].  reached is the last level within
     the budget; both come from levels 1 .. reached only (no candidates at 0).
     """
-    blocks, maxima, top, counter = [], [1.0], -np.inf, _Budget(budget)
+    candidates, maxima, top, counter = [], [1.0], -np.inf, _Budget(budget)
 
     def prune(digits: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
         # at k = n the seed sees every necklace, then rows strictly below floor go (none while floor <= 0 or NaN)
@@ -142,25 +142,24 @@ def _levels(t: MatrixTuple, depth: int, budget: int, *, upper: bool):
         return drop
 
     for n in range(1, depth + 1):
-        seed_cap, seed, before = -np.inf, None, (len(blocks), top)
+        seed_cap, seed, before = -np.inf, None, (len(candidates), top)
         try:
             for digits, stack in product_blocks(t, n, counter, necklaces=True, prune=prune):
-                values = [rho ** (1.0 / n) for rho in linalg.spectral_radii(stack).tolist()]
-                if not blocks or max(values) > 0.0:  # an all-zero block ties only at top 0
-                    blocks.append((np.array(values), digits))
-                    top = max([top, *values])
+                values = np.array([rho ** (1.0 / n) for rho in linalg.spectral_radii(stack).tolist()])
+                top = max(top, float(values.max()))
+                # top only rises, so a row below the window now never ties; at top 0 the result is fixed
+                keep = values >= (1.0 - _TIE_TOL) * top
+                if top > 0.0 and keep.any():
+                    candidates += zip(words._words_at(digits[keep]), values[keep].tolist())
             if upper:
                 maxima.append(_level_upper_max(t, n, maxima, linalg.op_norm(seed), counter))
         except BudgetError:  # past the budget: level n is dropped whole
-            del blocks[before[0]:], maxima[n:]
+            del candidates[before[0]:], maxima[n:]
             top, depth = before[1], n - 1
             break
     if top == 0.0:
         return [((1,), 0.0)], maxima, depth
-    candidates = []
-    for values, digits in blocks:
-        keep = values >= (1.0 - _TIE_TOL) * top
-        candidates += zip(words._words_at(digits[keep]), values[keep].tolist())
+    candidates = [item for item in candidates if item[1] >= (1.0 - _TIE_TOL) * top]
     candidates.sort(key=lambda item: -item[1])  # stable: equal values keep scan order, length then word
     return candidates, maxima, depth
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -605,12 +606,12 @@ def test_invalid_depth_and_tol_rejected(capsys, tmp_path):
     assert "tol" in err
 
 
-def _cli_subprocess(flags, *args):
+def _cli_subprocess(flags, *args, text=True):
     # a child process, so that anything printed to stderr, warnings included, is seen
     src = str(Path(jsrkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = [sys.executable, *flags, "-m", "jsrkit.cli", *args]
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(argv, capture_output=True, text=text, env=env)
 
 
 def test_irreducible_near_the_float_maximum_prints_no_warning(tmp_path):
@@ -960,7 +961,54 @@ jsrkit bounds: error: the following arguments are required: --input
 @pytest.mark.parametrize("argv", [["words", "--alphabet", "2", "--length", "3", "--necklaces"],
                                   ["nope"], ["--help"]])
 def test_main_reads_sys_argv_like_an_argument_list(capsys, monkeypatch, argv):
-    # the console script calls main() with no arguments
+    # the console script's run() calls main() with no arguments
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr(sys, "argv", ["jsrkit", *argv])
     assert _exit_and_streams(capsys, main) == _exit_and_streams(capsys, lambda: main(list(argv)))
+
+
+# one invocation per exit code: a listing, an sfh scan whose offender (1,1)
+# fails --strict, and a malformed input file
+EXIT_PATHS = {
+    0: ["words", "--alphabet", "3", "--length", "8", "--necklaces"],
+    1: ["sfh", "--input", "ex2.json", "--word", "1,2", "--norm", "w.json", "--strict"],
+    2: ["bounds", "--input", "bad.json", "--depth", "2"],
+}
+
+
+def _exit_path_argv(capsys, tmp_path, code):
+    _construct(capsys, tmp_path, "ex2.json", ["--example", "2", "--lam", "0.5"])
+    _norm_file(tmp_path, "w.json", WeightedMaxNorm((1.0, 0.5)))
+    (tmp_path / "bad.json").write_text("{")
+    return [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in EXIT_PATHS[code]]
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_PATHS))
+def test_process_entry_prints_what_main_prints_then_freezes_once(capsys, tmp_path, monkeypatch, code):
+    argv = _exit_path_argv(capsys, tmp_path, code)
+    proc = _cli_subprocess([], *argv, text=False)
+    in_process, out, err = _run(capsys, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (in_process, out.encode(), err.encode())
+    assert in_process == code
+    # run() returns main's code and freezes the heap once, after main has returned
+    events = []
+
+    def recorded_main():
+        returned = main()
+        events.append("main returned")
+        return returned
+
+    monkeypatch.setattr(cli, "main", recorded_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["jsrkit", *argv])
+    assert cli.run() == code
+    assert events == ["main returned", "freeze"]
+    assert capsys.readouterr() == (out, err)
+
+
+def test_main_leaves_the_callers_collector_as_it_is(capsys, tmp_path):
+    # tests, perfbench's traced pass and library users call main in process and keep normal GC
+    frozen = gc.get_freeze_count()
+    for code in (0, 2):
+        assert _run(capsys, _exit_path_argv(capsys, tmp_path, code))[0] == code
+        assert gc.get_freeze_count() == frozen and gc.isenabled()
