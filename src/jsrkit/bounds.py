@@ -14,15 +14,24 @@ Both sweeps take the products in lexicographic order from
 tuples.product_blocks, in blocks, with one numpy call per block
 (linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
 
-One level loop (_levels) runs, for n = 1 .. depth, level n's necklace walk
-and then level n's upper sweep; the walks serve lower and
-spectral_maximal_candidates, which runs no upper sweep.  Each walk's prune
-drops each necklace whose linalg.spectral_radius_caps value (a cheap upper
-bound on the spectral radius) ** (1/n) is strictly below (1 - _TIE_TOL) *
-best * (1 - 1e-9), best being the running maximum over earlier levels and
-blocks (no screening while best <= 0), and eigenvalues are taken of the
-rest.  A skipped necklace lies strictly below the tie window, so lower, its
-witness and the candidates come out as if every necklace had been taken.
+One level pass (_levels) runs, for n = 1 .. depth, level n's necklace walk
+and then level n's upper sweep, whose maxima L_0 .. L_{n-1} the next
+walks prune by.  bounds, spectral_maximal_candidates and the default
+rho_hat of a candidate search (_candidates_and_midpoint) each take one
+pass.
+
+The necklace walk's prune drops a necklace prefix P_p of length k < n,
+with every word below it, once (op_norm_caps(P_p) * L_{n-k}) ** (1/n) is
+strictly below (1 - _TIE_TOL) * best * (1 - 1e-9): every word below p has
+spectral_radius(P_s P_p) <= op_norm(P_s P_p) <= L_{n-k} * cap(P_p), the
+upper sweep's own bound below.  At k = n it drops each necklace whose
+linalg.spectral_radius_caps value (a cheap upper bound on the spectral
+radius) ** (1/n) is below the same floor, and eigenvalues are taken of the
+rest.  best is the running maximum over earlier levels and blocks (no
+screening while best <= 0, and a bound that overflows to inf or NaN keeps
+its row).  The factor 1 - 1e-9 absorbs the rounding of the powers, so a
+skipped necklace lies strictly below the tie window: lower, its witness and
+the candidates come out as if every necklace had been taken.
 
 Each upper sweep screens every product with linalg.op_norm_caps, a
 cheap upper bound on op_norm, and runs an SVD only on the survivors.  It
@@ -36,16 +45,17 @@ walker's prune takes prefixes (k < n) and full words (k = n, times L_0 =
 rounding of a small multiple of n * d * eps, which the cap's margin
 (linalg._CAP_MARGIN, 1e-10) covers as it covers the rounding of sigma_1.
 The running maximum starts at the norm of the level's necklace product with
-the largest op_norm_caps value, a value the maximum includes anyway, and
+the largest op_norm_caps value among the necklaces the walk kept, a value
+the maximum includes anyway, or at 0.0 when the walk pruned them all, and
 rises after each block.  Strictness keeps ties, and a skipped product's
 norm is below the maximum, so screening never changes the computed maximum.
 
 Budget accounting: the level walks share one tuples._Budget, which
 product_blocks charges for every row a prune is asked about, summed over
-every length, walk and level.  Its BudgetError, past the budget, drops the
-level whose walk raised it: its necklaces, their share of lower and its
-maximum.  Stopping short of the requested depth sets partial; a budget
-that level 1 passes raises BudgetError.
+every length, walk and level, candidate scans included.  Its BudgetError,
+past the budget, drops the level whose walk raised it: its necklaces, their
+share of lower and its maximum.  Stopping short of the requested depth sets
+partial; a budget that level 1 passes raises BudgetError.
 """
 
 from __future__ import annotations
@@ -83,9 +93,10 @@ class JsrBounds(_Record):
         }
 
 
-# A necklace is skipped when its radius cap, to the power 1/n, falls below
-# the floor times this factor.  The slack absorbs the rounding of the two
-# powers, so a skipped necklace's value lies strictly below the floor.
+# A necklace, or a necklace prefix, is skipped when its radius bound, to the
+# power 1/n, falls below the floor times this factor.  The slack absorbs the
+# rounding of the two powers, so a skipped necklace's value lies strictly
+# below the floor.
 _SCREEN_SLACK = 1.0 - 1e-9
 
 # A necklace whose value reaches (1 - _TIE_TOL) * lower ties the lower bound.
@@ -96,8 +107,9 @@ def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float, b
     """Max of op_norm(P_w) over all words of length n, screened by op_norm_caps.
 
     maxima[j] must be the level-j maximum for every j < n, with maxima[0] = 1.0
-    for the empty word; seed must be the norm of one of the level's products
-    and only prunes sooner.  budget is _levels' counter.
+    for the empty word; seed must be the norm of one of the level's products,
+    or 0.0, and only prunes sooner.  budget is _levels' counter, charged for
+    every row the sweep's prune is asked about.
     """
     best = seed
 
@@ -113,33 +125,41 @@ def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float, b
     return best
 
 
-def _levels(t: MatrixTuple, depth: int, budget: int, *, upper: bool):
-    """(candidates, maxima, reached) from levels 1 .. depth, each its necklace walk, then with upper its sweep.
+def _levels(t: MatrixTuple, depth: int, budget: int):
+    """(candidates, maxima, reached) from levels 1 .. depth, each its necklace walk, then its upper sweep.
 
     candidates holds (word, value) for the necklaces whose value reaches
     (1 - _TIE_TOL) times the largest, by value descending, then length, then
-    word, so the first is the lower bound and its witness; when the largest is
-    0, only the first necklace, (1,), ties.  maxima[n] is the level-n upper
-    maximum L_n, after maxima[0] = 1.0 for the empty word; the sweep is seeded
-    by the norm of the level's necklace product with the largest op_norm_caps
-    value.  Without upper, maxima is [1.0].  reached is the last level within
-    the budget; both come from levels 1 .. reached only (no candidates at 0).
+    word, so the first is the lower bound and its witness; proper powers stay
+    in (spectral_maximal_candidates drops them).  When the largest is 0, only
+    the first necklace, (1,), ties.  maxima[n] is the level-n upper maximum
+    L_n, after maxima[0] = 1.0 for the empty word.  Level n's necklace walk
+    prunes prefixes by maxima[1 .. n - 1] (module docstring); its sweep is
+    seeded by the norm of the level's kept necklace product with the largest
+    op_norm_caps value, or by 0.0 when the walk pruned every necklace.
+    reached is the last level within the budget, which counts the rows that
+    both walks of every level ask about; both come from levels 1 .. reached
+    only (no candidates at 0).
     """
     candidates, maxima, top, counter = [], [1.0], -np.inf, _Budget(budget)
 
     def prune(digits: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
-        # at k = n the seed sees every necklace, then rows strictly below floor go (none while floor <= 0 or NaN)
+        # at k = n the seed first sees every necklace left, then rows strictly below
+        # floor go (none while floor <= 0 or NaN; a non-finite bound keeps its row)
         nonlocal seed_cap, seed
-        drop = np.zeros(len(stack), dtype=bool)
         if k == n:
             caps = linalg.op_norm_caps(stack)
             i = int(np.argmax(caps))
             if caps[i] > seed_cap:
                 seed_cap, seed = caps[i], stack[i].copy()  # a copy frees the block
-            floor = (1.0 - _TIE_TOL) * top
-            if floor > 0:  # a non-finite cap compares False and keeps its row
-                drop = linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor * _SCREEN_SLACK
-        return drop
+        floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
+        if not floor > 0:
+            return np.zeros(len(stack), dtype=bool)
+        if k == n:
+            return linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor
+        # below a prefix p, rho(P_s P_p) <= op_norm(P_s P_p) <= maxima[n - k] * cap(P_p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (linalg.op_norm_caps(stack) * maxima[n - k]) ** (1.0 / n) < floor
 
     for n in range(1, depth + 1):
         seed_cap, seed, before = -np.inf, None, (len(candidates), top)
@@ -151,8 +171,7 @@ def _levels(t: MatrixTuple, depth: int, budget: int, *, upper: bool):
                 keep = values >= (1.0 - _TIE_TOL) * top
                 if top > 0.0 and keep.any():
                     candidates += zip(words._words_at(digits[keep]), values[keep].tolist())
-            if upper:
-                maxima.append(_level_upper_max(t, n, maxima, linalg.op_norm(seed), counter))
+            maxima.append(_level_upper_max(t, n, maxima, 0.0 if seed is None else linalg.op_norm(seed), counter))
         except BudgetError:  # past the budget: level n is dropped whole
             del candidates[before[0]:], maxima[n:]
             top, depth = before[1], n - 1
@@ -168,7 +187,12 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
     """Certified bounds through enumeration depth ``max_depth``."""
     if max_depth < 1:
         raise InputError(f"max_depth must be >= 1, got {max_depth}")
-    candidates, maxima, depth = _levels(t, max_depth, budget, upper=True)
+    return _certificate(_levels(t, max_depth, budget), max_depth, budget)
+
+
+def _certificate(levels, max_depth: int, budget: int) -> JsrBounds:
+    """bounds' certificate from levels, a _levels pass to max_depth; BudgetError if it kept no level."""
+    candidates, maxima, depth = levels
     if depth == 0:
         raise BudgetError(f"enumeration budget {budget} cannot cover even level 1")
     lower_witness, lower = candidates[0]
@@ -184,33 +208,53 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
     )
 
 
+def _primitive_ties(candidates: list[tuple[Word, float]]) -> list[tuple[Word, float]]:
+    """The candidates whose words are primitive: a proper power u^m repeats u's rotation class."""
+    return [item for item in candidates if words.is_primitive(item[0])]
+
+
 def _midpoint(t: MatrixTuple, depth: int, budget: int) -> float:
     """The default rho_hat: the midpoint of bounds(t, depth), or BudgetError if the budget stops short."""
-    b = bounds(t, depth, budget=budget)
+    return _candidates_and_midpoint(t, depth, budget)[1]
+
+
+def _candidates_and_midpoint(t: MatrixTuple, depth: int, budget: int):
+    """(spectral_maximal_candidates(t, depth), _midpoint(t, depth)) from one _levels pass.
+
+    A pass that the budget stops short of depth raises _midpoint's BudgetError."""
+    if depth < 1:
+        raise InputError(f"depth must be >= 1, got {depth}")
+    levels = _levels(t, depth, budget)
+    b = _certificate(levels, depth, budget)
     if b.partial:
         raise BudgetError(
             f"enumeration budget {budget} reaches depth {b.depth} of {depth}, "
             "too shallow for the default rho_hat"
         )
-    return 0.5 * (b.lower + b.upper)
+    return _primitive_ties(levels[0]), 0.5 * (b.lower + b.upper)
 
 
 def spectral_maximal_candidates(
     t: MatrixTuple, depth: int, *, budget: int = DEFAULTS.word_budget
 ) -> list[tuple[Word, float]]:
-    """Rotation-class representatives whose averaged radius ties the lower bound.
+    """Primitive rotation-class representatives whose averaged radius ties the lower bound.
 
     Scans every length up to ``depth`` and keeps representatives with
-    spectral_radius(P_w) ** (1/|w|) >= (1 - _TIE_TOL) * lower.  Sorted by
-    value descending, then length, then word.  When lower is 0, every
-    necklace would reach the window, and only the first, (1,), is kept.
+    spectral_radius(P_w) ** (1/|w|) >= (1 - _TIE_TOL) * lower, that are
+    primitive words (words.is_primitive): a proper power u^m stands for u's
+    class, which the list holds already.  lower comes from every necklace,
+    so the first entry is bounds' witness unless rounding lifts a power
+    above its root.  Sorted by value descending, then length, then word.
+    When lower is 0, every necklace would reach the window, and only the
+    first, (1,), is kept.  The scan is bounds' pass, upper sweeps included,
+    and budget is charged for the rows of both walks of every level.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    candidates, _, reached = _levels(t, depth, budget, upper=False)
+    candidates, _, reached = _levels(t, depth, budget)
     if reached < depth:
         raise BudgetError(f"candidate scan to depth {depth} exceeds enumeration budget {budget}")
-    return candidates
+    return _primitive_ties(candidates)
 
 
 def finiteness_verified_at_depth(b: JsrBounds, close_tol: float = DEFAULTS.close_tol) -> bool:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .bounds import _midpoint, spectral_maximal_candidates
+from .bounds import _candidates_and_midpoint, spectral_maximal_candidates
 from .config import DEFAULTS, require_fraction, require_tol
 from .errors import InputError
 from .norms import NormRep, _check_rho, _check_samples, _induced_norm, verify_barabanov
@@ -188,11 +188,12 @@ def characteristic_word_search(
     """Run sfh_evidence over every spectrum-maximal candidate up to depth.
 
     rho_hat defaults to the midpoint of the certified interval at the same
-    depth (bounds._midpoint).  The norms are admitted once, for every candidate.
-    Reports come back best first: widest margin, then shortest candidate,
-    then lexicographic.  The tolerances, the norms, a given rho_hat, the
-    samples' dimension and the candidate scan's depth, and its budget while it
-    walks, are checked before any offender scan; each scan has its own budget.
+    depth (bounds._midpoint), taken from the candidate scan's own pass.  The
+    norms are admitted once, for every candidate.  Reports come back best
+    first: widest margin, then shortest candidate, then lexicographic.  The
+    tolerances, the norms, a given rho_hat, the samples' dimension and the
+    candidate scan's depth, and its budget while it walks, are checked before
+    any offender scan; each scan has its own budget.
     """
     require_fraction("offender_tol", require_tol("offender_tol", offender_tol))
     require_tol("norm_check_tol", norm_check_tol, zero_ok=True)
@@ -201,9 +202,10 @@ def characteristic_word_search(
         _check_rho(rho_hat)
     if samples is not None:
         _check_samples(samples, t.d)
-    candidates = spectral_maximal_candidates(t, depth, budget=budget)
     if rho_hat is None:
-        rho_hat = _midpoint(t, depth, budget)
+        candidates, rho_hat = _candidates_and_midpoint(t, depth, budget)
+    else:
+        candidates = spectral_maximal_candidates(t, depth, budget=budget)
     induced = _admit(t, reps, rho_hat, norm_check_tol, samples)
     reports = [_scan(t, w, induced, rho_hat, offender_tol, budget) for w, _ in candidates]
     reports.sort(key=lambda rep: (-rep.margin, rep.depth, rep.candidate))

@@ -8,14 +8,16 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from jsrkit import linalg, tuples, words
+from jsrkit import finiteness, linalg, tuples, words
 from jsrkit.bounds import (
     JsrBounds,
     bounds,
     finiteness_verified_at_depth,
     spectral_maximal_candidates,
 )
+from jsrkit.constructions import example_tuple
 from jsrkit.errors import BudgetError, ConvergenceError, InputError
+from jsrkit.norms import WeightedMaxNorm
 from jsrkit.tuples import MatrixTuple, exterior_square_tuple, product_along
 
 
@@ -125,14 +127,14 @@ def test_witness_reproduces_lower():
 def test_candidates_shift_pair():
     cands = spectral_maximal_candidates(_shift_pair(), 4)
     got = {w for w, _ in cands}
-    assert got == {(1, 2), (1, 2, 1, 2)}
+    assert got == {(1, 2)}  # (1, 2, 1, 2) ties too, but is a proper power
     assert cands[0][0] == (1, 2)
     assert all(v == pytest.approx(1.0, abs=1e-12) for _, v in cands)
 
 
 def test_candidates_diag_dominant_pair():
     cands = spectral_maximal_candidates(_diag_dominant_pair(), 3)
-    assert {w for w, _ in cands} == {(1,), (1, 1), (1, 1, 1)}
+    assert {w for w, _ in cands} == {(1,)}  # (1, 1) and (1, 1, 1) tie as powers of (1,)
 
 
 def test_pruned_upper_equals_unpruned():
@@ -209,7 +211,7 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
 
 def test_levels_run_their_necklace_walk_then_their_upper_sweep(monkeypatch):
     # bounds runs level n's necklace walk, then level n's all-words sweep,
-    # before level n + 1; the candidate search runs the necklace walks alone
+    # before level n + 1, and the candidate search runs the same pass
     engine, product_blocks, walks = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
 
     def spy(t, n, budget, *, necklaces=False, prune=None):
@@ -222,7 +224,69 @@ def test_levels_run_their_necklace_walk_then_their_upper_sweep(monkeypatch):
     assert walks == [(n, necklaces) for n in range(1, 5) for necklaces in (True, False)]
     walks.clear()
     spectral_maximal_candidates(t, 4)
-    assert walks == [(n, True) for n in range(1, 5)]
+    assert walks == [(n, necklaces) for n in range(1, 5) for necklaces in (True, False)]
+
+
+def test_necklace_walk_prunes_prefixes_by_level_maxima(monkeypatch):
+    # a necklace prefix p of length k is dropped once (cap(P_p) * L_(n-k)) ** (1/n)
+    # falls below the tie window, so the walks ask about few of the pre-necklaces
+    rng = np.random.default_rng(7)
+    t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
+    engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
+
+    def spy(t, n, budget, *, necklaces=False, prune=None):
+        if necklaces:
+            inner = prune
+
+            def prune(digits, stack, k):
+                rows.append(len(stack))
+                return inner(digits, stack, k)
+
+        return product_blocks(t, n, budget, necklaces=necklaces, prune=prune)
+
+    monkeypatch.setattr(engine, "product_blocks", spy)
+    b = bounds(t, 16)
+    assert (b.depth, b.partial) == (16, False)
+    asked = []
+
+    def count(digits, k):
+        asked.append(len(digits))
+        return np.zeros(len(digits), dtype=bool)
+
+    for n in range(1, 17):
+        for _ in words.prefix_blocks(2, n, 8, necklaces=True, prune=count):
+            pass
+    assert sum(asked) == 31697  # every pre-necklace of length k <= n, over the 16 levels
+    assert sum(rows) <= sum(asked) // 10
+
+
+def test_each_search_runs_one_level_pass(monkeypatch):
+    # bounds, the candidate scan and a search that takes its default rho_hat
+    # from the same pass each walk the levels once
+    engine = importlib.import_module("jsrkit.bounds")
+    levels, calls = engine._levels, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_levels", spy)
+    t = _diag_dominant_pair()
+    bounds(t, 4)
+    assert calls == [4]
+    calls.clear()
+    spectral_maximal_candidates(t, 4)
+    assert calls == [4]
+    calls.clear()
+    finiteness.characteristic_word_search(t, 4, WeightedMaxNorm((1.0, 0.5)))
+    assert calls == [4]
+
+
+def test_example_2_reaches_depth_80_at_the_default_budget():
+    # the walks of level n ask about 4n rows here, 12960 through level 80
+    t, _ = example_tuple(2, lam=0.5)
+    b = bounds(t, 80)
+    assert (b.lower, b.upper, b.depth, b.lower_witness, b.upper_level, b.partial) == (1.0, 1.0, 80, (1,), 1, False)
 
 
 def test_necklace_walk_yields_only_rows_that_reach_eigenvalues(monkeypatch):
@@ -290,12 +354,14 @@ def test_screened_lower_equals_unscreened_necklaces():
         b = bounds(t, depth)
         assert (b.lower, b.lower_witness) == (best, witness), (t, depth)
         floor = best * (1.0 - 1e-9)
-        keep = sorted(((w, v) for w, v in values if v >= floor), key=lambda i: (-i[1], len(i[0]), i[0]))
+        keep = sorted(((w, v) for w, v in values if v >= floor and words.is_primitive(w)),
+                      key=lambda i: (-i[1], len(i[0]), i[0]))
         assert spectral_maximal_candidates(t, depth) == keep, (t, depth)
 
 
 def test_best_candidate_is_the_lower_bound_and_its_witness():
-    # one necklace scan feeds both, so they agree bitwise, ties and degenerate tuples included
+    # one necklace scan feeds both, so they agree bitwise, ties and degenerate tuples included;
+    # a witness u^m that rounding lifts above its root u leaves u among the candidates
     rng = np.random.default_rng(43)
     ties = MatrixTuple("real", (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
                                 np.array([[1.0, 0.0], [1.0, -1.0]])))
@@ -306,7 +372,13 @@ def test_best_candidate_is_the_lower_bound_and_its_witness():
             cases.append((_random_tuple(rng, r, d, kind), 5 if r < 3 else 4))
     for t, depth in cases:
         b = bounds(t, depth)
-        assert spectral_maximal_candidates(t, depth)[0] == (b.lower_witness, b.lower), (t, depth)
+        candidates = spectral_maximal_candidates(t, depth)
+        w = b.lower_witness
+        root = next(w[:p] for p in range(1, len(w) + 1) if w == w[:p] * (len(w) // p))
+        if root == w:
+            assert candidates[0] == (w, b.lower), (t, depth)
+        else:
+            assert root in [u for u, _ in candidates] and candidates[0][1] <= b.lower, (t, depth)
 
 
 def test_a_zero_maximum_ties_only_the_first_necklace():
@@ -434,8 +506,8 @@ def test_budget_partial_and_error():
 
 
 def test_candidate_budget_counts_the_rows_the_walks_keep(monkeypatch):
-    # the necklace walks keep every pre-necklace and necklace here, 2, 5, 9, 16
-    # and 26 rows at levels 1 .. 5, so the scan to depth 5 needs a budget of 58
+    # the necklace walk and the upper sweep of levels 1 .. 5 ask about 2 + 2, 5 + 6,
+    # 6 + 14, 8 + 14 and 9 + 62 rows here, so the scan to depth 5 needs a budget of 128
     engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, {}
 
     def spy(t, n, budget, *, necklaces=False, prune=None):
@@ -446,10 +518,10 @@ def test_candidate_budget_counts_the_rows_the_walks_keep(monkeypatch):
         return product_blocks(t, n, budget, necklaces=necklaces, prune=counted)
 
     monkeypatch.setattr(engine, "product_blocks", spy)
-    candidates = spectral_maximal_candidates(_shift_pair(), 5, budget=58)
-    assert rows == {1: 2, 2: 5, 3: 9, 4: 16, 5: 26}
+    candidates = spectral_maximal_candidates(_shift_pair(), 5, budget=128)
+    assert rows == {1: 4, 2: 11, 3: 20, 4: 22, 5: 71}
     assert candidates == spectral_maximal_candidates(_shift_pair(), 5)
-    for budget in (57, 20):
+    for budget in (127, 20):
         with pytest.raises(BudgetError, match=f"candidate scan to depth 5 exceeds enumeration budget {budget}$"):
             spectral_maximal_candidates(_shift_pair(), 5, budget=budget)
 
@@ -465,8 +537,8 @@ def test_pruned_walks_go_deeper_on_the_same_budget():
     rng = np.random.default_rng(11)
     t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(6), (6, 6)) for _ in range(2)))
     b = bounds(t, 60, budget=10 ** 4)
-    assert (b.depth, b.partial) == (13, True)
-    full = bounds(t, 13)
+    assert (b.depth, b.partial) == (29, True)
+    full = bounds(t, 29)
     assert (b.lower, b.upper, b.lower_witness, b.upper_level) == (
         full.lower, full.upper, full.lower_witness, full.upper_level)
 

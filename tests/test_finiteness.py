@@ -36,6 +36,11 @@ def _diag_dominant_pair(lam=0.5):
     )
 
 
+def _diagonal_pair(lam=0.5):
+    # every weighted max norm is a Barabanov norm at rho 1, and (1,) and (2,) both tie
+    return MatrixTuple("real", (np.diag([1.0, lam]), np.diag([lam, 1.0])))
+
+
 def _swap_half_pair():
     return MatrixTuple(
         "real", (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5 * np.eye(2))
@@ -146,9 +151,9 @@ def test_search_ranks_short_clean_candidate_first():
 
 def test_search_reports_offenders_for_every_candidate():
     lam = 0.5
-    t = _diag_dominant_pair(lam)
+    t = _diagonal_pair(lam)
     reports = characteristic_word_search(t, 3, WeightedMaxNorm((1.0, lam)), 1.0)
-    assert [rep.candidate for rep in reports] == [(1,), (1, 1), (1, 1, 1)]
+    assert [rep.candidate for rep in reports] == [(1,), (2,)]  # (1, 1), (2, 2), ... are powers
     assert all(not rep.passed for rep in reports)
     assert all(rep.margin == pytest.approx(0.0, abs=1e-9) for rep in reports)
     # the norms are read once, so a one-shot iterable serves every candidate
@@ -166,7 +171,7 @@ def test_search_checks_its_arguments_before_any_scan(monkeypatch):
 
         return counted
 
-    for name in ("_midpoint", "spectral_maximal_candidates"):
+    for name in ("_candidates_and_midpoint", "spectral_maximal_candidates"):
         monkeypatch.setattr(finiteness, name, spy(name, getattr(finiteness, name)))
     t = _diag_dominant_pair(0.5)
     norm = WeightedMaxNorm((1.0, 0.5))
@@ -189,10 +194,10 @@ def test_search_checks_its_arguments_before_any_scan(monkeypatch):
 def test_search_admits_each_norm_once(monkeypatch):
     # every candidate is scanned under the same norms, so a search with k
     # candidates and m norms verifies and builds each norm once, not k times
-    t = _diag_dominant_pair(0.5)
+    t = _diagonal_pair(0.5)
     reps = [WeightedMaxNorm((1.0, 0.5)), WeightedMaxNorm((2.0, 1.0))]
     candidates = [w for w, _ in spectral_maximal_candidates(t, 3)]
-    assert len(candidates) == 3
+    assert len(candidates) == 2
     calls = []
 
     def spy(name, real):
@@ -211,15 +216,18 @@ def test_search_admits_each_norm_once(monkeypatch):
 
 
 def test_search_default_rho_hat_needs_bounds_at_the_full_depth():
-    # bounds on this pair keeps 126 rows through level 5 and 194 through level 6,
-    # so budget 150 stops it at depth 5, and a default rho_hat must not come
+    # bounds on this pair asks about 98 rows through level 5 and 131 through level 6,
+    # so budget 130 stops it at depth 5, and a default rho_hat must not come
     # from that shallower interval
     t = _shift_pair(0.3, 0.5)
-    with pytest.raises(BudgetError, match="budget 150 reaches depth 5 of 6, too shallow for the default rho_hat"):
-        characteristic_word_search(t, 6, MAXNORM, budget=150)
-    full = characteristic_word_search(t, 6, MAXNORM, budget=194)  # exactly depth 6
+    with pytest.raises(BudgetError, match="budget 130 reaches depth 5 of 6, too shallow for the default rho_hat$"):
+        characteristic_word_search(t, 6, MAXNORM, budget=130)
+    full = characteristic_word_search(t, 6, MAXNORM, budget=131)  # exactly depth 6
     assert full == characteristic_word_search(t, 6, MAXNORM)
-    assert characteristic_word_search(t, 6, MAXNORM, 1.0, budget=150)  # a given rho_hat needs no bounds
+    # the candidate scan is the same pass, so a given rho_hat needs as much budget
+    assert characteristic_word_search(t, 6, MAXNORM, 1.0, budget=131)
+    with pytest.raises(BudgetError, match="candidate scan to depth 6 exceeds enumeration budget 130$"):
+        characteristic_word_search(t, 6, MAXNORM, 1.0, budget=130)
 
 
 def test_scan_of_a_long_characteristic_word_charges_the_rows_it_keeps():
