@@ -10,50 +10,40 @@ For a tuple t and depth n* the engine reports
 Both sides converge to the joint spectral radius as n* grows; at any
 finite depth the pair is a certificate lower <= jsr <= upper.
 
-Both sweeps take the products in lexicographic order from
-tuples.product_blocks, in blocks, with one numpy call per block
+One level pass (_levels) runs, for n = 1 .. depth, one walk of level n
+(tuples.product_blocks over all words, necklaces marked by their FKM
+periods), whose maximum L_n the later levels prune by.  bounds,
+spectral_maximal_candidates and the default rho_hat of a candidate search
+(_candidates_and_midpoint) each take one pass.  Products come in
+lexicographic order, in blocks, with one numpy call per block
 (linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
 
-One level pass (_levels) runs, for n = 1 .. depth, level n's necklace walk
-and then level n's upper sweep, whose maxima L_0 .. L_{n-1} the next
-walks prune by.  bounds, spectral_maximal_candidates and the default
-rho_hat of a candidate search (_candidates_and_midpoint) each take one
-pass.
-
-The necklace walk's prune drops a necklace prefix P_p of length k < n,
-with every word below it, once (op_norm_caps(P_p) * L_{n-k}) ** (1/n) is
-strictly below (1 - _TIE_TOL) * best * (1 - 1e-9): every word below p has
-spectral_radius(P_s P_p) <= op_norm(P_s P_p) <= L_{n-k} * cap(P_p), the
-upper sweep's own bound below.  At k = n it drops each necklace whose
-linalg.spectral_radius_caps value (a cheap upper bound on the spectral
-radius) ** (1/n) is below the same floor, and eigenvalues are taken of the
-rest.  best is the running maximum over earlier levels and blocks (no
-screening while best <= 0, and a bound that overflows to inf or NaN keeps
-its row).  The factor 1 - 1e-9 absorbs the rounding of the powers, so a
-skipped necklace lies strictly below the tie window: lower, its witness and
-the candidates come out as if every necklace had been taken.
-
-Each upper sweep screens every product with linalg.op_norm_caps, a
-cheap upper bound on op_norm, and runs an SVD only on the survivors.  It
-keeps the level maxima L_1 .. L_{n-1} of the earlier levels, with L_0 = 1
-for the empty word.  A product P_p of length k is dropped, with every word
-below it, once cap(P_p) * L_{n-k} falls strictly below the running maximum:
-each word below p has P_w = P_s P_p for a suffix s of length n - k, and
-op_norm(P_s P_p) <= op_norm(P_s) * op_norm(P_p) <= L_{n-k} * cap(P_p).  The
-walker's prune takes prefixes (k < n) and full words (k = n, times L_0 =
-1.0, which is exact) alike.  The computed L_{n-k} and the computed products carry a
-rounding of a small multiple of n * d * eps, which the cap's margin
-(linalg._CAP_MARGIN, 1e-10) covers as it covers the rounding of sigma_1.
-The running maximum starts at the norm of the level's necklace product with
-the largest op_norm_caps value among the necklaces the walk kept, a value
-the maximum includes anyway, or at 0.0 when the walk pruned them all, and
-rises after each block.  Strictness keeps ties, and a skipped product's
-norm is below the maximum, so screening never changes the computed maximum.
+Each word below a prefix P_p of length k < n has P_w = P_s P_p, so
+spectral_radius(P_w) <= op_norm(P_w) <= L_{n-k} * cap(P_p) =: bound, cap
+being linalg.op_norm_caps.  The walk's prune drops p, with every word below
+it, only when neither bound can use it: bound is strictly below max(best,
+bar), and p's period is 0 (no necklace below) or bound ** (1/n) is strictly
+below floor.  best is the level's running maximum, bar its seed, and floor
+= (1 - _TIE_TOL) * top * (1 - 1e-9), top being the running maximum of the
+necklace values (no lower screening while floor <= 0; a bound that
+overflows to inf or NaN keeps its row).  Full words are screened on the
+yielded block: necklaces whose linalg.spectral_radius_caps value ** (1/n)
+is below floor are skipped, and eigenvalues are taken of the rest; rows
+whose cap is strictly below max(best, bar) are skipped, and an SVD runs on
+the rest.  The factor 1 - 1e-9 absorbs the rounding of the powers, and the
+cap's margin (linalg._CAP_MARGIN, 1e-10) the rounding of sigma_1, of the
+computed L_{n-k} and of the products, so a skipped row can neither tie
+lower nor raise a maximum: every output is that of an unscreened scan.
+bar is 1 - 1e-9 times the largest norm of the 2r products A_a @ P and
+P @ A_a of length n, P being level n - 1's product of largest norm; the
+slack covers a product taken in another order.  bar only prunes and is
+never a maximum; it is 0.0 at level 1, and when those products or their
+norms leave the float range.
 
 Budget accounting: the level walks share one tuples._Budget, which
 product_blocks charges for every row a prune is asked about, summed over
-every length, walk and level, candidate scans included.  Its BudgetError,
-past the budget, drops the level whose walk raised it: its necklaces, their
+every length and level, candidate scans included.  Its BudgetError, past
+the budget, drops the level whose walk raised it: its necklaces, their
 share of lower and its maximum.  Stopping short of the requested depth sets
 partial; a budget that level 1 passes raises BudgetError.
 """
@@ -96,82 +86,76 @@ class JsrBounds(_Record):
 # A necklace, or a necklace prefix, is skipped when its radius bound, to the
 # power 1/n, falls below the floor times this factor.  The slack absorbs the
 # rounding of the two powers, so a skipped necklace's value lies strictly
-# below the floor.
+# below the floor.  The seed of the upper screen takes the same factor.
 _SCREEN_SLACK = 1.0 - 1e-9
 
 # A necklace whose value reaches (1 - _TIE_TOL) * lower ties the lower bound.
 _TIE_TOL = 1e-9
 
 
-def _level_upper_max(t: MatrixTuple, n: int, maxima: list[float], seed: float, budget: _Budget) -> float:
-    """Max of op_norm(P_w) over all words of length n, screened by op_norm_caps.
-
-    maxima[j] must be the level-j maximum for every j < n, with maxima[0] = 1.0
-    for the empty word; seed must be the norm of one of the level's products,
-    or 0.0, and only prunes sooner.  budget is _levels' counter, charged for
-    every row the sweep's prune is asked about.
-    """
-    best = seed
-
-    def prune(digits: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
-        # every word below a prefix p of length k has P_w = P_s @ P_p for a
-        # suffix s of length n - k, so op_norm(P_w) <= cap(P_p) * maxima[n - k];
-        # a leaf (k = n) is multiplied by 1.0, exactly
-        with np.errstate(over="ignore"):
-            return linalg.op_norm_caps(stack) * maxima[n - k] < best
-
-    for _, stack in product_blocks(t, n, budget, prune=prune):
-        best = max(best, float(np.max(linalg.op_norms(stack))))
-    return best
+def _bar(t: MatrixTuple, p) -> float:
+    """_SCREEN_SLACK times the largest norm of A_a @ p and p @ A_a; 0.0 for p None or past the float range."""
+    if p is None:
+        return 0.0
+    slots = np.stack(t.matrices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.concatenate((np.matmul(slots, p), np.matmul(p, slots)))
+    if not np.isfinite(ends).all():
+        return 0.0
+    try:
+        return _SCREEN_SLACK * float(np.max(linalg.op_norms(ends)))
+    except ConvergenceError:
+        return 0.0
 
 
 def _levels(t: MatrixTuple, depth: int, budget: int):
-    """(candidates, maxima, reached) from levels 1 .. depth, each its necklace walk, then its upper sweep.
+    """(candidates, maxima, reached) from levels 1 .. depth, one walk each.
 
     candidates holds (word, value) for the necklaces whose value reaches
     (1 - _TIE_TOL) times the largest, by value descending, then length, then
     word, so the first is the lower bound and its witness; proper powers stay
     in (spectral_maximal_candidates drops them).  When the largest is 0, only
     the first necklace, (1,), ties.  maxima[n] is the level-n upper maximum
-    L_n, after maxima[0] = 1.0 for the empty word.  Level n's necklace walk
-    prunes prefixes by maxima[1 .. n - 1] (module docstring); its sweep is
-    seeded by the norm of the level's kept necklace product with the largest
-    op_norm_caps value, or by 0.0 when the walk pruned every necklace.
-    reached is the last level within the budget, which counts the rows that
-    both walks of every level ask about; both come from levels 1 .. reached
-    only (no candidates at 0).
+    L_n, after maxima[0] = 1.0 for the empty word; level n's walk prunes by
+    maxima[1 .. n - 1] (module docstring).  reached is the last level within
+    the budget; both come from levels 1 .. reached only (no candidates at 0).
     """
-    candidates, maxima, top, counter = [], [1.0], -np.inf, _Budget(budget)
+    candidates, maxima, top, counter, argmax = [], [1.0], -np.inf, _Budget(budget), None
 
-    def prune(digits: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
-        # at k = n the seed first sees every necklace left, then rows strictly below
-        # floor go (none while floor <= 0 or NaN; a non-finite bound keeps its row)
-        nonlocal seed_cap, seed
-        if k == n:
-            caps = linalg.op_norm_caps(stack)
-            i = int(np.argmax(caps))
-            if caps[i] > seed_cap:
-                seed_cap, seed = caps[i], stack[i].copy()  # a copy frees the block
-        floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
-        if not floor > 0:
-            return np.zeros(len(stack), dtype=bool)
-        if k == n:
-            return linalg.spectral_radius_caps(stack) ** (1.0 / n) < floor
+    def prune(digits: np.ndarray, periods: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
         # below a prefix p, rho(P_s P_p) <= op_norm(P_s P_p) <= maxima[n - k] * cap(P_p)
+        if k == n:
+            return np.zeros(len(stack), dtype=bool)
+        floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
         with np.errstate(over="ignore", invalid="ignore"):
-            return (linalg.op_norm_caps(stack) * maxima[n - k]) ** (1.0 / n) < floor
+            bound = linalg.op_norm_caps(stack) * maxima[n - k]
+            lower_drops = periods == 0
+            if floor > 0:
+                lower_drops |= bound ** (1.0 / n) < floor
+            return (bound < max(best, bar)) & lower_drops
 
     for n in range(1, depth + 1):
-        seed_cap, seed, before = -np.inf, None, (len(candidates), top)
+        best, bar, before = 0.0, _bar(t, argmax), (len(candidates), top)
         try:
-            for digits, stack in product_blocks(t, n, counter, necklaces=True, prune=prune):
-                values = np.array([rho ** (1.0 / n) for rho in linalg.spectral_radii(stack).tolist()])
-                top = max(top, float(values.max()))
-                # top only rises, so a row below the window now never ties; at top 0 the result is fixed
-                keep = values >= (1.0 - _TIE_TOL) * top
-                if top > 0.0 and keep.any():
-                    candidates += zip(words._words_at(digits[keep]), values[keep].tolist())
-            maxima.append(_level_upper_max(t, n, maxima, 0.0 if seed is None else linalg.op_norm(seed), counter))
+            for digits, periods, stack in product_blocks(t, n, counter, prune=prune):
+                rows = np.flatnonzero(words._necklaces(periods, n, n))
+                floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
+                if floor > 0 and len(rows):
+                    rows = rows[~(linalg.spectral_radius_caps(stack[rows]) ** (1.0 / n) < floor)]
+                if len(rows):
+                    values = np.array([rho ** (1.0 / n) for rho in linalg.spectral_radii(stack[rows]).tolist()])
+                    top = max(top, float(values.max()))
+                    # top only rises, so a row below the window now never ties; at top 0 the result is fixed
+                    keep = values >= (1.0 - _TIE_TOL) * top
+                    if top > 0.0 and keep.any():
+                        candidates += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
+                live = np.flatnonzero(~(linalg.op_norm_caps(stack) < max(best, bar)))
+                if len(live):
+                    norms = linalg.op_norms(stack[live])
+                    i = int(np.argmax(norms))
+                    if norms[i] > best:
+                        best, argmax = float(norms[i]), stack[live[i]].copy()  # a copy frees the block
+            maxima.append(best)
         except BudgetError:  # past the budget: level n is dropped whole
             del candidates[before[0]:], maxima[n:]
             top, depth = before[1], n - 1
@@ -213,15 +197,11 @@ def _primitive_ties(candidates: list[tuple[Word, float]]) -> list[tuple[Word, fl
     return [item for item in candidates if words.is_primitive(item[0])]
 
 
-def _midpoint(t: MatrixTuple, depth: int, budget: int) -> float:
-    """The default rho_hat: the midpoint of bounds(t, depth), or BudgetError if the budget stops short."""
-    return _candidates_and_midpoint(t, depth, budget)[1]
-
-
 def _candidates_and_midpoint(t: MatrixTuple, depth: int, budget: int):
-    """(spectral_maximal_candidates(t, depth), _midpoint(t, depth)) from one _levels pass.
+    """(spectral_maximal_candidates(t, depth), the default rho_hat) from one _levels pass.
 
-    A pass that the budget stops short of depth raises _midpoint's BudgetError."""
+    The default rho_hat is the midpoint of bounds(t, depth); a pass that the
+    budget stops short of depth raises BudgetError."""
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     levels = _levels(t, depth, budget)
@@ -246,8 +226,8 @@ def spectral_maximal_candidates(
     so the first entry is bounds' witness unless rounding lifts a power
     above its root.  Sorted by value descending, then length, then word.
     When lower is 0, every necklace would reach the window, and only the
-    first, (1,), is kept.  The scan is bounds' pass, upper sweeps included,
-    and budget is charged for the rows of both walks of every level.
+    first, (1,), is kept.  The scan is bounds' pass, and budget is charged
+    for every row its walks ask about, those only the upper bound needs too.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")

@@ -40,7 +40,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import _midpoint, finiteness_verified_at_depth
+from .bounds import _candidates_and_midpoint, finiteness_verified_at_depth
 from .bounds import bounds as jsr_bounds
 from .config import DEFAULTS, require_fraction, require_tol
 from .errors import ConvergenceError, InputError
@@ -104,12 +104,13 @@ def _emit(args, command: str, result, **overrides) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _rho(t: MatrixTuple, args) -> float:
-    """--rho-hat if given, else the midpoint of the certified bounds at --depth."""
+def _rho(t: MatrixTuple, args):
+    """(candidates, rho): None and --rho-hat if given, else the candidates of a
+    search and the midpoint of the certified bounds at --depth, from one pass."""
     depth = _require_depth(args.depth)
     if args.rho_hat is not None:
-        return args.rho_hat
-    return _midpoint(t, depth, args.budget)
+        return None, args.rho_hat
+    return _candidates_and_midpoint(t, depth, args.budget)
 
 
 def _sample_directions(t: MatrixTuple, args):
@@ -161,7 +162,7 @@ def cmd_barabanov_approx(args) -> int:
     _require_depth(args.depth)
     require_tol("tol", args.step_tol)
     t = _load_tuple(args.input)
-    rho = _rho(t, args)
+    _, rho = _rho(t, args)
     result = approx_barabanov(
         t, rho, mesh_size=args.mesh, max_iter=args.max_iter, step_tol=args.step_tol
     )
@@ -175,7 +176,7 @@ def cmd_barabanov_verify(args) -> int:
     require_tol("tol", args.tol)
     t = _load_tuple(args.input)
     norm = _load_norm(args.norm)
-    rho = _rho(t, args)
+    _, rho = _rho(t, args)
     report = verify_barabanov(
         t, norm, rho, samples=_sample_directions(t, args), tol=args.tol
     )
@@ -186,7 +187,7 @@ def cmd_barabanov_verify(args) -> int:
 
 
 def cmd_sfh(args) -> int:
-    from .finiteness import characteristic_word_search, sfh_evidence
+    from .finiteness import _search, characteristic_word_search, sfh_evidence
     from .norms import approx_barabanov
 
     _require_depth(args.depth)
@@ -194,7 +195,7 @@ def cmd_sfh(args) -> int:
     require_tol("norm-check-tol", args.norm_check_tol, zero_ok=True)
     omega = parse_word(args.word) if args.word is not None else None
     t = _load_tuple(args.input)
-    rho = _rho(t, args)
+    candidates, rho = _rho(t, args)
     directions = _sample_directions(t, args)
     if args.norms:
         reps = [_load_norm(path) for path in args.norms]
@@ -214,8 +215,10 @@ def cmd_sfh(args) -> int:
     )
     if omega is not None:
         reports = [sfh_evidence(t, omega, reps, rho, **common)]
-    else:
+    elif candidates is None:
         reports = characteristic_word_search(t, args.depth, reps, rho, **common)
+    else:
+        reports = _search(t, candidates, reps, rho, **common)
     result = {"reports": [rep.to_json_dict() for rep in reports]}
     _emit(args, "sfh", result, rho_hat=rho, norms=args.norms or "approximated")
     return 1 if args.strict and any(not rep.passed for rep in reports) else 0

@@ -78,7 +78,7 @@ def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") ->
         raise ConvergenceError("self-check failed: a slot of omega does not have norm 1")
     if any(np.array_equal(a, b) for a, b in combinations(t.matrices, 2)):
         raise ConvergenceError("self-check failed: two slots coincide")
-    for digits, _ in off_class_blocks(MatrixTuple(field, t.matrices[:r_used]), omega, DEFAULTS.word_budget):
+    for digits, _, _ in off_class_blocks(MatrixTuple(field, t.matrices[:r_used]), omega, DEFAULTS.word_budget):
         raise ConvergenceError(f"self-check failed: off-class P_{format_word(_words_at(digits[:1])[0])} != 0")
     return t
 

@@ -146,7 +146,7 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}
-    for digits, stack in off_class_blocks(t, omega, budget):
+    for digits, _, stack in off_class_blocks(t, omega, budget):
         caps = linalg.op_norm_caps(stack)
         for i, (norm_of, bound_of) in enumerate(induced):
             bound = bound_of(caps)
@@ -188,7 +188,7 @@ def characteristic_word_search(
     """Run sfh_evidence over every spectrum-maximal candidate up to depth.
 
     rho_hat defaults to the midpoint of the certified interval at the same
-    depth (bounds._midpoint), taken from the candidate scan's own pass.  The
+    depth (bounds._candidates_and_midpoint), from the candidate scan's pass.  The
     norms are admitted once, for every candidate.  Reports come back best
     first: widest margin, then shortest candidate, then lexicographic.  The
     tolerances, the norms, a given rho_hat, the samples' dimension and the
@@ -206,6 +206,11 @@ def characteristic_word_search(
         candidates, rho_hat = _candidates_and_midpoint(t, depth, budget)
     else:
         candidates = spectral_maximal_candidates(t, depth, budget=budget)
+    return _search(t, candidates, reps, rho_hat, offender_tol, norm_check_tol, samples, budget)
+
+
+def _search(t: MatrixTuple, candidates, reps, rho_hat, offender_tol, norm_check_tol, samples, budget):
+    """characteristic_word_search's step after its checks: admit the norms once, scan each candidate, sort."""
     induced = _admit(t, reps, rho_hat, norm_check_tol, samples)
     reports = [_scan(t, w, induced, rho_hat, offender_tol, budget) for w, _ in candidates]
     reports.sort(key=lambda rep: (-rep.margin, rep.depth, rep.candidate))

@@ -158,26 +158,27 @@ class _Budget:
         self.limit, self.spent = limit, 0
 
 
-def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, necklaces=False, prune=None):
-    """Yield (digits, stack) over the products of the words of length n, in lexicographic order.
+def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, prune=None):
+    """Yield (digits, periods, stack) over the products of the words of length n, in lexicographic order.
 
     The generator of words.prefix_blocks with one product per row: digits
-    holds each word's row of 0-based letters (words._words_at decodes it)
-    and stack the products P_w, (k, d, d).  The empty word's children are
-    the slots and a prefix's are A_letter @ P_prefix in one batched layer,
-    product_along's 2-D products, so each P_w equals it bitwise.  necklaces
-    and prune(digits, stack, k) are prefix_blocks' own, and a block exceeds
-    config.BLOCK_BYTES only when one prefix's r children do.  Each row is
-    charged to budget, one call's counter, before prune sees it: BudgetError
-    past its limit.  A non-finite product raises ConvergenceError.
+    holds each word's row of 0-based letters (words._words_at decodes it),
+    periods their FKM periods (0 for no pre-necklace) and stack the products
+    P_w, (k, d, d).  The empty word's children are the slots and a prefix's
+    are A_letter @ P_prefix in one batched layer, product_along's 2-D
+    products, so each P_w equals it bitwise.  prune(digits, periods, stack,
+    k) is prefix_blocks' own, and a block exceeds config.BLOCK_BYTES only
+    when one prefix's r children do.  Each row is charged to budget, one
+    call's counter, before prune sees it: BudgetError past its limit.  A
+    non-finite product raises ConvergenceError.
     """
     slots = np.stack(t.matrices)
 
-    def charged(digits, stack, k):
+    def charged(digits, periods, stack, k):
         budget.spent += len(digits)
         if budget.spent > budget.limit:
             raise BudgetError(f"enumeration of products of length {n} exceeds budget {budget.limit} rows")
-        return prune(digits, stack, k) if prune is not None else np.zeros(len(digits), dtype=bool)
+        return prune(digits, periods, stack, k) if prune is not None else np.zeros(len(digits), dtype=bool)
 
     def grow(k, stack=None):
         if stack is None:  # the empty word
@@ -187,18 +188,19 @@ def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, necklaces=False, 
         if not np.isfinite(children).all():
             raise ConvergenceError(f"products of length {k + 1} overflow; the tuple's scale is out of range")
         return (children,)
-    return prefix_blocks(t.r, n, slots[0].nbytes, necklaces=necklaces, prune=charged, grow=grow)
+    return prefix_blocks(t.r, n, slots[0].nbytes, prune=charged, grow=grow)
 
 
 def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
     """product_blocks over the words of length n = |omega| outside omega's rotation class.
 
-    The prune drops each exactly zero product, at every length, with its subtree
-    (a finite number times +-0 is +-0), and omega's rotations at k = n, looked
-    up by words._rows_among.  The walk is charged against a budget of its own."""
+    The prune ignores the periods.  It drops each exactly zero product, at
+    every length, with its subtree (a finite number times +-0 is +-0), and
+    omega's rotations at k = n, looked up by words._rows_among.  The walk is
+    charged against a budget of its own."""
     rotation = _rows_among(rotation_class(omega), t.r)
 
-    def prune(digits, stack, k):
+    def prune(digits, periods, stack, k):
         zero = ~stack.any(axis=(1, 2))
         return zero | rotation(digits) if k == len(omega) else zero
     return product_blocks(t, len(omega), _Budget(budget), prune=prune)

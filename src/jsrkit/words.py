@@ -7,11 +7,11 @@ class (its necklace) is its lexicographically least rotation.
 
 In a walk a word is a row of 0-based letters (_digit_rows), and
 prefix_blocks is the one prefix walker: it grows such rows one letter at a
-time from the empty word, keeps necklaces by the FKM rule of
-necklace_children, runs each screen with one mask per row as its prune,
-and yields (digits, *rows) blocks of the words of one length.
+time from the empty word with their FKM periods (necklace_children), runs
+each screen with one mask per row as its prune, and yields (digits,
+periods, *rows) blocks of the words of one length.
 tuples.product_blocks is the walker with one product per row; word_blocks
-lists words, necklaces and, by a prune, primitive words on it.
+lists words and, by prunes, necklaces (_necklaces) and primitive words.
 enumerate_words and enumerate_necklaces decode its blocks to tuples
 (_words_at: digits + 1), and render_words turns a block into text.
 """
@@ -110,8 +110,8 @@ def word_blocks(r: int, n: int, *, necklaces: bool = False, primitive_only: bool
     block fits in config.BLOCK_BYTES unless one prefix's r children do not.
     necklaces keeps one word per rotation class, its least rotation;
     primitive_only keeps the words that are no proper power (is_primitive),
-    among necklaces the Lyndon words, by a prune on the full words.  The
-    budget, r**n words, is checked at the call, before any is written.
+    among necklaces the Lyndon words.  Both are prunes.  The budget, r**n
+    words, is checked at the call, before any is written.
     """
     if r < 1:
         raise InputError(f"alphabet size must be >= 1, got {r}")
@@ -120,47 +120,43 @@ def word_blocks(r: int, n: int, *, necklaces: bool = False, primitive_only: bool
     if r ** n > budget:
         raise BudgetError(f"enumeration of {r}^{n} = {r ** n} words exceeds budget {budget}; lower the length")
 
-    def proper_powers(digits, k):
-        return ~_primitive(digits) if k == n else np.zeros(len(digits), dtype=bool)
-    prune = proper_powers if primitive_only else None
-    return (digits for digits, in prefix_blocks(r, n, 8 * n, necklaces=necklaces, prune=prune))
+    def prune(digits, periods, k):
+        keep = _necklaces(periods, k, n) if necklaces else np.ones(len(digits), dtype=bool)
+        return ~(keep & _primitive(digits)) if primitive_only and k == n else ~keep
+    walk = prefix_blocks(r, n, 8 * n, prune=prune if necklaces or primitive_only else None)
+    return (digits for digits, _ in walk)
 
 
-def prefix_blocks(r: int, n: int, row_bytes: int, *, necklaces=False, prune=None, grow=None):
-    """Yield (digits, *rows) over the words of length n over {1..r}, in lexicographic order.
+def prefix_blocks(r: int, n: int, row_bytes: int, *, prune=None, grow=None):
+    """Yield (digits, periods, *rows) over the words of length n over {1..r}, in lexicographic order.
 
     The one prefix walker: a while loop over a LIFO list of pieces
     (k, digits, periods, *rows) of prefixes of length k, from the empty word,
-    digits being their (rows, k) digit rows.  Children are split into pieces
-    of BLOCK_BYTES // row_bytes // r rows and pushed in reverse, so the
-    children of one piece make at most one block: a block exceeds
-    config.BLOCK_BYTES only when one prefix's r children do, and a depth-n
-    walk holds about n blocks.  grow(k, *rows) returns the arrays that go
-    with the r children of each prefix of length k.  necklaces=True keeps
-    least rotations by necklace_children; their FKM periods stay in the
-    walk.  prune(digits, *rows, k) is asked for every piece at every length
-    1 <= k <= n before it is grown or yielded, and masks the rows to drop
-    with every word below them: each screen with one mask per row runs
-    there.  No block is empty, and no budget is charged here.
+    digits being their (rows, k) digit rows and periods their FKM periods
+    (necklace_children).  Children are split into pieces of BLOCK_BYTES //
+    row_bytes // r rows and pushed in reverse, so the children of one piece
+    make at most one block: a block exceeds config.BLOCK_BYTES only when one
+    prefix's r children do, and a depth-n walk holds about n blocks.
+    grow(k, *rows) returns the arrays that go with the r children of each
+    prefix of length k.  prune(digits, periods, *rows, k) is asked for every
+    piece at every length 1 <= k <= n before it is grown or yielded, and
+    masks the rows to drop with every word below them: each screen with one
+    mask per row runs there.  No block is empty, and no budget is charged.
     """
     leaf_rows = config.BLOCK_BYTES // row_bytes
     pending = [(0, _digit_rows([()], r), np.ones(1, dtype=np.int64))]
     while pending:
         k, digits, periods, *rows = pending.pop()
         if prune is not None and k:
-            keep = ~prune(digits, *rows, k)
+            keep = ~prune(digits, periods, *rows, k)
             if not keep.all():  # copy only when a row goes; compress copies small rows faster than a[keep]
                 digits, periods, *rows = (np.compress(keep, a, axis=0) for a in (digits, periods, *rows))
         if k == n:
             if len(digits):
-                yield digits, *rows
+                yield digits, periods, *rows
             continue
         rows = grow(k, *rows) if grow is not None else ()
-        if necklaces:
-            digits, periods, keep = necklace_children(digits, periods, r, n)
-            rows = [np.compress(keep, a, axis=0) for a in rows]
-        else:
-            digits = periods = _children(digits, r)
+        digits, periods = necklace_children(digits, periods, r)
         step = max(1, len(digits) if k + 1 == n else leaf_rows // r)
         for lo in reversed(range(0, len(digits), step)):
             pending.append((k + 1, *(a[lo:lo + step] for a in (digits, periods, *rows))))
@@ -222,21 +218,29 @@ def _words_at(digits: np.ndarray) -> list[Word]:
     return list(map(tuple, (digits + 1).tolist()))
 
 
-def necklace_children(digits: np.ndarray, periods: np.ndarray, r: int, n: int):
-    """(digits, periods, keep): the pre-necklaces of length k + 1 grown from those of length k.
+def necklace_children(digits: np.ndarray, periods: np.ndarray, r: int):
+    """(digits, periods) of the r children of each row of length k, in lexicographic order.
 
     FKM rule (Cattell, Ruskey, Sawada, Serra, Miers, J. Algorithms 37, 2000):
-    a period is the length of the longest Lyndon prefix, 1 for the empty word.
-    A child letter may not be below the letter period places back; the period
-    stays when the two are equal and becomes k + 1 otherwise.  At length n
-    only necklaces, the children whose period divides n, are kept.  keep
-    masks all r children of each prefix, in lexicographic order.
+    a pre-necklace's period is the length of its longest Lyndon prefix, 1 for
+    the empty word, and any other word's is 0.  A child letter below the
+    letter period places back gives 0; the period stays when the two are
+    equal and becomes k + 1 otherwise.
     """
     m, k = digits.shape
-    letters = np.arange(r, dtype=digits.dtype)
-    back = (digits[np.arange(m), k - periods] if k else np.zeros(m, dtype=digits.dtype))[:, None]
-    periods = np.where(letters == back, periods[:, None], k + 1).ravel()
-    keep = (letters >= back).ravel()
-    if k + 1 == n:
-        keep &= n % periods == 0
-    return np.compress(keep, _children(digits, r), axis=0), periods[keep], keep
+    # the letter period places back, off the flat rows; r, above every letter, for period 0
+    back = np.take(digits, np.arange(k, m * k + 1, k) - periods, mode="clip") if m * k else np.zeros(m, digits.dtype)
+    back = np.where(periods > 0, back, r)
+    out = np.empty((m, r), dtype=periods.dtype)
+    for letter in range(r):  # r strided writes, one per letter, as in _children
+        out[:, letter] = np.where(back == letter, periods, (back < letter) * (k + 1))
+    return _children(digits, r), out.ravel()
+
+
+def _necklaces(periods: np.ndarray, k: int, n: int) -> np.ndarray:
+    """A mask of the pre-necklaces among rows of length k < n, and at k = n of the necklaces (period divides n)."""
+    if k < n:
+        return periods > 0
+    divides = np.zeros(n + 1, dtype=bool)  # looked up by period; period 0 stays False
+    divides[1:] = n % np.arange(1, n + 1) == 0
+    return divides[periods]

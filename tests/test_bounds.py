@@ -185,79 +185,73 @@ def test_upper_sweep_runs_svd_only_on_screened_leaves(monkeypatch):
     assert sum(rows) <= words_per_sweep // 10
 
 
-def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
-    # a prefix of length k is bounded by the level maximum L_(n-k), not by
-    # the largest slot norm to the power n - k, which prunes far less here
-    rng = np.random.default_rng(7)
-    t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
+def _asked_rows(monkeypatch, prefixes_only=False):
+    """The rows that bounds' walks ask their prune about, one count per call, prefixes only if asked."""
     engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
 
-    def spy(t, n, budget, *, necklaces=False, prune=None):
-        if prune is not None and not necklaces:  # the upper sweep only: the necklace walk prunes too
-            inner = prune
+    def spy(t, n, budget, *, prune):
+        def counted(digits, periods, stack, k):
+            if k < n or not prefixes_only:
+                rows.append(len(stack))
+            return prune(digits, periods, stack, k)
 
-            def prune(digits, stack, k):
-                if k < n:  # prefixes only: full words are asked about too
-                    rows.append(len(stack))
-                return inner(digits, stack, k)
-
-        return product_blocks(t, n, budget, necklaces=necklaces, prune=prune)
+        return product_blocks(t, n, budget, prune=counted)
 
     monkeypatch.setattr(engine, "product_blocks", spy)
+    return rows
+
+
+def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
+    # a prefix of length k is bounded by the level maximum L_(n-k), not by
+    # the largest slot norm to the power n - k, which prunes far less here:
+    # of the 4072 prefixes of the 11 levels, the walks ask about 440, where
+    # a necklace walk and an all-words sweep per level asked about 392 + 268
+    rng = np.random.default_rng(7)
+    t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
+    rows = _asked_rows(monkeypatch, prefixes_only=True)
     bounds(t, 11)
-    prefixes = sum(2 ** n - 2 for n in range(1, 12))  # 4072 over the 11 levels
-    assert sum(rows) <= prefixes // 10
+    assert sum(rows) == 440
 
 
-def test_levels_run_their_necklace_walk_then_their_upper_sweep(monkeypatch):
-    # bounds runs level n's necklace walk, then level n's all-words sweep,
-    # before level n + 1, and the candidate search runs the same pass
+def test_levels_run_one_walk_each(monkeypatch):
+    # one product_blocks walk per level serves both bounds, level n before
+    # level n + 1, and the candidate search runs the same pass
     engine, product_blocks, walks = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
 
-    def spy(t, n, budget, *, necklaces=False, prune=None):
-        walks.append((n, necklaces))
-        return product_blocks(t, n, budget, necklaces=necklaces, prune=prune)
+    def spy(t, n, budget, *, prune):
+        walks.append(n)
+        return product_blocks(t, n, budget, prune=prune)
 
     monkeypatch.setattr(engine, "product_blocks", spy)
     t = _diag_dominant_pair()
     bounds(t, 4)
-    assert walks == [(n, necklaces) for n in range(1, 5) for necklaces in (True, False)]
+    assert walks == [1, 2, 3, 4]
     walks.clear()
     spectral_maximal_candidates(t, 4)
-    assert walks == [(n, necklaces) for n in range(1, 5) for necklaces in (True, False)]
+    assert walks == [1, 2, 3, 4]
 
 
 def test_necklace_walk_prunes_prefixes_by_level_maxima(monkeypatch):
     # a necklace prefix p of length k is dropped once (cap(P_p) * L_(n-k)) ** (1/n)
-    # falls below the tie window, so the walks ask about few of the pre-necklaces
+    # falls below the tie window and the upper side needs it no more, so the
+    # walks ask about few of the pre-necklaces: 1300 rows over the 16 levels,
+    # where a necklace walk and an all-words sweep per level asked about 1842
     rng = np.random.default_rng(7)
     t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
-    engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
-
-    def spy(t, n, budget, *, necklaces=False, prune=None):
-        if necklaces:
-            inner = prune
-
-            def prune(digits, stack, k):
-                rows.append(len(stack))
-                return inner(digits, stack, k)
-
-        return product_blocks(t, n, budget, necklaces=necklaces, prune=prune)
-
-    monkeypatch.setattr(engine, "product_blocks", spy)
+    rows = _asked_rows(monkeypatch)
     b = bounds(t, 16)
     assert (b.depth, b.partial) == (16, False)
     asked = []
 
-    def count(digits, k):
+    def count(digits, periods, k):
         asked.append(len(digits))
-        return np.zeros(len(digits), dtype=bool)
+        return ~words._necklaces(periods, k, n)
 
     for n in range(1, 17):
-        for _ in words.prefix_blocks(2, n, 8, necklaces=True, prune=count):
+        for _ in words.prefix_blocks(2, n, 8, prune=count):
             pass
-    assert sum(asked) == 31697  # every pre-necklace of length k <= n, over the 16 levels
-    assert sum(rows) <= sum(asked) // 10
+    assert sum(asked) == 45580  # the r children of every pre-necklace of length k < n, over the 16 levels
+    assert sum(rows) == 1300
 
 
 def test_each_search_runs_one_level_pass(monkeypatch):
@@ -283,39 +277,65 @@ def test_each_search_runs_one_level_pass(monkeypatch):
 
 
 def test_example_2_reaches_depth_80_at_the_default_budget():
-    # the walks of level n ask about 4n rows here, 12960 through level 80
+    # the walk of level n asks about 2n rows here, 6480 through level 80
     t, _ = example_tuple(2, lam=0.5)
     b = bounds(t, 80)
     assert (b.lower, b.upper, b.depth, b.lower_witness, b.upper_level, b.partial) == (1.0, 1.0, 80, (1,), 1, False)
 
 
-def test_necklace_walk_yields_only_rows_that_reach_eigenvalues(monkeypatch):
-    # the lower screen runs in the walk's prune, so no sweep filters a block
-    # after the walk yields it: every necklace product yielded, and no other,
-    # reaches linalg.spectral_radii, in the same order
+def test_example_2_asks_about_2n_rows_per_level():
+    # below each length only the prefix 1 ... 1 serves a bound, and each of its
+    # two children is asked about: 2n rows at level n, so exactly 6480 through level 80
+    t, _ = example_tuple(2, lam=0.5)
+    full = bounds(t, 80)
+    assert bounds(t, 80, budget=6480) == full
+    short = bounds(t, 80, budget=6479)
+    assert (short.depth, short.partial) == (79, True)
+
+
+def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
+    # of each yielded block, exactly the necklace rows that clear the spectral
+    # screen (spectral_radius_caps ** (1/n) not below the floor that the values
+    # so far set) reach linalg.spectral_radii, in walk order
     rng = np.random.default_rng(7)
     t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
     engine = importlib.import_module("jsrkit.bounds")
     product_blocks, spectral_radii = tuples.product_blocks, linalg.spectral_radii
-    yielded, radii = [], []
+    screened, radii, top = [], [], [-np.inf, 1]  # the largest value so far, and the level
 
-    def walk(t, n, budget, *, necklaces=False, prune=None):
-        for digits, stack in product_blocks(t, n, budget, necklaces=necklaces, prune=prune):
-            if necklaces:
-                yielded.append(stack.tobytes())
-            yield digits, stack
+    def walk(t, n, budget, *, prune):
+        top[1] = n
+        for digits, periods, stack in product_blocks(t, n, budget, prune=prune):
+            necklaces = stack[words._necklaces(periods, n, n)]
+            floor = (1.0 - 1e-9) * top[0] * (1.0 - 1e-9)
+            if floor > 0:
+                necklaces = necklaces[~(linalg.spectral_radius_caps(necklaces) ** (1.0 / n) < floor)]
+            screened.append(necklaces.tobytes())
+            yield digits, periods, stack
 
     def spy(stack):
         radii.append(stack.tobytes())
-        return spectral_radii(stack)
+        rhos = spectral_radii(stack)
+        top[0] = max([top[0]] + [rho ** (1.0 / top[1]) for rho in rhos.tolist()])
+        return rhos
 
     monkeypatch.setattr(engine, "product_blocks", walk)
     monkeypatch.setattr(linalg, "spectral_radii", spy)
     bounds(t, 11)
-    rows = len(b"".join(yielded)) // t.matrices[0].nbytes
-    assert b"".join(yielded) == b"".join(radii)
+    rows = len(b"".join(screened)) // t.matrices[0].nbytes
+    assert b"".join(screened) == b"".join(radii)
     # the screen drops most necklaces here
     assert 0 < rows < sum(len(list(words.enumerate_necklaces(2, n))) for n in range(1, 12)) // 2
+
+
+def test_a_seed_past_the_float_range_keeps_the_walks_error():
+    # level 2's seed takes the norms of A_a @ P and P @ A_a, P the largest
+    # product of level 1; here their singular values overflow, so the seed is
+    # 0.0, and the walk itself reports the overflow of its eigenvalues first
+    big = 8.66e153 * np.ones((2, 2))
+    for slots in ((big,), (big, np.array([[0.0, 1.0], [1.0, 0.0]]))):
+        with pytest.raises(ConvergenceError, match="^eigenvalue moduli overflow; the tuple's scale is out of range$"):
+            bounds(MatrixTuple("real", slots), 2)
 
 
 def test_upper_prune_margin_keeps_a_leaf_that_ties_its_prefix_bound():
@@ -496,55 +516,56 @@ def test_wedge_bounds_sit_below_square():
 
 def test_budget_partial_and_error():
     t = _shift_pair()
+    # levels 1 .. 4 ask about 2, 6, 10 and 14 rows here
     b = bounds(t, 5, budget=20)
     assert b.partial
-    assert b.depth == 2
+    assert b.depth == 3
     with pytest.raises(BudgetError):
-        bounds(t, 2, budget=3)
+        bounds(t, 2, budget=1)
     with pytest.raises(BudgetError):
         spectral_maximal_candidates(t, 5, budget=20)
 
 
 def test_candidate_budget_counts_the_rows_the_walks_keep(monkeypatch):
-    # the necklace walk and the upper sweep of levels 1 .. 5 ask about 2 + 2, 5 + 6,
-    # 6 + 14, 8 + 14 and 9 + 62 rows here, so the scan to depth 5 needs a budget of 128
+    # the walks of levels 1 .. 5 ask about 2, 6, 10, 14 and 18 rows here, so
+    # the scan to depth 5 needs a budget of 50
     engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, {}
 
-    def spy(t, n, budget, *, necklaces=False, prune=None):
-        def counted(digits, stack, k):
+    def spy(t, n, budget, *, prune):
+        def counted(digits, periods, stack, k):
             rows[n] = rows.get(n, 0) + len(stack)
-            return prune(digits, stack, k)
+            return prune(digits, periods, stack, k)
 
-        return product_blocks(t, n, budget, necklaces=necklaces, prune=counted)
+        return product_blocks(t, n, budget, prune=counted)
 
     monkeypatch.setattr(engine, "product_blocks", spy)
-    candidates = spectral_maximal_candidates(_shift_pair(), 5, budget=128)
-    assert rows == {1: 4, 2: 11, 3: 20, 4: 22, 5: 71}
+    candidates = spectral_maximal_candidates(_shift_pair(), 5, budget=50)
+    assert rows == {1: 2, 2: 6, 3: 10, 4: 14, 5: 18}
     assert candidates == spectral_maximal_candidates(_shift_pair(), 5)
-    for budget in (127, 20):
+    for budget in (49, 20):
         with pytest.raises(BudgetError, match=f"candidate scan to depth 5 exceeds enumeration budget {budget}$"):
             spectral_maximal_candidates(_shift_pair(), 5, budget=budget)
 
 
 def test_budget_binds_a_one_slot_walk():
-    # each walk keeps one row per length, so levels 1 .. 13 keep 2 * (1 + ... + 13) = 182
-    # rows, and level 14, which would pass 200, is dropped
+    # each walk keeps one row per length, so levels 1 .. 19 keep 1 + ... + 19 = 190
+    # rows, and level 20, which would pass 200, is dropped
     b = bounds(MatrixTuple("real", (np.array([[0.0, 1.0], [1.0, 0.0]]),)), 100, budget=200)
-    assert (b.lower, b.upper, b.depth, b.upper_level, b.partial) == (1.0, 1.0, 13, 1, True)
+    assert (b.lower, b.upper, b.depth, b.upper_level, b.partial) == (1.0, 1.0, 19, 1, True)
 
 
 def test_pruned_walks_go_deeper_on_the_same_budget():
     rng = np.random.default_rng(11)
     t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(6), (6, 6)) for _ in range(2)))
     b = bounds(t, 60, budget=10 ** 4)
-    assert (b.depth, b.partial) == (29, True)
-    full = bounds(t, 29)
+    assert (b.depth, b.partial) == (31, True)
+    full = bounds(t, 31)
     assert (b.lower, b.upper, b.lower_witness, b.upper_level) == (
         full.lower, full.upper, full.lower_witness, full.upper_level)
 
 
 def test_unprunable_walks_go_no_deeper_on_the_same_budget():
-    # nothing prunes an orthogonal pair: its walks keep every prefix, at least 2 * 2**n rows per level
+    # nothing prunes an orthogonal pair: its walk keeps every prefix, 2**(n + 1) - 2 rows at level n
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
     b = bounds(MatrixTuple("real", (q, q.T)), 60, budget=10 ** 4)
     assert (b.depth, b.partial) == (11, True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import io
 import json
 import os
@@ -183,7 +184,8 @@ def test_budget_exhaustion_is_input_error(capsys, tmp_path):
     assert code == 2
     assert "budget" in err
     path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0", "--l2", "0"])
-    code, _, err = _run(capsys, ["bounds", "--input", path, "--budget", "3"])
+    # level 1 asks about the r = 2 slots
+    code, _, err = _run(capsys, ["bounds", "--input", path, "--budget", "1"])
     assert code == 2
     assert "budget" in err
 
@@ -241,14 +243,14 @@ def test_default_rho_hat_needs_bounds_at_the_full_depth(capsys, tmp_path):
     # not come from that shallower interval while config.depth reads 6
     path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
     norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
-    # bounds asks about 55, 98 and 131 rows through levels 4, 5 and 6 here
-    scan = "error: candidate scan to depth 6 exceeds enumeration budget 130\n"
+    # bounds asks about 32, 50 and 72 rows through levels 4, 5 and 6 here
+    scan = "error: candidate scan to depth 6 exceeds enumeration budget 71\n"
     runs = [
-        (97, 4, ["barabanov", "approx", "--input", path], ""),
-        (97, 4, ["barabanov", "verify", "--input", path, "--norm", norm_path], ""),
+        (49, 4, ["barabanov", "approx", "--input", path], ""),
+        (49, 4, ["barabanov", "verify", "--input", path, "--norm", norm_path], ""),
         # the candidate search walks bounds' pass, so a given rho_hat needs its budget too
-        (130, 5, ["sfh", "--input", path, "--norm", norm_path], scan),
-        (130, 5, ["sfh", "--input", path, "--norm", norm_path, "--word", "1,2"], ""),
+        (71, 5, ["sfh", "--input", path, "--norm", norm_path], scan),
+        (71, 5, ["sfh", "--input", path, "--norm", norm_path, "--word", "1,2"], ""),
     ]
     for budget, reached, argv, given in runs:
         argv = [*argv, "--depth", "6", "--budget", str(budget)]
@@ -296,6 +298,22 @@ def test_sfh_search_lists_losing_candidates(capsys, tmp_path):
     assert all(rep["caveat"] for rep in reports)
     code, _, _ = _run(capsys, [*argv, "--strict"])
     assert code == 1
+
+
+def test_sfh_search_takes_candidates_and_rho_hat_from_one_level_pass(capsys, tmp_path, monkeypatch):
+    # without --rho-hat the search's default rho_hat and its candidates come
+    # from one bounds pass, under an approximated norm or a given one
+    engine = importlib.import_module("jsrkit.bounds")
+    levels, calls = engine._levels, []
+    monkeypatch.setattr(engine, "_levels", lambda *args: calls.append(args[1]) or levels(*args))
+    path = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
+    norm_path = _norm_file(tmp_path, "max.json", WeightedMaxNorm((1.0, 1.0)))
+    for extra in ([], ["--norm", norm_path]):
+        calls.clear()
+        code, out, err = _run(capsys, ["sfh", "--input", path, "--depth", "4", *extra])
+        assert (code, err) == (0, ""), extra
+        assert json.loads(out)["result"]["reports"], extra
+        assert calls == [4], extra
 
 
 def test_verify_complex_tuple_with_sampled_sphere(capsys, tmp_path):

@@ -121,7 +121,7 @@ def test_characteristic_self_check_failure_raises(monkeypatch):
 
 def test_characteristic_self_check_names_a_nonzero_off_class_product(monkeypatch):
     # the walk yields only off-class products that are not zero, so any block it yields fails
-    block = (np.array([[0, 0, 1]]), np.ones((1, 3, 3)))
+    block = (np.array([[0, 0, 1]]), np.ones(1, dtype=np.int64), np.ones((1, 3, 3)))
     monkeypatch.setattr(constructions, "off_class_blocks", lambda t, omega, budget: iter([block]))
     with pytest.raises(ConvergenceError, match=r"^self-check failed: off-class P_1,1,2 != 0$"):
         characteristic_tuple(2, 3, (1, 2, 2))

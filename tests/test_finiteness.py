@@ -216,18 +216,18 @@ def test_search_admits_each_norm_once(monkeypatch):
 
 
 def test_search_default_rho_hat_needs_bounds_at_the_full_depth():
-    # bounds on this pair asks about 98 rows through level 5 and 131 through level 6,
-    # so budget 130 stops it at depth 5, and a default rho_hat must not come
+    # bounds on this pair asks about 50 rows through level 5 and 72 through level 6,
+    # so budget 71 stops it at depth 5, and a default rho_hat must not come
     # from that shallower interval
     t = _shift_pair(0.3, 0.5)
-    with pytest.raises(BudgetError, match="budget 130 reaches depth 5 of 6, too shallow for the default rho_hat$"):
-        characteristic_word_search(t, 6, MAXNORM, budget=130)
-    full = characteristic_word_search(t, 6, MAXNORM, budget=131)  # exactly depth 6
+    with pytest.raises(BudgetError, match="budget 71 reaches depth 5 of 6, too shallow for the default rho_hat$"):
+        characteristic_word_search(t, 6, MAXNORM, budget=71)
+    full = characteristic_word_search(t, 6, MAXNORM, budget=72)  # exactly depth 6
     assert full == characteristic_word_search(t, 6, MAXNORM)
     # the candidate scan is the same pass, so a given rho_hat needs as much budget
-    assert characteristic_word_search(t, 6, MAXNORM, 1.0, budget=131)
-    with pytest.raises(BudgetError, match="candidate scan to depth 6 exceeds enumeration budget 130$"):
-        characteristic_word_search(t, 6, MAXNORM, 1.0, budget=130)
+    assert characteristic_word_search(t, 6, MAXNORM, 1.0, budget=72)
+    with pytest.raises(BudgetError, match="candidate scan to depth 6 exceeds enumeration budget 71$"):
+        characteristic_word_search(t, 6, MAXNORM, 1.0, budget=71)
 
 
 def test_scan_of_a_long_characteristic_word_charges_the_rows_it_keeps():
@@ -261,7 +261,7 @@ def _unscreened_scan(t, omega, reps, rho_hat, offender_tol, samples):
     induced = [norms._induced_norm(rep, t.d, real=real, samples=samples)[0] for rep in reps]
     level_max = [0.0] * len(reps)
     found = {}
-    for digits, stack in product_blocks(t, n, _Budget(DEFAULTS.word_budget)):
+    for digits, _, stack in product_blocks(t, n, _Budget(DEFAULTS.word_budget)):
         zs = _words_at(digits)
         other = np.array([z not in rotations for z in zs], dtype=bool)
         zs, stack = [z for z, keep in zip(zs, other) if keep], stack[other]

@@ -72,9 +72,14 @@ def test_product_along_order_convention():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def _blocks(t, n, **kwargs):
-    """product_blocks as (list of words, list of blocks)."""
-    blocks = list(tuples.product_blocks(t, n, _budget(), **kwargs))
+def _blocks(t, n, necklaces=False, prune=None):
+    """product_blocks as (list of words, list of (digits, stack) blocks), with prune and,
+    if asked, a prune on words._necklaces, which keeps the necklaces only."""
+    def walk_prune(digits, periods, stack, k):
+        drop = prune(digits, periods, stack, k) if prune is not None else np.zeros(len(digits), dtype=bool)
+        return drop | ~words._necklaces(periods, k, n) if necklaces else drop
+
+    blocks = [(digits, stack) for digits, _, stack in tuples.product_blocks(t, n, _budget(), prune=walk_prune)]
     got = [w for digits, _ in blocks for w in words._words_at(digits)]
     return got, blocks
 
@@ -109,10 +114,14 @@ def test_product_blocks_match_product_along_bitwise(monkeypatch):
                         if not necklaces:  # the largest block holds as many words as fit under cap
                             fit = r * max(1, cap // t.matrices[0].nbytes // r) if n > 1 else r
                             assert max(len(digits) for digits, _ in blocks) == min(fit, r ** n)
+                    # every walk carries the periods that mark the necklaces
+                    marked = [w for digits, periods, _ in tuples.product_blocks(t, n, _budget())
+                              for w, mark in zip(words._words_at(digits), words._necklaces(periods, n, n)) if mark]
+                    assert marked == list(words.enumerate_necklaces(r, n)), (r, n)
     # the empty word's children are the slots themselves, not I @ A, so -0.0 stays
     t = tuples.MatrixTuple("real", (np.array([[-0.0, 1.0], [0.5, -0.0]]),))
     for necklaces in (False, True):
-        ((_, stack),) = tuples.product_blocks(t, 1, _budget(), necklaces=necklaces)
+        _, ((_, stack),) = _blocks(t, 1, necklaces=necklaces)
         assert stack.tobytes() == t.matrices[0].tobytes()
 
 
@@ -123,7 +132,7 @@ def test_product_blocks_prune_drops_subtrees():
     below = [tuples.product_along(t, (2, 1, x)) for x in (1, 2, 3)]
     asked = []
 
-    def prune(digits, stack, k):
+    def prune(digits, periods, stack, k):
         asked.append(k)
         # nothing below a dropped prefix is asked about
         assert not any(np.array_equal(p, q) for p in stack for q in below)
@@ -147,7 +156,7 @@ def test_product_blocks_yield_no_empty_block(monkeypatch):
     got, blocks = _blocks(t, 5, necklaces=True)
     assert got == list(words.enumerate_necklaces(2, 5))
     assert all(len(digits) for digits, _ in blocks)
-    def drop_all(digits, stack, k):
+    def drop_all(digits, periods, stack, k):
         return np.ones(len(stack), dtype=bool)
 
     for necklaces in (False, True):
@@ -167,7 +176,7 @@ def test_product_blocks_cut_prefix_pieces_by_rows(monkeypatch):
         for n in range(1, 9):
             waiting, peak = [r], [0]  # the empty word's r children wait first
 
-            def keep_all(digits, stack, k):
+            def keep_all(digits, periods, stack, k):
                 if k < n:
                     last = digits[-1, -1] == r - 1
                     assert len(digits) == step or (len(digits) < step and last), (r, leaf_rows, n, k)
@@ -189,13 +198,13 @@ def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
         t = tuples.MatrixTuple("real", tuple(rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (d, d)) for _ in range(r)))
         omega = tuple(int(x) for x in rng.integers(1, r + 1, n))
         blocks = list(tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget))
-        got = [w for digits, _ in blocks for w in words._words_at(digits)]
+        got = [w for digits, _, _ in blocks for w in words._words_at(digits)]
         expected = [
             w for w in words.enumerate_words(r, n)
             if not words.rotation_equivalent(w, omega) and np.any(tuples.product_along(t, w))
         ]
         assert got == expected, (r, d, omega)
-        for digits, stack in blocks:
+        for digits, _, stack in blocks:
             assert all(np.array_equal(p, tuples.product_along(t, w)) for w, p in zip(words._words_at(digits), stack))
 
 
@@ -206,7 +215,11 @@ def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length
     walk = tuples.product_blocks
 
     def counting(t, n, budget, *, prune, **kw):
-        return walk(t, n, budget, prune=lambda digits, stack, k: asked.append(len(digits)) or prune(digits, stack, k), **kw)
+        def counted(digits, periods, stack, k):
+            asked.append(len(digits))
+            return prune(digits, periods, stack, k)
+
+        return walk(t, n, budget, prune=counted, **kw)
 
     monkeypatch.setattr(tuples, "product_blocks", counting)
     # past 62 letters too, where 2**63 words would not fit one int64 index each
@@ -226,7 +239,7 @@ def test_off_class_blocks_look_rotations_up_by_their_bytes():
     # zero digits, and letters over an alphabet of 300 take two bytes each
     for r, omega in ((2, (2, 1, 1)), (300, (7, 290))):
         t = tuples.MatrixTuple("real", tuple(np.full((1, 1), 1.0 + letter / r) for letter in range(r)))
-        got = [w for digits, _ in tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget)
+        got = [w for digits, _, _ in tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget)
                for w in words._words_at(digits)]
         rotations = words.rotation_class(omega)
         assert got == [w for w in words.enumerate_words(r, len(omega)) if w not in rotations], (r, omega)
@@ -242,7 +255,7 @@ def test_product_blocks_errors():
     big = tuples.MatrixTuple("real", (np.full((2, 2), 1e200),))
     for necklaces in (False, True):
         with pytest.raises(ConvergenceError, match="length 2"):
-            list(tuples.product_blocks(big, 3, _budget(), necklaces=necklaces))
+            _blocks(big, 3, necklaces=necklaces)
 
 
 def test_product_along_validates_letters():

@@ -196,32 +196,32 @@ def _is_lyndon(w):
 
 
 def test_necklace_children_keep_pre_necklaces_with_their_fkm_periods():
-    # walked from the empty word, the step keeps at each length k < n the
-    # pre-necklaces (no suffix below the prefix of the same length), which
-    # hold every necklace prefix, and at n the necklaces; each period is the
-    # length of the word's longest Lyndon prefix
+    # walked from the empty word over every word, a row's period is the length
+    # of its longest Lyndon prefix when it is a pre-necklace (no suffix below
+    # the prefix of the same length), and 0 when it is not; _necklaces marks
+    # at each length k < n the pre-necklaces, which hold every necklace
+    # prefix, and at n the necklaces
     strict = set()
     for r in (1, 2, 3):
         for n in range(1, 8):
             necklaces = set(_necklace_oracle(r, n))
             digits, periods = np.zeros((1, 0), dtype=np.uint8), np.ones(1, dtype=np.int64)
             for k in range(1, n + 1):
-                children = [row + [letter] for row in digits.tolist() for letter in range(r)]
-                digits, periods, keep = words.necklace_children(digits, periods, r, n)
-                assert digits.tolist() == [row for row, kept in zip(children, keep) if kept], (r, n, k)
-                kept = words._words_at(digits)
-                assert kept == sorted(kept), (r, n, k)
+                digits, periods = words.necklace_children(digits, periods, r)
+                every = words._words_at(digits)
+                assert every == list(product(range(1, r + 1), repeat=k)), (r, n, k)
+                pre = [all(w[s:] >= w[:k - s] for s in range(1, k)) for w in every]
                 assert periods.tolist() == [
-                    max(j for j in range(1, k + 1) if _is_lyndon(w[:j])) for w in kept
+                    max(j for j in range(1, k + 1) if _is_lyndon(w[:j])) if is_pre else 0
+                    for w, is_pre in zip(every, pre)
                 ], (r, n, k)
+                marked = {w for w, mark in zip(every, words._necklaces(periods, k, n).tolist()) if mark}
                 if k == n:
-                    assert set(kept) == necklaces, (r, n)
+                    assert marked == necklaces, (r, n)
                     continue
-                pre = {w for w in product(range(1, r + 1), repeat=k)
-                       if all(w[s:] >= w[:k - s] for s in range(1, k))}
                 prefixes = {w[:k] for w in necklaces}
-                assert set(kept) == pre and prefixes <= pre, (r, n, k)
-                if prefixes < pre:
+                assert marked == {w for w, is_pre in zip(every, pre) if is_pre} and prefixes <= marked, (r, n, k)
+                if prefixes < marked:
                     strict.add((r, n, k))
     assert (2, 5, 4) in strict
 
