@@ -51,7 +51,7 @@ from .words import parse_word, render_words, word_blocks
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -64,7 +64,7 @@ def _load_norm(path: str):
 
     try:
         payload = json.loads(_read_file(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"malformed norm JSON in {path}: {exc}") from exc
     return norm_from_json_dict(payload)
 

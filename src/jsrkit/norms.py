@@ -18,7 +18,6 @@ than proof.
 
 from __future__ import annotations
 
-from itertools import product as _cartesian
 from typing import NamedTuple
 
 import numpy as np
@@ -386,12 +385,6 @@ def norm_distance(a: NormRep, b: NormRep, samples=None) -> float:
     return float(np.max(np.abs(np.log(_base_values(a, pts) / _base_values(b, pts)))))
 
 
-def _box_corners(weights: tuple[float, ...]) -> np.ndarray:
-    inv = 1.0 / np.asarray(weights)
-    signs = np.array(list(_cartesian((-1.0, 1.0), repeat=len(weights))))
-    return signs * inv
-
-
 # The bound below carries this relative margin for the rounding of one
 # evaluation, on top of the margin of the Frobenius cap: the images (d * eps
 # relative to cap * |x_k|_2), the norm of each image (a few eps; an lp norm's
@@ -402,43 +395,50 @@ _BOUND_MARGIN = 1.0 + 1e-12
 
 
 def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
-    """(induced, bound): two maps over one direction set x_1 .. x_m.
+    """(induced, bound): two maps over (k, d, d) stacks of matrices.
 
-    induced maps a (k, d, d) stack to the k values max_j phi(a x_j) / phi(x_j).
-    The directions and their norms are worked out once, so a scan over many
-    products pays for them once.  Images are taken for as many matrices at a
-    time as fit in config.BLOCK_BYTES.
+    induced maps a stack to its k induced norms: for a weighted max norm the
+    exact max_i w_i sum_j |a_ij| / w_j at any d over either field, else max_j
+    phi(a x_j) / phi(x_j) over one direction set x_1 .. x_m, worked out once,
+    with images taken for as many matrices at a time as fit in config.BLOCK_BYTES.
 
     bound maps linalg.op_norm_caps of a stack to upper bounds on those computed
     values.  phi(y) <= K * |y|_2, with K = max w for a weighted max norm, max w *
     d ** max(0, 1/p - 1/2) for an lp norm (1 for unit weights) and max(values)
     for a mesh norm, so phi(a x_j) / phi(x_j) <= ||a||_2 * c with c = K * max_j
-    |x_j|_2 / phi(x_j), and the cap bounds ||a||_2.  The bound is cap * c *
+    |x_j|_2 / phi(x_j), and the cap bounds ||a||_2; a weighted max norm's x_j
+    are its box corners +-1/w, where phi = 1.  The bound is cap * c *
     _BOUND_MARGIN where the evaluation stays clear of overflow, and of underflow
     beyond the margin: the weights or mesh values, the |x_j|_2 and the phi(x_j)
     within [2**-64, 2**64], and the cap within [lo, hi] below, or 0 (a zero
     matrix has the value 0 exactly).  Elsewhere the bound is inf.
     """
-    if isinstance(norm, WeightedMaxNorm) and real and len(norm.weights) == d and d <= 10:
-        pts = _box_corners(norm.weights)
-    elif isinstance(norm, MeshNorm) and samples is None:
-        pts = np.column_stack([np.cos(norm._grid[:-1]), np.sin(norm._grid[:-1])])
-    else:
-        pts = _directions(samples, d, real)
-    base = _base_values(norm, pts)
+    if isinstance(norm, WeightedMaxNorm):
+        if len(norm.weights) != d:
+            raise InputError(f"norm expects dimension {len(norm.weights)}, got {d}")
+        w = np.asarray(norm.weights)
+        lengths, base = np.linalg.norm(1.0 / w, keepdims=True), np.ones(1)
 
-    def induced(stack: np.ndarray) -> np.ndarray:
-        image_bytes = pts.size * np.result_type(pts, stack).itemsize
-        step = max(1, config.BLOCK_BYTES // image_bytes)
-        out = np.empty(len(stack))
-        for lo in range(0, len(stack), step):
-            images = np.matmul(pts, stack[lo:lo + step].transpose(0, 2, 1))
-            values = _eval_many(norm, images.reshape(-1, images.shape[2]))
-            out[lo:lo + step] = np.max(values.reshape(len(images), -1) / base, axis=1)
-        return out
+        def induced(stack: np.ndarray) -> np.ndarray:
+            return np.max((np.abs(stack) @ (1.0 / w)) * w, axis=1)
+    else:
+        if isinstance(norm, MeshNorm) and samples is None:
+            pts = np.column_stack([np.cos(norm._grid[:-1]), np.sin(norm._grid[:-1])])
+        else:
+            pts = _directions(samples, d, real)
+        base, lengths = _base_values(norm, pts), np.linalg.norm(pts, axis=1)
+
+        def induced(stack: np.ndarray) -> np.ndarray:
+            image_bytes = pts.size * np.result_type(pts, stack).itemsize
+            step = max(1, config.BLOCK_BYTES // image_bytes)
+            out = np.empty(len(stack))
+            for lo in range(0, len(stack), step):
+                images = np.matmul(pts, stack[lo:lo + step].transpose(0, 2, 1))
+                values = _eval_many(norm, images.reshape(-1, images.shape[2]))
+                out[lo:lo + step] = np.max(values.reshape(len(images), -1) / base, axis=1)
+            return out
 
     scales = np.asarray(norm.values if isinstance(norm, MeshNorm) else norm.weights or (1.0,))
-    lengths = np.linalg.norm(pts, axis=1)
     if not all(2.0 ** -64 <= np.min(v) and np.max(v) <= 2.0 ** 64 for v in (scales, lengths, base)):
         return induced, lambda caps: np.full(len(caps), np.inf)
     p = norm.p if isinstance(norm, LpNorm) else 1.0  # the power each image entry is raised to
@@ -448,7 +448,7 @@ def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
     # so d powers (w |y_i|)**p stay below 2**1000 up to hi.  Underflow costs
     # each image component d * 2**-1074 and each power 2**-1074: at most
     # 2**64 * (d + 2)**2 * 2**(-1074 / p) in phi(y), and 2**64 times that in
-    # the value, which is below 2**-44 * cap * c from lo up.
+    # the value, which is below 2**-44 * cap * c from lo up.  Row sums meet them with p = 1.
     lo = (d + 2) ** 2 * 2.0 ** (172 - 1074 / p) / c
     hi = (2.0 ** 1000 / d) ** (1.0 / p) * 2.0 ** -128
 
@@ -462,11 +462,11 @@ def _induced_norm(norm: NormRep, d: int, *, real: bool, samples):
 def matrix_norm(norm: NormRep, a: np.ndarray, samples=None) -> float:
     """Operator norm of a matrix induced by the represented vector norm.
 
-    Exact for real weighted-max norms up to dimension 10: the unit ball
-    is a box and a convex function is maximized at one of its 2^d
-    vertices.  Other representations use a sampled lower estimate over
-    the given directions (mesh norms default to their own directions,
-    planar norms to the standard circle mesh).
+    Exact for weighted max norms, real or complex, in any dimension: the
+    weighted row sum max_i w_i sum_j |a_ij| / w_j, and samples are not
+    used.  Other representations use a sampled lower estimate over the
+    given directions (mesh norms default to their own directions, planar
+    norms to the standard circle mesh).
     """
     a = _require_square(a)
     induced, _ = _induced_norm(norm, len(a), real=not np.iscomplexobj(a), samples=samples)

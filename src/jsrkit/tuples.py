@@ -345,6 +345,6 @@ def to_json(t: MatrixTuple, extra: dict | None = None) -> str:
 def from_json(text: str) -> MatrixTuple:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"malformed JSON: {exc}") from exc
     return from_json_dict(payload)

@@ -107,6 +107,26 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "malformed JSON" in err
+    # json.loads raises RecursionError past its nesting limit, and ValueError
+    # for an integer literal past the interpreter's 4300-digit limit; a file
+    # that is not UTF-8 cannot be read as text
+    ex2 = _construct(capsys, tmp_path, "ex2.json", ["--example", "2", "--lam", "0.5"])
+    (tmp_path / "latin1.json").write_bytes(b"\xff{")
+    for argv in (["bounds", "--input"], ["sfh", "--input", ex2, "--word", "1", "--norm"]):
+        code, out, err = _run(capsys, [*argv, str(tmp_path / "latin1.json")])
+        assert (code, out) == (2, "") and err.startswith("error: cannot read ") and err.count("\n") == 1
+    cases = [
+        ("deep.json", "[" * 100000, ["bounds", "--input"], "malformed JSON: maximum recursion"),
+        ("digits.json", '{"field": "real", "r": 1, "d": 1, "matrices": [[[' + "1" * 5000 + "]]]}",
+         ["bounds", "--input"], "malformed JSON: Exceeds the limit (4300 digits)"),
+        ("norm.json", "[" * 5000 + "]" * 5000, ["sfh", "--input", ex2, "--word", "1", "--norm"],
+         "malformed norm JSON in "),
+    ]
+    for name, text, argv, reason in cases:
+        (tmp_path / name).write_text(text)
+        code, out, err = _run(capsys, [*argv, str(tmp_path / name)])
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: " + reason) and err.count("\n") == 1, name
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

@@ -98,22 +98,6 @@ def test_single_slot_alphabet_trivial_margin():
     assert report.margin == 1.0  # nothing outside the class to scan
 
 
-def test_box_corners_built_once_per_norm(monkeypatch):
-    calls = []
-    build = norms._box_corners
-
-    def counting(weights):
-        calls.append(weights)
-        return build(weights)
-
-    monkeypatch.setattr(norms, "_box_corners", counting)
-    lam = 0.5
-    pair = [WeightedMaxNorm((1.0, lam)), WeightedMaxNorm((1.0, lam))]
-    report = sfh_evidence(_diag_dominant_pair(lam), (1,) * 6, pair, 1.0)
-    assert not report.passed  # the scan did evaluate products
-    assert calls == [(1.0, lam)] * 2
-
-
 def test_rejects_non_extremal_norm():
     with pytest.raises(InputError):
         sfh_evidence(_diag_dominant_pair(), (1,), LpNorm(2.0), 1.0)
@@ -236,6 +220,18 @@ def test_scan_of_a_long_characteristic_word_charges_the_rows_it_keeps():
     t = characteristic_tuple(2, 24, omega)
     report = sfh_evidence(t, omega, WeightedMaxNorm((1.0,) * 24), 1.0, samples=sphere_samples(24, 64, seed=0))
     assert (report.passed, report.margin) == (True, 1.0)
+
+
+def test_offender_scan_under_a_weighted_max_norm_is_exact_past_dimension_10():
+    # every rotation of 1^23 2 maps the characteristic tuple's basis onto itself,
+    # so its product has unit max norm 1; 64 sampled directions in 24 dimensions
+    # read some of them well below 1
+    omega = (1,) * 23 + (2,)
+    t = characteristic_tuple(2, 24, omega)
+    samples = sphere_samples(24, 64)
+    report = sfh_evidence(t, (1,) * 24, WeightedMaxNorm((1.0,) * 24), 1.0, samples=samples)
+    assert report.offenders == tuple((z, 1.0) for z in sorted(rotation_class(omega)))
+    assert len(report.offenders) == 24
 
 
 def test_report_serialization():
@@ -370,9 +366,10 @@ def test_scan_evaluates_only_rows_that_can_change_the_report(monkeypatch):
 
 
 def test_screen_margin_keeps_offenders_that_tie_the_bound(monkeypatch):
-    # A1 is rank one and maps the box corner (1, 1) onto (1, 0), so its induced
-    # sup norm 1 equals ||A1||_F * max |x|_2 / phi(x) = 2**-0.5 * 2**0.5 up to
-    # rounding: only the screen's margins keep these offenders
+    # A1 is rank one and maps (1, 1), a point of the unit sup-norm sphere with the
+    # largest |x|_2, onto (1, 0), so its induced sup norm 1 equals the bound
+    # ||A1||_F * |1/w|_2 = 2**-0.5 * 2**0.5 up to rounding: only the screen's
+    # margins keep these offenders
     t = MatrixTuple("real", (np.array([[0.5, 0.5], [0.0, 0.0]]), np.eye(2)))
     rows = _counting_induced(monkeypatch)
     report = sfh_evidence(t, (2, 2, 2), MAXNORM, 1.0, offender_tol=1e-12)

@@ -379,7 +379,8 @@ def test_matrix_norm_box_matches_dense_sampling():
     ]
     for norm, mat in cases:
         exact = matrix_norm(norm, mat)
-        sampled = matrix_norm(norm, mat, samples=dense)
+        assert matrix_norm(norm, mat, samples=dense) == exact  # samples are not used
+        sampled = np.max(norms._eval_many(norm, dense @ mat.T) / norms._eval_many(norm, dense))
         assert sampled <= exact + 1e-12
         assert exact - sampled < 1e-6
 
@@ -398,6 +399,25 @@ def test_matrix_norm_higher_dimension_box():
     ]
     want = max(eval_norm(norm, perm @ c) for c in corners)
     assert matrix_norm(norm, perm) == pytest.approx(want, rel=1e-12)
+
+
+def test_matrix_norm_weighted_max_is_exact_past_dimension_10():
+    # every row sums to 1, so the induced sup norm is 1; it is attained only at
+    # the all-ones corners, which 2000 directions on the 12-sphere miss by far
+    a = np.full((12, 12), 1.0 / 12)
+    assert matrix_norm(WeightedMaxNorm((1.0,) * 12), a, samples=sphere_samples(12, 2000)) == 1.0
+
+
+def test_matrix_norm_weighted_max_is_exact_over_the_complex_field():
+    # the row (1, i) sends (1, -i) to 2, and |a_11| + |a_12| = 2 is the closed form
+    a = np.array([[1.0, 1j], [0.0, 0.0]])
+    assert matrix_norm(WeightedMaxNorm((1.0, 1.0)), a) == 2.0
+    assert eval_norm(WeightedMaxNorm((1.0, 1.0)), a @ np.array([1.0, -1j])) == 2.0
+
+
+def test_matrix_norm_weighted_max_checks_its_dimension():
+    with pytest.raises(InputError, match="norm expects dimension 3, got 2"):
+        matrix_norm(WeightedMaxNorm((1.0, 1.0, 1.0)), np.eye(2))
 
 
 def test_theta_values():
@@ -481,22 +501,23 @@ def test_stacked_induced_norms_equal_one_matrix_formula_bitwise(monkeypatch):
                 stack = stack + 1j * rng.standard_normal((30, d, d))
             pts = sphere_samples(d, 64, seed=3, field=field)
             cases = [(LpNorm(3.0, w), pts, pts), (LpNorm(1.5), pts, pts)]
-            if field == "complex":
-                cases.append((WeightedMaxNorm(w), pts, pts))
-            else:
-                # real weighted-max norms always use the box corners
-                cases.append((WeightedMaxNorm(w), pts, norms._box_corners(w)))
-                if d == 2:
-                    ang = np.arange(16) * (np.pi / 16)
-                    mesh = MeshNorm(tuple(ang), tuple(1.0 + 0.3 * np.cos(2 * ang)))
-                    own = np.column_stack([np.cos(ang), np.sin(ang)])
-                    cases.append((mesh, None, own))
+            # weighted max norms take the row-sum formula and ignore the samples
+            cases.append((WeightedMaxNorm(w), pts, None))
+            if field == "real" and d == 2:
+                ang = np.arange(16) * (np.pi / 16)
+                mesh = MeshNorm(tuple(ang), tuple(1.0 + 0.3 * np.cos(2 * ang)))
+                own = np.column_stack([np.cos(ang), np.sin(ang)])
+                cases.append((mesh, None, own))
             for norm, samples, ref_pts in cases:
-                base = norms._eval_many(norm, ref_pts)
                 # the one-matrix formula the stacked map replaces
-                want = [np.max(norms._eval_many(norm, ref_pts @ a.T) / base) for a in stack]
+                if ref_pts is None:
+                    wts = np.array(w)
+                    want = [np.max(wts * (np.abs(a) @ (1.0 / wts))) for a in stack]
+                else:
+                    base = norms._eval_many(norm, ref_pts)
+                    want = [np.max(norms._eval_many(norm, ref_pts @ a.T) / base) for a in stack]
                 # the default cap, and one that takes the images three matrices at a time
-                image_bytes = ref_pts.size * stack.itemsize
+                image_bytes = (pts if ref_pts is None else ref_pts).size * stack.itemsize
                 for cap in (default_cap, 3 * image_bytes):
                     monkeypatch.setattr(config, "BLOCK_BYTES", cap)
                     induced, bound = norms._induced_norm(
