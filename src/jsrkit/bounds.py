@@ -11,12 +11,15 @@ Both sides converge to the joint spectral radius as n* grows; at any
 finite depth the pair is a certificate lower <= jsr <= upper.
 
 One level pass (_levels) runs, for n = 1 .. depth, one walk of level n
-(tuples.product_blocks over all words, necklaces marked by their FKM
-periods), whose maximum L_n the later levels prune by.  bounds,
-spectral_maximal_candidates and the default rho_hat of a candidate search
-(_candidates_and_midpoint) each take one pass.  Products come in
-lexicographic order, in blocks, with one numpy call per block
-(linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
+over all words, necklaces marked by their FKM periods, whose maximum L_n
+the later levels prune by.  bounds, spectral_maximal_candidates and the
+default rho_hat of a candidate search (_candidates_and_midpoint) each take
+one pass.  The walks run over one tuples._PrefixStore per pass, which
+builds each prefix product and its cap once and hands them to every later
+level: the walk of level n is tuples.product_blocks' walk, with the same
+pieces, caps and rows asked.  Products come in lexicographic order, in
+blocks, with one numpy call per block (linalg.spectral_radii,
+linalg.op_norms).  Ties keep the first word.
 
 Each word below a prefix P_p of length k < n has P_w = P_s P_p, so
 spectral_radius(P_w) <= op_norm(P_w) <= L_{n-k} * cap(P_p) =: bound, cap
@@ -40,9 +43,10 @@ slack covers a product taken in another order.  bar only prunes and is
 never a maximum; it is 0.0 at level 1, and when those products or their
 norms leave the float range.
 
-Budget accounting: the level walks share one tuples._Budget, which
-product_blocks charges for every row a prune is asked about, summed over
-every length and level, candidate scans included.  Its BudgetError, past
+Budget accounting: the level walks share one tuples._Budget, which each
+walk charges for every row a prune is asked about, summed over every
+length and level, candidate scans included, whether or not the store
+built the row at that level.  Its BudgetError, past
 the budget, drops the level whose walk raised it: its necklaces, their
 share of lower and its maximum.  Stopping short of the requested depth sets
 partial; a budget that level 1 passes raises BudgetError.
@@ -55,7 +59,7 @@ import numpy as np
 from . import linalg, words
 from .config import DEFAULTS, require_tol
 from .errors import BudgetError, ConvergenceError, InputError
-from .tuples import MatrixTuple, _Budget, _Record, product_blocks
+from .tuples import MatrixTuple, _Budget, _PrefixStore, _Record
 from .words import Word
 
 
@@ -121,14 +125,15 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
     the budget; both come from levels 1 .. reached only (no candidates at 0).
     """
     candidates, maxima, top, counter, argmax = [], [1.0], -np.inf, _Budget(budget), None
+    store = _PrefixStore(t, depth)
 
-    def prune(digits: np.ndarray, periods: np.ndarray, stack: np.ndarray, k: int) -> np.ndarray:
+    def prune(digits: np.ndarray, periods: np.ndarray, caps: np.ndarray, k: int) -> np.ndarray:
         # below a prefix p, rho(P_s P_p) <= op_norm(P_s P_p) <= maxima[n - k] * cap(P_p)
         if k == n:
-            return np.zeros(len(stack), dtype=bool)
+            return np.zeros(len(caps), dtype=bool)
         floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = linalg.op_norm_caps(stack) * maxima[n - k]
+            bound = caps * maxima[n - k]
             lower_drops = periods == 0
             if floor > 0:
                 lower_drops |= bound ** (1.0 / n) < floor
@@ -137,7 +142,7 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
     for n in range(1, depth + 1):
         best, bar, before = 0.0, _bar(t, argmax), (len(candidates), top)
         try:
-            for digits, periods, stack in product_blocks(t, n, counter, prune=prune):
+            for digits, periods, stack, caps in store.walk(n, counter, prune=prune):
                 rows = np.flatnonzero(words._necklaces(periods, n, n))
                 floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
                 if floor > 0 and len(rows):
@@ -149,7 +154,7 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
                     keep = values >= (1.0 - _TIE_TOL) * top
                     if top > 0.0 and keep.any():
                         candidates += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
-                live = np.flatnonzero(~(linalg.op_norm_caps(stack) < max(best, bar)))
+                live = np.flatnonzero(~(caps < max(best, bar)))
                 if len(live):
                     norms = linalg.op_norms(stack[live])
                     i = int(np.argmax(norms))

@@ -81,17 +81,40 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("kij,kij->k", parts, parts))
 
 
+# A real stack whose rows' sums of squared entries all lie in this range is
+# capped as it is, with no scaling: multiplying such a row by a power of two
+# (_scaled_rows) scales its squares, their sums, square roots and products
+# exactly, so the caps come out the same bitwise, and no copy is made.
+_UNSCALED_SUMS = (2.0 ** -900, 2.0 ** 900)
+
+
+def _sums_in_range(stack: np.ndarray):
+    """Each row's sum of squared entries when stack is real and every sum lies in _UNSCALED_SUMS, else None."""
+    if np.iscomplexobj(stack):
+        return None
+    with np.errstate(over="ignore"):
+        sums = np.einsum("kij,kij->k", stack, stack)
+    lo, hi = _UNSCALED_SUMS
+    return sums if ((sums >= lo) & (sums <= hi)).all() else None
+
+
 def op_norm_caps(stack: np.ndarray) -> np.ndarray:
     """Upper bound on op_norms(stack), row by row, from the Frobenius norm of each matrix.
 
     Each row is first scaled by a power of two (_scaled_rows), so the sum of
-    squares neither underflows to 0 nor overflows at any scale.  The scaling
-    is undone after the margin is applied; a bound past the float range is
-    inf, which rules nothing out.  An all-zero row gets 0.
+    squares neither underflows to 0 nor overflows at any scale; a stack that
+    needs no scaling (_UNSCALED_SUMS) is capped as it is.  The scaling is
+    undone after the margin is applied; a bound past the float range is inf,
+    which rules nothing out.  An all-zero row gets 0.
     """
-    scaled, exps = _scaled_rows(stack)
+    sums = _sums_in_range(_require_square_stack(stack))
+    if sums is not None:
+        norms, exps = np.sqrt(sums), 0
+    else:
+        scaled, exps = _scaled_rows(stack)
+        norms = _frobenius(scaled)
     with np.errstate(over="ignore"):
-        return np.ldexp(_frobenius(scaled) * _CAP_MARGIN, exps)
+        return np.ldexp(norms * _CAP_MARGIN, exps)
 
 
 # rho(P)**2 = rho(P @ P) <= ||P @ P||_2 <= ||P @ P||_F holds exactly; the added
@@ -112,15 +135,21 @@ _RADIUS_CAP_K = 100.0
 def spectral_radius_caps(stack: np.ndarray) -> np.ndarray:
     """Upper bound on spectral_radii(stack), row by row, from ||P @ P||_F ** (1/2).
 
-    Rows are scaled by a power of two as in op_norm_caps and squared in one
-    batched matmul; the bound holds for every row, defective or nilpotent
-    ones included (see _RADIUS_CAP_K).  A bound past the float range is inf,
-    which rules nothing out.  An all-zero row gets 0.
+    Rows are scaled by a power of two as in op_norm_caps, unless the stack
+    and its squares need no scaling (_UNSCALED_SUMS), and squared in one
+    batched matmul; the bound holds for every row, defective or nilpotent ones
+    included (see _RADIUS_CAP_K).  A bound past the float range is inf, which
+    rules nothing out.  An all-zero row gets 0.
     """
-    scaled, exps = _scaled_rows(stack)
-    d = scaled.shape[1]
-    square = _frobenius(np.matmul(scaled, scaled))
-    slack = _RADIUS_CAP_K * d * np.finfo(float).eps * _frobenius(scaled) ** 2
+    stack = _require_square_stack(stack)
+    sums = _sums_in_range(stack)
+    square_sums = None if sums is None else _sums_in_range(np.matmul(stack, stack))
+    if square_sums is not None:
+        norms, square, exps = np.sqrt(sums), np.sqrt(square_sums), 0
+    else:
+        scaled, exps = _scaled_rows(stack)
+        norms, square = _frobenius(scaled), _frobenius(np.matmul(scaled, scaled))
+    slack = _RADIUS_CAP_K * stack.shape[1] * np.finfo(float).eps * norms ** 2
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt(square * _CAP_MARGIN + slack) * _CAP_MARGIN, exps)
 

@@ -20,9 +20,18 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import linalg
+from . import config, linalg
 from .errors import BudgetError, ConvergenceError, InputError
-from .words import Word, _rows_among, prefix_blocks, rotation_class, validate_word
+from .words import (
+    Word,
+    _children,
+    _digit_rows,
+    _rows_among,
+    necklace_children,
+    prefix_blocks,
+    rotation_class,
+    validate_word,
+)
 
 _FIELDS = ("real", "complex")
 
@@ -157,6 +166,25 @@ class _Budget:
     def __init__(self, limit: int):
         self.limit, self.spent = limit, 0
 
+    def charge(self, rows: int, n: int) -> None:
+        """Add rows to spent; BudgetError once spent passes the limit."""
+        self.spent += rows
+        if self.spent > self.limit:
+            raise BudgetError(f"enumeration of products of length {n} exceeds budget {self.limit} rows")
+
+
+def _products_below(slots: np.ndarray, stack: np.ndarray, k: int, out=None) -> np.ndarray:
+    """A_letter @ P for each prefix product P of length k in stack, prefix by prefix, in one batched matmul.
+
+    out, if given, is a (len(stack), r, d, d) array that receives them; a
+    non-finite product raises ConvergenceError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        children = np.matmul(slots[None], stack[:, None], out=out)
+    if not np.isfinite(children).all():
+        raise ConvergenceError(f"products of length {k + 1} overflow; the tuple's scale is out of range")
+    return children.reshape(-1, *slots.shape[1:])
+
 
 def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, prune=None):
     """Yield (digits, periods, stack) over the products of the words of length n, in lexicographic order.
@@ -165,30 +193,117 @@ def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, prune=None):
     holds each word's row of 0-based letters (words._words_at decodes it),
     periods their FKM periods (0 for no pre-necklace) and stack the products
     P_w, (k, d, d).  The empty word's children are the slots and a prefix's
-    are A_letter @ P_prefix in one batched layer, product_along's 2-D
-    products, so each P_w equals it bitwise.  prune(digits, periods, stack,
-    k) is prefix_blocks' own, and a block exceeds config.BLOCK_BYTES only
-    when one prefix's r children do.  Each row is charged to budget, one
-    call's counter, before prune sees it: BudgetError past its limit.  A
-    non-finite product raises ConvergenceError.
+    are A_letter @ P_prefix in one batched layer (_products_below),
+    product_along's 2-D products, so each P_w equals it bitwise.
+    prune(digits, periods, stack, k) is prefix_blocks' own, and a block
+    exceeds config.BLOCK_BYTES only when one prefix's r children do.  Each
+    row is charged to budget, one call's counter, before prune sees it:
+    BudgetError past its limit.  A non-finite product raises
+    ConvergenceError.
     """
     slots = np.stack(t.matrices)
 
     def charged(digits, periods, stack, k):
-        budget.spent += len(digits)
-        if budget.spent > budget.limit:
-            raise BudgetError(f"enumeration of products of length {n} exceeds budget {budget.limit} rows")
+        budget.charge(len(digits), n)
         return prune(digits, periods, stack, k) if prune is not None else np.zeros(len(digits), dtype=bool)
 
-    def grow(k, stack=None):
-        if stack is None:  # the empty word
-            return (slots,)
-        with np.errstate(over="ignore", invalid="ignore"):
-            children = np.matmul(slots[None], stack[:, None]).reshape(-1, *slots.shape[1:])
-        if not np.isfinite(children).all():
-            raise ConvergenceError(f"products of length {k + 1} overflow; the tuple's scale is out of range")
-        return (children,)
+    def grow(k, digits, periods, stack=None):
+        children = slots if stack is None else _products_below(slots, stack, k)  # no stack: the empty word
+        return (*necklace_children(digits, periods, t.r), children)
     return prefix_blocks(t.r, n, slots[0].nbytes, prune=charged, grow=grow)
+
+
+# The products a _PrefixStore keeps take at most this many times
+# config.BLOCK_BYTES.  A fixed bound on memory, as BLOCK_BYTES is.
+_STORE_BLOCKS = 32
+
+
+class _PrefixStore:
+    """The prefix products of one level pass (bounds._levels), each built once.
+
+    A kept row holds a prefix's FKM period, its product P_w, its
+    linalg.op_norm_caps value and the row of its first child, -1 until its
+    children are kept; the r children of a prefix are consecutive rows.
+    walk(n, budget, prune=...) is product_blocks' walk of length n: the same
+    pieces in the same order, charged alike, but its rows are store rows,
+    prune(digits, periods, caps, k) gets their kept caps, and only children
+    that no earlier walk kept are built, in one batched matmul per piece
+    written into the store.  Rows are kept first come, first served, up to
+    _STORE_BLOCKS * config.BLOCK_BYTES bytes of products and no more rows
+    than there are words shorter than depth.  When a piece's
+    children do not all fit, have length depth (no later walk asks about
+    them) or have parents that are not kept, all of them are built as
+    product_blocks builds them, into the scratch rows of their length,
+    numbered from capacity up.  A piece is grown only after every piece of
+    its children's length waiting in the walk is done, so those rows serve
+    until the next piece of that length is grown.
+    """
+
+    def __init__(self, t: MatrixTuple, depth: int):
+        self.slots, self.r, self.depth = np.stack(t.matrices), t.r, depth
+        # no pass keeps more rows than there are words of lengths 1 .. depth - 1, or r
+        bound, rows, words = _STORE_BLOCKS * config.BLOCK_BYTES // self.slots[0].nbytes, t.r, t.r
+        for _ in range(depth - 2):
+            if rows >= bound:
+                break
+            words *= t.r
+            rows += words
+        self.capacity = max(t.r, min(bound, rows))
+        # allocated once; their pages are touched only as rows are kept
+        self.products = np.empty((self.capacity, *self.slots.shape[1:]), self.slots.dtype)
+        self.caps, self.periods, self.first = np.empty(self.capacity), *np.empty((2, self.capacity), np.int64)
+        self.size, self.scratch = 0, {}  # rows kept; the scratch rows' (products, caps) by length
+        digits, periods = necklace_children(_digit_rows([()], t.r), np.ones(1, dtype=np.int64), t.r)
+        self.products[:t.r] = self.slots  # the empty word's children
+        self._keep(periods, self.products[:t.r])
+        self.root = digits, periods, np.arange(t.r)
+
+    def _keep(self, periods: np.ndarray, built: np.ndarray) -> None:
+        """Keep the next len(built) rows, which built already holds, with their periods and caps."""
+        lo, self.size = self.size, self.size + len(built)
+        kept = slice(lo, self.size)
+        self.caps[kept], self.periods[kept], self.first[kept] = linalg.op_norm_caps(built), periods, -1
+
+    def _table(self, k: int, index: np.ndarray):
+        """(products, caps, rows) that hold the rows index of length k: the store's or length k's scratch."""
+        if index[0] < self.capacity:
+            return self.products, self.caps, index
+        return *self.scratch[k], index - self.capacity
+
+    def _grow(self, k: int, digits: np.ndarray, periods: np.ndarray, index=None):
+        """(digits, periods, index) of the children of the prefixes of length k at rows index."""
+        if index is None:  # the empty word
+            return self.root
+        r = self.r
+        children = _children(digits, r)
+        if index[0] < self.capacity:
+            first = self.first[index]
+            missing = np.flatnonzero(first < 0)
+            m = len(missing) * r
+            if not m or (k + 1 < self.depth and self.size + m <= self.capacity):
+                if m:
+                    lo, parents = self.size, index[missing]
+                    out = self.products[lo:lo + m].reshape(len(missing), r, *self.slots.shape[1:])
+                    built = _products_below(self.slots, self.products[parents], k, out)
+                    self._keep(necklace_children(digits[missing], periods[missing], r)[1], built)
+                    first[missing] = self.first[parents] = lo + r * np.arange(len(missing))
+                index = (first[:, None] + np.arange(r)).ravel()
+                return children, self.periods[index], index
+        products, _, rows = self._table(k, index)
+        built = _products_below(self.slots, products[rows], k)
+        self.scratch[k + 1] = built, linalg.op_norm_caps(built)
+        return children, necklace_children(digits, periods, r)[1], self.capacity + np.arange(len(built))
+
+    def walk(self, n: int, budget: _Budget, *, prune):
+        """Yield (digits, periods, stack, caps) over the words of length n: product_blocks' blocks, with caps."""
+        def charged(digits, periods, index, k):
+            budget.charge(len(digits), n)
+            _, caps, rows = self._table(k, index)
+            return prune(digits, periods, caps[rows], k)
+        walk = prefix_blocks(self.r, n, self.slots[0].nbytes, prune=charged, grow=self._grow)
+        for digits, periods, index in walk:
+            products, caps, rows = self._table(n, index)
+            yield digits, periods, products[rows], caps[rows]
 
 
 def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):

@@ -10,8 +10,10 @@ prefix_blocks is the one prefix walker: it grows such rows one letter at a
 time from the empty word with their FKM periods (necklace_children), runs
 each screen with one mask per row as its prune, and yields (digits,
 periods, *rows) blocks of the words of one length.
-tuples.product_blocks is the walker with one product per row; word_blocks
-lists words and, by prunes, necklaces (_necklaces) and primitive words.
+tuples.product_blocks is the walker with one product per row, and
+tuples._PrefixStore.walk the walker over a store of products built once per
+level pass; word_blocks lists words and, by prunes, necklaces (_necklaces)
+and primitive words.
 enumerate_words and enumerate_necklaces decode its blocks to tuples
 (_words_at: digits + 1), and render_words turns a block into text.
 """
@@ -133,17 +135,25 @@ def prefix_blocks(r: int, n: int, row_bytes: int, *, prune=None, grow=None):
     The one prefix walker: a while loop over a LIFO list of pieces
     (k, digits, periods, *rows) of prefixes of length k, from the empty word,
     digits being their (rows, k) digit rows and periods their FKM periods
-    (necklace_children).  Children are split into pieces of BLOCK_BYTES //
-    row_bytes // r rows and pushed in reverse, so the children of one piece
-    make at most one block: a block exceeds config.BLOCK_BYTES only when one
-    prefix's r children do, and a depth-n walk holds about n blocks.
-    grow(k, *rows) returns the arrays that go with the r children of each
-    prefix of length k.  prune(digits, periods, *rows, k) is asked for every
-    piece at every length 1 <= k <= n before it is grown or yielded, and
+    (necklace_children).  grow(k, digits, periods, *rows) returns the same
+    arrays for the r children of each prefix of a piece of length k, in
+    lexicographic order; the default is necklace_children, with no rows, and
+    the empty word comes with none.  A grow may hand back rows that it built
+    before, as tuples._PrefixStore's hands back store rows and builds only
+    the children that no earlier walk kept.  Children are split into pieces of
+    BLOCK_BYTES // row_bytes // r rows and pushed in reverse, so the children
+    of one piece make at most one block: a block exceeds config.BLOCK_BYTES
+    only when one prefix's r children do, and the pieces waiting at a time hold
+    about n blocks of rows.  prune(digits, periods, *rows, k) is asked for
+    every piece at every length 1 <= k <= n before it is grown or yielded, and
     masks the rows to drop with every word below them: each screen with one
-    mask per row runs there.  No block is empty, and no budget is charged.
+    mask per row runs there.  No piece that prune empties is grown, no block is
+    empty, and no budget is charged.
     """
     leaf_rows = config.BLOCK_BYTES // row_bytes
+    if grow is None:
+        def grow(k, digits, periods):
+            return necklace_children(digits, periods, r)
     pending = [(0, _digit_rows([()], r), np.ones(1, dtype=np.int64))]
     while pending:
         k, digits, periods, *rows = pending.pop()
@@ -151,12 +161,12 @@ def prefix_blocks(r: int, n: int, row_bytes: int, *, prune=None, grow=None):
             keep = ~prune(digits, periods, *rows, k)
             if not keep.all():  # copy only when a row goes; compress copies small rows faster than a[keep]
                 digits, periods, *rows = (np.compress(keep, a, axis=0) for a in (digits, periods, *rows))
-        if k == n:
-            if len(digits):
-                yield digits, periods, *rows
+        if not len(digits):
             continue
-        rows = grow(k, *rows) if grow is not None else ()
-        digits, periods = necklace_children(digits, periods, r)
+        if k == n:
+            yield digits, periods, *rows
+            continue
+        digits, periods, *rows = grow(k, digits, periods, *rows)
         step = max(1, len(digits) if k + 1 == n else leaf_rows // r)
         for lo in reversed(range(0, len(digits), step)):
             pending.append((k + 1, *(a[lo:lo + step] for a in (digits, periods, *rows))))

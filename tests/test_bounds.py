@@ -187,17 +187,17 @@ def test_upper_sweep_runs_svd_only_on_screened_leaves(monkeypatch):
 
 def _asked_rows(monkeypatch, prefixes_only=False):
     """The rows that bounds' walks ask their prune about, one count per call, prefixes only if asked."""
-    engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
+    walk, rows = tuples._PrefixStore.walk, []
 
-    def spy(t, n, budget, *, prune):
-        def counted(digits, periods, stack, k):
+    def spy(store, n, budget, *, prune):
+        def counted(digits, periods, caps, k):
             if k < n or not prefixes_only:
-                rows.append(len(stack))
-            return prune(digits, periods, stack, k)
+                rows.append(len(caps))
+            return prune(digits, periods, caps, k)
 
-        return product_blocks(t, n, budget, prune=counted)
+        return walk(store, n, budget, prune=counted)
 
-    monkeypatch.setattr(engine, "product_blocks", spy)
+    monkeypatch.setattr(tuples._PrefixStore, "walk", spy)
     return rows
 
 
@@ -214,21 +214,102 @@ def test_upper_sweep_prunes_subtrees_by_level_maxima(monkeypatch):
 
 
 def test_levels_run_one_walk_each(monkeypatch):
-    # one product_blocks walk per level serves both bounds, level n before
-    # level n + 1, and the candidate search runs the same pass
-    engine, product_blocks, walks = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, []
+    # one walk of the pass's prefix store per level serves both bounds, level
+    # n before level n + 1, and the candidate search runs the same pass
+    walk, walks = tuples._PrefixStore.walk, []
 
-    def spy(t, n, budget, *, prune):
+    def spy(store, n, budget, *, prune):
         walks.append(n)
-        return product_blocks(t, n, budget, prune=prune)
+        return walk(store, n, budget, prune=prune)
 
-    monkeypatch.setattr(engine, "product_blocks", spy)
+    monkeypatch.setattr(tuples._PrefixStore, "walk", spy)
     t = _diag_dominant_pair()
     bounds(t, 4)
     assert walks == [1, 2, 3, 4]
     walks.clear()
     spectral_maximal_candidates(t, 4)
     assert walks == [1, 2, 3, 4]
+
+
+def _storeless_walk(t):
+    """The walk of a level pass without a store: each level from the empty word, caps taken anew per piece."""
+    def walk(store, n, budget, *, prune):
+        def capped(digits, periods, stack, k):
+            return prune(digits, periods, linalg.op_norm_caps(stack), k)
+
+        for digits, periods, stack in tuples.product_blocks(t, n, budget, prune=capped):
+            yield digits, periods, stack, linalg.op_norm_caps(stack)
+    return walk
+
+
+def _pass(t, depth, budget, walk=None):
+    """(_levels(t, depth, budget), the caps each prune call saw, products built, products kept).
+
+    walk, if given, replaces the store's."""
+    engine, walk = importlib.import_module("jsrkit.bounds"), walk or tuples._PrefixStore.walk
+    products_below, asked, built, stores = tuples._products_below, [], [], []
+
+    def counted_walk(store, n, budget, *, prune):
+        def counted(digits, periods, caps, k):
+            asked.append((n, k, caps.tobytes()))
+            return prune(digits, periods, caps, k)
+        stores.append(store)
+        return walk(store, n, budget, prune=counted)
+
+    def counted_products(*args):
+        built.append(len(args[1]) * t.r)
+        return products_below(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tuples._PrefixStore, "walk", counted_walk)
+        mp.setattr(tuples, "_products_below", counted_products)
+        levels = engine._levels(t, depth, budget)
+    return levels, asked, sum(built), stores[0].size if stores else 0
+
+
+def _assert_store_matches_the_storeless_walk(t, depth, budget=10 ** 5):
+    levels, asked, built, kept = _pass(t, depth, budget)
+    reference, reference_asked, reference_built, _ = _pass(t, depth, budget, _storeless_walk(t))
+    (candidates, maxima, reached), (ref_candidates, ref_maxima, ref_reached) = levels, reference
+    assert [(w, v.hex()) for w, v in candidates] == [(w, v.hex()) for w, v in ref_candidates]
+    assert [m.hex() for m in maxima] == [m.hex() for m in ref_maxima]
+    assert reached == ref_reached
+    assert asked == reference_asked  # every prune call, in order, with bitwise the same caps
+    assert built <= reference_built
+    return reached, built, kept
+
+
+def test_the_prefix_store_changes_no_result_and_no_row_asked():
+    # each prefix product and its cap are built once per pass and kept; the
+    # walks see the same caps in the same pieces, so candidates,
+    # maxima, the level reached and the rows charged to the budget are those
+    # of a pass that rebuilds every level from the empty word
+    rng = np.random.default_rng(32)
+    for depth in range(1, 14):
+        for r, kind in ((2, "real"), (3, "real"), (2, "complex"), (2, "rank-one")):
+            t = _random_tuple(rng, r, int(rng.integers(1, 6)), kind, scale=float(rng.uniform(0.5, 2.0)))
+            _assert_store_matches_the_storeless_walk(t, depth)
+    for t in (_shift_pair(), _diag_dominant_pair(), _projector_swap_triple()):
+        _assert_store_matches_the_storeless_walk(t, 13)
+
+
+def test_the_prefix_store_keeps_a_budget_stopped_pass():
+    # the budget stops both passes at the same level, after the same rows
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
+    reached, _, _ = _assert_store_matches_the_storeless_walk(MatrixTuple("real", (q, q.T)), 60, 10 ** 4)
+    assert reached == 11
+
+
+def test_the_prefix_store_builds_past_its_bound_as_the_walk_does(monkeypatch):
+    # with room for one block of products (512 rows at d = 16), later
+    # children are built per piece and not kept, and every result still holds
+    rng = np.random.default_rng(5)
+    t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / 4.0, (16, 16)) for _ in range(2)))
+    _, unbounded, unbounded_kept = _assert_store_matches_the_storeless_walk(t, 12)
+    monkeypatch.setattr(tuples, "_STORE_BLOCKS", 1)
+    _, built, kept = _assert_store_matches_the_storeless_walk(t, 12)
+    assert kept <= 512 < unbounded_kept
+    assert built > unbounded
 
 
 def test_necklace_walk_prunes_prefixes_by_level_maxima(monkeypatch):
@@ -299,19 +380,18 @@ def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
     # so far set) reach linalg.spectral_radii, in walk order
     rng = np.random.default_rng(7)
     t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
-    engine = importlib.import_module("jsrkit.bounds")
-    product_blocks, spectral_radii = tuples.product_blocks, linalg.spectral_radii
+    store_walk, spectral_radii = tuples._PrefixStore.walk, linalg.spectral_radii
     screened, radii, top = [], [], [-np.inf, 1]  # the largest value so far, and the level
 
-    def walk(t, n, budget, *, prune):
+    def walk(store, n, budget, *, prune):
         top[1] = n
-        for digits, periods, stack in product_blocks(t, n, budget, prune=prune):
+        for digits, periods, stack, caps in store_walk(store, n, budget, prune=prune):
             necklaces = stack[words._necklaces(periods, n, n)]
             floor = (1.0 - 1e-9) * top[0] * (1.0 - 1e-9)
             if floor > 0:
                 necklaces = necklaces[~(linalg.spectral_radius_caps(necklaces) ** (1.0 / n) < floor)]
             screened.append(necklaces.tobytes())
-            yield digits, periods, stack
+            yield digits, periods, stack, caps
 
     def spy(stack):
         radii.append(stack.tobytes())
@@ -319,7 +399,7 @@ def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
         top[0] = max([top[0]] + [rho ** (1.0 / top[1]) for rho in rhos.tolist()])
         return rhos
 
-    monkeypatch.setattr(engine, "product_blocks", walk)
+    monkeypatch.setattr(tuples._PrefixStore, "walk", walk)
     monkeypatch.setattr(linalg, "spectral_radii", spy)
     bounds(t, 11)
     rows = len(b"".join(screened)) // t.matrices[0].nbytes
@@ -529,16 +609,16 @@ def test_budget_partial_and_error():
 def test_candidate_budget_counts_the_rows_the_walks_keep(monkeypatch):
     # the walks of levels 1 .. 5 ask about 2, 6, 10, 14 and 18 rows here, so
     # the scan to depth 5 needs a budget of 50
-    engine, product_blocks, rows = importlib.import_module("jsrkit.bounds"), tuples.product_blocks, {}
+    walk, rows = tuples._PrefixStore.walk, {}
 
-    def spy(t, n, budget, *, prune):
-        def counted(digits, periods, stack, k):
-            rows[n] = rows.get(n, 0) + len(stack)
-            return prune(digits, periods, stack, k)
+    def spy(store, n, budget, *, prune):
+        def counted(digits, periods, caps, k):
+            rows[n] = rows.get(n, 0) + len(caps)
+            return prune(digits, periods, caps, k)
 
-        return product_blocks(t, n, budget, prune=counted)
+        return walk(store, n, budget, prune=counted)
 
-    monkeypatch.setattr(engine, "product_blocks", spy)
+    monkeypatch.setattr(tuples._PrefixStore, "walk", spy)
     candidates = spectral_maximal_candidates(_shift_pair(), 5, budget=50)
     assert rows == {1: 2, 2: 6, 3: 10, 4: 14, 5: 18}
     assert candidates == spectral_maximal_candidates(_shift_pair(), 5)

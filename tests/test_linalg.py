@@ -182,6 +182,29 @@ def test_spectral_radius_caps_bound_spectral_radii_at_every_scale():
         linalg.spectral_radius_caps(np.zeros((2, 2)))
 
 
+def test_caps_of_unscaled_stacks_equal_the_scaled_formula_bitwise(monkeypatch):
+    # a real stack whose rows' sums of squares all lie in [2**-900, 2**900] is
+    # capped without the power-of-two scaling, which is exact there: the caps
+    # equal those of the scaled formula bit for bit; zero and complex rows,
+    # and rows out of that range, take the scaled formula itself
+    rng = np.random.default_rng(33)
+    stacks = []
+    for d in (1, 2, 3, 5, 8, 12, 20, 28):
+        for k in range(-700, 701, 50):  # past +-450 the sums leave the range
+            stacks.append(rng.standard_normal((12, d, d)) * 2.0 ** k)
+        # rows of mixed scale, rank-one and nilpotent rows among them
+        mixed = rng.standard_normal((12, d, d)) * 2.0 ** rng.integers(-400, 401, (12, 1, 1))
+        rank_one = np.einsum("ki,kj->kij", rng.standard_normal((12, d)), rng.standard_normal((12, d)))
+        stacks += [mixed, rank_one * 2.0 ** -300, np.triu(rng.standard_normal((12, d, d)), 1) * 2.0 ** 200]
+        stacks += [np.concatenate([mixed, np.zeros((1, d, d))]), mixed + 1j * rng.standard_normal((12, d, d))]
+    fast = [(linalg.op_norm_caps(s), linalg.spectral_radius_caps(s)) for s in stacks]
+    assert sum(linalg._sums_in_range(s) is not None for s in stacks) >= len(stacks) // 3
+    monkeypatch.setattr(linalg, "_UNSCALED_SUMS", (np.inf, -np.inf))  # every stack takes the scaled formula
+    for s, (caps, radius_caps) in zip(stacks, fast):
+        assert caps.tobytes() == linalg.op_norm_caps(s).tobytes()
+        assert radius_caps.tobytes() == linalg.spectral_radius_caps(s).tobytes()
+
+
 def test_non_square_input_is_input_error():
     for kernel in (linalg.op_norm, linalg.spectral_radius, linalg.rank_eps,
                    linalg.exterior_square):
