@@ -30,12 +30,14 @@ below floor.  best is the level's running maximum, bar its seed, and floor
 = (1 - _TIE_TOL) * top * (1 - 1e-9), top being the running maximum of the
 necklace values (no lower screening while floor <= 0; a bound that
 overflows to inf or NaN keeps its row).  Full words are screened on the
-yielded block: necklaces whose linalg.spectral_radius_caps value ** (1/n)
-is below floor are skipped, and eigenvalues are taken of the rest; rows
-whose cap is strictly below max(best, bar) are skipped, and an SVD runs on
-the rest.  The factor 1 - 1e-9 absorbs the rounding of the powers, and the
-cap's margin (linalg._CAP_MARGIN, 1e-10) the rounding of sigma_1, of the
-computed L_{n-k} and of the products, so a skipped row can neither tie
+yielded block, whose rows each screen gathers from the store as it needs
+them: necklaces whose cap ** (1/n) (the prune's rule at k = n, L_0 = 1),
+then whose linalg.spectral_radius_caps value ** (1/n), is below floor are
+skipped, and eigenvalues are taken of the rest; rows whose cap is strictly
+below max(best, bar) are skipped, and an SVD runs on the rest.  The factor
+1 - 1e-9 absorbs the rounding of the powers, and the cap's margin
+(linalg._CAP_MARGIN, 1e-10) the rounding of sigma_1, of the computed
+L_{n-k} and of the products, so a skipped row can neither tie
 lower nor raise a maximum: every output is that of an unscreened scan.
 bar is 1 - 1e-9 times the largest norm of the 2r products A_a @ P and
 P @ A_a of length n, P being level n - 1's product of largest norm; the
@@ -59,7 +61,7 @@ import numpy as np
 from . import linalg, words
 from .config import DEFAULTS, require_tol
 from .errors import BudgetError, ConvergenceError, InputError
-from .tuples import MatrixTuple, _Budget, _PrefixStore, _Record
+from .tuples import MatrixTuple, _Budget, _PrefixStore, _Record, _rows
 from .words import Word
 
 
@@ -125,41 +127,46 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
     the budget; both come from levels 1 .. reached only (no candidates at 0).
     """
     candidates, maxima, top, counter, argmax = [], [1.0], -np.inf, _Budget(budget), None
-    store = _PrefixStore(t, depth)
+    store, floor = _PrefixStore(t, depth), -np.inf
 
     def prune(digits: np.ndarray, periods: np.ndarray, caps: np.ndarray, k: int) -> np.ndarray:
         # below a prefix p, rho(P_s P_p) <= op_norm(P_s P_p) <= maxima[n - k] * cap(P_p)
         if k == n:
             return np.zeros(len(caps), dtype=bool)
-        floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = caps * maxima[n - k]
-            lower_drops = periods == 0
-            if floor > 0:
-                lower_drops |= bound ** (1.0 / n) < floor
-            return (bound < max(best, bar)) & lower_drops
+        bound = caps * maxima[n - k]
+        lower_drops = periods == 0
+        if floor > 0:
+            lower_drops |= bound ** (1.0 / n) < floor
+        return (bound < max(best, bar)) & lower_drops
 
     for n in range(1, depth + 1):
         best, bar, before = 0.0, _bar(t, argmax), (len(candidates), top)
+        necklace = words._necklaces(np.arange(n + 1), n, n)  # by period: those that divide n
         try:
-            for digits, periods, stack, caps in store.walk(n, counter, prune=prune):
-                rows = np.flatnonzero(words._necklaces(periods, n, n))
-                floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
-                if floor > 0 and len(rows):
-                    rows = rows[~(linalg.spectral_radius_caps(stack[rows]) ** (1.0 / n) < floor)]
-                if len(rows):
-                    values = np.array([rho ** (1.0 / n) for rho in linalg.spectral_radii(stack[rows]).tolist()])
-                    top = max(top, float(values.max()))
-                    # top only rises, so a row below the window now never ties; at top 0 the result is fixed
-                    keep = values >= (1.0 - _TIE_TOL) * top
-                    if top > 0.0 and keep.any():
-                        candidates += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
-                live = np.flatnonzero(~(caps < max(best, bar)))
-                if len(live):
-                    norms = linalg.op_norms(stack[live])
-                    i = int(np.argmax(norms))
-                    if norms[i] > best:
-                        best, argmax = float(norms[i]), stack[live[i]].copy()  # a copy frees the block
+            with np.errstate(over="ignore", invalid="ignore"):  # once per walk: its prunes, grows and caps
+                for digits, periods, caps, products, index in store.walk(n, counter, prune=prune):
+                    rows = necklace[periods].nonzero()[0]
+                    if floor > 0 and len(rows):  # first the prune's own rule at k = n, then the radius caps
+                        rows = rows[~(caps[rows] ** (1.0 / n) < floor)]
+                        if len(rows):
+                            radius_caps = linalg.spectral_radius_caps(_rows(products, index[rows]))
+                            rows = rows[~(radius_caps ** (1.0 / n) < floor)]
+                    if len(rows):
+                        radii = linalg.spectral_radii(_rows(products, index[rows]))
+                        values = np.array([rho ** (1.0 / n) for rho in radii.tolist()])
+                        top = max(top, float(values.max()))
+                        floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
+                        # top only rises, so a row below the window now never ties; at top 0 the result is fixed
+                        keep = values >= (1.0 - _TIE_TOL) * top
+                        if top > 0.0 and keep.any():
+                            candidates += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
+                    live = (~(caps < max(best, bar))).nonzero()[0]
+                    if len(live):
+                        stack = _rows(products, index[live])
+                        norms = linalg.op_norms(stack)
+                        i = int(np.argmax(norms))
+                        if norms[i] > best:
+                            best, argmax = float(norms[i]), stack[i].copy()  # a copy outlives the walk's rows
             maxima.append(best)
         except BudgetError:  # past the budget: level n is dropped whole
             del candidates[before[0]:], maxima[n:]

@@ -95,7 +95,7 @@ def _sums_in_range(stack: np.ndarray):
     with np.errstate(over="ignore"):
         sums = np.einsum("kij,kij->k", stack, stack)
     lo, hi = _UNSCALED_SUMS
-    return sums if ((sums >= lo) & (sums <= hi)).all() else None
+    return sums if np.count_nonzero((sums >= lo) & (sums <= hi)) == len(sums) else None
 
 
 def op_norm_caps(stack: np.ndarray) -> np.ndarray:
@@ -108,11 +108,10 @@ def op_norm_caps(stack: np.ndarray) -> np.ndarray:
     which rules nothing out.  An all-zero row gets 0.
     """
     sums = _sums_in_range(_require_square_stack(stack))
-    if sums is not None:
-        norms, exps = np.sqrt(sums), 0
-    else:
-        scaled, exps = _scaled_rows(stack)
-        norms = _frobenius(scaled)
+    if sums is not None:  # nothing to undo, and no bound in range overflows
+        return np.sqrt(sums) * _CAP_MARGIN
+    scaled, exps = _scaled_rows(stack)
+    norms = _frobenius(scaled)
     with np.errstate(over="ignore"):
         return np.ldexp(norms * _CAP_MARGIN, exps)
 
@@ -145,11 +144,13 @@ def spectral_radius_caps(stack: np.ndarray) -> np.ndarray:
     sums = _sums_in_range(stack)
     square_sums = None if sums is None else _sums_in_range(np.matmul(stack, stack))
     if square_sums is not None:
-        norms, square, exps = np.sqrt(sums), np.sqrt(square_sums), 0
+        norms, square, exps = np.sqrt(sums), np.sqrt(square_sums), None
     else:
         scaled, exps = _scaled_rows(stack)
         norms, square = _frobenius(scaled), _frobenius(np.matmul(scaled, scaled))
     slack = _RADIUS_CAP_K * stack.shape[1] * np.finfo(float).eps * norms ** 2
+    if exps is None:  # nothing to undo, and no bound in range overflows
+        return np.sqrt(square * _CAP_MARGIN + slack) * _CAP_MARGIN
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt(square * _CAP_MARGIN + slack) * _CAP_MARGIN, exps)
 

@@ -350,7 +350,8 @@ def approx_barabanov(
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
     cur = _base_values(init, pts)
     cur = cur / cur[0]
-    images = [_polar(pts @ a.T) for a in t.matrices]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sweep raises below
+        images = [_polar(pts @ a.T) for a in t.matrices]
 
     iterations = 0
     converged = False
@@ -358,9 +359,8 @@ def approx_barabanov(
     before, averaged = None, False  # before holds the values of two sweeps back
     for _ in range(max_iter):
         closed = np.append(cur, cur[0])
-        nxt = np.max(
-            np.stack([_mesh_interp(grid, closed, img) for img in images]), axis=0
-        ) / rho_hat
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = np.max(np.stack([_mesh_interp(grid, closed, img) for img in images]), axis=0) / rho_hat
         # a value at rounding level of the largest is a direction the tuple maps to zero
         if not np.all(np.isfinite(nxt)) or np.any(nxt <= np.finfo(float).eps * np.max(nxt)):
             raise ConvergenceError(

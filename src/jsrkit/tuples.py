@@ -24,6 +24,7 @@ from . import config, linalg
 from .errors import BudgetError, ConvergenceError, InputError
 from .words import (
     Word,
+    _child_periods,
     _children,
     _digit_rows,
     _rows_among,
@@ -177,11 +178,11 @@ def _products_below(slots: np.ndarray, stack: np.ndarray, k: int, out=None) -> n
     """A_letter @ P for each prefix product P of length k in stack, prefix by prefix, in one batched matmul.
 
     out, if given, is a (len(stack), r, d, d) array that receives them; a
-    non-finite product raises ConvergenceError.
+    non-finite product raises ConvergenceError.  Run it under
+    np.errstate(over="ignore", invalid="ignore"), as both walks do.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        children = np.matmul(slots[None], stack[:, None], out=out)
-    if not np.isfinite(children).all():
+    children = np.matmul(slots[None], stack[:, None], out=out)
+    if np.count_nonzero(np.isfinite(children)) < children.size:
         raise ConvergenceError(f"products of length {k + 1} overflow; the tuple's scale is out of range")
     return children.reshape(-1, *slots.shape[1:])
 
@@ -208,7 +209,8 @@ def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, prune=None):
         return prune(digits, periods, stack, k) if prune is not None else np.zeros(len(digits), dtype=bool)
 
     def grow(k, digits, periods, stack=None):
-        children = slots if stack is None else _products_below(slots, stack, k)  # no stack: the empty word
+        with np.errstate(over="ignore", invalid="ignore"):  # no stack: the empty word
+            children = slots if stack is None else _products_below(slots, stack, k)
         return (*necklace_children(digits, periods, t.r), children)
     return prefix_blocks(t.r, n, slots[0].nbytes, prune=charged, grow=grow)
 
@@ -218,6 +220,14 @@ def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, prune=None):
 _STORE_BLOCKS = 32
 
 
+def _rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index] for a non-empty index: a view when index counts up by one, else a gathered copy."""
+    lo, hi = int(index[0]), int(index[-1]) + 1
+    if hi - lo == len(index) and not np.count_nonzero(index[1:] - index[:-1] - 1):
+        return table[lo:hi]
+    return table[index]
+
+
 class _PrefixStore:
     """The prefix products of one level pass (bounds._levels), each built once.
 
@@ -225,18 +235,20 @@ class _PrefixStore:
     linalg.op_norm_caps value and the row of its first child, -1 until its
     children are kept; the r children of a prefix are consecutive rows.
     walk(n, budget, prune=...) is product_blocks' walk of length n: the same
-    pieces in the same order, charged alike, but its rows are store rows,
-    prune(digits, periods, caps, k) gets their kept caps, and only children
-    that no earlier walk kept are built, in one batched matmul per piece
-    written into the store.  Rows are kept first come, first served, up to
+    pieces in the same order, charged alike, but its pieces carry row
+    numbers, prune(digits, periods, caps, k) gets their kept caps, and only
+    children that no earlier walk kept are built, in one batched matmul per
+    piece written into the store; parents that form one run of rows are read
+    in place.  Rows are kept first come, first served, up to
     _STORE_BLOCKS * config.BLOCK_BYTES bytes of products and no more rows
     than there are words shorter than depth.  When a piece's
     children do not all fit, have length depth (no later walk asks about
     them) or have parents that are not kept, all of them are built as
     product_blocks builds them, into the scratch rows of their length,
-    numbered from capacity up.  A piece is grown only after every piece of
-    its children's length waiting in the walk is done, so those rows serve
-    until the next piece of that length is grown.
+    numbered from capacity up: one buffer per length, reused piece after
+    piece.  A piece is grown only after every piece of its children's length
+    waiting in the walk is done, so those rows serve until the next piece of
+    that length is grown.
     """
 
     def __init__(self, t: MatrixTuple, depth: int):
@@ -252,7 +264,7 @@ class _PrefixStore:
         # allocated once; their pages are touched only as rows are kept
         self.products = np.empty((self.capacity, *self.slots.shape[1:]), self.slots.dtype)
         self.caps, self.periods, self.first = np.empty(self.capacity), *np.empty((2, self.capacity), np.int64)
-        self.size, self.scratch = 0, {}  # rows kept; the scratch rows' (products, caps) by length
+        self.size, self.scratch = 0, {}  # rows kept; by length, the scratch buffer and its rows' caps
         digits, periods = necklace_children(_digit_rows([()], t.r), np.ones(1, dtype=np.int64), t.r)
         self.products[:t.r] = self.slots  # the empty word's children
         self._keep(periods, self.products[:t.r])
@@ -274,36 +286,40 @@ class _PrefixStore:
         """(digits, periods, index) of the children of the prefixes of length k at rows index."""
         if index is None:  # the empty word
             return self.root
-        r = self.r
+        r, shape = self.r, self.slots.shape
         children = _children(digits, r)
         if index[0] < self.capacity:
             first = self.first[index]
-            missing = np.flatnonzero(first < 0)
+            missing = (first < 0).nonzero()[0]
             m = len(missing) * r
             if not m or (k + 1 < self.depth and self.size + m <= self.capacity):
                 if m:
                     lo, parents = self.size, index[missing]
-                    out = self.products[lo:lo + m].reshape(len(missing), r, *self.slots.shape[1:])
-                    built = _products_below(self.slots, self.products[parents], k, out)
-                    self._keep(necklace_children(digits[missing], periods[missing], r)[1], built)
+                    out = self.products[lo:lo + m].reshape(len(missing), *shape)
+                    built = _products_below(self.slots, _rows(self.products, parents), k, out)
+                    self._keep(_child_periods(digits[missing], periods[missing], r), built)
                     first[missing] = self.first[parents] = lo + r * np.arange(len(missing))
                 index = (first[:, None] + np.arange(r)).ravel()
                 return children, self.periods[index], index
         products, _, rows = self._table(k, index)
-        built = _products_below(self.slots, products[rows], k)
-        self.scratch[k + 1] = built, linalg.op_norm_caps(built)
-        return children, necklace_children(digits, periods, r)[1], self.capacity + np.arange(len(built))
+        m = len(rows) * r
+        buffer = self.scratch.get(k + 1, (None,))[0]
+        if buffer is None or len(buffer) < m:
+            buffer = np.empty((m, *shape[1:]), self.slots.dtype)
+        built = _products_below(self.slots, _rows(products, rows), k, buffer[:m].reshape(len(rows), *shape))
+        self.scratch[k + 1] = buffer, linalg.op_norm_caps(built)
+        return children, _child_periods(digits, periods, r), self.capacity + np.arange(m)
 
     def walk(self, n: int, budget: _Budget, *, prune):
-        """Yield (digits, periods, stack, caps) over the words of length n: product_blocks' blocks, with caps."""
+        """Yield (digits, periods, caps, products, rows): product_blocks' blocks of length n as _rows(products, rows),
+        with caps, run under the caller's np.errstate(over="ignore", invalid="ignore"), which bounds._levels enters."""
         def charged(digits, periods, index, k):
             budget.charge(len(digits), n)
             _, caps, rows = self._table(k, index)
             return prune(digits, periods, caps[rows], k)
-        walk = prefix_blocks(self.r, n, self.slots[0].nbytes, prune=charged, grow=self._grow)
-        for digits, periods, index in walk:
+        for digits, periods, index in prefix_blocks(self.r, n, self.slots[0].nbytes, prune=charged, grow=self._grow):
             products, caps, rows = self._table(n, index)
-            yield digits, periods, products[rows], caps[rows]
+            yield digits, periods, caps[rows], products, rows
 
 
 def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):

@@ -156,20 +156,20 @@ def prefix_blocks(r: int, n: int, row_bytes: int, *, prune=None, grow=None):
             return necklace_children(digits, periods, r)
     pending = [(0, _digit_rows([()], r), np.ones(1, dtype=np.int64))]
     while pending:
-        k, digits, periods, *rows = pending.pop()
+        k, *arrays = pending.pop()
         if prune is not None and k:
-            keep = ~prune(digits, periods, *rows, k)
-            if not keep.all():  # copy only when a row goes; compress copies small rows faster than a[keep]
-                digits, periods, *rows = (np.compress(keep, a, axis=0) for a in (digits, periods, *rows))
-        if not len(digits):
+            keep = ~prune(*arrays, k)
+            if np.count_nonzero(keep) < len(keep):  # copy only when a row goes
+                arrays = [a.compress(keep, axis=0) for a in arrays]
+        if not len(arrays[0]):
             continue
         if k == n:
-            yield digits, periods, *rows
+            yield arrays
             continue
-        digits, periods, *rows = grow(k, digits, periods, *rows)
-        step = max(1, len(digits) if k + 1 == n else leaf_rows // r)
-        for lo in reversed(range(0, len(digits), step)):
-            pending.append((k + 1, *(a[lo:lo + step] for a in (digits, periods, *rows))))
+        arrays = grow(k, *arrays)
+        step = max(1, len(arrays[0]) if k + 1 == n else leaf_rows // r)
+        for lo in reversed(range(0, len(arrays[0]), step)):
+            pending.append((k + 1, *[a[lo:lo + step] for a in arrays]))
 
 
 def _digit_rows(ws, r: int) -> np.ndarray:
@@ -229,7 +229,12 @@ def _words_at(digits: np.ndarray) -> list[Word]:
 
 
 def necklace_children(digits: np.ndarray, periods: np.ndarray, r: int):
-    """(digits, periods) of the r children of each row of length k, in lexicographic order.
+    """(digits, periods) of the r children of each row of length k, in lexicographic order (_child_periods)."""
+    return _children(digits, r), _child_periods(digits, periods, r)
+
+
+def _child_periods(digits: np.ndarray, periods: np.ndarray, r: int) -> np.ndarray:
+    """The FKM periods of the r children of each row of length k, in lexicographic order.
 
     FKM rule (Cattell, Ruskey, Sawada, Serra, Miers, J. Algorithms 37, 2000):
     a pre-necklace's period is the length of its longest Lyndon prefix, 1 for
@@ -244,7 +249,7 @@ def necklace_children(digits: np.ndarray, periods: np.ndarray, r: int):
     out = np.empty((m, r), dtype=periods.dtype)
     for letter in range(r):  # r strided writes, one per letter, as in _children
         out[:, letter] = np.where(back == letter, periods, (back < letter) * (k + 1))
-    return _children(digits, r), out.ravel()
+    return out.ravel()
 
 
 def _necklaces(periods: np.ndarray, k: int, n: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from jsrkit.bounds import (
 from jsrkit.constructions import example_tuple
 from jsrkit.errors import BudgetError, ConvergenceError, InputError
 from jsrkit.norms import WeightedMaxNorm
+from jsrkit.structure import rank_one_property
 from jsrkit.tuples import MatrixTuple, exterior_square_tuple, product_along
 
 
@@ -238,7 +239,7 @@ def _storeless_walk(t):
             return prune(digits, periods, linalg.op_norm_caps(stack), k)
 
         for digits, periods, stack in tuples.product_blocks(t, n, budget, prune=capped):
-            yield digits, periods, stack, linalg.op_norm_caps(stack)
+            yield digits, periods, linalg.op_norm_caps(stack), stack, np.arange(len(stack))
     return walk
 
 
@@ -312,6 +313,60 @@ def test_the_prefix_store_builds_past_its_bound_as_the_walk_does(monkeypatch):
     assert built > unbounded
 
 
+def test_the_prefix_store_reads_parents_out_of_row_order_as_product_along_does(monkeypatch):
+    # level 3 drops 12 and 22, so level 4 keeps the children of 11 and 21 at
+    # rows 6 .. 9 before those of 12 and 22 at rows 10 .. 13: its length-3
+    # piece holds rows [6, 7, 10, 11, 8, 9, 12, 13], which span 6 .. 13 out of
+    # order, and their children must still be read row by row
+    rng = np.random.default_rng(4)
+    t = MatrixTuple("real", tuple(rng.normal(0.0, 0.5, (3, 3)) for _ in range(2)))
+    store, seen, rows = tuples._PrefixStore(t, 5), [], tuples._rows
+    monkeypatch.setattr(tuples, "_rows", lambda table, index: seen.append(index.tolist()) or rows(table, index))
+
+    def expected(digits):
+        stack = np.array([product_along(t, w) for w in words._words_at(digits)])
+        return stack.tobytes(), linalg.op_norm_caps(stack).tobytes()
+
+    for n in range(1, 6):
+        def prune(digits, periods, caps, k):
+            assert caps.tobytes() == expected(digits)[1]
+            return (digits[:, -1] == 1) if (n, k) == (3, 2) else np.zeros(len(caps), dtype=bool)
+
+        for digits, _, caps, products, index in store.walk(n, tuples._Budget(10 ** 6), prune=prune):
+            assert (rows(products, index).tobytes(), caps.tobytes()) == expected(digits)
+    assert [6, 7, 10, 11, 8, 9, 12, 13] in seen
+
+
+def _dense_tuples():
+    """Seeded Gaussian tuples with N(0, 1/d) entries: pair8 (2 slots, d = 8), pair12 and triple6."""
+    rng = np.random.default_rng(20090914)
+    return {name: MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)) for _ in range(r)))
+            for name, r, d in (("pair8", 2, 8), ("pair12", 2, 12), ("triple6", 3, 6))}
+
+
+def test_dense_bounds_and_rank_one_verdicts_stay_bitwise():
+    # the level pass's screens and store change no bit of these certificates:
+    # (lower, upper) as float.hex, depth, witness, upper level and partial
+    def pin(b):
+        return b.lower.hex(), b.upper.hex(), b.depth, b.lower_witness, b.upper_level, b.partial
+
+    dense = _dense_tuples()
+    assert pin(bounds(dense["pair12"], 13)) == (
+        "0x1.2b8bbc0029455p+0", "0x1.32252b126fb0ep+0", 13, (1,), 13, False)
+    assert pin(bounds(dense["triple6"], 9)) == (
+        "0x1.2fd925a53bdaap+0", "0x1.47efecfccd11bp+0", 9, (1, 1), 9, False)
+    pair8 = ("0x1.5712724f19aa1p+0", "0x1.68e53865961f6p+0", 11, (1, 2, 1, 2, 1, 2), 11, False)
+    wedge = ("0x1.97e1a0a231b1ap+0", "0x1.a1e3e9dbf6d44p+0", 11, (2, 2), 11, False)
+    assert pin(bounds(dense["pair8"], 11)) == pair8
+    assert pin(bounds(exterior_square_tuple(dense["pair8"]), 11)) == wedge
+    verdict = rank_one_property(dense["pair8"], 11)
+    assert verdict.status == "Certified"
+    for key, want in (("bounds", pair8), ("wedge_bounds", wedge)):
+        got = verdict.evidence[key]
+        assert (float(got["lower"]).hex(), float(got["upper"]).hex(), got["depth"], words.parse_word(got["witness"]),
+                got["upper_level"], got["partial"]) == want
+
+
 def test_necklace_walk_prunes_prefixes_by_level_maxima(monkeypatch):
     # a necklace prefix p of length k is dropped once (cap(P_p) * L_(n-k)) ** (1/n)
     # falls below the tie window and the upper side needs it no more, so the
@@ -375,9 +430,9 @@ def test_example_2_asks_about_2n_rows_per_level():
 
 
 def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
-    # of each yielded block, exactly the necklace rows that clear the spectral
-    # screen (spectral_radius_caps ** (1/n) not below the floor that the values
-    # so far set) reach linalg.spectral_radii, in walk order
+    # of each yielded block, exactly the necklace rows that clear both screens
+    # (op_norm_caps ** (1/n), then spectral_radius_caps ** (1/n), not below the
+    # floor that the values so far set) reach linalg.spectral_radii, in walk order
     rng = np.random.default_rng(7)
     t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(2)))
     store_walk, spectral_radii = tuples._PrefixStore.walk, linalg.spectral_radii
@@ -385,13 +440,15 @@ def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
 
     def walk(store, n, budget, *, prune):
         top[1] = n
-        for digits, periods, stack, caps in store_walk(store, n, budget, prune=prune):
-            necklaces = stack[words._necklaces(periods, n, n)]
+        for digits, periods, caps, products, index in store_walk(store, n, budget, prune=prune):
+            necklace = words._necklaces(periods, n, n)
+            necklaces, necklace_caps = products[index[necklace]], caps[necklace]
             floor = (1.0 - 1e-9) * top[0] * (1.0 - 1e-9)
             if floor > 0:
+                necklaces = necklaces[~(necklace_caps ** (1.0 / n) < floor)]
                 necklaces = necklaces[~(linalg.spectral_radius_caps(necklaces) ** (1.0 / n) < floor)]
             screened.append(necklaces.tobytes())
-            yield digits, periods, stack, caps
+            yield digits, periods, caps, products, index
 
     def spy(stack):
         radii.append(stack.tobytes())

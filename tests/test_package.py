@@ -68,6 +68,7 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     pair = MatrixTuple("real", (np.array([[0.0, 1.0], [0.3, 0.0]]),
                                 np.array([[0.0, 0.5], [1.0, 0.0]])))
     (tmp_path / "pair.json").write_text(to_json(pair))
+    (tmp_path / "ell3.json").write_text('{"variant": "ellp", "p": 3.0}')
     core = {"jsrkit", "jsrkit.bounds", "jsrkit.tuples", "jsrkit.words"}
 
     words = _loaded(["words", "--alphabet", "2", "--length", "3"], tmp_path)
@@ -78,6 +79,9 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     irreducible = _loaded(["irreducible", "--input", "pair.json"], tmp_path)
     approx = _loaded(["barabanov", "approx", "--input", "pair.json", "--rho-hat", "1"], tmp_path)
     sfh = _loaded(["sfh", "--input", "pair.json", "--word", "1,2", "--rho-hat", "1"], tmp_path)
+    rank1 = _loaded(["rank1", "--input", "pair.json", "--depth", "3"], tmp_path)
+    verify = _loaded(["barabanov", "verify", "--input", "pair.json", "--norm", "ell3.json", "--samples", "100"],
+                     tmp_path)
 
     assert core <= words and not words & LAYERS
     assert core <= bounds and not bounds & LAYERS
@@ -86,8 +90,14 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     assert "numpy.ma" not in construct and "numpy.ma" not in long_word
     assert "jsrkit.structure" in irreducible and "numpy.random" not in irreducible
     assert "jsrkit.norms" in approx and {"jsrkit.finiteness", "jsrkit.norms"} <= sfh
+    # the rank-one test runs two level passes and nothing of the norm layers
+    assert core | {"jsrkit.structure"} <= rank1
+    assert not rank1 & {"jsrkit.norms", "numpy.random", "jsrkit.finiteness", "jsrkit.constructions"}
+    # a sampled verification draws its directions, and needs no structure or word search
+    assert core | {"jsrkit.norms", "numpy.random"} <= verify
+    assert not verify & {"jsrkit.structure", "jsrkit.finiteness", "jsrkit.constructions"}
     # records are built without dataclasses, whose import and generated code every op would pay
-    for loaded in (words, bounds, construct, long_word, irreducible, approx, sfh):
+    for loaded in (words, bounds, construct, long_word, irreducible, approx, sfh, rank1, verify):
         assert "dataclasses" not in loaded
 
 
