@@ -14,10 +14,9 @@ One level pass (_levels) runs, for n = 1 .. depth, one walk of level n
 over all words, necklaces marked by their FKM periods, whose maximum L_n
 the later levels prune by.  bounds, spectral_maximal_candidates and the
 default rho_hat of a candidate search (_candidates_and_midpoint) each take
-one pass.  The walks run over one tuples._PrefixStore per pass, which
-builds each prefix product and its cap once and hands them to every later
-level: the walk of level n is tuples.product_blocks' walk, with the same
-pieces, caps and rows asked.  Products come in lexicographic order, in
+one pass.  The walks are the one product walk, tuples._PrefixStore's, over
+one store per pass, which builds each prefix product and its cap once and
+hands them to every later level.  Products come in lexicographic order, in
 blocks, with one numpy call per block (linalg.spectral_radii,
 linalg.op_norms).  Ties keep the first word.
 
@@ -99,11 +98,11 @@ _SCREEN_SLACK = 1.0 - 1e-9
 _TIE_TOL = 1e-9
 
 
-def _bar(t: MatrixTuple, p) -> float:
-    """_SCREEN_SLACK times the largest norm of A_a @ p and p @ A_a; 0.0 for p None or past the float range."""
+def _bar(slots: np.ndarray, p) -> float:
+    """_SCREEN_SLACK times the largest norm of A_a @ p and p @ A_a, slots being the stacked A_a;
+    0.0 for p None or past the float range."""
     if p is None:
         return 0.0
-    slots = np.stack(t.matrices)
     with np.errstate(over="ignore", invalid="ignore"):
         ends = np.concatenate((np.matmul(slots, p), np.matmul(p, slots)))
     if not np.isfinite(ends).all():
@@ -140,7 +139,7 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
         return (bound < max(best, bar)) & lower_drops
 
     for n in range(1, depth + 1):
-        best, bar, before = 0.0, _bar(t, argmax), (len(candidates), top)
+        best, bar, before = 0.0, _bar(store.slots, argmax), (len(candidates), top)
         necklace = words._necklaces(np.arange(n + 1), n, n)  # by period: those that divide n
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # once per walk: its prunes, grows and caps

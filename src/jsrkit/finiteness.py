@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .bounds import _candidates_and_midpoint, spectral_maximal_candidates
 from .config import DEFAULTS, require_fraction, require_tol
 from .errors import InputError
@@ -107,11 +106,13 @@ def sfh_evidence(
     rho_hat ** |omega| up to offender_tol in (0, 1); offenders are pooled across norms
     and sorted.  samples, when given, feeds both the verification, which also
     rejects a bad rho_hat, and any sampled matrix norms.  budget counts the
-    rows that the scan's walk keeps (tuples.off_class_blocks).
+    rows that the scan's walk asks about, the one product walk
+    (tuples._PrefixStore) that tuples.off_class_blocks runs.
 
     Only competitors that can change the report are evaluated.  Per block and
     per norm, each product P gets an upper bound on its computed induced
-    value, linalg.op_norm_caps(P) * c with c a constant of the norm and its
+    value, cap * c with cap its linalg.op_norm_caps value, which the walk
+    yields with the block, and c a constant of the norm and its
     directions (norms._induced_norm; the bound is inf where the evaluation
     could overflow or underflow).  The product with the largest bound is
     evaluated first, then every product whose bound is not strictly below
@@ -146,8 +147,7 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}
-    for digits, _, stack in off_class_blocks(t, omega, budget):
-        caps = linalg.op_norm_caps(stack)
+    for digits, caps, stack in off_class_blocks(t, omega, budget):
         for i, (norm_of, bound_of) in enumerate(induced):
             bound = bound_of(caps)
             values = np.full(len(stack), -np.inf)  # a skipped row stays below both tests

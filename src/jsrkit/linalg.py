@@ -84,18 +84,22 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 # A real stack whose rows' sums of squared entries all lie in this range is
 # capped as it is, with no scaling: multiplying such a row by a power of two
 # (_scaled_rows) scales its squares, their sums, square roots and products
-# exactly, so the caps come out the same bitwise, and no copy is made.
+# exactly, so the caps come out the same bitwise, and no copy is made.  An
+# exactly zero row, whose sum 0 is exact, is capped as it is too; a sum of 0
+# alone proves nothing, as squares of entries below about 1e-162 underflow.
 _UNSCALED_SUMS = (2.0 ** -900, 2.0 ** 900)
 
 
 def _sums_in_range(stack: np.ndarray):
-    """Each row's sum of squared entries when stack is real and every sum lies in _UNSCALED_SUMS, else None."""
+    """Each row's sum of squared entries when stack is real and every row's sum lies in
+    _UNSCALED_SUMS or the row is exactly zero, else None."""
     if np.iscomplexobj(stack):
         return None
     with np.errstate(over="ignore"):
         sums = np.einsum("kij,kij->k", stack, stack)
     lo, hi = _UNSCALED_SUMS
-    return sums if np.count_nonzero((sums >= lo) & (sums <= hi)) == len(sums) else None
+    out = ~((sums >= lo) & (sums <= hi))
+    return None if np.count_nonzero(out) and stack[out].any() else sums
 
 
 def op_norm_caps(stack: np.ndarray) -> np.ndarray:
@@ -103,9 +107,10 @@ def op_norm_caps(stack: np.ndarray) -> np.ndarray:
 
     Each row is first scaled by a power of two (_scaled_rows), so the sum of
     squares neither underflows to 0 nor overflows at any scale; a stack that
-    needs no scaling (_UNSCALED_SUMS) is capped as it is.  The scaling is
-    undone after the margin is applied; a bound past the float range is inf,
-    which rules nothing out.  An all-zero row gets 0.
+    needs no scaling (_UNSCALED_SUMS, exactly zero rows included) is capped
+    as it is.  The scaling is undone after the margin is applied; a bound
+    past the float range is inf, which rules nothing out.  An all-zero row
+    gets 0, and only an all-zero row does.
     """
     sums = _sums_in_range(_require_square_stack(stack))
     if sums is not None:  # nothing to undo, and no bound in range overflows

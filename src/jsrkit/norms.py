@@ -361,8 +361,10 @@ def approx_barabanov(
         closed = np.append(cur, cur[0])
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = np.max(np.stack([_mesh_interp(grid, closed, img) for img in images]), axis=0) / rho_hat
+        if not np.all(np.isfinite(nxt)):
+            raise ConvergenceError("mesh values overflow; the tuple's scale is out of range")
         # a value at rounding level of the largest is a direction the tuple maps to zero
-        if not np.all(np.isfinite(nxt)) or np.any(nxt <= np.finfo(float).eps * np.max(nxt)):
+        if np.any(nxt <= np.finfo(float).eps * np.max(nxt)):
             raise ConvergenceError(
                 "mesh values lost positivity; the tuple maps some direction to zero"
             )

@@ -179,40 +179,12 @@ def _products_below(slots: np.ndarray, stack: np.ndarray, k: int, out=None) -> n
 
     out, if given, is a (len(stack), r, d, d) array that receives them; a
     non-finite product raises ConvergenceError.  Run it under
-    np.errstate(over="ignore", invalid="ignore"), as both walks do.
+    np.errstate(over="ignore", invalid="ignore"), as every walk does.
     """
     children = np.matmul(slots[None], stack[:, None], out=out)
     if np.count_nonzero(np.isfinite(children)) < children.size:
         raise ConvergenceError(f"products of length {k + 1} overflow; the tuple's scale is out of range")
     return children.reshape(-1, *slots.shape[1:])
-
-
-def product_blocks(t: MatrixTuple, n: int, budget: _Budget, *, prune=None):
-    """Yield (digits, periods, stack) over the products of the words of length n, in lexicographic order.
-
-    The generator of words.prefix_blocks with one product per row: digits
-    holds each word's row of 0-based letters (words._words_at decodes it),
-    periods their FKM periods (0 for no pre-necklace) and stack the products
-    P_w, (k, d, d).  The empty word's children are the slots and a prefix's
-    are A_letter @ P_prefix in one batched layer (_products_below),
-    product_along's 2-D products, so each P_w equals it bitwise.
-    prune(digits, periods, stack, k) is prefix_blocks' own, and a block
-    exceeds config.BLOCK_BYTES only when one prefix's r children do.  Each
-    row is charged to budget, one call's counter, before prune sees it:
-    BudgetError past its limit.  A non-finite product raises
-    ConvergenceError.
-    """
-    slots = np.stack(t.matrices)
-
-    def charged(digits, periods, stack, k):
-        budget.charge(len(digits), n)
-        return prune(digits, periods, stack, k) if prune is not None else np.zeros(len(digits), dtype=bool)
-
-    def grow(k, digits, periods, stack=None):
-        with np.errstate(over="ignore", invalid="ignore"):  # no stack: the empty word
-            children = slots if stack is None else _products_below(slots, stack, k)
-        return (*necklace_children(digits, periods, t.r), children)
-    return prefix_blocks(t.r, n, slots[0].nbytes, prune=charged, grow=grow)
 
 
 # The products a _PrefixStore keeps take at most this many times
@@ -229,26 +201,30 @@ def _rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 class _PrefixStore:
-    """The prefix products of one level pass (bounds._levels), each built once.
+    """The one walk over products: the prefix products of its walks, each built once.
 
     A kept row holds a prefix's FKM period, its product P_w, its
     linalg.op_norm_caps value and the row of its first child, -1 until its
     children are kept; the r children of a prefix are consecutive rows.
-    walk(n, budget, prune=...) is product_blocks' walk of length n: the same
-    pieces in the same order, charged alike, but its pieces carry row
-    numbers, prune(digits, periods, caps, k) gets their kept caps, and only
-    children that no earlier walk kept are built, in one batched matmul per
-    piece written into the store; parents that form one run of rows are read
-    in place.  Rows are kept first come, first served, up to
+    walk(n, budget, prune=...) runs words.prefix_blocks over the words of
+    length n, in lexicographic order, with pieces that carry row numbers:
+    each row is charged to budget, one call's counter, before
+    prune(digits, periods, caps, k) sees its caps (BudgetError past its
+    limit).  The empty word's children are the slots and a prefix's are
+    A_letter @ P_prefix in one batched matmul per piece (_products_below),
+    product_along's 2-D products, so each P_w equals it bitwise.  Only
+    children that no earlier walk of the store kept are built, written into
+    the store, and parents that form one run of rows are read in place.
+    bounds._levels walks one store per level pass, and off_class_blocks one
+    per scan.  Rows are kept first come, first served, up to
     _STORE_BLOCKS * config.BLOCK_BYTES bytes of products and no more rows
-    than there are words shorter than depth.  When a piece's
-    children do not all fit, have length depth (no later walk asks about
-    them) or have parents that are not kept, all of them are built as
-    product_blocks builds them, into the scratch rows of their length,
-    numbered from capacity up: one buffer per length, reused piece after
-    piece.  A piece is grown only after every piece of its children's length
-    waiting in the walk is done, so those rows serve until the next piece of
-    that length is grown.
+    than there are words shorter than depth.  When a piece's children do
+    not all fit, have length depth (no later walk asks about them) or have
+    parents that are not kept, all of them are built into the scratch rows
+    of their length, numbered from capacity up: one buffer per length,
+    reused piece after piece.  A piece is grown only after every piece of
+    its children's length waiting in the walk is done, so those rows serve
+    until the next piece of that length is grown.
     """
 
     def __init__(self, t: MatrixTuple, depth: int):
@@ -311,8 +287,9 @@ class _PrefixStore:
         return children, _child_periods(digits, periods, r), self.capacity + np.arange(m)
 
     def walk(self, n: int, budget: _Budget, *, prune):
-        """Yield (digits, periods, caps, products, rows): product_blocks' blocks of length n as _rows(products, rows),
-        with caps, run under the caller's np.errstate(over="ignore", invalid="ignore"), which bounds._levels enters."""
+        """Yield (digits, periods, caps, products, rows), the blocks of length n as _rows(products, rows)
+        with their caps, each valid until the next is asked for.  Run under the caller's
+        np.errstate(over="ignore", invalid="ignore"), which covers its prunes, grows and caps."""
         def charged(digits, periods, index, k):
             budget.charge(len(digits), n)
             _, caps, rows = self._table(k, index)
@@ -323,18 +300,30 @@ class _PrefixStore:
 
 
 def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
-    """product_blocks over the words of length n = |omega| outside omega's rotation class.
+    """Yield (digits, caps, stack) over the words of length n = |omega| outside omega's rotation class.
 
-    The prune ignores the periods.  It drops each exactly zero product, at
-    every length, with its subtree (a finite number times +-0 is +-0), and
-    omega's rotations at k = n, looked up by words._rows_among.  The walk is
-    charged against a budget of its own."""
+    One _PrefixStore walk, charged against a budget of its own, with stack
+    = _rows(products, rows), valid until the next block is asked for.  The
+    prune ignores the periods.  It drops each row whose cap is 0, exactly
+    the zero products (linalg.op_norm_caps), at every length, with its
+    subtree (a finite number times +-0 is +-0), and omega's rotations at
+    k = n, looked up by words._rows_among.  Only the walk's own steps run
+    under np.errstate(over="ignore", invalid="ignore"); the caller's work
+    on each block runs outside it."""
+    n = len(omega)
     rotation = _rows_among(rotation_class(omega), t.r)
 
-    def prune(digits, periods, stack, k):
-        zero = ~stack.any(axis=(1, 2))
-        return zero | rotation(digits) if k == len(omega) else zero
-    return product_blocks(t, len(omega), _Budget(budget), prune=prune)
+    def prune(digits, periods, caps, k):
+        zero = caps == 0
+        return zero | rotation(digits) if k == n else zero
+    walk = _PrefixStore(t, n).walk(n, _Budget(budget), prune=prune)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = next(walk, None)
+        if block is None:
+            return
+        digits, _, caps, products, rows = block
+        yield digits, caps, _rows(products, rows)
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:

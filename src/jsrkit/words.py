@@ -10,10 +10,10 @@ prefix_blocks is the one prefix walker: it grows such rows one letter at a
 time from the empty word with their FKM periods (necklace_children), runs
 each screen with one mask per row as its prune, and yields (digits,
 periods, *rows) blocks of the words of one length.
-tuples.product_blocks is the walker with one product per row, and
-tuples._PrefixStore.walk the walker over a store of products built once per
-level pass; word_blocks lists words and, by prunes, necklaces (_necklaces)
-and primitive words.
+tuples._PrefixStore.walk is the one walk over products, with one product
+per row, built once per store: the level passes of bounds and the offender
+scans (tuples.off_class_blocks) run it.  word_blocks lists words and, by
+prunes, necklaces (_necklaces) and primitive words.
 enumerate_words and enumerate_necklaces decode its blocks to tuples
 (_words_at: digits + 1), and render_words turns a block into text.
 """

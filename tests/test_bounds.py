@@ -232,22 +232,13 @@ def test_levels_run_one_walk_each(monkeypatch):
     assert walks == [1, 2, 3, 4]
 
 
-def _storeless_walk(t):
-    """The walk of a level pass without a store: each level from the empty word, caps taken anew per piece."""
-    def walk(store, n, budget, *, prune):
-        def capped(digits, periods, stack, k):
-            return prune(digits, periods, linalg.op_norm_caps(stack), k)
-
-        for digits, periods, stack in tuples.product_blocks(t, n, budget, prune=capped):
-            yield digits, periods, linalg.op_norm_caps(stack), stack, np.arange(len(stack))
-    return walk
-
-
-def _pass(t, depth, budget, walk=None):
+def _pass(t, depth, budget, store_blocks=None):
     """(_levels(t, depth, budget), the caps each prune call saw, products built, products kept).
 
-    walk, if given, replaces the store's."""
-    engine, walk = importlib.import_module("jsrkit.bounds"), walk or tuples._PrefixStore.walk
+    store_blocks, if given, replaces tuples._STORE_BLOCKS: at 0 the store
+    keeps only the slots, and every level builds its products anew from the
+    empty word, each in the scratch rows of its length."""
+    engine, walk = importlib.import_module("jsrkit.bounds"), tuples._PrefixStore.walk
     products_below, asked, built, stores = tuples._products_below, [], [], []
 
     def counted_walk(store, n, budget, *, prune):
@@ -264,13 +255,16 @@ def _pass(t, depth, budget, walk=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tuples._PrefixStore, "walk", counted_walk)
         mp.setattr(tuples, "_products_below", counted_products)
+        if store_blocks is not None:
+            mp.setattr(tuples, "_STORE_BLOCKS", store_blocks)
         levels = engine._levels(t, depth, budget)
     return levels, asked, sum(built), stores[0].size if stores else 0
 
 
 def _assert_store_matches_the_storeless_walk(t, depth, budget=10 ** 5):
     levels, asked, built, kept = _pass(t, depth, budget)
-    reference, reference_asked, reference_built, _ = _pass(t, depth, budget, _storeless_walk(t))
+    reference, reference_asked, reference_built, reference_kept = _pass(t, depth, budget, store_blocks=0)
+    assert reference_kept == t.r
     (candidates, maxima, reached), (ref_candidates, ref_maxima, ref_reached) = levels, reference
     assert [(w, v.hex()) for w, v in candidates] == [(w, v.hex()) for w, v in ref_candidates]
     assert [m.hex() for m in maxima] == [m.hex() for m in ref_maxima]

@@ -121,7 +121,7 @@ def test_characteristic_self_check_failure_raises(monkeypatch):
 
 def test_characteristic_self_check_names_a_nonzero_off_class_product(monkeypatch):
     # the walk yields only off-class products that are not zero, so any block it yields fails
-    block = (np.array([[0, 0, 1]]), np.ones(1, dtype=np.int64), np.ones((1, 3, 3)))
+    block = (np.array([[0, 0, 1]]), np.ones(1), np.ones((1, 3, 3)))
     monkeypatch.setattr(constructions, "off_class_blocks", lambda t, omega, budget: iter([block]))
     with pytest.raises(ConvergenceError, match=r"^self-check failed: off-class P_1,1,2 != 0$"):
         characteristic_tuple(2, 3, (1, 2, 2))
@@ -132,8 +132,9 @@ def test_characteristic_vanishing_check_charges_the_rows_it_keeps(monkeypatch):
     # default budget of 10**7 rows, which the 2**24 words of length 24 would pass,
     # and past 62 letters, where 2**63 words would not fit one int64 index each
     counters = []
-    walk = tuples.product_blocks
-    monkeypatch.setattr(tuples, "product_blocks", lambda t, n, budget, **kw: counters.append(budget) or walk(t, n, budget, **kw))
+    walk = tuples._PrefixStore.walk
+    monkeypatch.setattr(tuples._PrefixStore, "walk",
+                        lambda store, n, budget, **kw: counters.append(budget) or walk(store, n, budget, **kw))
     for n in (24, 63):
         counters.clear()
         assert characteristic_tuple(2, n, (1,) * (n - 1) + (2,)).d == n

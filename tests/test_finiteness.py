@@ -7,7 +7,6 @@ import pytest
 
 from jsrkit import finiteness, norms
 from jsrkit.bounds import spectral_maximal_candidates
-from jsrkit.config import DEFAULTS
 from jsrkit.constructions import characteristic_tuple
 from jsrkit.errors import BudgetError, InputError
 from jsrkit.finiteness import (
@@ -17,8 +16,8 @@ from jsrkit.finiteness import (
     sfh_evidence,
 )
 from jsrkit.norms import LpNorm, MeshNorm, WeightedMaxNorm, matrix_norm, sphere_samples, theta
-from jsrkit.tuples import MatrixTuple, _Budget, product_along, product_blocks
-from jsrkit.words import _words_at, power, rotation_class
+from jsrkit.tuples import MatrixTuple, product_along
+from jsrkit.words import enumerate_words, power, rotation_class
 
 MAXNORM = WeightedMaxNorm((1.0, 1.0))
 
@@ -248,7 +247,8 @@ def test_report_serialization():
 
 
 def _unscreened_scan(t, omega, reps, rho_hat, offender_tol, samples):
-    """(margin, offenders, level maxima) of the scan that evaluates every competitor."""
+    """(margin, offenders, level maxima) of the scan that evaluates every competitor,
+    each product taken from product_along, independent of the walk."""
     n = len(omega)
     target = rho_hat ** n
     threshold = target * (1.0 - offender_tol)
@@ -257,12 +257,9 @@ def _unscreened_scan(t, omega, reps, rho_hat, offender_tol, samples):
     induced = [norms._induced_norm(rep, t.d, real=real, samples=samples)[0] for rep in reps]
     level_max = [0.0] * len(reps)
     found = {}
-    for digits, _, stack in product_blocks(t, n, _Budget(DEFAULTS.word_budget)):
-        zs = _words_at(digits)
-        other = np.array([z not in rotations for z in zs], dtype=bool)
-        zs, stack = [z for z, keep in zip(zs, other) if keep], stack[other]
-        if not zs:
-            continue
+    zs = [z for z in enumerate_words(t.r, n) if z not in rotations]
+    if zs:
+        stack = np.array([product_along(t, z) for z in zs])
         for i, norm_of in enumerate(induced):
             values = norm_of(stack)
             level_max[i] = max(level_max[i], float(np.max(values)))

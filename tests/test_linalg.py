@@ -183,12 +183,13 @@ def test_spectral_radius_caps_bound_spectral_radii_at_every_scale():
 
 
 def test_caps_of_unscaled_stacks_equal_the_scaled_formula_bitwise(monkeypatch):
-    # a real stack whose rows' sums of squares all lie in [2**-900, 2**900] is
-    # capped without the power-of-two scaling, which is exact there: the caps
-    # equal those of the scaled formula bit for bit; zero and complex rows,
-    # and rows out of that range, take the scaled formula itself
+    # a real stack whose rows' sums of squares all lie in [2**-900, 2**900],
+    # or are exactly zero rows, is capped without the power-of-two scaling,
+    # which is exact there: the caps equal those of the scaled formula bit for
+    # bit; complex rows, and rows out of that range, take the scaled formula
+    # itself, rows of 1e-170 or 5e-324 too, whose squares underflow to a sum of 0
     rng = np.random.default_rng(33)
-    stacks = []
+    stacks, unscaled, scaled = [], [], []
     for d in (1, 2, 3, 5, 8, 12, 20, 28):
         for k in range(-700, 701, 50):  # past +-450 the sums leave the range
             stacks.append(rng.standard_normal((12, d, d)) * 2.0 ** k)
@@ -197,8 +198,20 @@ def test_caps_of_unscaled_stacks_equal_the_scaled_formula_bitwise(monkeypatch):
         rank_one = np.einsum("ki,kj->kij", rng.standard_normal((12, d)), rng.standard_normal((12, d)))
         stacks += [mixed, rank_one * 2.0 ** -300, np.triu(rng.standard_normal((12, d, d)), 1) * 2.0 ** 200]
         stacks += [np.concatenate([mixed, np.zeros((1, d, d))]), mixed + 1j * rng.standard_normal((12, d, d))]
+        zeros, underflowing = np.zeros((2, d, d)), np.full((3, d, d), 1e-170)
+        unscaled += [zeros, np.concatenate([zeros[:1], mixed, -zeros])]
+        scaled += [np.concatenate([zeros, underflowing]), np.concatenate([mixed, underflowing, zeros])]
+        lone = np.zeros((1, d, d))
+        lone[0, -1, 0] = 5e-324  # the least subnormal, whose square underflows too
+        scaled += [np.concatenate([zeros, lone])]
+    assert all(linalg._sums_in_range(s) is not None for s in unscaled)
+    assert all(linalg._sums_in_range(s) is None for s in scaled)
+    stacks += unscaled + scaled
     fast = [(linalg.op_norm_caps(s), linalg.spectral_radius_caps(s)) for s in stacks]
     assert sum(linalg._sums_in_range(s) is not None for s in stacks) >= len(stacks) // 3
+    for s, (caps, radius_caps) in zip(unscaled + scaled, fast[-len(unscaled + scaled):]):
+        nonzero = s.any(axis=(1, 2))  # a norm cap is 0 exactly for a zero row
+        assert np.array_equal(caps > 0, nonzero) and not radius_caps[~nonzero].any()
     monkeypatch.setattr(linalg, "_UNSCALED_SUMS", (np.inf, -np.inf))  # every stack takes the scaled formula
     for s, (caps, radius_caps) in zip(stacks, fast):
         assert caps.tobytes() == linalg.op_norm_caps(s).tobytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -72,21 +73,29 @@ def test_product_along_order_convention():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def _blocks(t, n, necklaces=False, prune=None):
-    """product_blocks as (list of words, list of (digits, stack) blocks), with prune and,
-    if asked, a prune on words._necklaces, which keeps the necklaces only."""
-    def walk_prune(digits, periods, stack, k):
-        drop = prune(digits, periods, stack, k) if prune is not None else np.zeros(len(digits), dtype=bool)
+def _keep(digits, periods, caps, k):
+    """A prune that drops nothing."""
+    return np.zeros(len(digits), dtype=bool)
+
+
+def _blocks(t, n, necklaces=False, prune=_keep):
+    """The store's walk of length n as (list of words, list of (digits, stack) blocks), with prune and,
+    if asked, a prune on words._necklaces, which keeps the necklaces only; each stack is copied out
+    before the next block is asked for."""
+    def walk_prune(digits, periods, caps, k):
+        drop = prune(digits, periods, caps, k)
         return drop | ~words._necklaces(periods, k, n) if necklaces else drop
 
-    blocks = [(digits, stack) for digits, _, stack in tuples.product_blocks(t, n, _budget(), prune=walk_prune)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the walk's caller enters it
+        blocks = [(digits, tuples._rows(products, rows).copy()) for digits, _, _, products, rows
+                  in tuples._PrefixStore(t, n).walk(n, _budget(), prune=walk_prune)]
     got = [w for digits, _ in blocks for w in words._words_at(digits)]
     return got, blocks
 
 
 def test_product_blocks_match_product_along_bitwise(monkeypatch):
     rng = np.random.default_rng(15)
-    default_cap = config.BLOCK_BYTES
+    default_cap, default_blocks = config.BLOCK_BYTES, tuples._STORE_BLOCKS
     # one slot and 3000 letters, far past the interpreter's recursion limit,
     # with an orthogonal or unitary slot so that the product stays finite
     for r, lengths in ((1, range(1, 7)), (2, range(1, 7)), (3, range(1, 7)), (1, (3000,))):
@@ -95,9 +104,12 @@ def test_product_blocks_match_product_along_bitwise(monkeypatch):
         if 3000 in lengths:
             real, cplx = (np.linalg.qr(real[0])[0],), (np.linalg.qr(cplx[0])[0],)
         for t in (tuples.MatrixTuple("real", real), tuples.MatrixTuple("complex", cplx)):
-            # the default cap, and one of four products that forces many blocks
-            for cap in (default_cap, 4 * t.matrices[0].nbytes):
+            # the default cap, and one of four products that forces many blocks; a store that
+            # keeps its prefixes, and one that keeps only the slots and builds every later row
+            # in the scratch rows of its length
+            for cap, store_blocks in itertools.product((default_cap, 4 * t.matrices[0].nbytes), (default_blocks, 0)):
                 monkeypatch.setattr(config, "BLOCK_BYTES", cap)
+                monkeypatch.setattr(tuples, "_STORE_BLOCKS", store_blocks)
                 for n in lengths:
                     for necklaces in (False, True):
                         got, blocks = _blocks(t, n, necklaces=necklaces)
@@ -115,8 +127,9 @@ def test_product_blocks_match_product_along_bitwise(monkeypatch):
                             fit = r * max(1, cap // t.matrices[0].nbytes // r) if n > 1 else r
                             assert max(len(digits) for digits, _ in blocks) == min(fit, r ** n)
                     # every walk carries the periods that mark the necklaces
-                    marked = [w for digits, periods, _ in tuples.product_blocks(t, n, _budget())
-                              for w, mark in zip(words._words_at(digits), words._necklaces(periods, n, n)) if mark]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        marked = [w for digits, periods, *_ in tuples._PrefixStore(t, n).walk(n, _budget(), prune=_keep)
+                                  for w, mark in zip(words._words_at(digits), words._necklaces(periods, n, n)) if mark]
                     assert marked == list(words.enumerate_necklaces(r, n)), (r, n)
     # the empty word's children are the slots themselves, not I @ A, so -0.0 stays
     t = tuples.MatrixTuple("real", (np.array([[-0.0, 1.0], [0.5, -0.0]]),))
@@ -128,15 +141,14 @@ def test_product_blocks_match_product_along_bitwise(monkeypatch):
 def test_product_blocks_prune_drops_subtrees():
     rng = np.random.default_rng(16)
     t = tuples.MatrixTuple("real", tuple(rng.standard_normal((2, 2)) for _ in range(3)))
-    p21 = tuples.product_along(t, (2, 1))
-    below = [tuples.product_along(t, (2, 1, x)) for x in (1, 2, 3)]
+    below = linalg.op_norm_caps(np.array([tuples.product_along(t, (2, 1, x)) for x in (1, 2, 3)]))
     asked = []
 
-    def prune(digits, periods, stack, k):
+    def prune(digits, periods, caps, k):
         asked.append(k)
-        # nothing below a dropped prefix is asked about
-        assert not any(np.array_equal(p, q) for p in stack for q in below)
-        return np.all(stack == p21, axis=(1, 2)) if k == 2 else np.zeros(len(stack), dtype=bool)
+        # nothing below a dropped prefix is asked about: no cap of its children comes up
+        assert not np.isin(caps, below).any()
+        return np.all(digits == (1, 0), axis=1) if k == 2 else np.zeros(len(caps), dtype=bool)
 
     for necklaces in (False, True):
         asked.clear()
@@ -156,8 +168,8 @@ def test_product_blocks_yield_no_empty_block(monkeypatch):
     got, blocks = _blocks(t, 5, necklaces=True)
     assert got == list(words.enumerate_necklaces(2, 5))
     assert all(len(digits) for digits, _ in blocks)
-    def drop_all(digits, periods, stack, k):
-        return np.ones(len(stack), dtype=bool)
+    def drop_all(digits, periods, caps, k):
+        return np.ones(len(caps), dtype=bool)
 
     for necklaces in (False, True):
         assert _blocks(t, 5, necklaces=necklaces, prune=drop_all) == ([], [])
@@ -176,7 +188,7 @@ def test_product_blocks_cut_prefix_pieces_by_rows(monkeypatch):
         for n in range(1, 9):
             waiting, peak = [r], [0]  # the empty word's r children wait first
 
-            def keep_all(digits, periods, stack, k):
+            def keep_all(digits, periods, caps, k):
                 if k < n:
                     last = digits[-1, -1] == r - 1
                     assert len(digits) == step or (len(digits) < step and last), (r, leaf_rows, n, k)
@@ -190,38 +202,67 @@ def test_product_blocks_cut_prefix_pieces_by_rows(monkeypatch):
             assert all(len(digits) <= r * step for digits, _ in blocks)
 
 
+def _off_class(t, omega):
+    """off_class_blocks(t, omega) at the default budget as a list, each stack copied out before the next block."""
+    return [(digits, caps, stack.copy())
+            for digits, caps, stack in tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget)]
+
+
 def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
-    # sparse signed 0/1 slots: many products vanish, some only at the last letter
+    # sparse signed 0/1 slots: many products vanish, some only at the last letter;
+    # then slots of 2**-541 .. 2**-535, whose products of two letters are
+    # subnormal, kept, or underflow to zero, dropped
     rng = np.random.default_rng(17)
     for _ in range(150):
         r, d, n = (int(rng.integers(1, hi)) for hi in (4, 5, 6))
         t = tuples.MatrixTuple("real", tuple(rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (d, d)) for _ in range(r)))
         omega = tuple(int(x) for x in rng.integers(1, r + 1, n))
-        blocks = list(tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget))
-        got = [w for digits, _, _ in blocks for w in words._words_at(digits)]
-        expected = [
-            w for w in words.enumerate_words(r, n)
-            if not words.rotation_equivalent(w, omega) and np.any(tuples.product_along(t, w))
-        ]
-        assert got == expected, (r, d, omega)
-        for digits, _, stack in blocks:
-            assert all(np.array_equal(p, tuples.product_along(t, w)) for w, p in zip(words._words_at(digits), stack))
+        _assert_off_class_blocks_are_the_nonzero_competitors(t, omega)
+    rng, kept, subnormal, underflowed = np.random.default_rng(18), 0, 0, 0
+    for _ in range(60):
+        r, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        field = ("real", "complex")[int(rng.integers(0, 2))]
+        slots = [rng.choice([-1.0, 0.0, 1.0, 1.5], (d, d)) * 2.0 ** -int(rng.integers(535, 542)) for _ in range(r)]
+        if field == "complex":
+            slots = [a * (1.0 + 1.0j) for a in slots]
+        t = tuples.MatrixTuple(field, tuple(slots))
+        omega = tuple(int(x) for x in rng.integers(1, r + 1, 2))
+        products = [tuples.product_along(t, w) for w in words.enumerate_words(r, 2)]
+        subnormal += sum(bool(np.any(p)) and np.abs(p).max() < np.finfo(float).tiny for p in products)
+        underflowed += sum(not np.any(p) for p in products)
+        for _, _, stack in _assert_off_class_blocks_are_the_nonzero_competitors(t, omega):
+            kept += np.count_nonzero(np.abs(stack).max(axis=(1, 2)) < np.finfo(float).tiny)
+    assert kept > 20 and subnormal > 20 and underflowed > 20, (kept, subnormal, underflowed)
+
+
+def _assert_off_class_blocks_are_the_nonzero_competitors(t, omega):
+    blocks = _off_class(t, omega)
+    got = [w for digits, _, _ in blocks for w in words._words_at(digits)]
+    expected = [
+        w for w in words.enumerate_words(t.r, len(omega))
+        if not words.rotation_equivalent(w, omega) and np.any(tuples.product_along(t, w))
+    ]
+    assert got == expected, (t.r, t.d, omega)
+    for digits, caps, stack in blocks:
+        assert all(np.array_equal(p, tuples.product_along(t, w)) for w, p in zip(words._words_at(digits), stack))
+        assert caps.tobytes() == linalg.op_norm_caps(stack).tobytes()
+    return blocks
 
 
 def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length(monkeypatch):
     # its products are partial permutations, so at most n of each length are
     # nonzero: the walk asks about at most 2 * n of each length, not 2**k
     asked = []
-    walk = tuples.product_blocks
+    walk = tuples._PrefixStore.walk
 
-    def counting(t, n, budget, *, prune, **kw):
-        def counted(digits, periods, stack, k):
+    def counting(store, n, budget, *, prune):
+        def counted(digits, periods, caps, k):
             asked.append(len(digits))
-            return prune(digits, periods, stack, k)
+            return prune(digits, periods, caps, k)
 
-        return walk(t, n, budget, prune=counted, **kw)
+        return walk(store, n, budget, prune=counted)
 
-    monkeypatch.setattr(tuples, "product_blocks", counting)
+    monkeypatch.setattr(tuples._PrefixStore, "walk", counting)
     # past 62 letters too, where 2**63 words would not fit one int64 index each
     for omega in ((1, 2, 2, 1, 2, 1, 1, 2, 2, 2, 1, 2, 1, 1, 1, 2), (1,) * 62 + (2,)):
         n = len(omega)
@@ -239,8 +280,7 @@ def test_off_class_blocks_look_rotations_up_by_their_bytes():
     # zero digits, and letters over an alphabet of 300 take two bytes each
     for r, omega in ((2, (2, 1, 1)), (300, (7, 290))):
         t = tuples.MatrixTuple("real", tuple(np.full((1, 1), 1.0 + letter / r) for letter in range(r)))
-        got = [w for digits, _, _ in tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget)
-               for w in words._words_at(digits)]
+        got = [w for digits, _, _ in _off_class(t, omega) for w in words._words_at(digits)]
         rotations = words.rotation_class(omega)
         assert got == [w for w in words.enumerate_words(r, len(omega)) if w not in rotations], (r, omega)
         assert len(got) == r ** len(omega) - len(rotations), (r, omega)
@@ -256,6 +296,8 @@ def test_product_blocks_errors():
     for necklaces in (False, True):
         with pytest.raises(ConvergenceError, match="length 2"):
             _blocks(big, 3, necklaces=necklaces)
+    with pytest.raises(ConvergenceError, match="length 2"):  # off_class_blocks enters the errstate itself
+        _off_class(big, (1, 1, 1))
 
 
 def test_product_along_validates_letters():
