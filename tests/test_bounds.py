@@ -261,7 +261,7 @@ def _pass(t, depth, budget, store_blocks=None):
     return levels, asked, sum(built), stores[0].size if stores else 0
 
 
-def _assert_store_matches_the_storeless_walk(t, depth, budget=10 ** 5):
+def _assert_store_matches_the_slots_only_store(t, depth, budget=10 ** 5):
     levels, asked, built, kept = _pass(t, depth, budget)
     reference, reference_asked, reference_built, reference_kept = _pass(t, depth, budget, store_blocks=0)
     assert reference_kept == t.r
@@ -283,15 +283,15 @@ def test_the_prefix_store_changes_no_result_and_no_row_asked():
     for depth in range(1, 14):
         for r, kind in ((2, "real"), (3, "real"), (2, "complex"), (2, "rank-one")):
             t = _random_tuple(rng, r, int(rng.integers(1, 6)), kind, scale=float(rng.uniform(0.5, 2.0)))
-            _assert_store_matches_the_storeless_walk(t, depth)
+            _assert_store_matches_the_slots_only_store(t, depth)
     for t in (_shift_pair(), _diag_dominant_pair(), _projector_swap_triple()):
-        _assert_store_matches_the_storeless_walk(t, 13)
+        _assert_store_matches_the_slots_only_store(t, 13)
 
 
 def test_the_prefix_store_keeps_a_budget_stopped_pass():
     # the budget stops both passes at the same level, after the same rows
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
-    reached, _, _ = _assert_store_matches_the_storeless_walk(MatrixTuple("real", (q, q.T)), 60, 10 ** 4)
+    reached, _, _ = _assert_store_matches_the_slots_only_store(MatrixTuple("real", (q, q.T)), 60, 10 ** 4)
     assert reached == 11
 
 
@@ -300,9 +300,9 @@ def test_the_prefix_store_builds_past_its_bound_as_the_walk_does(monkeypatch):
     # children are built per piece and not kept, and every result still holds
     rng = np.random.default_rng(5)
     t = MatrixTuple("real", tuple(rng.normal(0.0, 1.0 / 4.0, (16, 16)) for _ in range(2)))
-    _, unbounded, unbounded_kept = _assert_store_matches_the_storeless_walk(t, 12)
+    _, unbounded, unbounded_kept = _assert_store_matches_the_slots_only_store(t, 12)
     monkeypatch.setattr(tuples, "_STORE_BLOCKS", 1)
-    _, built, kept = _assert_store_matches_the_storeless_walk(t, 12)
+    _, built, kept = _assert_store_matches_the_slots_only_store(t, 12)
     assert kept <= 512 < unbounded_kept
     assert built > unbounded
 
