@@ -20,10 +20,14 @@ Each command imports the modules it runs, so words and bounds load no
 norm, structure or catalogue code, and each call builds the subparser of
 the command it names only.  Records are created without dataclasses, so no
 call pays for their import or generated code.  run, the process entry of
-the console script and of python -m jsrkit.cli, calls gc.freeze() once main
-has returned, so the interpreter's shutdown skips its collections over the
-objects those imports made; main called from Python leaves the collector as
-it is.
+the console script and of python -m jsrkit.cli, ends the process itself:
+once main has returned it flushes stdout and stderr and calls os._exit, so
+the interpreter's finalisation (collections, and the teardown of numpy's
+module graph) never runs.  It returns the code instead, for normal
+finalisation, while a trace, profile or sys.monitoring hook or python -i
+still has work to do at exit, or when a flush fails.  A reader that closes
+the pipe early (jsrkit words ... | head -1) gets exit 1 and no traceback.
+main called from Python always returns, and leaves finalisation alone.
 
 Exit codes: 0 success; 1 under --strict when a verdict stays Unknown, a
 verification fails, an approximation does not converge, or an offender
@@ -35,8 +39,8 @@ that fails, with the reason on stderr.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -391,12 +395,45 @@ def main(argv=None) -> int:
         return 2
 
 
+def _exit_has_work() -> bool:
+    """True while something still runs at exit: a trace or profile hook, a sys.monitoring tool or python -i."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, whose cProfile is a tool (ids 0..5)
+    return (sys.gettrace() is not None or sys.getprofile() is not None or bool(sys.flags.inspect)
+            or (monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6))))
+
+
+def _flushed() -> bool:
+    """Flush stdout, then stderr: False if either raises, other than BrokenPipeError, which propagates."""
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        raise
+    except (OSError, ValueError):  # ValueError: a closed file
+        return False
+    return True
+
+
 def run() -> int:
-    """Process entry: main(), then freeze the heap so that shutdown skips its collections."""
-    code = main()
-    # jsrkit writes only through stdout and stderr, which finalisation flushes,
-    # so no unflushed file can be left in a cycle that the frozen heap keeps
-    gc.freeze()
+    """Process entry: main(), flush stdout and stderr, then os._exit(code), with no finalisation.
+
+    --help, usage errors and uncaught exceptions leave as main raises them.
+    The code is returned instead, for the caller's sys.exit and normal
+    finalisation, when a flush fails or _exit_has_work().  A BrokenPipeError
+    from main or a flush (a reader that closed stdout early) points stdout
+    at os.devnull, so that finalisation writes nothing more to the pipe, and
+    returns 1 with no traceback.
+    """
+    try:
+        code = main()
+        flushed = _flushed()
+    except BrokenPipeError:  # the recipe of the signal module's documentation
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    # jsrkit writes only through stdout and stderr, and registers no atexit
+    # handler, so once both are flushed os._exit loses nothing of its own
+    if flushed and not _exit_has_work():
+        os._exit(code)
     return code
 
 

@@ -215,10 +215,13 @@ class _PrefixStore:
     product_along's 2-D products, so each P_w equals it bitwise.  Only
     children that no earlier walk of the store kept are built, written into
     the store, and parents that form one run of rows are read in place.
-    bounds._levels walks one store per level pass, and off_class_blocks one
-    per scan.  Rows are kept first come, first served, up to
-    _STORE_BLOCKS * config.BLOCK_BYTES bytes of products and no more rows
-    than there are words shorter than depth.  When a piece's children do
+    bounds._levels walks one store per level pass.  off_class_blocks walks
+    a store of depth 1 once per scan: it keeps only the slots, and every
+    later row goes into the scratch rows of its length, since a single walk
+    reads no row again once its children are built.  Rows are kept first
+    come, first served, up to _STORE_BLOCKS * config.BLOCK_BYTES bytes of
+    products and no more rows than there are words shorter than depth, or
+    r.  When a piece's children do
     not all fit, have length depth (no later walk asks about them) or have
     parents that are not kept, all of them are built into the scratch rows
     of their length, numbered from capacity up: one buffer per length,
@@ -302,9 +305,10 @@ class _PrefixStore:
 def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
     """Yield (digits, caps, stack) over the words of length n = |omega| outside omega's rotation class.
 
-    One _PrefixStore walk, charged against a budget of its own, with stack
-    = _rows(products, rows), valid until the next block is asked for.  The
-    prune ignores the periods.  It drops each row whose cap is 0, exactly
+    One walk of a _PrefixStore of depth 1, which keeps only the slots,
+    charged against a budget of its own, with stack = _rows(products, rows),
+    valid until the next block is asked for.  The prune ignores the
+    periods.  It drops each row whose cap is 0, exactly
     the zero products (linalg.op_norm_caps), at every length, with its
     subtree (a finite number times +-0 is +-0), and omega's rotations at
     k = n, looked up by words._rows_among.  Only the walk's own steps run
@@ -316,7 +320,7 @@ def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
     def prune(digits, periods, caps, k):
         zero = caps == 0
         return zero | rotation(digits) if k == n else zero
-    walk = _PrefixStore(t, n).walk(n, _Budget(budget), prune=prune)
+    walk = _PrefixStore(t, 1).walk(n, _Budget(budget), prune=prune)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             block = next(walk, None)

@@ -647,12 +647,15 @@ def test_invalid_depth_and_tol_rejected(capsys, tmp_path):
     assert "tol" in err
 
 
-def _cli_subprocess(flags, *args, text=True):
-    # a child process, so that anything printed to stderr, warnings included, is seen
+def _child_env():
     src = str(Path(jsrkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _cli_subprocess(flags, *args, text=True, input=None):
+    # a child process, so that anything printed to stderr, warnings included, is seen
     argv = [sys.executable, *flags, "-m", "jsrkit.cli", *args]
-    return subprocess.run(argv, capture_output=True, text=text, env=env)
+    return subprocess.run(argv, capture_output=True, text=text, env=_child_env(), input=input)
 
 
 def test_irreducible_near_the_float_maximum_prints_no_warning(tmp_path):
@@ -1024,14 +1027,39 @@ def _exit_path_argv(capsys, tmp_path, code):
     return [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in EXIT_PATHS[code]]
 
 
+class _Exited(Exception):
+    """Raised by the os._exit that these tests put in place, so that run() stops there as it would."""
+
+
+class _RecordedStream(io.StringIO):
+    """A text stream that records each flush in events under its name."""
+
+    def __init__(self, name, events):
+        super().__init__()
+        self.name, self.events = name, events
+
+    def flush(self):
+        self.events.append(f"flush {self.name}")
+        super().flush()
+
+
+def _recorded_exit(monkeypatch, events):
+    def _exit(code):
+        events.append(f"exit {code}")
+        raise _Exited
+
+    monkeypatch.setattr(os, "_exit", _exit)
+
+
 @pytest.mark.parametrize("code", sorted(EXIT_PATHS))
-def test_process_entry_prints_what_main_prints_then_freezes_once(capsys, tmp_path, monkeypatch, code):
+def test_process_entry_prints_what_main_prints_then_exits_at_once(capsys, tmp_path, monkeypatch, code):
     argv = _exit_path_argv(capsys, tmp_path, code)
     proc = _cli_subprocess([], *argv, text=False)
     in_process, out, err = _run(capsys, argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (in_process, out.encode(), err.encode())
     assert in_process == code
-    # run() returns main's code and freezes the heap once, after main has returned
+    # run() hands main's code to os._exit only once main has returned and both
+    # streams are flushed, and only when nothing else has work left at exit
     events = []
 
     def recorded_main():
@@ -1040,11 +1068,74 @@ def test_process_entry_prints_what_main_prints_then_freezes_once(capsys, tmp_pat
         return returned
 
     monkeypatch.setattr(cli, "main", recorded_main)
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "_exit_has_work", lambda: events.append("exit checked") or False)
     monkeypatch.setattr(sys, "argv", ["jsrkit", *argv])
+    streams = {name: _RecordedStream(name, events) for name in ("stdout", "stderr")}
+    for name, stream in streams.items():
+        monkeypatch.setattr(sys, name, stream)
+    _recorded_exit(monkeypatch, events)
+    with pytest.raises(_Exited):
+        cli.run()
+    assert events[events.index("main returned"):] == [
+        "main returned", "flush stdout", "flush stderr", "exit checked", f"exit {code}"]
+    assert (streams["stdout"].getvalue(), streams["stderr"].getvalue()) == (out, err)
+
+
+def test_process_entry_ends_the_process_without_finalisation():
+    # an atexit handler registered before run() never runs, and the listing is all written
+    script = ("import atexit, sys\nfrom jsrkit import cli\natexit.register(print, 'finalised')\n"
+              "sys.argv = ['jsrkit', 'words', '--alphabet', '2', '--length', '2']\nsys.exit(cli.run())\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1,1\n1,2\n2,1\n2,2\n", "")
+
+
+@pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+def test_process_entry_returns_the_code_to_a_profile_or_trace_hook(capsys, tmp_path, monkeypatch, hook):
+    # cProfile, coverage and debuggers do their work at exit, so run() leaves it to the interpreter
+    argv = _exit_path_argv(capsys, tmp_path, 0)
+    _, out, err = _run(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["jsrkit", *argv])
+    _recorded_exit(monkeypatch, [])
+    set_hook, get_hook = getattr(sys, hook), getattr(sys, hook.replace("set", "get"))
+    previous = get_hook()
+    set_hook(lambda *args: None)
+    try:
+        code = cli.run()
+    finally:
+        set_hook(previous)
+    assert code == 0 and capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize(("closed", "code"), [("stdout", 2), ("stderr", 0)])
+def test_process_entry_returns_the_code_when_a_flush_fails(capsys, tmp_path, monkeypatch, closed, code):
+    # a closed file raises ValueError on flush; main writes only to the other stream
+    argv = _exit_path_argv(capsys, tmp_path, code)
+    monkeypatch.setattr(sys, "argv", ["jsrkit", *argv])
+    _recorded_exit(monkeypatch, [])
+    stream = io.TextIOWrapper(io.BytesIO())
+    stream.close()
+    monkeypatch.setattr(sys, closed, stream)
     assert cli.run() == code
-    assert events == ["main returned", "freeze"]
-    assert capsys.readouterr() == (out, err)
+
+
+def test_process_entry_leaves_exit_work_to_the_interpreter():
+    # python -i reads its session after the module, and cProfile prints its report
+    words_argv = ["words", "--alphabet", "2", "--length", "3"]
+    session = _cli_subprocess(["-i"], *words_argv, input="print(6 * 7)\n")
+    assert session.returncode == 0 and session.stdout.endswith("2,2,2\n42\n"), session
+    profiled = _cli_subprocess(["-m", "cProfile"], *words_argv)
+    assert profiled.returncode == 0 and profiled.stdout.startswith("1,1,1\n"), profiled
+    assert " function calls " in profiled.stdout
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
+    # jsrkit words ... | head -1: the listing is far larger than a pipe's buffer
+    argv = [sys.executable, "-m", "jsrkit.cli", "words", "--alphabet", "3", "--length", "12", "--necklaces"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+        assert proc.stdout.readline() == b"1,1,1,1,1,1,1,1,1,1,1,1\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, b"")
 
 
 def test_main_leaves_the_callers_collector_as_it_is(capsys, tmp_path):

@@ -275,6 +275,24 @@ def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length
         assert 0 < sum(asked) <= 2 * n ** 2, n
 
 
+def test_off_class_scan_keeps_only_the_slots(monkeypatch):
+    # one walk reads no row twice, so its store keeps the r slots and builds
+    # every longer row into the scratch rows of its length
+    stores = []
+    walk = tuples._PrefixStore.walk
+    monkeypatch.setattr(tuples._PrefixStore, "walk",
+                        lambda store, n, budget, **kw: stores.append(store) or walk(store, n, budget, **kw))
+    no_zero = tuples.MatrixTuple("real", (np.diag([1.0, 0.5]), np.array([[0.0, 0.5], [0.5, 0.0]])))
+    omega = (1, 2, 3, 3, 1, 2, 2)
+    cases = ((no_zero, (1, 2) * 3 + (1,)), (characteristic_tuple(3, len(omega), omega), omega))
+    for t, omega in cases:
+        stores.clear()
+        _assert_off_class_blocks_are_the_nonzero_competitors(t, omega)
+        (store,) = stores
+        assert store.size == store.capacity == t.r
+        assert sorted(store.scratch) == list(range(2, len(omega) + 1))
+
+
 def test_off_class_blocks_look_rotations_up_by_their_bytes():
     # no product is zero, so exactly the rotations go: those of (2, 1, 1) end in
     # zero digits, and letters over an alphabet of 300 take two bytes each
