@@ -26,7 +26,8 @@ the interpreter's finalisation (collections, and the teardown of numpy's
 module graph) never runs.  It returns the code instead, for normal
 finalisation, while a trace, profile or sys.monitoring hook or python -i
 still has work to do at exit, or when a flush fails.  A reader that closes
-the pipe early (jsrkit words ... | head -1) gets exit 1 and no traceback.
+the pipe early (jsrkit words ... | head -1) gets exit 1 and no traceback;
+a refusal whose stderr reader has gone still exits 2.
 main called from Python always returns, and leaves finalisation alone.
 
 Exit codes: 0 success; 1 under --strict when a verdict stays Unknown, a
@@ -385,14 +386,25 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"error: {exc}")
     except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"numerical failure: {exc}")
     except MemoryError as exc:  # e.g. --mesh or --samples far past the address space
-        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return 2
+        return _refuse(f"out of memory: {str(exc) or 'allocation failed'}")
+
+
+def _to_devnull(stream) -> None:
+    """Point stream's file descriptor at os.devnull, so that nothing more written to it fails."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _refuse(reason: str) -> int:
+    """Write the one-line reason to stderr and return 2, the code of a refusal, even if stderr's reader has gone."""
+    try:
+        print(reason, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+    return 2
 
 
 def _exit_has_work() -> bool:
@@ -428,7 +440,7 @@ def run() -> int:
         code = main()
         flushed = _flushed()
     except BrokenPipeError:  # the recipe of the signal module's documentation
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         return 1
     # jsrkit writes only through stdout and stderr, and registers no atexit
     # handler, so once both are flushed os._exit loses nothing of its own

@@ -25,26 +25,17 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .config import DEFAULTS
 from .errors import ConvergenceError, InputError
 from .norms import LpNorm, WeightedMaxNorm, norm_to_json_dict
-from .tuples import MatrixTuple, _check_field, off_class_blocks, product_along
-from .words import Word, _words_at, format_word, is_primitive, validate_word
+from .tuples import MatrixTuple, _check_field, product_along
+from .words import Word, format_word, is_primitive, validate_word
 
 
-def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") -> MatrixTuple:
-    """Tuple of r partial permutations on K^n whose characteristic word is omega.
+def _characteristic_word(r: int, n: int, omega: Word) -> Word:
+    """omega as a tuple, if characteristic_tuple(r, n, omega) takes it; InputError if not.
 
-    Slot omega_i sends e_i to e_{i+1} (indices cyclic); all other actions are
-    zero, so off-class products over the used alphabet vanish identically.
-    omega must be primitive and use an initial segment 1..r' of the alphabet;
-    symbols above r' become scaled copies A_{r'+j} = A_{1+((j-1) mod r')}/(j+1)
-    so slots stay pairwise distinct with norms below one.
-
-    Verified on every call: rho(P_omega) = 1, rank(P_omega) = 1, op norms of
-    the base slots equal 1, and the exact vanishing of every off-class base
-    product: tuples.off_class_blocks yields none, at the default budget,
-    which its walk of at most r' * n**2 rows stays far within.
+    r >= 1, omega a word over 1..r of length n, primitive, whose letters
+    form an initial segment 1..r' of the alphabet.
     """
     if r < 1:
         raise InputError(f"alphabet size must be >= 1, got {r}")
@@ -59,6 +50,30 @@ def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") ->
         raise InputError(
             f"omega's letters {used} must form an initial segment 1..{r_used}"
         )
+    return omega
+
+
+def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") -> MatrixTuple:
+    """Tuple of r partial permutations on K^n whose characteristic word is omega.
+
+    Slot omega_i sends e_i to e_{i+1} (indices cyclic); all other actions are
+    zero, so off-class products over the used alphabet vanish identically.
+    omega must be primitive and use an initial segment 1..r' of the alphabet;
+    symbols above r' become scaled copies A_{r'+j} = A_{1+((j-1) mod r')}/(j+1)
+    so slots stay pairwise distinct with norms below one.
+
+    The vanishing is a lemma over the base slots' exact 0/1 entries:
+    P_w e_i != 0 exactly when w reads omega cyclically from position i, so
+    a product of length n is nonzero exactly when w is a rotation of omega.
+    Each entry of a product of 0/1 partial permutations is a sum with at
+    most one nonzero term, 1 * 1, so float products equal the exact ones
+    bitwise.  Verified on every call: each base slot a <= r' equals its
+    pattern exactly (1 at (i+1 mod n, i) where omega_i = a, 0 elsewhere),
+    which the lemma needs; then rho(P_omega) = 1, rank(P_omega) = 1, op
+    norms of the base slots equal 1, and the slots are pairwise distinct.
+    """
+    omega = _characteristic_word(r, n, omega)
+    r_used = max(omega)
 
     mats = [np.zeros((n, n)) for _ in range(r_used)]
     for pos, letter in enumerate(omega):
@@ -68,6 +83,13 @@ def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") ->
         mats.append(mats[src - 1] / (j + 1))
     t = MatrixTuple(field, tuple(mats))
 
+    letters, cols = np.array(omega), np.arange(n)
+    for a, slot in enumerate(t.matrices[:r_used], 1):
+        at = cols[letters == a]
+        pattern = np.zeros((n, n))
+        pattern[(at + 1) % n, at] = 1.0
+        if not np.array_equal(slot, pattern):
+            raise ConvergenceError(f"self-check failed: slot {a} is not the 0/1 map of omega's letter {a}")
     p = product_along(t, omega)
     rho, rank = linalg.spectral_radius(p), linalg.rank_eps(p)
     if not abs(rho - 1.0) < 1e-12:
@@ -78,8 +100,6 @@ def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") ->
         raise ConvergenceError("self-check failed: a slot of omega does not have norm 1")
     if any(np.array_equal(a, b) for a, b in combinations(t.matrices, 2)):
         raise ConvergenceError("self-check failed: two slots coincide")
-    for digits, _, _ in off_class_blocks(MatrixTuple(field, t.matrices[:r_used]), omega, DEFAULTS.word_budget):
-        raise ConvergenceError(f"self-check failed: off-class P_{format_word(_words_at(digits[:1])[0])} != 0")
     return t
 
 
@@ -97,8 +117,8 @@ def _truth(word: str | None, norms, *flags) -> dict:
 
 
 def characteristic_truth(r: int, n: int, omega: Word) -> dict:
-    """Known facts about characteristic_tuple(r, n, omega)."""
-    omega = validate_word(omega, r)
+    """Known facts about characteristic_tuple(r, n, omega), for the omega it takes."""
+    omega = _characteristic_word(r, n, omega)
     return _truth(format_word(omega), [], True, True, True, True, True)
 
 

@@ -1138,6 +1138,18 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
     assert (proc.returncode, stderr) == (1, b"")
 
 
+def test_a_refusal_whose_stderr_reader_has_gone_still_exits_2(tmp_path):
+    # the one-line reason is lost, its exit code is not, and nothing reaches stdout
+    read, write = os.pipe()
+    os.close(read)
+    argv = [sys.executable, "-m", "jsrkit.cli", "bounds", "--input", str(tmp_path / "missing.json")]
+    try:
+        proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=write, env=_child_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 def test_main_leaves_the_callers_collector_as_it_is(capsys, tmp_path):
     # tests, perfbench's traced pass and library users call main in process and keep normal GC
     frozen = gc.get_freeze_count()

@@ -15,7 +15,7 @@ from jsrkit import constructions, tuples
 from jsrkit.bounds import bounds
 from jsrkit.errors import ConvergenceError, InputError
 from jsrkit.finiteness import sfh_evidence
-from jsrkit.linalg import op_norm, rank_eps, spectral_radius
+from jsrkit.linalg import rank_eps, spectral_radius
 from jsrkit.norms import WeightedMaxNorm, norm_from_json_dict, verify_barabanov
 from jsrkit.structure import algebra_dimension, is_irreducible
 from jsrkit.constructions import (
@@ -23,8 +23,8 @@ from jsrkit.constructions import (
     characteristic_tuple,
     example_tuple,
 )
-from jsrkit.tuples import MatrixTuple, product_along, to_json, from_json
-from jsrkit.words import enumerate_words, rotation_equivalent
+from jsrkit.tuples import MatrixTuple, to_json, from_json
+from jsrkit.words import enumerate_words, is_primitive, rotation_class
 
 
 def test_two_letter_characteristic_matches_catalogue_fixture():
@@ -35,42 +35,44 @@ def test_two_letter_characteristic_matches_catalogue_fixture():
     assert np.array_equal(t.matrices[1], ex.matrices[0])
 
 
-def test_characteristic_122_suite():
-    omega = (1, 2, 2)
-    t = characteristic_tuple(2, 3, omega)
-    assert t.d == 3
-    for z in enumerate_words(2, 3):
-        p = product_along(t, z)
-        if rotation_equivalent(z, omega):
-            assert rank_eps(p) == 1
+def _characteristic_words(n):
+    """(r', omega) for every primitive word omega of length n whose letters form 1..r', r' <= 3."""
+    return [(max(w), w) for w in enumerate_words(3, n)
+            if set(w) == set(range(1, max(w) + 1)) and is_primitive(w)]
+
+
+def _products_of_length(t, n):
+    """The r^n products P_w of length n as one stack, w in lexicographic order."""
+    slots = stack = np.stack(t.matrices)
+    for _ in range(n - 1):  # P_{wa} = A_a P_w, row w * r + a
+        stack = (slots[None] @ stack[:, None]).reshape(-1, t.d, t.d)
+    return stack
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_characteristic_products_of_length_n_vanish_off_the_class(n, field):
+    # the construction's lemma by brute force: over the base slots, every
+    # product of length n outside omega's rotation class is exactly zero, no
+    # tolerance, and every rotation's product has rank 1 and rho 1; (1, 2, 2)
+    # and (1, 2, 1, 3) are among the Lyndon words, whose tuples are also
+    # irreducible with jsr 1
+    listings = {r: list(enumerate_words(r, n)) for r in (1, 2, 3)}
+    for r, omega in _characteristic_words(n):
+        t = characteristic_tuple(r, n, omega, field=field)
+        assert t.d == n and t.field == field
+        rotations = set(rotation_class(omega))
+        in_class = np.array([w in rotations for w in listings[r]])
+        products = _products_of_length(t, n)
+        assert not np.any(products[~in_class]), omega
+        for p in products[in_class]:
+            assert rank_eps(p) == 1, omega
             assert spectral_radius(p) == pytest.approx(1.0, abs=1e-12)
-        else:
-            assert not np.any(p)  # exactly zero, no tolerance
-    b = bounds(t, 3)
-    assert b.lower == 1.0
-    assert b.upper == 1.0
-    assert algebra_dimension(t) == 9
-    assert is_irreducible(t).status == "Certified"
-    assert rank_eps(product_along(t, omega)) == 1
-    for a in t.matrices:
-        assert op_norm(a) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_characteristic_1213_suite():
-    omega = (1, 2, 1, 3)
-    t = characteristic_tuple(3, 4, omega)
-    assert t.d == 4
-    for z in enumerate_words(3, 4):
-        p = product_along(t, z)
-        if rotation_equivalent(z, omega):
-            assert rank_eps(p) == 1
-        else:
-            assert not np.any(p)
-    b = bounds(t, 4)
-    assert b.lower == 1.0
-    assert b.upper == 1.0
-    assert algebra_dimension(t) == 16
-    assert is_irreducible(t).status == "Certified"
+        if omega == min(rotations):  # rotations of omega give permutation-similar tuples
+            assert algebra_dimension(t) == n * n
+            assert is_irreducible(t).status == "Certified"
+            b = bounds(t, n)
+            assert (b.lower, b.upper) == (1.0, 1.0), omega
 
 
 def test_unused_symbols_become_scaled_copies():
@@ -101,16 +103,18 @@ def test_characteristic_complex_field():
 
 
 def test_characteristic_validation():
-    with pytest.raises(InputError):
-        characteristic_tuple(2, 4, (1, 2, 1, 2))  # proper power
-    with pytest.raises(InputError):
-        characteristic_tuple(3, 2, (1, 3))  # letters skip 2
-    with pytest.raises(InputError):
-        characteristic_tuple(2, 3, (1, 2))  # length mismatch
-    with pytest.raises(InputError):
-        characteristic_tuple(1, 2, (1, 2))  # letter above alphabet
-    with pytest.raises(InputError):
-        characteristic_tuple(0, 1, (1,))
+    # the truth record refuses every omega the construction refuses, with the same reason
+    for args, reason in (
+        ((2, 4, (1, 2, 1, 2)), "proper power"),
+        ((3, 2, (1, 3)), "initial segment"),
+        ((2, 9, (1, 2)), "expected n = 9"),
+        ((2, 3, (1, 2)), "expected n = 3"),
+        ((1, 2, (1, 2)), "above alphabet size 1"),
+        ((0, 1, (1,)), "alphabet size"),
+    ):
+        for build in (characteristic_tuple, characteristic_truth):
+            with pytest.raises(InputError, match=reason):
+                build(*args)
 
 
 def test_characteristic_self_check_failure_raises(monkeypatch):
@@ -119,27 +123,25 @@ def test_characteristic_self_check_failure_raises(monkeypatch):
         characteristic_tuple(2, 3, (1, 2, 2))
 
 
-def test_characteristic_self_check_names_a_nonzero_off_class_product(monkeypatch):
-    # the walk yields only off-class products that are not zero, so any block it yields fails
-    block = (np.array([[0, 0, 1]]), np.ones(1), np.ones((1, 3, 3)))
-    monkeypatch.setattr(constructions, "off_class_blocks", lambda t, omega, budget: iter([block]))
-    with pytest.raises(ConvergenceError, match=r"^self-check failed: off-class P_1,1,2 != 0$"):
+def test_characteristic_self_check_names_a_corrupted_slot(monkeypatch):
+    # the slot pattern check runs on the tuple as stored, before every other check
+    def corrupted(field, mats):
+        return MatrixTuple(field, (mats[0], mats[1] + np.eye(3) * 1e-300, *mats[2:]))
+
+    monkeypatch.setattr(constructions, "MatrixTuple", corrupted)
+    with pytest.raises(ConvergenceError, match=r"^self-check failed: slot 2 is not the 0/1 map of omega's letter 2$"):
         characteristic_tuple(2, 3, (1, 2, 2))
 
 
-def test_characteristic_vanishing_check_charges_the_rows_it_keeps(monkeypatch):
-    # the off-class walk keeps at most 2 * n rows per length, so it runs at the
-    # default budget of 10**7 rows, which the 2**24 words of length 24 would pass,
-    # and past 62 letters, where 2**63 words would not fit one int64 index each
-    counters = []
-    walk = tuples._PrefixStore.walk
-    monkeypatch.setattr(tuples._PrefixStore, "walk",
-                        lambda store, n, budget, **kw: counters.append(budget) or walk(store, n, budget, **kw))
+def test_characteristic_tuple_runs_no_product_walk(monkeypatch):
+    # the slots' 0/1 patterns prove the off-class products zero, so no walk
+    # over them runs, past 62 letters too
+    def no_walk(store, n, budget, **kw):
+        raise AssertionError("characteristic_tuple walked products")
+
+    monkeypatch.setattr(tuples._PrefixStore, "walk", no_walk)
     for n in (24, 63):
-        counters.clear()
         assert characteristic_tuple(2, n, (1,) * (n - 1) + (2,)).d == n
-        (counter,) = counters
-        assert 0 < counter.spent <= 2 * n ** 2, n
 
 
 def _raises_value_error(node) -> bool:

@@ -266,9 +266,7 @@ def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length
     # past 62 letters too, where 2**63 words would not fit one int64 index each
     for omega in ((1, 2, 2, 1, 2, 1, 1, 2, 2, 2, 1, 2, 1, 1, 1, 2), (1,) * 62 + (2,)):
         n = len(omega)
-        asked.clear()
-        t = characteristic_tuple(2, n, omega)  # its self-check walks the off-class products
-        assert 0 < sum(asked) <= 2 * n ** 2, n
+        t = characteristic_tuple(2, n, omega)
         asked.clear()
         report = sfh_evidence(t, omega, WeightedMaxNorm((1.0,) * n), 1.0, samples=sphere_samples(n, 64, seed=0))
         assert (report.passed, report.margin) == (True, 1.0), n
