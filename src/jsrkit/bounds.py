@@ -29,14 +29,14 @@ below floor.  best is the level's running maximum, bar its seed, and floor
 = (1 - _TIE_TOL) * top * (1 - 1e-9), top being the running maximum of the
 necklace values (no lower screening while floor <= 0; a bound that
 overflows to inf or NaN keeps its row).  Full words are screened on the
-yielded block, whose rows each screen gathers from the store as it needs
-them: necklaces whose cap ** (1/n) (the prune's rule at k = n, L_0 = 1),
-then whose linalg.spectral_radius_caps value ** (1/n), is below floor are
-skipped, and eigenvalues are taken of the rest; rows whose cap is strictly
-below max(best, bar) are skipped, and an SVD runs on the rest.  The factor
-1 - 1e-9 absorbs the rounding of the powers, and the cap's margin
-(linalg._CAP_MARGIN, 1e-10) the rounding of sigma_1, of the computed
-L_{n-k} and of the products, so a skipped row can neither tie
+yielded stack, from which each screen gathers only the rows it
+evaluates: necklaces whose cap ** (1/n) (the prune's rule at k = n, L_0 =
+1), then whose linalg.spectral_radius_caps value ** (1/n), is below floor
+are skipped, and eigenvalues are taken of the rest; rows whose cap is
+strictly below max(best, bar) are skipped, and an SVD runs on the rest.
+The factor 1 - 1e-9 absorbs the rounding of the powers, and the cap's
+margin (linalg._CAP_MARGIN, 1e-10) the rounding of sigma_1, of the
+computed L_{n-k} and of the products, so a skipped row can neither tie
 lower nor raise a maximum: every output is that of an unscreened scan.
 bar is 1 - 1e-9 times the largest norm of the 2r products A_a @ P and
 P @ A_a of length n, P being level n - 1's product of largest norm; the
@@ -44,13 +44,15 @@ slack covers a product taken in another order.  bar only prunes and is
 never a maximum; it is 0.0 at level 1, and when those products or their
 norms leave the float range.
 
-Budget accounting: the level walks share one tuples._Budget, which each
-walk charges for every row a prune is asked about, summed over every
-length and level, candidate scans included, whether or not the store
-built the row at that level.  Its BudgetError, past
-the budget, drops the level whose walk raised it: its necklaces, their
-share of lower and its maximum.  Stopping short of the requested depth sets
-partial; a budget that level 1 passes raises BudgetError.
+Budget accounting: the pass's store counts every row that its walks ask
+a prune about, summed over every length and level, candidate scans
+included, whether or not the store built the row at that level.  Its
+BudgetError, past the budget, drops the level whose walk raised it: its
+necklaces, their share of lower and its maximum.  Stopping short of the
+requested depth sets partial; a budget that level 1 passes raises
+BudgetError.  A level maximum of exactly 0 under a positive lower bound
+can only be underflow, since L_n >= jsr ** n >= lower ** n > 0: the
+certificate then raises ConvergenceError naming that length.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 from . import linalg, words
 from .config import DEFAULTS, require_tol
 from .errors import BudgetError, ConvergenceError, InputError
-from .tuples import MatrixTuple, _Budget, _PrefixStore, _Record, _rows
+from .tuples import MatrixTuple, _PrefixStore, _Record
 from .words import Word
 
 
@@ -125,8 +127,8 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
     maxima[1 .. n - 1] (module docstring).  reached is the last level within
     the budget; both come from levels 1 .. reached only (no candidates at 0).
     """
-    candidates, maxima, top, counter, argmax = [], [1.0], -np.inf, _Budget(budget), None
-    store, floor = _PrefixStore(t, depth), -np.inf
+    candidates, maxima, top, argmax = [], [1.0], -np.inf, None
+    store, floor = _PrefixStore(t, depth, budget), -np.inf
 
     def prune(digits: np.ndarray, periods: np.ndarray, caps: np.ndarray, k: int) -> np.ndarray:
         # below a prefix p, rho(P_s P_p) <= op_norm(P_s P_p) <= maxima[n - k] * cap(P_p)
@@ -143,15 +145,15 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
         necklace = words._necklaces(np.arange(n + 1), n, n)  # by period: those that divide n
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # once per walk: its prunes, grows and caps
-                for digits, periods, caps, products, index in store.walk(n, counter, prune=prune):
+                for digits, periods, caps, stack in store.walk(n, prune=prune):
                     rows = necklace[periods].nonzero()[0]
                     if floor > 0 and len(rows):  # first the prune's own rule at k = n, then the radius caps
                         rows = rows[~(caps[rows] ** (1.0 / n) < floor)]
                         if len(rows):
-                            radius_caps = linalg.spectral_radius_caps(_rows(products, index[rows]))
+                            radius_caps = linalg.spectral_radius_caps(stack[rows])
                             rows = rows[~(radius_caps ** (1.0 / n) < floor)]
                     if len(rows):
-                        radii = linalg.spectral_radii(_rows(products, index[rows]))
+                        radii = linalg.spectral_radii(stack[rows])
                         values = np.array([rho ** (1.0 / n) for rho in radii.tolist()])
                         top = max(top, float(values.max()))
                         floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
@@ -161,11 +163,10 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
                             candidates += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
                     live = (~(caps < max(best, bar))).nonzero()[0]
                     if len(live):
-                        stack = _rows(products, index[live])
-                        norms = linalg.op_norms(stack)
+                        norms = linalg.op_norms(stack[live])
                         i = int(np.argmax(norms))
                         if norms[i] > best:
-                            best, argmax = float(norms[i]), stack[i].copy()  # a copy outlives the walk's rows
+                            best, argmax = float(norms[i]), stack[live[i]].copy()  # a copy outlives the block
             maxima.append(best)
         except BudgetError:  # past the budget: level n is dropped whole
             del candidates[before[0]:], maxima[n:]
@@ -186,13 +187,16 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
 
 
 def _certificate(levels, max_depth: int, budget: int) -> JsrBounds:
-    """bounds' certificate from levels, a _levels pass to max_depth; BudgetError if it kept no level."""
+    """bounds' certificate from levels, a _levels pass to max_depth; BudgetError if it kept no level,
+    ConvergenceError if the chosen level maximum underflowed to 0 under a positive lower bound."""
     candidates, maxima, depth = levels
     if depth == 0:
         raise BudgetError(f"enumeration budget {budget} cannot cover even level 1")
     lower_witness, lower = candidates[0]
     # the first level with the least L_n ** (1/n)
     upper, upper_level = min((m ** (1.0 / n), n) for n, m in enumerate(maxima[1:], start=1))
+    if lower > 0.0 and maxima[upper_level] == 0.0:
+        raise ConvergenceError(f"products of length {upper_level} underflow; the tuple's scale is out of range")
     return JsrBounds(
         lower=lower,
         upper=float(upper),

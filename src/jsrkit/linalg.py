@@ -75,28 +75,27 @@ def _scaled_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(stack, -exps[:, None, None]), exps
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each row of a contiguous stack, real or complex, in one einsum pass."""
-    parts = stack.view(stack.real.dtype) if np.iscomplexobj(stack) else stack
-    return np.sqrt(np.einsum("kij,kij->k", parts, parts))
+def _sums(stack: np.ndarray) -> np.ndarray:
+    """Each row's sum of squared entry moduli, in one einsum pass over the real view of a complex stack."""
+    parts = np.ascontiguousarray(stack).view(stack.real.dtype) if np.iscomplexobj(stack) else stack
+    return np.einsum("kij,kij->k", parts, parts)
 
 
-# A real stack whose rows' sums of squared entries all lie in this range is
-# capped as it is, with no scaling: multiplying such a row by a power of two
-# (_scaled_rows) scales its squares, their sums, square roots and products
-# exactly, so the caps come out the same bitwise, and no copy is made.  An
-# exactly zero row, whose sum 0 is exact, is capped as it is too; a sum of 0
-# alone proves nothing, as squares of entries below about 1e-162 underflow.
+# A stack, real or complex, whose rows' sums of squared entry moduli all lie
+# in this range is capped as it is, with no scaling: multiplying such a row by
+# a power of two (_scaled_rows) scales its squares, their sums, square roots
+# and products exactly, so the caps come out the same bitwise, and no copy is
+# made.  An exactly zero row, whose sum 0 is exact, is capped as it is too; a
+# sum of 0 alone proves nothing, as squares of entries below about 1e-162
+# underflow.
 _UNSCALED_SUMS = (2.0 ** -900, 2.0 ** 900)
 
 
 def _sums_in_range(stack: np.ndarray):
-    """Each row's sum of squared entries when stack is real and every row's sum lies in
-    _UNSCALED_SUMS or the row is exactly zero, else None."""
-    if np.iscomplexobj(stack):
-        return None
+    """Each row's _sums value when every row's sum lies in _UNSCALED_SUMS or the row is
+    exactly zero, else None."""
     with np.errstate(over="ignore"):
-        sums = np.einsum("kij,kij->k", stack, stack)
+        sums = _sums(stack)
     lo, hi = _UNSCALED_SUMS
     out = ~((sums >= lo) & (sums <= hi))
     return None if np.count_nonzero(out) and stack[out].any() else sums
@@ -116,7 +115,7 @@ def op_norm_caps(stack: np.ndarray) -> np.ndarray:
     if sums is not None:  # nothing to undo, and no bound in range overflows
         return np.sqrt(sums) * _CAP_MARGIN
     scaled, exps = _scaled_rows(stack)
-    norms = _frobenius(scaled)
+    norms = np.sqrt(_sums(scaled))
     with np.errstate(over="ignore"):
         return np.ldexp(norms * _CAP_MARGIN, exps)
 
@@ -152,7 +151,7 @@ def spectral_radius_caps(stack: np.ndarray) -> np.ndarray:
         norms, square, exps = np.sqrt(sums), np.sqrt(square_sums), None
     else:
         scaled, exps = _scaled_rows(stack)
-        norms, square = _frobenius(scaled), _frobenius(np.matmul(scaled, scaled))
+        norms, square = np.sqrt(_sums(scaled)), np.sqrt(_sums(np.matmul(scaled, scaled)))
     slack = _RADIUS_CAP_K * stack.shape[1] * np.finfo(float).eps * norms ** 2
     if exps is None:  # nothing to undo, and no bound in range overflows
         return np.sqrt(square * _CAP_MARGIN + slack) * _CAP_MARGIN

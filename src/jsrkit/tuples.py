@@ -161,19 +161,6 @@ def product_along(t: MatrixTuple, w: Word) -> np.ndarray:
     return out
 
 
-class _Budget:
-    """The rows that the product walks of one call have asked about (spent), and their limit."""
-
-    def __init__(self, limit: int):
-        self.limit, self.spent = limit, 0
-
-    def charge(self, rows: int, n: int) -> None:
-        """Add rows to spent; BudgetError once spent passes the limit."""
-        self.spent += rows
-        if self.spent > self.limit:
-            raise BudgetError(f"enumeration of products of length {n} exceeds budget {self.limit} rows")
-
-
 def _products_below(slots: np.ndarray, stack: np.ndarray, k: int, out=None) -> np.ndarray:
     """A_letter @ P for each prefix product P of length k in stack, prefix by prefix, in one batched matmul.
 
@@ -201,37 +188,44 @@ def _rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 class _PrefixStore:
-    """The one walk over products: the prefix products of its walks, each built once.
+    """The one walk over products: the prefix products of its walks, each built once, and their budget.
 
-    A kept row holds a prefix's FKM period, its product P_w, its
-    linalg.op_norm_caps value and the row of its first child, -1 until its
-    children are kept; the r children of a prefix are consecutive rows.
-    walk(n, budget, prune=...) runs words.prefix_blocks over the words of
-    length n, in lexicographic order, with pieces that carry row numbers:
-    each row is charged to budget, one call's counter, before
-    prune(digits, periods, caps, k) sees its caps (BudgetError past its
-    limit).  The empty word's children are the slots and a prefix's are
-    A_letter @ P_prefix in one batched matmul per piece (_products_below),
-    product_along's 2-D products, so each P_w equals it bitwise.  Only
-    children that no earlier walk of the store kept are built, written into
-    the store, and parents that form one run of rows are read in place.
-    bounds._levels walks one store per level pass.  off_class_blocks walks
-    a store of depth 1 once per scan: it keeps only the slots, and every
-    later row goes into the scratch rows of its length, since a single walk
-    reads no row again once its children are built.  Rows are kept first
-    come, first served, up to _STORE_BLOCKS * config.BLOCK_BYTES bytes of
-    products and no more rows than there are words shorter than depth, or
-    r.  When a piece's children do
-    not all fit, have length depth (no later walk asks about them) or have
-    parents that are not kept, all of them are built into the scratch rows
-    of their length, numbered from capacity up: one buffer per length,
-    reused piece after piece.  A piece is grown only after every piece of
-    its children's length waiting in the walk is done, so those rows serve
-    until the next piece of that length is grown.
+    walk(n, prune=...) runs words.prefix_blocks over the words of length n,
+    in lexicographic order, and yields (digits, periods, caps, stack): the
+    words' digit rows and periods, the linalg.op_norm_caps values of their
+    products and those products as a (k, d, d) stack, valid until the next
+    block is asked for.  Each row a walk asks its prune about is added to
+    spent, the count of every walk of the store, before
+    prune(digits, periods, caps, k) sees its caps: BudgetError once spent
+    passes budget.  The empty word's children are the slots and a prefix's
+    are A_letter @ P_prefix in one batched matmul per piece
+    (_products_below), product_along's 2-D products, so each P_w equals it
+    bitwise.  bounds._levels walks one store per level pass.
+    off_class_blocks walks a store of depth 1 once per scan: it keeps only
+    the slots, and every later row goes into the scratch rows of its
+    length, since a single walk reads no row again once its children are
+    built.
+
+    Inside, the walk's pieces carry row numbers.  A kept row holds a
+    prefix's FKM period, its product P_w, its cap and the row of its first
+    child, -1 until its children are kept; the r children of a prefix are
+    consecutive rows.  Only children that no earlier walk of the store kept
+    are built, written into the store.  Rows are kept first come, first
+    served, up to _STORE_BLOCKS * config.BLOCK_BYTES bytes of products and
+    no more rows than there are words shorter than depth, or r.  When a
+    piece's children do not all fit, have length depth (no later walk asks
+    about them) or have parents that are not kept, all of them are built
+    into the scratch rows of their length, numbered from capacity up: one
+    buffer per length, reused piece after piece.  A piece is grown only
+    after every piece of its children's length waiting in the walk is done,
+    so those rows serve until the next piece of that length is grown.
+    Parents, and the products of a yielded block, that form one run of rows
+    are read in place (_rows).
     """
 
-    def __init__(self, t: MatrixTuple, depth: int):
+    def __init__(self, t: MatrixTuple, depth: int, budget: int):
         self.slots, self.r, self.depth = np.stack(t.matrices), t.r, depth
+        self.budget, self.spent = budget, 0  # rows asked about, by every walk of the store
         # no pass keeps more rows than there are words of lengths 1 .. depth - 1, or r
         bound, rows, words = _STORE_BLOCKS * config.BLOCK_BYTES // self.slots[0].nbytes, t.r, t.r
         for _ in range(depth - 2):
@@ -289,28 +283,29 @@ class _PrefixStore:
         self.scratch[k + 1] = buffer, linalg.op_norm_caps(built)
         return children, _child_periods(digits, periods, r), self.capacity + np.arange(m)
 
-    def walk(self, n: int, budget: _Budget, *, prune):
-        """Yield (digits, periods, caps, products, rows), the blocks of length n as _rows(products, rows)
-        with their caps, each valid until the next is asked for.  Run under the caller's
-        np.errstate(over="ignore", invalid="ignore"), which covers its prunes, grows and caps."""
+    def walk(self, n: int, *, prune):
+        """Yield (digits, periods, caps, stack), the blocks of length n, each valid until the next is
+        asked for.  Run under the caller's np.errstate(over="ignore", invalid="ignore"), which covers
+        its prunes, grows and caps."""
         def charged(digits, periods, index, k):
-            budget.charge(len(digits), n)
+            self.spent += len(digits)
+            if self.spent > self.budget:
+                raise BudgetError(f"enumeration of products of length {n} exceeds budget {self.budget} rows")
             _, caps, rows = self._table(k, index)
             return prune(digits, periods, caps[rows], k)
         for digits, periods, index in prefix_blocks(self.r, n, self.slots[0].nbytes, prune=charged, grow=self._grow):
             products, caps, rows = self._table(n, index)
-            yield digits, periods, caps[rows], products, rows
+            yield digits, periods, caps[rows], _rows(products, rows)
 
 
 def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
     """Yield (digits, caps, stack) over the words of length n = |omega| outside omega's rotation class.
 
-    One walk of a _PrefixStore of depth 1, which keeps only the slots,
-    charged against a budget of its own, with stack = _rows(products, rows),
-    valid until the next block is asked for.  The prune ignores the
-    periods.  It drops each row whose cap is 0, exactly
-    the zero products (linalg.op_norm_caps), at every length, with its
-    subtree (a finite number times +-0 is +-0), and omega's rotations at
+    One walk of a _PrefixStore of depth 1, which keeps only the slots, with
+    a budget of its own; each stack is valid until the next block is asked
+    for.  The prune ignores the periods.  It drops each row whose cap is 0,
+    exactly the zero products (linalg.op_norm_caps), at every length, with
+    its subtree (a finite number times +-0 is +-0), and omega's rotations at
     k = n, looked up by words._rows_among.  Only the walk's own steps run
     under np.errstate(over="ignore", invalid="ignore"); the caller's work
     on each block runs outside it."""
@@ -320,14 +315,14 @@ def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
     def prune(digits, periods, caps, k):
         zero = caps == 0
         return zero | rotation(digits) if k == n else zero
-    walk = _PrefixStore(t, 1).walk(n, _Budget(budget), prune=prune)
+    walk = _PrefixStore(t, 1, budget).walk(n, prune=prune)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             block = next(walk, None)
         if block is None:
             return
-        digits, _, caps, products, rows = block
-        yield digits, caps, _rows(products, rows)
+        digits, _, caps, stack = block
+        yield digits, caps, stack
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:

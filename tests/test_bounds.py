@@ -190,13 +190,13 @@ def _asked_rows(monkeypatch, prefixes_only=False):
     """The rows that bounds' walks ask their prune about, one count per call, prefixes only if asked."""
     walk, rows = tuples._PrefixStore.walk, []
 
-    def spy(store, n, budget, *, prune):
+    def spy(store, n, *, prune):
         def counted(digits, periods, caps, k):
             if k < n or not prefixes_only:
                 rows.append(len(caps))
             return prune(digits, periods, caps, k)
 
-        return walk(store, n, budget, prune=counted)
+        return walk(store, n, prune=counted)
 
     monkeypatch.setattr(tuples._PrefixStore, "walk", spy)
     return rows
@@ -219,9 +219,9 @@ def test_levels_run_one_walk_each(monkeypatch):
     # n before level n + 1, and the candidate search runs the same pass
     walk, walks = tuples._PrefixStore.walk, []
 
-    def spy(store, n, budget, *, prune):
+    def spy(store, n, *, prune):
         walks.append(n)
-        return walk(store, n, budget, prune=prune)
+        return walk(store, n, prune=prune)
 
     monkeypatch.setattr(tuples._PrefixStore, "walk", spy)
     t = _diag_dominant_pair()
@@ -241,12 +241,12 @@ def _pass(t, depth, budget, store_blocks=None):
     engine, walk = importlib.import_module("jsrkit.bounds"), tuples._PrefixStore.walk
     products_below, asked, built, stores = tuples._products_below, [], [], []
 
-    def counted_walk(store, n, budget, *, prune):
+    def counted_walk(store, n, *, prune):
         def counted(digits, periods, caps, k):
             asked.append((n, k, caps.tobytes()))
             return prune(digits, periods, caps, k)
         stores.append(store)
-        return walk(store, n, budget, prune=counted)
+        return walk(store, n, prune=counted)
 
     def counted_products(*args):
         built.append(len(args[1]) * t.r)
@@ -314,7 +314,7 @@ def test_the_prefix_store_reads_parents_out_of_row_order_as_product_along_does(m
     # order, and their children must still be read row by row
     rng = np.random.default_rng(4)
     t = MatrixTuple("real", tuple(rng.normal(0.0, 0.5, (3, 3)) for _ in range(2)))
-    store, seen, rows = tuples._PrefixStore(t, 5), [], tuples._rows
+    store, seen, rows = tuples._PrefixStore(t, 5, 10 ** 6), [], tuples._rows
     monkeypatch.setattr(tuples, "_rows", lambda table, index: seen.append(index.tolist()) or rows(table, index))
 
     def expected(digits):
@@ -326,8 +326,8 @@ def test_the_prefix_store_reads_parents_out_of_row_order_as_product_along_does(m
             assert caps.tobytes() == expected(digits)[1]
             return (digits[:, -1] == 1) if (n, k) == (3, 2) else np.zeros(len(caps), dtype=bool)
 
-        for digits, _, caps, products, index in store.walk(n, tuples._Budget(10 ** 6), prune=prune):
-            assert (rows(products, index).tobytes(), caps.tobytes()) == expected(digits)
+        for digits, _, caps, stack in store.walk(n, prune=prune):
+            assert (stack.tobytes(), caps.tobytes()) == expected(digits)
     assert [6, 7, 10, 11, 8, 9, 12, 13] in seen
 
 
@@ -432,17 +432,17 @@ def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
     store_walk, spectral_radii = tuples._PrefixStore.walk, linalg.spectral_radii
     screened, radii, top = [], [], [-np.inf, 1]  # the largest value so far, and the level
 
-    def walk(store, n, budget, *, prune):
+    def walk(store, n, *, prune):
         top[1] = n
-        for digits, periods, caps, products, index in store_walk(store, n, budget, prune=prune):
+        for digits, periods, caps, stack in store_walk(store, n, prune=prune):
             necklace = words._necklaces(periods, n, n)
-            necklaces, necklace_caps = products[index[necklace]], caps[necklace]
+            necklaces, necklace_caps = stack[necklace], caps[necklace]
             floor = (1.0 - 1e-9) * top[0] * (1.0 - 1e-9)
             if floor > 0:
                 necklaces = necklaces[~(necklace_caps ** (1.0 / n) < floor)]
                 necklaces = necklaces[~(linalg.spectral_radius_caps(necklaces) ** (1.0 / n) < floor)]
             screened.append(necklaces.tobytes())
-            yield digits, periods, caps, products, index
+            yield digits, periods, caps, stack
 
     def spy(stack):
         radii.append(stack.tobytes())
@@ -457,6 +457,19 @@ def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
     assert b"".join(screened) == b"".join(radii)
     # the screen drops most necklaces here
     assert 0 < rows < sum(len(list(words.enumerate_necklaces(2, n))) for n in range(1, 12)) // 2
+
+
+def test_a_level_maximum_that_underflows_to_zero_is_named():
+    # L_n >= jsr ** n > 0 whenever lower > 0, so a level maximum of exactly 0
+    # under a positive lower bound is underflow: (1e-200) ** 2 is 0.0
+    tiny = MatrixTuple("real", (np.array([[1e-200]]),))
+    with pytest.raises(ConvergenceError, match="^products of length 2 underflow; the tuple's scale is out of range$"):
+        bounds(tiny, 2)
+    b = bounds(tiny, 1)
+    assert (b.lower, b.upper, b.upper_level) == (1e-200, 1e-200, 1)
+    # a nilpotent slot's zero maximum is exact, and its lower bound is 0 too
+    b = bounds(MatrixTuple("real", (np.array([[0.0, 1.0], [0.0, 0.0]]),)), 2)
+    assert (b.lower, b.upper, b.upper_level) == (0.0, 0.0, 2)
 
 
 def test_a_seed_past_the_float_range_keeps_the_walks_error():
@@ -662,12 +675,12 @@ def test_candidate_budget_counts_the_rows_the_walks_keep(monkeypatch):
     # the scan to depth 5 needs a budget of 50
     walk, rows = tuples._PrefixStore.walk, {}
 
-    def spy(store, n, budget, *, prune):
+    def spy(store, n, *, prune):
         def counted(digits, periods, caps, k):
             rows[n] = rows.get(n, 0) + len(caps)
             return prune(digits, periods, caps, k)
 
-        return walk(store, n, budget, prune=counted)
+        return walk(store, n, prune=counted)
 
     monkeypatch.setattr(tuples._PrefixStore, "walk", spy)
     candidates = spectral_maximal_candidates(_shift_pair(), 5, budget=50)

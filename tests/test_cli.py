@@ -176,6 +176,23 @@ def test_malformed_payload_exits_2_with_one_line(capsys, tmp_path, kind, payload
     assert "Traceback" not in err
 
 
+def test_underflowing_level_maxima_are_named_by_every_command_that_bounds(capsys, tmp_path):
+    # the products of length 2 of [[1e-200]], and of example 1 (0.3, 0.5) times
+    # 1e-200, underflow to zero: bounds, rank1 and a default rho_hat refuse with
+    # that reason, and no bounds out of order
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(to_json(MatrixTuple("real", (np.array([[1e-200]]),))))
+    ex1 = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
+    small = tmp_path / "small.json"
+    small.write_text(to_json(scale(from_json(Path(ex1).read_text()), 1e-200)))
+    reason = "numerical failure: products of length 2 underflow; the tuple's scale is out of range\n"
+    for argv in (["bounds", "--input", str(tiny), "--depth", "2"],
+                 ["bounds", "--input", str(small), "--depth", "4"],
+                 ["rank1", "--input", str(small), "--depth", "3"],
+                 ["barabanov", "approx", "--input", str(small), "--depth", "4"]):
+        assert _run(capsys, argv) == (2, "", reason), argv
+
+
 def test_failures_past_the_input_checks_exit_2_in_process(capsys, tmp_path):
     ex1 = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
     huge = tmp_path / "huge.json"
@@ -673,13 +690,16 @@ def test_irreducible_near_the_float_maximum_prints_no_warning(tmp_path):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_underflowing_tuple_is_numerical_failure(tmp_path, flags):
-    # every product of length >= 2 underflows to zero, so upper 0 < lower 1e-200
+    # every product of length >= 2 underflows to zero: the level maximum L_2 = 0
+    # under lower 2e-200 is named as underflow, not as upper 0 < lower
     tiny = tmp_path / "tiny.json"
     tiny.write_text(to_json(MatrixTuple("real", (np.full((2, 2), 1e-200),))))
     proc = _cli_subprocess(flags, "bounds", "--input", str(tiny), "--depth", "3")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr == (
+        "numerical failure: products of length 2 underflow; the tuple's scale is out of range\n"
+    )
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

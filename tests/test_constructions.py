@@ -136,7 +136,7 @@ def test_characteristic_self_check_names_a_corrupted_slot(monkeypatch):
 def test_characteristic_tuple_runs_no_product_walk(monkeypatch):
     # the slots' 0/1 patterns prove the off-class products zero, so no walk
     # over them runs, past 62 letters too
-    def no_walk(store, n, budget, **kw):
+    def no_walk(store, n, **kw):
         raise AssertionError("characteristic_tuple walked products")
 
     monkeypatch.setattr(tuples._PrefixStore, "walk", no_walk)

@@ -183,11 +183,11 @@ def test_spectral_radius_caps_bound_spectral_radii_at_every_scale():
 
 
 def test_caps_of_unscaled_stacks_equal_the_scaled_formula_bitwise(monkeypatch):
-    # a real stack whose rows' sums of squares all lie in [2**-900, 2**900],
-    # or are exactly zero rows, is capped without the power-of-two scaling,
-    # which is exact there: the caps equal those of the scaled formula bit for
-    # bit; complex rows, and rows out of that range, take the scaled formula
-    # itself, rows of 1e-170 or 5e-324 too, whose squares underflow to a sum of 0
+    # a stack, real or complex, whose rows' sums of squared entry moduli all
+    # lie in [2**-900, 2**900], or are exactly zero rows, is capped without the
+    # power-of-two scaling, which is exact there: the caps equal those of the
+    # scaled formula bit for bit; rows out of that range take the scaled
+    # formula itself, rows of 1e-170 or 5e-324 too, whose squares underflow to a sum of 0
     rng = np.random.default_rng(33)
     stacks, unscaled, scaled = [], [], []
     for d in (1, 2, 3, 5, 8, 12, 20, 28):
@@ -199,7 +199,8 @@ def test_caps_of_unscaled_stacks_equal_the_scaled_formula_bitwise(monkeypatch):
         stacks += [mixed, rank_one * 2.0 ** -300, np.triu(rng.standard_normal((12, d, d)), 1) * 2.0 ** 200]
         stacks += [np.concatenate([mixed, np.zeros((1, d, d))]), mixed + 1j * rng.standard_normal((12, d, d))]
         zeros, underflowing = np.zeros((2, d, d)), np.full((3, d, d), 1e-170)
-        unscaled += [zeros, np.concatenate([zeros[:1], mixed, -zeros])]
+        unscaled += [zeros, np.concatenate([zeros[:1], mixed, -zeros]),
+                     np.concatenate([zeros[:1], mixed + 1j * mixed[::-1]])]
         scaled += [np.concatenate([zeros, underflowing]), np.concatenate([mixed, underflowing, zeros])]
         lone = np.zeros((1, d, d))
         lone[0, -1, 0] = 5e-324  # the least subnormal, whose square underflows too

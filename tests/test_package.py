@@ -69,13 +69,16 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
                                 np.array([[0.0, 0.5], [1.0, 0.0]])))
     (tmp_path / "pair.json").write_text(to_json(pair))
     (tmp_path / "ell3.json").write_text('{"variant": "ellp", "p": 3.0}')
+    (tmp_path / "max11.json").write_text('{"variant": "weighted_max", "weights": [1.0, 1.0]}')
     core = {"jsrkit", "jsrkit.bounds", "jsrkit.tuples", "jsrkit.words"}
 
     words = _loaded(["words", "--alphabet", "2", "--length", "3"], tmp_path)
     bounds = _loaded(["bounds", "--input", "pair.json", "--depth", "3"], tmp_path)
     construct = _loaded(["construct", "--word", "1,2"], tmp_path)
-    # n = 12 checks the 2^12 - 12 off-class products in blocks large enough that np.isin would sort
-    long_word = _loaded(["construct", "--word", "1,2,1,1,2,2,2,2,1,2,2,2"], tmp_path)
+    # the offender scan of a 12-letter word looks its rotations up among blocks of up to 2^12 - 12
+    # off-class words, large enough that np.isin would sort
+    long_word = _loaded(["sfh", "--input", "pair.json", "--word", "1,2,1,1,2,2,2,2,1,2,2,2",
+                         "--norm", "max11.json", "--rho-hat", "1"], tmp_path)
     irreducible = _loaded(["irreducible", "--input", "pair.json"], tmp_path)
     approx = _loaded(["barabanov", "approx", "--input", "pair.json", "--rho-hat", "1"], tmp_path)
     sfh = _loaded(["sfh", "--input", "pair.json", "--word", "1,2", "--rho-hat", "1"], tmp_path)

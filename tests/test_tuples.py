@@ -15,9 +15,9 @@ from jsrkit.finiteness import sfh_evidence
 from jsrkit.norms import WeightedMaxNorm, sphere_samples
 
 
-def _budget():
-    """A fresh counter at the default budget, for one call's product walks."""
-    return tuples._Budget(config.DEFAULTS.word_budget)
+def _store(t, depth):
+    """A fresh prefix store of the given depth at the default budget, as one call's product walks have."""
+    return tuples._PrefixStore(t, depth, config.DEFAULTS.word_budget)
 
 
 def _shift_pair():
@@ -87,13 +87,12 @@ def _blocks(t, n, necklaces=False, prune=_keep):
         return drop | ~words._necklaces(periods, k, n) if necklaces else drop
 
     with np.errstate(over="ignore", invalid="ignore"):  # the walk's caller enters it
-        blocks = [(digits, tuples._rows(products, rows).copy()) for digits, _, _, products, rows
-                  in tuples._PrefixStore(t, n).walk(n, _budget(), prune=walk_prune)]
+        blocks = [(digits, stack.copy()) for digits, _, _, stack in _store(t, n).walk(n, prune=walk_prune)]
     got = [w for digits, _ in blocks for w in words._words_at(digits)]
     return got, blocks
 
 
-def test_product_blocks_match_product_along_bitwise(monkeypatch):
+def test_store_walk_matches_product_along_bitwise(monkeypatch):
     rng = np.random.default_rng(15)
     default_cap, default_blocks = config.BLOCK_BYTES, tuples._STORE_BLOCKS
     # one slot and 3000 letters, far past the interpreter's recursion limit,
@@ -128,7 +127,7 @@ def test_product_blocks_match_product_along_bitwise(monkeypatch):
                             assert max(len(digits) for digits, _ in blocks) == min(fit, r ** n)
                     # every walk carries the periods that mark the necklaces
                     with np.errstate(over="ignore", invalid="ignore"):
-                        marked = [w for digits, periods, *_ in tuples._PrefixStore(t, n).walk(n, _budget(), prune=_keep)
+                        marked = [w for digits, periods, *_ in _store(t, n).walk(n, prune=_keep)
                                   for w, mark in zip(words._words_at(digits), words._necklaces(periods, n, n)) if mark]
                     assert marked == list(words.enumerate_necklaces(r, n)), (r, n)
     # the empty word's children are the slots themselves, not I @ A, so -0.0 stays
@@ -138,7 +137,7 @@ def test_product_blocks_match_product_along_bitwise(monkeypatch):
         assert stack.tobytes() == t.matrices[0].tobytes()
 
 
-def test_product_blocks_prune_drops_subtrees():
+def test_store_walk_prune_drops_subtrees():
     rng = np.random.default_rng(16)
     t = tuples.MatrixTuple("real", tuple(rng.standard_normal((2, 2)) for _ in range(3)))
     below = linalg.op_norm_caps(np.array([tuples.product_along(t, (2, 1, x)) for x in (1, 2, 3)]))
@@ -160,7 +159,7 @@ def test_product_blocks_prune_drops_subtrees():
         assert set(asked) == {1, 2, 3, 4, 5}
 
 
-def test_product_blocks_yield_no_empty_block(monkeypatch):
+def test_store_walk_yields_no_empty_block(monkeypatch):
     # one prefix per piece: (1,2,2,1) is a pre-necklace with no necklace
     # child of length 5, and a prune that drops everything leaves nothing
     t = tuples.MatrixTuple("real", (np.eye(2), 2.0 * np.eye(2)))
@@ -175,7 +174,7 @@ def test_product_blocks_yield_no_empty_block(monkeypatch):
         assert _blocks(t, 5, necklaces=necklaces, prune=drop_all) == ([], [])
 
 
-def test_product_blocks_cut_prefix_pieces_by_rows(monkeypatch):
+def test_store_walk_cuts_prefix_pieces_by_rows(monkeypatch):
     # with a cap of a few products and a prune that drops nothing, every piece
     # of prefixes holds max(1, leaf_rows // r) rows, whatever its length, but
     # the last slice of its parent's children; the LIFO list never holds more
@@ -200,6 +199,25 @@ def test_product_blocks_cut_prefix_pieces_by_rows(monkeypatch):
             assert got == list(words.enumerate_words(r, n))
             assert waiting[0] == 0 and 0 < peak[0] <= n * leaf_rows, (r, leaf_rows, n)
             assert all(len(digits) <= r * step for digits, _ in blocks)
+
+
+def test_the_store_charges_every_walk_over_it_to_one_budget():
+    # spent sums the rows that every walk of one store asks its prune about:
+    # with nothing pruned, level n asks about 2**(n + 1) - 2 rows, 114 through
+    # level 5; a further walk passes the budget before its prune sees a row
+    store, asked = tuples._PrefixStore(_shift_pair(), 5, 114), []
+
+    def count(digits, periods, caps, k):
+        asked.append(len(caps))
+        return _keep(digits, periods, caps, k)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, 6):
+            assert sum(len(stack) for *_, stack in store.walk(n, prune=count)) == 2 ** n
+        assert store.spent == sum(asked) == 114
+        with pytest.raises(BudgetError, match="^enumeration of products of length 1 exceeds budget 114 rows$"):
+            next(store.walk(1, prune=count))
+    assert (store.spent, sum(asked)) == (116, 114)
 
 
 def _off_class(t, omega):
@@ -255,12 +273,12 @@ def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length
     asked = []
     walk = tuples._PrefixStore.walk
 
-    def counting(store, n, budget, *, prune):
+    def counting(store, n, *, prune):
         def counted(digits, periods, caps, k):
             asked.append(len(digits))
             return prune(digits, periods, caps, k)
 
-        return walk(store, n, budget, prune=counted)
+        return walk(store, n, prune=counted)
 
     monkeypatch.setattr(tuples._PrefixStore, "walk", counting)
     # past 62 letters too, where 2**63 words would not fit one int64 index each
@@ -279,7 +297,7 @@ def test_off_class_scan_keeps_only_the_slots(monkeypatch):
     stores = []
     walk = tuples._PrefixStore.walk
     monkeypatch.setattr(tuples._PrefixStore, "walk",
-                        lambda store, n, budget, **kw: stores.append(store) or walk(store, n, budget, **kw))
+                        lambda store, n, **kw: stores.append(store) or walk(store, n, **kw))
     no_zero = tuples.MatrixTuple("real", (np.diag([1.0, 0.5]), np.array([[0.0, 0.5], [0.5, 0.0]])))
     omega = (1, 2, 3, 3, 1, 2, 2)
     cases = ((no_zero, (1, 2) * 3 + (1,)), (characteristic_tuple(3, len(omega), omega), omega))
@@ -302,7 +320,7 @@ def test_off_class_blocks_look_rotations_up_by_their_bytes():
         assert len(got) == r ** len(omega) - len(rotations), (r, omega)
 
 
-def test_product_blocks_errors():
+def test_store_walk_errors():
     # no product of this pair is zero, so the scan of length 11 keeps every prefix and passes 100 rows
     t = tuples.MatrixTuple("real", (np.diag([1.0, 0.5]), np.array([[0.0, 0.5], [0.5, 0.0]])))
     with pytest.raises(BudgetError, match="^enumeration of products of length 11 exceeds budget 100 rows$"):
