@@ -7,6 +7,7 @@ reference tuples with known behaviour.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .bounds import (
     JsrBounds,
@@ -74,62 +75,11 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxResult",
-    "BudgetError",
-    "ConvergenceError",
-    "DEFAULTS",
-    "InputError",
-    "JsrBounds",
-    "JsrkitError",
-    "LpNorm",
-    "MatrixTuple",
-    "MeshNorm",
-    "PropertyVerdict",
-    "SFH_CAVEAT",
-    "SfhReport",
-    "VerificationReport",
-    "WeightedMaxNorm",
-    "Word",
-    "algebra_dimension",
-    "approx_barabanov",
-    "bounds",
-    "canonical_rotation",
-    "characteristic_truth",
-    "characteristic_tuple",
-    "characteristic_word_search",
-    "circle_mesh",
-    "enumerate_necklaces",
-    "enumerate_words",
-    "eval_norm",
-    "example_tuple",
-    "exterior_square",
-    "exterior_square_tuple",
-    "finiteness_verified_at_depth",
-    "format_word",
-    "from_json",
-    "is_irreducible",
-    "is_primitive",
-    "matrix_norm",
-    "norm_distance",
-    "norm_from_json_dict",
-    "norm_to_json_dict",
-    "op_norm",
-    "parse_word",
-    "power",
-    "product_along",
-    "rank_eps",
-    "rank_one_property",
-    "rotation_equivalent",
-    "scale",
-    "sfh_evidence",
-    "spectral_maximal_candidates",
-    "spectral_radius",
-    "sphere_samples",
-    "theta",
-    "to_json",
-    "tuple_distance",
-    "verify_barabanov",
-    "verify_extremal",
-    "__version__",
-]
+# The public names: those the imports above bind (the submodules they load
+# become attributes too, but are not names to export), the lazy names, and
+# the version.
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_LAZY)
+) + ["__version__"]

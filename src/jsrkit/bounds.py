@@ -60,9 +60,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, words
-from .config import DEFAULTS, require_tol
+from .config import DEFAULTS, _Record, require_tol
 from .errors import BudgetError, ConvergenceError, InputError
-from .tuples import MatrixTuple, _PrefixStore, _Record
+from .tuples import MatrixTuple, _PrefixStore
 from .words import Word
 
 

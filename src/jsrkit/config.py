@@ -7,39 +7,96 @@ resolved once, at the call, and the helpers below it take it resolved.
 ``None`` is not a default: leave an argument out to get the value below.
 Every field is read outside this module; a fixed constant that no caller
 sets, like the tie window bounds._TIE_TOL, lives with its code instead.
+The record type that Defaults and every other record use, _Record, lives
+here too, in the one module that every layer imports.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import InputError
 
 
-class Defaults(NamedTuple):
+class _Record:
+    """Immutable record over __slots__: the one record type of the package.
+
+    A subclass names its public fields in _fields.  The constructor binds
+    them by position or by name, each once; a subclass that checks its input
+    defines its own __init__ and stores each slot once, through _set.  Any
+    later assignment raises AttributeError.  Equality, hashing, repr and
+    pickling cover the fields named in _fields, in order, so a cached slot
+    stays out of them, and a record equals only a record of its own class.
+    """
+
+    __slots__ = _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        values = {**dict(zip(self._fields, args)), **kwargs}
+        # each field once: a missing, repeated, unknown or surplus one changes a count or a key
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields} once each, "
+                            f"got {len(args)} by position and {sorted(kwargs)} by name")
+        self._set(**values)
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Defaults(_Record):
+    __slots__ = _fields = (
+        "depth", "word_budget", "close_tol", "rank_one_tol", "rank_tol", "span_drop_tol",
+        "witness_rounds", "mesh_size", "max_iter", "step_tol", "verify_tol", "norm_check_tol",
+        "offender_tol", "seed",
+    )
+
+
+DEFAULTS = Defaults(
     # enumeration
-    depth: int = 4
-    word_budget: int = 10_000_000
+    depth=4,
+    word_budget=10_000_000,
     # bounds engine
-    close_tol: float = 1e-9        # relative gap for finiteness_verified_at_depth
+    close_tol=1e-9,        # relative gap for finiteness_verified_at_depth
     # structure tests
-    rank_one_tol: float = 1e-9     # relative separation for the exterior-square verdict
-    rank_tol: float = 1e-9         # relative singular-value cutoff for numeric rank
-    span_drop_tol: float = 1e-9    # relative residual cutoff in span closures
-    witness_rounds: int = 200      # random restarts in the invariant-subspace search
+    rank_one_tol=1e-9,     # relative separation for the exterior-square verdict
+    rank_tol=1e-9,         # relative singular-value cutoff for numeric rank
+    span_drop_tol=1e-9,    # relative residual cutoff in span closures
+    witness_rounds=200,    # random restarts in the invariant-subspace search
     # norm machinery
-    mesh_size: int = 720           # directions on the upper half circle / sample circle
-    max_iter: int = 500            # fixed-point sweeps for the norm approximation
-    step_tol: float = 1e-6         # log-distance stop threshold between sweeps
-    verify_tol: float = 1e-9       # default pass threshold for norm verification
-    norm_check_tol: float = 1e-3   # admission threshold for norms fed into evidence runs
-    offender_tol: float = 1e-6     # relative band for near-maximal competitor words
+    mesh_size=720,         # directions on the upper half circle / sample circle
+    max_iter=500,          # fixed-point sweeps for the norm approximation
+    step_tol=1e-6,         # log-distance stop threshold between sweeps
+    verify_tol=1e-9,       # default pass threshold for norm verification
+    norm_check_tol=1e-3,   # admission threshold for norms fed into evidence runs
+    offender_tol=1e-6,     # relative band for near-maximal competitor words
     # misc
-    seed: int = 0
-
-
-DEFAULTS = Defaults()
+    seed=0,
+)
 
 # Largest array, in bytes, that a batched sweep builds at once: a block of
 # word products, or the images of one block under a sampled norm.  A fixed

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceError, InputError
-from .norms import LpNorm, WeightedMaxNorm, norm_to_json_dict
 from .tuples import MatrixTuple, _check_field, product_along
 from .words import Word, format_word, is_primitive, validate_word
 
@@ -106,12 +105,12 @@ def characteristic_tuple(r: int, n: int, omega: Word, *, field: str = "real") ->
 _FLAGS = ("finiteness", "strong_finiteness", "rank_one", "unique_norm", "unbounded_agreements")
 
 
-def _truth(word: str | None, norms, *flags) -> dict:
-    """The truth record of a set with jsr 1: word, norms, then one value per _FLAGS name."""
+def _truth(word: str | None, norm_dicts, *flags) -> dict:
+    """The truth record of a set with jsr 1: word, norm dicts, then one value per _FLAGS name."""
     return {
         "jsr": 1.0,
         "characteristic_word": word,
-        "barabanov_norms": [norm_to_json_dict(norm) for norm in norms],
+        "barabanov_norms": list(norm_dicts),
         "flags": dict(zip(_FLAGS, flags, strict=True)),
     }
 
@@ -186,21 +185,25 @@ def example_tuple(
         _coerce_param(name, value, field, allow_zero=example_id == 1) if name in takes else None
         for name, value in given.items()
     )
+    # only the catalogue's truth records name norms, so the norm layer loads here
+    from .norms import LpNorm, WeightedMaxNorm, norm_to_json_dict
+
     if example_id == 1:
         mats = ([[0, 1], [l1, 0]], [[0, l2], [1, 0]])
-        truth = _truth("1,2", [WeightedMaxNorm((1.0, 1.0))], True, True, True, True, True)
+        word, norms, flags = "1,2", [WeightedMaxNorm((1.0, 1.0))], (True, True, True, True, True)
     elif example_id == 2:
         mats = ([[1, 0], [0, lam]], [[0, lam], [lam, 0]])
-        truth = _truth(None, [WeightedMaxNorm((1.0, abs(lam)))], True, False, True, True, True)
+        word, norms, flags = None, [WeightedMaxNorm((1.0, abs(lam)))], (True, False, True, True, True)
     elif example_id == 3:
         mats = ([[1, 0], [0, -1]], [[0, lam], [lam, 0]])
         norms = [LpNorm(1.0), LpNorm(2.0), WeightedMaxNorm((1.0, 1.0))]
-        truth = _truth(None, norms, True, None, False, False, True)
+        word, flags = None, (True, None, False, False, True)
     elif example_id == 4:
         mats = ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, lam], [lam, 0]])
         norms = [WeightedMaxNorm((1.0, xi)) for xi in (abs(lam), 1.0, 1.0 / abs(lam))]
-        truth = _truth(None, norms, True, False, True, False, False)
+        word, flags = None, (True, False, True, False, False)
     else:
         mats = ([[0.0, 1.0], [1.0, 0.0]], 0.5 * np.eye(2))
-        truth = _truth("1", [LpNorm(2.0)], True, True, False, None, True)
+        word, norms, flags = "1", [LpNorm(2.0)], (True, True, False, None, True)
+    truth = _truth(word, map(norm_to_json_dict, norms), *flags)
     return MatrixTuple(field, tuple(np.array(m) for m in mats)), truth

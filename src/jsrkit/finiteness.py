@@ -9,12 +9,10 @@ an explicit caveat and never claim a proof.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .bounds import _candidates_and_midpoint, spectral_maximal_candidates
-from .config import DEFAULTS, require_fraction, require_tol
+from .config import DEFAULTS, _Record, require_fraction, require_tol
 from .errors import InputError
 from .norms import NormRep, _check_rho, _check_samples, _induced_norm, verify_barabanov
 from .tuples import MatrixTuple, off_class_blocks
@@ -27,20 +25,16 @@ SFH_CAVEAT = (
 )
 
 
-class SfhReport(NamedTuple):
+class SfhReport(_Record):
     """Scan result for one candidate rotation class.
 
     margin is the worst relative gap (rho_hat**n - max_z ||P_z||) / rho_hat**n
     over the admitted norms, where z runs over same-length words outside the
-    candidate's rotation class.  offenders holds the words that closed the gap.
+    candidate's rotation class.  offenders holds the words that closed the gap,
+    as (word, value) pairs.
     """
 
-    candidate: Word
-    depth: int
-    rho_hat: float
-    margin: float
-    offenders: tuple[tuple[Word, float], ...]
-    norm_count: int
+    __slots__ = _fields = ("candidate", "depth", "rho_hat", "margin", "offenders", "norm_count")
 
     @property
     def passed(self) -> bool:

@@ -18,15 +18,13 @@ than proof.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import config
-from .config import DEFAULTS, require_tol
+from .config import DEFAULTS, _Record, require_tol
 from .errors import ConvergenceError, InputError
 from .linalg import _require_square
-from .tuples import MatrixTuple, _check_field, _json_number, _Record, _seeded_rng, product_along
+from .tuples import MatrixTuple, _check_field, _json_number, _seeded_rng, product_along
 from .words import Word, validate_word
 
 
@@ -242,16 +240,12 @@ def _check_rho(rho_hat: float) -> None:
         raise InputError(f"rho_hat must be positive and finite, got {rho_hat}")
 
 
-class VerificationReport(NamedTuple):
-    kind: str  # "barabanov" | "extremal"
-    rho_hat: float
-    residual: float
-    tol: float
-    passed: bool
-    sample_count: int
+class VerificationReport(_Record):
+    # kind is "barabanov" or "extremal"
+    __slots__ = _fields = ("kind", "rho_hat", "residual", "tol", "passed", "sample_count")
 
     def to_json_dict(self) -> dict:
-        return self._asdict()
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _verify(t, norm, rho_hat, samples, tol, kind) -> VerificationReport:
@@ -304,11 +298,8 @@ def verify_extremal(
     return _verify(t, norm, rho_hat, samples, tol, "extremal")
 
 
-class ApproxResult(NamedTuple):
-    norm: MeshNorm
-    iterations: int
-    converged: bool
-    last_step: float
+class ApproxResult(_Record):
+    __slots__ = _fields = ("norm", "iterations", "converged", "last_step")
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,20 +9,18 @@ Unknown by design.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import linalg
 from .bounds import bounds
-from .config import DEFAULTS, require_fraction, require_tol
+from .config import DEFAULTS, _Record, require_fraction, require_tol
 from .errors import InputError
 from .tuples import MatrixTuple, _check_seed, _entry_to_json, _seeded_rng, exterior_square_tuple
 
 
-class PropertyVerdict(NamedTuple):
-    status: str  # "Certified" | "Refuted" | "Unknown"
-    evidence: dict
+class PropertyVerdict(_Record):
+    # status is "Certified", "Refuted" or "Unknown"
+    __slots__ = _fields = ("status", "evidence")
 
     def to_json_dict(self) -> dict:
         return {"status": self.status, "evidence": self.evidence}

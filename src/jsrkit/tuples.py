@@ -44,46 +44,7 @@ def _check_field(field) -> str:
     return field
 
 
-class _Record:
-    """Immutable record over __slots__: the base of the records that check their input.
-
-    __init__ stores each slot once, through _set; any later assignment raises
-    AttributeError.  Equality, hashing, repr and pickling cover the public
-    fields named in _fields, in order, so a cached slot stays out of them.
-    """
-
-    __slots__ = ()
-
-    def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({shown})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class MatrixTuple(_Record):
+class MatrixTuple(config._Record):
     """Immutable ordered tuple of square matrices with a field tag."""
 
     __slots__ = _fields = ("field", "matrices")

@@ -7,6 +7,7 @@ import ast
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,19 @@ def test_every_public_name_resolves():
     assert set(jsrkit.__all__) <= set(dir(jsrkit))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         jsrkit.no_such_name
+
+
+def test_public_names_are_computed_not_listed():
+    # the names the package's imports bind, the lazy names and the version; no submodule
+    names = jsrkit.__all__
+    assert len(names) == len(set(names)) == 57 and names[-1] == "__version__"
+    assert not [name for name in names if name.startswith("_") and name != "__version__"]
+    assert not [name for name in names if inspect.ismodule(getattr(jsrkit, name))]
+    assert set(jsrkit._LAZY) < set(names)
+    tree = ast.parse(Path(jsrkit.__file__).read_text(encoding="utf-8"))
+    (value,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]]
+    assert not isinstance(value, ast.List)
 
 
 def test_star_import_binds_every_public_name():
@@ -89,7 +103,8 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     assert core <= words and not words & LAYERS
     assert core <= bounds and not bounds & LAYERS
     assert "jsrkit.constructions" in construct
-    assert not construct & {"jsrkit.finiteness", "jsrkit.structure"}
+    # a characteristic word's truth record lists no norm, so the norm layer stays unloaded
+    assert not construct & {"jsrkit.finiteness", "jsrkit.structure", "jsrkit.norms"}
     assert "numpy.ma" not in construct and "numpy.ma" not in long_word
     assert "jsrkit.structure" in irreducible and "numpy.random" not in irreducible
     assert "jsrkit.norms" in approx and {"jsrkit.finiteness", "jsrkit.norms"} <= sfh
@@ -128,16 +143,57 @@ NORMS = {
 @pytest.mark.parametrize("name", RECORDS)
 def test_every_record_is_an_immutable_value(name):
     record = RECORDS[name]()
-    assert type(record).__name__ == name and len(type(record)._fields) >= 1
-    for field in type(record)._fields:
+    fields = type(record)._fields
+    assert type(record).__name__ == name and len(fields) >= 1
+    for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     assert pickle.loads(pickle.dumps(record)) == record
+    # a record is not a tuple: it equals no plain tuple of its values
+    values = tuple(getattr(record, field) for field in fields)
+    assert record != values and values != record
+    shown = ", ".join(f"{field}={value!r}" for field, value in zip(fields, values))
+    assert repr(record) == f"{name}({shown})"
     if name in NORMS:
         shown, other = NORMS[name]
         twin = RECORDS[name]()
         assert twin is not record and twin == record and hash(twin) == hash(record)
         assert other != record and repr(record) == shown
+
+
+def test_a_plain_record_binds_each_field_once():
+    report = VerificationReport("barabanov", 1.0, 0.0, tol=1e-9, passed=True, sample_count=8)
+    assert report == RECORDS["VerificationReport"]()
+    calls = {
+        "got 5 by position and [] by name": lambda: VerificationReport("barabanov", 1.0, 0.0, 1e-9, True),
+        "got 7 by position": lambda: VerificationReport("barabanov", 1.0, 0.0, 1e-9, True, 8, 9),
+        "got 6 by position and ['kind'] by name": lambda: VerificationReport(
+            "barabanov", 1.0, 0.0, 1e-9, True, 8, kind="extremal"),
+        "got 5 by position and ['count'] by name": lambda: VerificationReport(
+            "barabanov", 1.0, 0.0, 1e-9, True, count=8),
+    }
+    for message, call in calls.items():
+        with pytest.raises(TypeError, match=r"VerificationReport takes the fields \('kind', .*\) once each, "
+                           + re.escape(message)):
+            call()
+
+
+def test_no_record_is_built_on_namedtuple():
+    # one record type, config._Record: a NamedTuple class costs about ten times
+    # as much to create, and its instances would be tuples
+    found = []
+    for path in sorted(Path(jsrkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.ClassDef):
+                names = node.bases
+            elif isinstance(node, ast.Call):
+                names = [node.func]
+            for base in names:
+                name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+                if name in ("NamedTuple", "namedtuple"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def _private_definitions(tree: ast.Module) -> set[str]:
