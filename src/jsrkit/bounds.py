@@ -144,29 +144,28 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
         best, bar, before = 0.0, _bar(store.slots, argmax), (len(candidates), top)
         necklace = words._necklaces(np.arange(n + 1), n, n)  # by period: those that divide n
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # once per walk: its prunes, grows and caps
-                for digits, periods, caps, stack in store.walk(n, prune=prune):
-                    rows = necklace[periods].nonzero()[0]
-                    if floor > 0 and len(rows):  # first the prune's own rule at k = n, then the radius caps
-                        rows = rows[~(caps[rows] ** (1.0 / n) < floor)]
-                        if len(rows):
-                            radius_caps = linalg.spectral_radius_caps(stack[rows])
-                            rows = rows[~(radius_caps ** (1.0 / n) < floor)]
+            for digits, periods, caps, stack in store.walk(n, prune=prune):
+                rows = necklace[periods].nonzero()[0]
+                if floor > 0 and len(rows):  # first the prune's own rule at k = n, then the radius caps
+                    rows = rows[~(caps[rows] ** (1.0 / n) < floor)]
                     if len(rows):
-                        radii = linalg.spectral_radii(stack[rows])
-                        values = np.array([rho ** (1.0 / n) for rho in radii.tolist()])
-                        top = max(top, float(values.max()))
-                        floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
-                        # top only rises, so a row below the window now never ties; at top 0 the result is fixed
-                        keep = values >= (1.0 - _TIE_TOL) * top
-                        if top > 0.0 and keep.any():
-                            candidates += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
-                    live = (~(caps < max(best, bar))).nonzero()[0]
-                    if len(live):
-                        norms = linalg.op_norms(stack[live])
-                        i = int(np.argmax(norms))
-                        if norms[i] > best:
-                            best, argmax = float(norms[i]), stack[live[i]].copy()  # a copy outlives the block
+                        radius_caps = linalg.spectral_radius_caps(stack[rows])
+                        rows = rows[~(radius_caps ** (1.0 / n) < floor)]
+                if len(rows):
+                    radii = linalg.spectral_radii(stack[rows])
+                    values = np.array([rho ** (1.0 / n) for rho in radii.tolist()])
+                    top = max(top, float(values.max()))
+                    floor = (1.0 - _TIE_TOL) * top * _SCREEN_SLACK
+                    # top only rises, so a row below the window now never ties; at top 0 the result is fixed
+                    keep = values >= (1.0 - _TIE_TOL) * top
+                    if top > 0.0 and keep.any():
+                        candidates += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
+                live = (~(caps < max(best, bar))).nonzero()[0]
+                if len(live):
+                    norms = linalg.op_norms(stack[live])
+                    i = int(np.argmax(norms))
+                    if norms[i] > best:
+                        best, argmax = float(norms[i]), stack[live[i]].copy()  # a copy outlives the block
             maxima.append(best)
         except BudgetError:  # past the budget: level n is dropped whole
             del candidates[before[0]:], maxima[n:]

@@ -178,7 +178,7 @@ def cmd_barabanov_approx(args) -> int:
 def cmd_barabanov_verify(args) -> int:
     from .norms import norm_to_json_dict, verify_barabanov
 
-    require_tol("tol", args.tol)
+    require_tol("tol", args.tol, zero_ok=True)
     t = _load_tuple(args.input)
     norm = _load_norm(args.norm)
     _, rho = _rho(t, args)

@@ -141,7 +141,7 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}
-    for digits, caps, stack in off_class_blocks(t, omega, budget):
+    for digits, _, caps, stack in off_class_blocks(t, omega, budget):
         for i, (norm_of, bound_of) in enumerate(induced):
             bound = bound_of(caps)
             values = np.full(len(stack), -np.inf)  # a skipped row stays below both tests

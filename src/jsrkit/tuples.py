@@ -126,8 +126,7 @@ def _products_below(slots: np.ndarray, stack: np.ndarray, k: int, out=None) -> n
     """A_letter @ P for each prefix product P of length k in stack, prefix by prefix, in one batched matmul.
 
     out, if given, is a (len(stack), r, d, d) array that receives them; a
-    non-finite product raises ConvergenceError.  Run it under
-    np.errstate(over="ignore", invalid="ignore"), as every walk does.
+    non-finite product raises ConvergenceError.
     """
     children = np.matmul(slots[None], stack[:, None], out=out)
     if np.count_nonzero(np.isfinite(children)) < children.size:
@@ -246,44 +245,42 @@ class _PrefixStore:
 
     def walk(self, n: int, *, prune):
         """Yield (digits, periods, caps, stack), the blocks of length n, each valid until the next is
-        asked for.  Run under the caller's np.errstate(over="ignore", invalid="ignore"), which covers
-        its prunes, grows and caps."""
+        asked for.  Each step of prefix_blocks, with its prunes, grows and caps, runs under
+        np.errstate(over="ignore", invalid="ignore"), which no yield holds: the caller's work on a
+        block runs outside it."""
         def charged(digits, periods, index, k):
             self.spent += len(digits)
             if self.spent > self.budget:
                 raise BudgetError(f"enumeration of products of length {n} exceeds budget {self.budget} rows")
             _, caps, rows = self._table(k, index)
             return prune(digits, periods, caps[rows], k)
-        for digits, periods, index in prefix_blocks(self.r, n, self.slots[0].nbytes, prune=charged, grow=self._grow):
+        blocks = prefix_blocks(self.r, n, self.slots[0].nbytes, prune=charged, grow=self._grow)
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = next(blocks, None)
+            if block is None:
+                return
+            digits, periods, index = block
             products, caps, rows = self._table(n, index)
             yield digits, periods, caps[rows], _rows(products, rows)
 
 
 def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
-    """Yield (digits, caps, stack) over the words of length n = |omega| outside omega's rotation class.
+    """The blocks (digits, periods, caps, stack) of the words of length n = |omega| outside omega's
+    rotation class: the walk of a _PrefixStore of depth 1, which keeps only the slots, with a budget
+    of its own.
 
-    One walk of a _PrefixStore of depth 1, which keeps only the slots, with
-    a budget of its own; each stack is valid until the next block is asked
-    for.  The prune ignores the periods.  It drops each row whose cap is 0,
+    The prune ignores the periods.  It drops each row whose cap is 0,
     exactly the zero products (linalg.op_norm_caps), at every length, with
     its subtree (a finite number times +-0 is +-0), and omega's rotations at
-    k = n, looked up by words._rows_among.  Only the walk's own steps run
-    under np.errstate(over="ignore", invalid="ignore"); the caller's work
-    on each block runs outside it."""
+    k = n, looked up by words._rows_among."""
     n = len(omega)
     rotation = _rows_among(rotation_class(omega), t.r)
 
     def prune(digits, periods, caps, k):
         zero = caps == 0
         return zero | rotation(digits) if k == n else zero
-    walk = _PrefixStore(t, 1, budget).walk(n, prune=prune)
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = next(walk, None)
-        if block is None:
-            return
-        digits, _, caps, stack = block
-        yield digits, caps, stack
+    return _PrefixStore(t, 1, budget).walk(n, prune=prune)
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:

@@ -574,6 +574,7 @@ def test_out_of_range_options_exit_2_and_stdout_stays_strict_json(capsys, tmp_pa
         ["bounds", "--input", path, "--close-tol", "0"],
         ["irreducible", "--input", path, "--rounds", "0"],
         sfh + ["--norm-check-tol", "0"],
+        ["barabanov", "verify", "--input", path, "--norm", norm_path, "--rho-hat", "1", "--tol", "0"],
     ]
     for argv in accepted:
         code, out, _ = _run(capsys, argv)

@@ -44,6 +44,10 @@ def test_construction_validation():
         tuples.MatrixTuple("real", (np.array([[1j, 0], [0, 0]]),))
     t = tuples.MatrixTuple("complex", (np.eye(2),))
     assert t.matrices[0].dtype == np.complex128
+    # a real tuple keeps the real parts of complex entries whose imaginary parts are all zero
+    t = tuples.MatrixTuple("real", (np.array([[1.0 + 0j, -2.0 + 0j], [0j, 0.5 - 0j]]),))
+    assert t.matrices[0].dtype == np.float64
+    assert t.matrices[0].tobytes() == np.array([[1.0, -2.0], [0.0, 0.5]]).tobytes()
 
 
 def test_matrices_are_frozen():
@@ -86,8 +90,7 @@ def _blocks(t, n, necklaces=False, prune=_keep):
         drop = prune(digits, periods, caps, k)
         return drop | ~words._necklaces(periods, k, n) if necklaces else drop
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the walk's caller enters it
-        blocks = [(digits, stack.copy()) for digits, _, _, stack in _store(t, n).walk(n, prune=walk_prune)]
+    blocks = [(digits, stack.copy()) for digits, _, _, stack in _store(t, n).walk(n, prune=walk_prune)]
     got = [w for digits, _ in blocks for w in words._words_at(digits)]
     return got, blocks
 
@@ -126,9 +129,8 @@ def test_store_walk_matches_product_along_bitwise(monkeypatch):
                             fit = r * max(1, cap // t.matrices[0].nbytes // r) if n > 1 else r
                             assert max(len(digits) for digits, _ in blocks) == min(fit, r ** n)
                     # every walk carries the periods that mark the necklaces
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        marked = [w for digits, periods, *_ in _store(t, n).walk(n, prune=_keep)
-                                  for w, mark in zip(words._words_at(digits), words._necklaces(periods, n, n)) if mark]
+                    marked = [w for digits, periods, *_ in _store(t, n).walk(n, prune=_keep)
+                              for w, mark in zip(words._words_at(digits), words._necklaces(periods, n, n)) if mark]
                     assert marked == list(words.enumerate_necklaces(r, n)), (r, n)
     # the empty word's children are the slots themselves, not I @ A, so -0.0 stays
     t = tuples.MatrixTuple("real", (np.array([[-0.0, 1.0], [0.5, -0.0]]),))
@@ -211,19 +213,48 @@ def test_the_store_charges_every_walk_over_it_to_one_budget():
         asked.append(len(caps))
         return _keep(digits, periods, caps, k)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, 6):
-            assert sum(len(stack) for *_, stack in store.walk(n, prune=count)) == 2 ** n
-        assert store.spent == sum(asked) == 114
-        with pytest.raises(BudgetError, match="^enumeration of products of length 1 exceeds budget 114 rows$"):
-            next(store.walk(1, prune=count))
+    for n in range(1, 6):
+        assert sum(len(stack) for *_, stack in store.walk(n, prune=count)) == 2 ** n
+    assert store.spent == sum(asked) == 114
+    with pytest.raises(BudgetError, match="^enumeration of products of length 1 exceeds budget 114 rows$"):
+        next(store.walk(1, prune=count))
     assert (store.spent, sum(asked)) == (116, 114)
 
 
+def test_the_walk_owns_its_errstate_and_holds_it_across_no_yield(monkeypatch):
+    # no np.errstate around the walks: a prune whose bounds overflow to inf,
+    # and whose inf - inf is NaN, warns nothing, while an overflow in the
+    # loop body of every block still warns, so the state the walk steps
+    # under does not leak; blocks of four products make many steps
+    rng = np.random.default_rng(39)
+    t = tuples.MatrixTuple("real", tuple(rng.standard_normal((3, 3)) for _ in range(2)))
+    monkeypatch.setattr(config, "BLOCK_BYTES", 4 * t.matrices[0].nbytes)
+    asked = []
+
+    def prune(digits, periods, caps, k):
+        bound = caps * 1e308 * 1e308
+        asked.append(np.isinf(bound).all())
+        return bound - bound > 0  # NaN compares False: nothing is dropped
+
+    outside = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for walk in (_store(t, 5).walk(5, prune=prune), tuples.off_class_blocks(t, (1, 2, 2, 1, 2), 10 ** 6)):
+            blocks = 0
+            for digits, periods, caps, stack in walk:
+                blocks += 1
+                assert np.geterr() == outside
+                with pytest.raises(RuntimeWarning, match="overflow"):
+                    caps * 1e308 * 1e308
+            assert blocks > 1
+    assert len(asked) > 5 and all(asked)
+
+
 def _off_class(t, omega):
-    """off_class_blocks(t, omega) at the default budget as a list, each stack copied out before the next block."""
+    """off_class_blocks(t, omega) at the default budget as a list of (digits, caps, stack), each stack
+    copied out before the next block."""
     return [(digits, caps, stack.copy())
-            for digits, caps, stack in tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget)]
+            for digits, _, caps, stack in tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget)]
 
 
 def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
@@ -330,7 +361,7 @@ def test_store_walk_errors():
     for necklaces in (False, True):
         with pytest.raises(ConvergenceError, match="length 2"):
             _blocks(big, 3, necklaces=necklaces)
-    with pytest.raises(ConvergenceError, match="length 2"):  # off_class_blocks enters the errstate itself
+    with pytest.raises(ConvergenceError, match="length 2"):
         _off_class(big, (1, 1, 1))
 
 
