@@ -168,7 +168,7 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
                         best, argmax = float(norms[i]), stack[live[i]].copy()  # a copy outlives the block
             maxima.append(best)
         except BudgetError:  # past the budget: level n is dropped whole
-            del candidates[before[0]:], maxima[n:]
+            del candidates[before[0]:]
             top, depth = before[1], n - 1
             break
     if top == 0.0:

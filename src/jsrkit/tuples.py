@@ -122,11 +122,11 @@ def product_along(t: MatrixTuple, w: Word) -> np.ndarray:
     return out
 
 
-def _products_below(slots: np.ndarray, stack: np.ndarray, k: int, out=None) -> np.ndarray:
+def _products_below(slots: np.ndarray, stack: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     """A_letter @ P for each prefix product P of length k in stack, prefix by prefix, in one batched matmul.
 
-    out, if given, is a (len(stack), r, d, d) array that receives them; a
-    non-finite product raises ConvergenceError.
+    out, a (len(stack), r, d, d) array, receives them; a non-finite product
+    raises ConvergenceError.
     """
     children = np.matmul(slots[None], stack[:, None], out=out)
     if np.count_nonzero(np.isfinite(children)) < children.size:
@@ -166,10 +166,10 @@ class _PrefixStore:
     length, since a single walk reads no row again once its children are
     built.
 
-    Inside, the walk's pieces carry row numbers.  A kept row holds a
-    prefix's FKM period, its product P_w, its cap and the row of its first
-    child, -1 until its children are kept; the r children of a prefix are
-    consecutive rows.  Only children that no earlier walk of the store kept
+    Inside, the walk's pieces carry each row's number and cap.  A kept row
+    holds a prefix's FKM period, its product P_w, its cap and the row of its
+    first child, -1 until its children are kept; the r children of a prefix
+    are consecutive rows.  Only children that no earlier walk of the store kept
     are built, written into the store.  Rows are kept first come, first
     served, up to _STORE_BLOCKS * config.BLOCK_BYTES bytes of products and
     no more rows than there are words shorter than depth, or r.  When a
@@ -197,11 +197,11 @@ class _PrefixStore:
         # allocated once; their pages are touched only as rows are kept
         self.products = np.empty((self.capacity, *self.slots.shape[1:]), self.slots.dtype)
         self.caps, self.periods, self.first = np.empty(self.capacity), *np.empty((2, self.capacity), np.int64)
-        self.size, self.scratch = 0, {}  # rows kept; by length, the scratch buffer and its rows' caps
+        self.size, self.scratch = 0, {}  # rows kept; by length, the scratch buffer
         digits, periods = necklace_children(_digit_rows([()], t.r), np.ones(1, dtype=np.int64), t.r)
         self.products[:t.r] = self.slots  # the empty word's children
         self._keep(periods, self.products[:t.r])
-        self.root = digits, periods, np.arange(t.r)
+        self.root = digits, periods, np.arange(t.r), self.caps[:t.r]
 
     def _keep(self, periods: np.ndarray, built: np.ndarray) -> None:
         """Keep the next len(built) rows, which built already holds, with their periods and caps."""
@@ -210,13 +210,13 @@ class _PrefixStore:
         self.caps[kept], self.periods[kept], self.first[kept] = linalg.op_norm_caps(built), periods, -1
 
     def _table(self, k: int, index: np.ndarray):
-        """(products, caps, rows) that hold the rows index of length k: the store's or length k's scratch."""
+        """(products, rows) that hold the rows index of length k: the store's or length k's scratch."""
         if index[0] < self.capacity:
-            return self.products, self.caps, index
-        return *self.scratch[k], index - self.capacity
+            return self.products, index
+        return self.scratch[k], index - self.capacity
 
-    def _grow(self, k: int, digits: np.ndarray, periods: np.ndarray, index=None):
-        """(digits, periods, index) of the children of the prefixes of length k at rows index."""
+    def _grow(self, k: int, digits: np.ndarray, periods: np.ndarray, index=None, caps=None):
+        """(digits, periods, index, caps) of the children of the prefixes of length k at rows index."""
         if index is None:  # the empty word
             return self.root
         r, shape = self.r, self.slots.shape
@@ -233,36 +233,34 @@ class _PrefixStore:
                     self._keep(_child_periods(digits[missing], periods[missing], r), built)
                     first[missing] = self.first[parents] = lo + r * np.arange(len(missing))
                 index = (first[:, None] + np.arange(r)).ravel()
-                return children, self.periods[index], index
-        products, _, rows = self._table(k, index)
+                return children, self.periods[index], index, self.caps[index]
+        products, rows = self._table(k, index)
         m = len(rows) * r
-        buffer = self.scratch.get(k + 1, (None,))[0]
+        buffer = self.scratch.get(k + 1)
         if buffer is None or len(buffer) < m:
-            buffer = np.empty((m, *shape[1:]), self.slots.dtype)
+            buffer = self.scratch[k + 1] = np.empty((m, *shape[1:]), self.slots.dtype)
         built = _products_below(self.slots, _rows(products, rows), k, buffer[:m].reshape(len(rows), *shape))
-        self.scratch[k + 1] = buffer, linalg.op_norm_caps(built)
-        return children, _child_periods(digits, periods, r), self.capacity + np.arange(m)
+        return children, _child_periods(digits, periods, r), self.capacity + np.arange(m), linalg.op_norm_caps(built)
 
     def walk(self, n: int, *, prune):
         """Yield (digits, periods, caps, stack), the blocks of length n, each valid until the next is
-        asked for.  Each step of prefix_blocks, with its prunes, grows and caps, runs under
-        np.errstate(over="ignore", invalid="ignore"), which no yield holds: the caller's work on a
-        block runs outside it."""
-        def charged(digits, periods, index, k):
+        asked for; the prune and the blocks get the caps that the pieces carry.  Each step of
+        prefix_blocks, with its prunes, grows and caps, runs under np.errstate(over="ignore",
+        invalid="ignore"), which no yield holds: the caller's work on a block runs outside it."""
+        def charged(digits, periods, index, caps, k):
             self.spent += len(digits)
             if self.spent > self.budget:
                 raise BudgetError(f"enumeration of products of length {n} exceeds budget {self.budget} rows")
-            _, caps, rows = self._table(k, index)
-            return prune(digits, periods, caps[rows], k)
+            return prune(digits, periods, caps, k)
         blocks = prefix_blocks(self.r, n, self.slots[0].nbytes, prune=charged, grow=self._grow)
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
                 block = next(blocks, None)
             if block is None:
                 return
-            digits, periods, index = block
-            products, caps, rows = self._table(n, index)
-            yield digits, periods, caps[rows], _rows(products, rows)
+            digits, periods, index, caps = block
+            products, rows = self._table(n, index)
+            yield digits, periods, caps, _rows(products, rows)
 
 
 def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):

@@ -726,6 +726,31 @@ def test_results_past_the_float_range_are_numerical_failures(tmp_path, command, 
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_stdout_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # seeded N(0, 1/d) pairs, drawn as the benchmark draws its dense inputs; the algebra
+    # closure of the d=12 pair (144 vectors), the 28x28 wedge products of the d=8 pair and
+    # an l3 norm check are where a threaded kernel could sum in another order.  Both
+    # variables are set at both counts, so that no runner's default decides the test.
+    rng = np.random.default_rng(20091031)
+    for d in (8, 12):
+        pair = tuple(rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)) for _ in range(2))
+        (tmp_path / f"pair{d}.json").write_text(to_json(MatrixTuple("real", pair)))
+    (tmp_path / "ell3.json").write_text(json.dumps({"variant": "ellp", "p": 3.0}))
+    ops = (("irreducible", "--input", "pair12.json"),
+           ("rank1", "--input", "pair8.json", "--depth", "11"),
+           ("barabanov", "verify", "--input", "pair12.json", "--norm", "ell3.json", "--samples", "50000"))
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        for op in ops:
+            proc = subprocess.run([sys.executable, "-m", "jsrkit.cli", *op],
+                                  capture_output=True, cwd=tmp_path, env=env)
+            assert proc.returncode in (0, 1) and proc.stdout and not proc.stderr, (op, threads, proc.stderr)
+            runs.setdefault(op, []).append((proc.returncode, proc.stdout))
+    for op, (one, two) in runs.items():
+        assert one == two, op
+
+
 @pytest.mark.parametrize("n", [64, 100])
 def test_words_past_62_letters_pass_their_class_scan(tmp_path, n):
     # 2**n words of length n: the construction runs its off-class check and the
