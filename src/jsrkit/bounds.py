@@ -67,7 +67,14 @@ from .words import Word
 
 
 class JsrBounds(_Record):
-    """Certificate lower <= jsr <= upper at a given enumeration depth."""
+    """Certificate lower <= jsr <= upper at a given enumeration depth.
+
+    lower and upper are rounded float results, not outward-rounded
+    enclosures.  Within the 1e-12 slack of the order check they can cross
+    the true jsr, and each other, by an ulp: the exterior square of example
+    4 (lam 0.5) at depth 8 reports upper = 0.24999999999999997 and lower =
+    0.25, and its jsr is exactly 0.25.
+    """
 
     __slots__ = _fields = ("lower", "upper", "depth", "lower_witness", "upper_level", "partial")
 

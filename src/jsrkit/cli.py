@@ -258,9 +258,9 @@ def cmd_words(args) -> int:
     return 0
 
 
-def _add_io(p, *, fmt_default="json"):
+def _add_io(p):
     p.add_argument("--input", required=True, help="path to tuple JSON")
-    p.add_argument("--format", choices=("json", "text"), default=fmt_default)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on Unknown / failed / non-converged results")
 

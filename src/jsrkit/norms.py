@@ -24,7 +24,7 @@ from . import config
 from .config import DEFAULTS, _Record, require_tol
 from .errors import ConvergenceError, InputError
 from .linalg import _require_square
-from .tuples import MatrixTuple, _check_field, _json_number, _seeded_rng, product_along
+from .tuples import MatrixTuple, _check_field, _json_number, _number_list, _seeded_rng, product_along
 from .words import Word, validate_word
 
 
@@ -95,15 +95,6 @@ def norm_to_json_dict(norm: NormRep) -> dict:
     raise InputError(f"unknown norm representation {type(norm).__name__}")
 
 
-def _number_list(payload: dict, key: str) -> tuple:
-    values = payload[key]
-    if not isinstance(values, list):
-        raise InputError(f"norm {key!r} must be a list of numbers")
-    if set(map(type, values)) <= {float}:
-        return tuple(values)  # the norm's constructor converts them, once
-    return tuple(_json_number(x, f"norm {key!r}") for x in values)
-
-
 def norm_from_json_dict(payload: dict) -> NormRep:
     if not isinstance(payload, dict) or "variant" not in payload:
         raise InputError("norm payload must be an object with a 'variant' key")
@@ -111,18 +102,18 @@ def norm_from_json_dict(payload: dict) -> NormRep:
     if variant == "weighted_max":
         if "weights" not in payload:
             raise InputError("weighted_max norm needs 'weights'")
-        return WeightedMaxNorm(_number_list(payload, "weights"))
+        return WeightedMaxNorm(_number_list(payload["weights"], "norm 'weights'"))
     if variant == "ellp":
         if "p" not in payload:
             raise InputError("ellp norm needs 'p'")
         p = _json_number(payload["p"], "ellp norm 'p'")
         weights = payload.get("weights")
-        return LpNorm(p, None if weights is None else _number_list(payload, "weights"))
+        return LpNorm(p, None if weights is None else _number_list(weights, "norm 'weights'"))
     if variant == "mesh":
         for key in ("angles", "values"):
             if key not in payload:
                 raise InputError(f"mesh norm needs {key!r}")
-        return MeshNorm(_number_list(payload, "angles"), _number_list(payload, "values"))
+        return MeshNorm(*(_number_list(payload[key], f"norm {key!r}") for key in ("angles", "values")))
     raise InputError(f"unknown norm variant {variant!r}")
 
 
@@ -370,7 +361,7 @@ def approx_barabanov(
             converged = True
             break
     return ApproxResult(
-        norm=MeshNorm(tuple(angles), tuple(cur)),
+        norm=MeshNorm(angles.tolist(), cur.tolist()),
         iterations=iterations,
         converged=converged,
         last_step=last_step,

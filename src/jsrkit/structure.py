@@ -15,7 +15,7 @@ from . import linalg
 from .bounds import bounds
 from .config import DEFAULTS, _Record, require_fraction, require_tol
 from .errors import InputError
-from .tuples import MatrixTuple, _check_seed, _entry_to_json, _seeded_rng, exterior_square_tuple
+from .tuples import MatrixTuple, _array_to_json, _check_seed, _seeded_rng, exterior_square_tuple
 
 
 class PropertyVerdict(_Record):
@@ -103,13 +103,14 @@ def is_irreducible(
 ) -> PropertyVerdict:
     """Common-invariant-subspace test.
 
-    Full algebra dimension d^2 certifies irreducibility.  Otherwise the
-    search looks for a nonzero proper subspace invariant under every
-    slot, trying standard basis vectors, slot eigenvectors, and orbits
-    of eigenvectors of random algebra elements.  Over the complex field
-    a deficient dimension guarantees such a subspace exists, so the
-    search continues until one is found; over the reals an unsuccessful
-    search returns Unknown.
+    Full algebra dimension d^2 gives Certified.  That is a numerical rank,
+    d^2 vectors kept above drop_tol, not a proof: exactly reducible tuples
+    can reach it.  Otherwise the search looks for a nonzero proper subspace
+    invariant under every slot, trying standard basis vectors, slot
+    eigenvectors, and orbits of eigenvectors of random algebra elements.
+    Over the complex field a deficient dimension guarantees such a subspace
+    exists, so the search continues until one is found; over the reals an
+    unsuccessful search returns Unknown.
     """
     if rounds < 0:
         raise InputError(f"rounds must be >= 0, got {rounds}")
@@ -136,7 +137,7 @@ def is_irreducible(
         evidence = {
             "algebra_dimension": dim,
             "subspace_dimension": rank,
-            "basis": [[_entry_to_json(x, t.field) for x in col] for col in w.T],
+            "basis": _array_to_json(w.T, t.field),
         }
         return PropertyVerdict("Refuted", evidence)
 

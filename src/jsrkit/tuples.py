@@ -9,7 +9,10 @@ with each matrix given as d rows of d entries.  Complex entries are
 two-element arrays [re, im].  Unknown top-level keys are ignored so
 files carrying extra metadata (e.g. a "truth" block) round-trip.  _dumps,
 the one JSON writer, renders tuple files and every CLI report byte for byte
-as json.dumps(value, indent=2, sort_keys=True) does.
+as json.dumps(value, indent=2, sort_keys=True) does.  An array leaves as
+JSON numbers through one tolist (_array_to_json), and _number_list, the
+one reader of number lists (tuple rows, norm weights and meshes), takes
+an all-float list as it is.
 """
 
 from __future__ import annotations
@@ -304,12 +307,6 @@ def exterior_square_tuple(t: MatrixTuple) -> MatrixTuple:
     return MatrixTuple(t.field, tuple(linalg.exterior_square(a) for a in t.matrices))
 
 
-def _entry_to_json(x, field: str):
-    if field == "complex":
-        return [float(np.real(x)), float(np.imag(x))]
-    return float(np.real(x))
-
-
 def _check_seed(seed) -> None:
     """InputError unless numpy accepts seed: None, bools and the rest are refused."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
@@ -336,25 +333,28 @@ def _json_number(x, where: str) -> float:
         raise InputError(f"{where}: integer entry too large for a float") from None
 
 
-def _entry_from_json(x, field: str, where: str):
-    if field == "complex":
-        if not (isinstance(x, list) and len(x) == 2):
-            raise InputError(f"{where}: complex entries must be [re, im] pairs")
-        re, im = x
-        return complex(_json_number(re, where), _json_number(im, where))
-    return _json_number(x, where)
+def _number_list(values, where: str) -> list:
+    """A JSON list of numbers as floats: an all-float list as it is, else entry by entry through _json_number."""
+    if not isinstance(values, list):
+        raise InputError(f"{where} must be a list of numbers")
+    if set(map(type, values)) <= {float}:
+        return values
+    return [_json_number(x, where) for x in values]
+
+
+def _complex_from_json(x, where: str) -> complex:
+    if not (isinstance(x, list) and len(x) == 2):
+        raise InputError(f"{where}: complex entries must be [re, im] pairs")
+    return complex(*_number_list(x, where))
+
+
+def _array_to_json(a: np.ndarray, field: str) -> list:
+    """a as nested lists of Python floats, complex entries as [re, im] pairs, in one tolist (exact for float64)."""
+    return (np.stack((a.real, a.imag), axis=-1) if field == "complex" else a.real).tolist()
 
 
 def to_json_dict(t: MatrixTuple) -> dict:
-    return {
-        "field": t.field,
-        "r": t.r,
-        "d": t.d,
-        "matrices": [
-            [[_entry_to_json(x, t.field) for x in row] for row in np.asarray(a)]
-            for a in t.matrices
-        ],
-    }
+    return {"field": t.field, "r": t.r, "d": t.d, "matrices": _array_to_json(np.stack(t.matrices), t.field)}
 
 
 def from_json_dict(payload: dict) -> MatrixTuple:
@@ -379,7 +379,7 @@ def from_json_dict(payload: dict) -> MatrixTuple:
         for row in rows:
             if not isinstance(row, list) or len(row) != d:
                 raise InputError(f"{where}: expected rows of {d} entries")
-            mat.append([_entry_from_json(x, field, where) for x in row])
+            mat.append([_complex_from_json(x, where) for x in row] if field == "complex" else _number_list(row, where))
         parsed.append(mat)
     return MatrixTuple(field, tuple(np.array(m) for m in parsed))
 

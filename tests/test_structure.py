@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from jsrkit import linalg
+from jsrkit import linalg, structure, tuples
 from jsrkit.config import DEFAULTS
 from jsrkit.errors import InputError
 from jsrkit.structure import (
@@ -462,3 +464,25 @@ def test_wedge_never_exceeds_square():
 def test_verdict_serialization():
     v = PropertyVerdict("Unknown", {"algebra_dimension": 2})
     assert v.to_json_dict() == {"status": "Unknown", "evidence": {"algebra_dimension": 2}}
+
+
+def test_refuted_basis_is_written_as_per_entry_floats(monkeypatch):
+    # the evidence conversion alone: the subspace search is replaced by fixed
+    # columns holding -0.0, a subnormal, 1e308 and -1e-300
+    real = np.array([[-0.0, 5e-324], [1e308, -1e-300], [0.5, -0.0]])
+    cplx = np.array([[complex(-0.0, 1.0), complex(5e-324, -0.0)], [complex(1e308, -1e-300), -0.5j],
+                     [complex(-0.0, -0.0), 0.25]])
+    monkeypatch.setattr(structure, "_invariance_residual", lambda t, w: 0.0)
+    for field, w in (("real", real), ("complex", cplx)):
+        monkeypatch.setattr(structure, "_orbit_subspace", lambda basis, v, drop_tol, w=w: (2, w))
+        verdict = is_irreducible(MatrixTuple(field, (np.diag([1.0, 2.0, 3.0]),)))
+        assert verdict.status == "Refuted"
+
+        def entry(x):
+            return [float(x.real), float(x.imag)] if field == "complex" else float(x)
+
+        reference = {"algebra_dimension": 3, "subspace_dimension": 2,
+                     "basis": [[entry(x) for x in col] for col in w.T]}
+        assert tuples._dumps(verdict.evidence) == json.dumps(reference, indent=2, sort_keys=True)
+        cols = verdict.evidence["basis"]
+        assert all(type(x) is float for col in cols for e in col for x in (e if field == "complex" else [e]))

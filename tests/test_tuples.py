@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -495,3 +496,52 @@ def test_json_malformed_inputs():
         tuples.from_json(
             '{"field": "complex", "r": 1, "d": 1, "matrices": [[[true, 0]]]}'
         )
+
+
+_EDGE_ENTRIES = [[-0.0, 5e-324], [1e308, -1e-300]]
+
+
+def _edge_tuples():
+    """A real and a complex tuple whose entries hold -0.0, the smallest subnormal, 1e308 and -1e-300."""
+    real = tuples.MatrixTuple("real", (np.array(_EDGE_ENTRIES), -np.array(_EDGE_ENTRIES)))
+    parts = [[complex(-0.0, 1.0), complex(5e-324, -0.0)], [complex(1e308, -1e-300), complex(-0.0, -0.0)]]
+    return real, tuples.MatrixTuple("complex", (np.array(parts), np.array(parts).T.copy()))
+
+
+def _per_entry_file(t):
+    # the tuple file as written entry by entry with float(), the reference for the whole-array conversion
+    def entry(x):
+        return [float(x.real), float(x.imag)] if t.field == "complex" else float(x)
+
+    matrices = [[[entry(x) for x in row] for row in a] for a in t.matrices]
+    payload = {"field": t.field, "r": t.r, "d": t.d, "matrices": matrices}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writes_edge_entries_as_per_entry_floats_and_reads_them_back_bitwise():
+    for t in _edge_tuples():
+        text = tuples.to_json(t)
+        assert text == _per_entry_file(t)
+        back = tuples.from_json(text)
+        assert back.field == t.field
+        for a, b in zip(t.matrices, back.matrices):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # -0.0 keeps its sign
+
+
+def test_json_rows_mixing_ints_and_floats_load():
+    t = tuples.from_json('{"field": "real", "r": 1, "d": 2, "matrices": [[[1, 0.5], [-0.0, -2]]]}')
+    assert t.matrices[0].dtype == np.float64
+    assert t.matrices[0].tobytes() == np.array([[1.0, 0.5], [-0.0, -2.0]]).tobytes()
+    t = tuples.from_json('{"field": "complex", "r": 1, "d": 1, "matrices": [[[[1, -0.0]]]]}')
+    assert t.matrices[0].tobytes() == np.array([[complex(1.0, -0.0)]]).tobytes()
+
+
+@pytest.mark.parametrize("field, entry", [("real", "true"), ("real", "1" + "0" * 400),
+                                          ("complex", "[0.5, true]"), ("complex", "[1" + "0" * 400 + ", 0]")])
+def test_json_refuses_bools_and_integers_past_the_float_range(field, entry):
+    ok = "[0.0, 0.0]" if field == "complex" else "0.0"
+    text = f'{{"field": "{field}", "r": 1, "d": 2, "matrices": [[[{ok}, {ok}], [{ok}, {entry}]]]}}'
+    reason = "non-numeric entry" if "true" in entry else "integer entry too large for a float"
+    with pytest.raises(InputError) as info:
+        tuples.from_json(text)
+    assert str(info.value) == f"matrix 1: {reason}"
