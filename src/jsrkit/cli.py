@@ -359,9 +359,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--alphabet", type=int, default=None,
                        help="alphabet size for --word (default: largest letter)")
         p.add_argument("--field", choices=("real", "complex"), default="real")
-        p.add_argument("--l1", type=float, default=None)
-        p.add_argument("--l2", type=float, default=None)
-        p.add_argument("--lam", type=float, default=None)
+        p.add_argument("--l1", type=complex, default=None)
+        p.add_argument("--l2", type=complex, default=None)
+        p.add_argument("--lam", type=complex, default=None)
         p.set_defaults(func=cmd_construct)
 
     if "words" in wanted:

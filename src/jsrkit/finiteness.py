@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .bounds import _candidates_and_midpoint, spectral_maximal_candidates
 from .config import DEFAULTS, _Record, require_fraction, require_tol
 from .errors import InputError
 from .norms import NormRep, _check_rho, _check_samples, _induced_norm, verify_barabanov
-from .tuples import MatrixTuple, off_class_blocks
-from .words import Word, _words_at, format_word, validate_word
+from .tuples import MatrixTuple, _PrefixStore, product_along
+from .words import Word, _digit_rows, _rows_among, _words_at, format_word, rotation_class, validate_word
 
 SFH_CAVEAT = (
     "numerical evidence only: norms were admitted by sampled verification and "
@@ -100,20 +101,18 @@ def sfh_evidence(
     rho_hat ** |omega| up to offender_tol in (0, 1); offenders are pooled across norms
     and sorted.  samples, when given, feeds both the verification, which also
     rejects a bad rho_hat, and any sampled matrix norms.  budget counts the
-    rows that the scan's walk asks about, the one product walk
-    (tuples._PrefixStore) that tuples.off_class_blocks runs.
+    rows that the scan's walk (tuples._PrefixStore) asks its prune about.
 
-    Only competitors that can change the report are evaluated.  Per block and
-    per norm, each product P gets an upper bound on its computed induced
-    value, cap * c with cap its linalg.op_norm_caps value, which the walk
-    yields with the block, and c a constant of the norm and its
-    directions (norms._induced_norm; the bound is inf where the evaluation
-    could overflow or underflow).  The product with the largest bound is
-    evaluated first, then every product whose bound is not strictly below
-    min(threshold, level maximum so far).  A skipped product's value lies
-    strictly below the threshold, so it is no offender, and strictly below a
-    value the level maximum already holds, so it cannot raise it: margin and
-    offenders are bitwise those of a scan that evaluates every competitor.
+    Only competitors that can change the report are evaluated: first the
+    seeds, per norm the one-letter mutant of omega (two letter counts
+    differ, so no rotation) with the largest bound, up to rounding, built
+    by product_along as the walk builds it.  The walk then drops
+    zero products, at k = n omega's rotations and the seeds, and each prefix
+    p of length k whose bound_of(cap) * L ** (n - k) * _PRUNE_SLACK lies
+    strictly below min(threshold, level maximum so far) under every norm:
+    cap is P_p's linalg.op_norm_caps value, bound_of the norm's second map
+    (norms._induced_norm) and L the slots' largest linalg.op_norms value.
+    So margin and offenders are bitwise those of an unscreened scan.
     """
     omega = validate_word(omega, t.r)
     require_fraction("offender_tol", require_tol("offender_tol", offender_tol))
@@ -133,39 +132,58 @@ def _target(rho_hat: float, n: int) -> float:
     return target
 
 
+# A word below a prefix P_p of length k is n - k matmuls on, and each computed
+# A @ X has a 2-norm below (1 + d**2 * eps) * ||A||_2 * ||X||_2, eps = 2**-53
+# (|fl(A X) - A X| <= d * eps * |A| @ |X|, and ||M||_F <= sqrt(d) * ||M||_2).
+# With L, LAPACK's sigma_1, off by a few d * eps and its power by an ulp, this
+# factor keeps cap * L ** (n - k) a bound while (n - k) * d**2 stays below 4e6.
+_PRUNE_SLACK = 1.0 + 1e-9
+
+
 def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: float, budget: int) -> SfhReport:
-    """sfh_evidence's screened offender scan under induced maps that _admit returned.
-    A zero competitor, which tuples.off_class_blocks skips, has value 0: no offender, no new maximum."""
+    """sfh_evidence's pruned offender scan under induced maps that _admit returned: the seeds, then the walk."""
     n = len(omega)
     target = _target(rho_hat, n)
     threshold = target * (1.0 - offender_tol)
     level_max = [0.0] * len(induced)
     offender_values: dict[Word, float] = {}
-    for digits, _, caps, stack in off_class_blocks(t, omega, budget):
-        for i, (norm_of, bound_of) in enumerate(induced):
-            bound = bound_of(caps)
-            values = np.full(len(stack), -np.inf)  # a skipped row stays below both tests
-            top = int(np.argmax(bound))
-            values[top] = norm_of(stack[top:top + 1])[0]
-            # a NaN bound compares False and keeps its row
-            live = ~(bound < min(threshold, max(level_max[i], values[top])))
-            live[top] = False
-            if live.any():
-                values[live] = norm_of(stack[live])
+
+    def evaluate(digits: np.ndarray, stack: np.ndarray) -> None:
+        for i, (norm_of, _) in enumerate(induced):
+            values = norm_of(stack)
             level_max[i] = max(level_max[i], float(np.max(values)))
             hits = np.flatnonzero(values >= threshold)
             for z, value in zip(_words_at(digits[hits]), values[hits].tolist()):
                 offender_values[z] = max(offender_values.get(z, 0.0), value)
+
+    slots = np.stack(t.matrices)
+    picks = [(j, a) for j in range(n) for a in range(1, t.r + 1) if a != omega[j]]  # the mutants
+    with np.errstate(over="ignore", invalid="ignore"):  # the walk's state for the walk's work
+        powers = np.max(linalg.op_norms(slots)) ** np.arange(n, dtype=float)  # L ** (n - k)
+        reach = np.where(powers >= np.finfo(float).tiny, powers * _PRUNE_SLACK, np.inf)
+        if picks:  # by the caps of the mutants up to rounding, in 2 matmuls each, not n
+            heads, tails = [np.eye(t.d)], [np.eye(t.d)]  # the products of omega's first and last j letters
+            for j in range(n - 1):
+                heads.append(slots[omega[j] - 1] @ heads[-1])
+                tails.append(tails[-1] @ slots[omega[n - 1 - j] - 1])
+            caps = linalg.op_norm_caps(np.array([tails[n - 1 - j] @ slots[a - 1] @ heads[j] for j, a in picks]))
+            picks = [picks[i] for i in sorted({int(np.argmax(bound_of(caps))) for _, bound_of in induced})]
+        seeds = [omega[:j] + (a,) + omega[j + 1:] for j, a in picks]
+        stack = np.array([product_along(t, z) for z in seeds])  # bitwise the walk's products
+    if seeds and np.isfinite(stack).all():  # else the walk raises as it builds the overflow
+        evaluate(_digit_rows(seeds, t.r), stack)
+    known = _rows_among([*rotation_class(omega), *seeds], t.r)
+
+    def prune(digits, periods, caps, k):  # a NaN bound compares False and keeps its row
+        drop = (caps == 0) | np.logical_and.reduce([bound_of(caps) * reach[n - k] < min(threshold, m)
+                                                    for (_, bound_of), m in zip(induced, level_max)])
+        return drop | known(digits) if k == n else drop
+
+    for digits, _, _, stack in _PrefixStore(t, 1, budget).walk(n, prune=prune):
+        evaluate(digits, stack)
     margin = min([1.0] + [(target - m) / target for m in level_max])
-    offenders = tuple(sorted(offender_values.items()))
-    return SfhReport(
-        candidate=omega,
-        depth=n,
-        rho_hat=rho_hat,
-        margin=margin,
-        offenders=offenders,
-        norm_count=len(induced),
-    )
+    return SfhReport(candidate=omega, depth=n, rho_hat=rho_hat, margin=margin,
+                     offenders=tuple(sorted(offender_values.items())), norm_count=len(induced))
 
 
 def characteristic_word_search(

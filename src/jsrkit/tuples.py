@@ -30,10 +30,8 @@ from .words import (
     _child_periods,
     _children,
     _digit_rows,
-    _rows_among,
     necklace_children,
     prefix_blocks,
-    rotation_class,
     validate_word,
 )
 
@@ -164,7 +162,7 @@ class _PrefixStore:
     are A_letter @ P_prefix in one batched matmul per piece
     (_products_below), product_along's 2-D products, so each P_w equals it
     bitwise.  bounds._levels walks one store per level pass.
-    off_class_blocks walks a store of depth 1 once per scan: it keeps only
+    finiteness._scan walks a store of depth 1 once per scan: it keeps only
     the slots, and every later row goes into the scratch rows of its
     length, since a single walk reads no row again once its children are
     built.
@@ -264,24 +262,6 @@ class _PrefixStore:
             digits, periods, index, caps = block
             products, rows = self._table(n, index)
             yield digits, periods, caps, _rows(products, rows)
-
-
-def off_class_blocks(t: MatrixTuple, omega: Word, budget: int):
-    """The blocks (digits, periods, caps, stack) of the words of length n = |omega| outside omega's
-    rotation class: the walk of a _PrefixStore of depth 1, which keeps only the slots, with a budget
-    of its own.
-
-    The prune ignores the periods.  It drops each row whose cap is 0,
-    exactly the zero products (linalg.op_norm_caps), at every length, with
-    its subtree (a finite number times +-0 is +-0), and omega's rotations at
-    k = n, looked up by words._rows_among."""
-    n = len(omega)
-    rotation = _rows_among(rotation_class(omega), t.r)
-
-    def prune(digits, periods, caps, k):
-        zero = caps == 0
-        return zero | rotation(digits) if k == n else zero
-    return _PrefixStore(t, 1, budget).walk(n, prune=prune)
 
 
 def tuple_distance(s: MatrixTuple, t: MatrixTuple) -> float:

@@ -12,7 +12,7 @@ each screen with one mask per row as its prune, and yields (digits,
 periods, *rows) blocks of the words of one length.
 tuples._PrefixStore.walk is the one walk over products, with one product
 per row, built once per store: the level passes of bounds and the offender
-scans (tuples.off_class_blocks) run it.  word_blocks lists words and, by
+scans (finiteness._scan) run it.  word_blocks lists words and, by
 prunes, necklaces (_necklaces) and primitive words.
 enumerate_words and enumerate_necklaces decode its blocks to tuples
 (_words_at: digits + 1), and render_words turns a block into text.

@@ -18,6 +18,7 @@ import pytest
 import jsrkit
 from jsrkit import cli, config, tuples, words
 from jsrkit.cli import main
+from jsrkit.constructions import example_tuple
 from jsrkit.finiteness import SFH_CAVEAT
 from jsrkit.norms import WeightedMaxNorm, norm_to_json_dict
 from jsrkit.tuples import MatrixTuple, from_json, scale, to_json
@@ -653,6 +654,24 @@ def test_construct_rejects_incomplete_parameters(capsys, tmp_path):
     assert code == 2  # proper power
     code, _, err = _run(capsys, ["construct", "--word", "1,0"])
     assert code == 2
+
+
+def test_construct_parameters_parse_as_complex_numbers(capsys):
+    # a complex tuple takes a complex parameter as example_tuple does, a real
+    # tuple refuses its imaginary part, and a real parameter writes what it did
+    for argv, kwargs in (
+        (["--example", "2", "--field", "complex", "--lam=0.6j"], {"field": "complex", "lam": 0.6j}),
+        (["--example", "2", "--field", "complex", "--lam=-0.3+0.4j"], {"field": "complex", "lam": -0.3 + 0.4j}),
+        (["--example", "1", "--field", "complex", "--l1=0.3j", "--l2", "0.5"],
+         {"field": "complex", "l1": 0.3j, "l2": 0.5}),
+        (["--example", "2", "--lam", "0.5"], {"lam": 0.5}),
+    ):
+        code, out, err = _run(capsys, ["construct", *argv])
+        assert (code, err) == (0, ""), argv
+        t, truth = example_tuple(int(argv[1]), **kwargs)
+        assert out == to_json(t, extra={"truth": truth}), argv
+    code, out, err = _run(capsys, ["construct", "--example", "2", "--lam=0.6j"])
+    assert (code, out, err) == (2, "", "error: parameter lam must be real for a real tuple\n")
 
 
 def test_invalid_depth_and_tol_rejected(capsys, tmp_path):

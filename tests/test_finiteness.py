@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jsrkit import finiteness, norms
+from jsrkit import finiteness, norms, tuples
 from jsrkit.bounds import spectral_maximal_candidates
 from jsrkit.constructions import characteristic_tuple
 from jsrkit.errors import BudgetError, InputError
@@ -17,7 +17,7 @@ from jsrkit.finiteness import (
 )
 from jsrkit.norms import LpNorm, MeshNorm, WeightedMaxNorm, matrix_norm, sphere_samples, theta
 from jsrkit.tuples import MatrixTuple, product_along
-from jsrkit.words import enumerate_words, power, rotation_class
+from jsrkit.words import _words_at, enumerate_words, power, rotation_class
 
 MAXNORM = WeightedMaxNorm((1.0, 1.0))
 
@@ -373,3 +373,91 @@ def test_screen_margin_keeps_offenders_that_tie_the_bound(monkeypatch):
     assert report.offenders == (((1, 2, 2), 1.0), ((2, 1, 2), 1.0), ((2, 2, 1), 1.0))
     # the four words with two or three 1s (values 0.5 and 0.25) are skipped
     assert sum(rows) == 3
+
+
+def _walked(monkeypatch):
+    """The stores that the scans walk, and the words their walks yield."""
+    stores, yielded, walk = [], [], tuples._PrefixStore.walk
+
+    def spy(store, n, *, prune):
+        stores.append(store)
+        for block in walk(store, n, prune=prune):
+            yielded.extend(_words_at(block[0]))
+            yield block
+
+    monkeypatch.setattr(tuples._PrefixStore, "walk", spy)
+    return stores, yielded
+
+
+def _assert_equals_unscreened(report, t, omega, reps, rho_hat, offender_tol=1e-6):
+    margin, offenders, _ = _unscreened_scan(t, omega, reps, rho_hat, offender_tol, None)
+    assert report.margin.hex() == margin.hex()
+    assert [(z, v.hex()) for z, v in report.offenders] == [(z, v.hex()) for z, v in offenders]
+
+
+def test_a_power_of_the_slot_norm_that_overflows_keeps_its_rows():
+    # L = 1e100, so L ** 4 leaves the float range (where Python's float power
+    # raises OverflowError); the slots alternate 1e100 and 1e-100 with no product
+    # past 1e100, so the scan itself stays in range
+    t = MatrixTuple("real", (np.array([[0.0, 1e100], [0.0, 0.0]]), np.array([[0.0, 0.0], [1e-100, 0.0]]),
+                             0.5 * np.eye(2)))
+    omega, rep = (1, 1, 3, 2, 3), WeightedMaxNorm((1.0, 1.0))
+    for rho_hat in (1e20, 2e20, 0.9e20):
+        report = sfh_evidence(t, omega, rep, rho_hat, offender_tol=1e-6, norm_check_tol=1e300)
+        _assert_equals_unscreened(report, t, omega, [rep], rho_hat)
+
+
+def test_a_power_of_the_slot_norm_that_underflows_to_zero_keeps_its_rows(monkeypatch):
+    # L ** 2 rounds to 0 at L near 2**-600, so the walk keeps both slots at k = 1
+    # and asks about their 4 children, all zero; under this norm, which reads
+    # every product as 1, a power taken as 0 would have dropped both slots
+    stores, _ = _walked(monkeypatch)
+    rng = np.random.default_rng(3)
+    t = MatrixTuple("real", tuple(2.0 ** -600 * rng.standard_normal((2, 2)) for _ in range(2)))
+    ones = [(lambda stack: np.ones(len(stack)), lambda caps: caps)]
+    report = finiteness._scan(t, (1, 2, 2), ones, 2.0, 0.5, 10 ** 6)
+    assert (report.margin, report.offenders) == (1.0 - 1.0 / 8, ())
+    assert stores[0].spent == 2 + 4
+
+
+def test_one_slot_scan_has_no_seeds(monkeypatch):
+    # one slot has no mutants and no word outside the class: nothing is evaluated
+    rows = _counting_induced(monkeypatch)
+    stores, yielded = _walked(monkeypatch)
+    t = MatrixTuple("real", (np.array([[0.5, 1.0], [0.0, 0.25]]),))
+    report = sfh_evidence(t, (1,) * 4, MAXNORM, 1.0, norm_check_tol=1e300)
+    assert (report.margin, report.offenders, rows, yielded, stores[0].spent) == (1.0, (), [], [], 4)
+
+
+def test_a_row_that_one_norm_keeps_is_evaluated_under_every_norm(monkeypatch):
+    # the bound of weights (1, 1e-3) is 1000 times looser than that of unit
+    # weights, so that norm keeps rows that the other drops; a kept row is
+    # evaluated under both, and the report is that of the unscreened scan
+    stores, yielded = _walked(monkeypatch)
+    rng = np.random.default_rng(4)
+    t = MatrixTuple("real", tuple(rng.standard_normal((2, 2)) for _ in range(2)))
+    omega, loose, tight = (1, 2, 1, 1, 2, 2, 2, 1), WeightedMaxNorm((1.0, 1e-3)), WeightedMaxNorm((1.0, 1.0))
+    top = _unscreened_scan(t, omega, [loose], 1.0, 0.5, None)[2][0]
+    counts = {}
+    for reps in ([tight], [loose], [tight, loose], [loose, tight]):
+        for factor in (1.0, 1.5):
+            yielded.clear()
+            rho_hat = (factor * top) ** (1.0 / len(omega))
+            report = sfh_evidence(t, omega, reps, rho_hat, offender_tol=1e-6, norm_check_tol=1e300)
+            _assert_equals_unscreened(report, t, omega, reps, rho_hat)
+            counts[len(reps), reps[0] is tight, factor] = len(yielded)
+    for factor in (1.0, 1.5):
+        assert counts[1, True, factor] < counts[2, True, factor] == counts[2, False, factor]
+        assert counts[1, False, factor] <= counts[2, True, factor] < 2 ** 8 - 8
+
+
+def test_an_offender_among_the_seeds_is_reported_once(monkeypatch):
+    # the seed of example 2 at 1^10 is its one offender, 2 1^9; the walk does not
+    # yield it again, so it is evaluated once
+    rows = _counting_induced(monkeypatch)
+    _, yielded = _walked(monkeypatch)
+    t, rep, omega = _diag_dominant_pair(0.5), WeightedMaxNorm((1.0, 0.5)), (1,) * 10
+    report = sfh_evidence(t, omega, rep, 1.0)
+    assert report.offenders == (((2,) + (1,) * 9, 1.0),)
+    assert (2,) + (1,) * 9 not in yielded and sum(rows) == 1 + len(yielded)
+    _assert_equals_unscreened(report, t, omega, [rep], 1.0)

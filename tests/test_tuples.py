@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jsrkit import config, linalg, tuples, words
+from jsrkit import config, finiteness, linalg, tuples, words
 from jsrkit.errors import BudgetError, ConvergenceError, InputError
 from jsrkit.constructions import characteristic_tuple
 from jsrkit.finiteness import sfh_evidence
@@ -226,39 +226,71 @@ def test_the_walk_owns_its_errstate_and_holds_it_across_no_yield(monkeypatch):
     # no np.errstate around the walks: a prune whose bounds overflow to inf,
     # and whose inf - inf is NaN, warns nothing, while an overflow in the
     # loop body of every block still warns, so the state the walk steps
-    # under does not leak; blocks of four products make many steps
+    # under does not leak; blocks of four products make many steps.  The
+    # offender scan takes the same bounds from its norm, for its seeds and its
+    # walk, and runs its loop body, seeds included, in the norm.
     rng = np.random.default_rng(39)
     t = tuples.MatrixTuple("real", tuple(rng.standard_normal((3, 3)) for _ in range(2)))
     monkeypatch.setattr(config, "BLOCK_BYTES", 4 * t.matrices[0].nbytes)
-    asked = []
+    asked, outside = [], np.geterr()
 
-    def prune(digits, periods, caps, k):
+    def overflowing(caps):
         bound = caps * 1e308 * 1e308
         asked.append(np.isinf(bound).all())
-        return bound - bound > 0  # NaN compares False: nothing is dropped
+        return bound - bound
 
-    outside = np.geterr()
+    def body(caps):
+        assert np.geterr() == outside
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            caps * 1e308 * 1e308
+
+    def prune(digits, periods, caps, k):
+        return overflowing(caps) > 0  # NaN compares False: nothing is dropped
+
+    def norm_of(stack):
+        body(linalg.op_norm_caps(stack))
+        blocks.append(len(stack))
+        return np.zeros(len(stack))
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for walk in (_store(t, 5).walk(5, prune=prune), tuples.off_class_blocks(t, (1, 2, 2, 1, 2), 10 ** 6)):
-            blocks = 0
-            for digits, periods, caps, stack in walk:
-                blocks += 1
-                assert np.geterr() == outside
-                with pytest.raises(RuntimeWarning, match="overflow"):
-                    caps * 1e308 * 1e308
-            assert blocks > 1
-    assert len(asked) > 5 and all(asked)
+        blocks = []
+        for digits, periods, caps, stack in _store(t, 5).walk(5, prune=prune):
+            body(caps)
+            blocks.append(len(stack))
+        assert len(blocks) > 1
+        blocks = []
+        finiteness._scan(t, (1, 2, 2, 1, 2), [(norm_of, overflowing)], 1.0, 0.5, 10 ** 6)
+        assert len(blocks) > 1 and sum(blocks) == 2 ** 5 - 5
+    assert len(asked) > 10 and all(asked)
 
 
-def _off_class(t, omega):
-    """off_class_blocks(t, omega) at the default budget as a list of (digits, caps, stack), each stack
-    copied out before the next block."""
-    return [(digits, caps, stack.copy())
-            for digits, _, caps, stack in tuples.off_class_blocks(t, omega, config.DEFAULTS.word_budget)]
+def _scan_walk(t, omega, budget=config.DEFAULTS.word_budget):
+    """(seeds, blocks, stores) of the offender scan of omega under one norm that reads every product as
+    0 and bounds it by its cap, so that its walk drops only zero products, and at k = n the rotations
+    and the seed: the mutant of omega with the largest cap, the blocks (digits, caps, stack) that the
+    walk yields, each stack copied out before the next block, and the stores it walks."""
+    induced = [(lambda stack: np.zeros(len(stack)), lambda caps: caps)]
+    blocks, stores, walk = [], [], tuples._PrefixStore.walk
+
+    def spy(store, n, *, prune):
+        stores.append(store)
+        for digits, periods, caps, stack in walk(store, n, prune=prune):
+            blocks.append((digits, caps, stack.copy()))
+            yield digits, periods, caps, stack
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tuples._PrefixStore, "walk", spy)
+        finiteness._scan(t, omega, induced, 1.0, 0.5, budget)
+    n = len(omega)
+    mutants = [omega[:j] + (a,) + omega[j + 1:] for j in range(n) for a in range(1, t.r + 1) if a != omega[j]]
+    if not mutants:
+        return [], blocks, stores
+    caps = linalg.op_norm_caps(np.array([tuples.product_along(t, z) for z in mutants]))
+    return [mutants[int(np.argmax(caps))]], blocks, stores
 
 
-def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
+def test_scan_walk_yields_exactly_the_nonzero_competitors_but_its_seeds():
     # sparse signed 0/1 slots: many products vanish, some only at the last letter;
     # then slots of 2**-541 .. 2**-535, whose products of two letters are
     # subnormal, kept, or underflow to zero, dropped
@@ -267,7 +299,7 @@ def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
         r, d, n = (int(rng.integers(1, hi)) for hi in (4, 5, 6))
         t = tuples.MatrixTuple("real", tuple(rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (d, d)) for _ in range(r)))
         omega = tuple(int(x) for x in rng.integers(1, r + 1, n))
-        _assert_off_class_blocks_are_the_nonzero_competitors(t, omega)
+        _assert_scan_walk_yields_the_nonzero_competitors(t, omega)
     rng, kept, subnormal, underflowed = np.random.default_rng(18), 0, 0, 0
     for _ in range(60):
         r, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
@@ -280,17 +312,18 @@ def test_off_class_blocks_hold_exactly_the_nonzero_competitors():
         products = [tuples.product_along(t, w) for w in words.enumerate_words(r, 2)]
         subnormal += sum(bool(np.any(p)) and np.abs(p).max() < np.finfo(float).tiny for p in products)
         underflowed += sum(not np.any(p) for p in products)
-        for _, _, stack in _assert_off_class_blocks_are_the_nonzero_competitors(t, omega):
+        for _, _, stack in _assert_scan_walk_yields_the_nonzero_competitors(t, omega):
             kept += np.count_nonzero(np.abs(stack).max(axis=(1, 2)) < np.finfo(float).tiny)
     assert kept > 20 and subnormal > 20 and underflowed > 20, (kept, subnormal, underflowed)
 
 
-def _assert_off_class_blocks_are_the_nonzero_competitors(t, omega):
-    blocks = _off_class(t, omega)
+def _assert_scan_walk_yields_the_nonzero_competitors(t, omega):
+    seeds, blocks, _ = _scan_walk(t, omega)
+    assert len(seeds) == (t.r > 1) and not any(words.rotation_equivalent(z, omega) for z in seeds)
     got = [w for digits, _, _ in blocks for w in words._words_at(digits)]
     expected = [
         w for w in words.enumerate_words(t.r, len(omega))
-        if not words.rotation_equivalent(w, omega) and np.any(tuples.product_along(t, w))
+        if not words.rotation_equivalent(w, omega) and w not in seeds and np.any(tuples.product_along(t, w))
     ]
     assert got == expected, (t.r, t.d, omega)
     for digits, caps, stack in blocks:
@@ -323,37 +356,33 @@ def test_off_class_walk_on_a_characteristic_tuple_asks_about_r_n_rows_per_length
         assert 0 < sum(asked) <= 2 * n ** 2, n
 
 
-def test_off_class_scan_keeps_only_the_slots(monkeypatch):
+def test_off_class_scan_keeps_only_the_slots():
     # one walk reads no row twice, so its store keeps the r slots and builds
     # every longer row into the scratch rows of its length
-    stores = []
-    walk = tuples._PrefixStore.walk
-    monkeypatch.setattr(tuples._PrefixStore, "walk",
-                        lambda store, n, **kw: stores.append(store) or walk(store, n, **kw))
     no_zero = tuples.MatrixTuple("real", (np.diag([1.0, 0.5]), np.array([[0.0, 0.5], [0.5, 0.0]])))
     omega = (1, 2, 3, 3, 1, 2, 2)
     cases = ((no_zero, (1, 2) * 3 + (1,)), (characteristic_tuple(3, len(omega), omega), omega))
     for t, omega in cases:
-        stores.clear()
-        _assert_off_class_blocks_are_the_nonzero_competitors(t, omega)
-        (store,) = stores
+        _assert_scan_walk_yields_the_nonzero_competitors(t, omega)
+        _, _, (store,) = _scan_walk(t, omega)
         assert store.size == store.capacity == t.r
         assert sorted(store.scratch) == list(range(2, len(omega) + 1))
 
 
-def test_off_class_blocks_look_rotations_up_by_their_bytes():
-    # no product is zero, so exactly the rotations go: those of (2, 1, 1) end in
-    # zero digits, and letters over an alphabet of 300 take two bytes each
+def test_scan_walk_looks_rotations_up_by_their_bytes():
+    # no product is zero, so exactly the rotations and the seed go: those of (2, 1, 1)
+    # end in zero digits, and letters over an alphabet of 300 take two bytes each
     for r, omega in ((2, (2, 1, 1)), (300, (7, 290))):
         t = tuples.MatrixTuple("real", tuple(np.full((1, 1), 1.0 + letter / r) for letter in range(r)))
-        got = [w for digits, _, _ in _off_class(t, omega) for w in words._words_at(digits)]
+        seeds, blocks, _ = _scan_walk(t, omega)
+        got = [w for digits, _, _ in blocks for w in words._words_at(digits)]
         rotations = words.rotation_class(omega)
-        assert got == [w for w in words.enumerate_words(r, len(omega)) if w not in rotations], (r, omega)
-        assert len(got) == r ** len(omega) - len(rotations), (r, omega)
+        assert got == [w for w in words.enumerate_words(r, len(omega)) if w not in rotations | set(seeds)], (r, omega)
+        assert len(got) == r ** len(omega) - len(rotations) - 1, (r, omega)
 
 
 def test_store_walk_errors():
-    # no product of this pair is zero, so the scan of length 11 keeps every prefix and passes 100 rows
+    # no product of this pair is zero, and its scan of length 11 asks about 3648 rows, past 100
     t = tuples.MatrixTuple("real", (np.diag([1.0, 0.5]), np.array([[0.0, 0.5], [0.5, 0.0]])))
     with pytest.raises(BudgetError, match="^enumeration of products of length 11 exceeds budget 100 rows$"):
         sfh_evidence(t, (1, 2) * 5 + (1,), WeightedMaxNorm((1.0, 0.5)), 1.0, budget=100)
@@ -363,7 +392,7 @@ def test_store_walk_errors():
         with pytest.raises(ConvergenceError, match="length 2"):
             _blocks(big, 3, necklaces=necklaces)
     with pytest.raises(ConvergenceError, match="length 2"):
-        _off_class(big, (1, 1, 1))
+        _scan_walk(big, (1, 1, 1))
 
 
 def test_product_along_validates_letters():
