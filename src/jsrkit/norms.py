@@ -251,12 +251,15 @@ def _verify(t, norm, rho_hat, samples, tol, kind) -> VerificationReport:
     blocks = [pts[lo:lo + step] for lo in range(0, len(pts), step)]
     worst = []
     for block, base in zip(blocks, [_base_values(norm, block) for block in blocks]):
-        top = np.max(np.stack([_eval_many(norm, block @ a.T) for a in t.matrices]), axis=0)
-        if kind == "barabanov":
-            worst.append(np.max(np.abs(top - rho_hat * base) / base))
-        else:
-            worst.append(np.max(np.maximum(top - rho_hat * base, 0.0) / base))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
+            top = np.max(np.stack([_eval_many(norm, block @ a.T) for a in t.matrices]), axis=0)
+            if kind == "barabanov":
+                worst.append(np.max(np.abs(top - rho_hat * base) / base))
+            else:
+                worst.append(np.max(np.maximum(top - rho_hat * base, 0.0) / base))
     residual = float(np.max(worst))
+    if not np.isfinite(residual):
+        raise ConvergenceError("sampled residual overflows; the tuple's scale is out of range")
     return VerificationReport(
         kind=kind,
         rho_hat=float(rho_hat),

@@ -117,14 +117,26 @@ def test_characteristic_validation():
                 build(*args)
 
 
-def test_characteristic_self_check_failure_raises(monkeypatch):
-    monkeypatch.setattr("jsrkit.constructions.linalg.rank_eps", lambda a, tol=None: 2)
-    with pytest.raises(ConvergenceError):
-        characteristic_tuple(2, 3, (1, 2, 2))
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("r, omega", [
+    (2, (1,) * 23 + (2,)),
+    (3, (1, 2, 3, 3, 1, 2, 2, 3, 1, 1, 3, 2, 1, 2, 3, 1, 3, 3, 2, 1, 2, 2, 1, 3)),
+    (2, (1,) * 99 + (2,)),
+    (4, (1, 2)),
+], ids=["1^23-2", "three-letters-24", "1^99-2", "scaled-copies"])
+def test_characteristic_rotation_products_are_single_entries(r, omega, field):
+    # the lemma past the brute-force lengths: the product along the rotation of omega
+    # that starts at position j is the 0/1 matrix with a single 1 at (j, j), bitwise,
+    # which gives rho = rank = 1 without an eigenvalue, rank or norm routine
+    n = len(omega)
+    t = characteristic_tuple(r, n, omega, field=field)
+    for j in range(n):
+        p = tuples.product_along(t, omega[j:] + omega[:j])
+        assert p.tobytes() == np.diag(np.arange(n) == j).astype(p.dtype).tobytes(), j
 
 
 def test_characteristic_self_check_names_a_corrupted_slot(monkeypatch):
-    # the slot pattern check runs on the tuple as stored, before every other check
+    # the slot pattern check runs on the tuple as stored, before the distinctness check
     def corrupted(field, mats):
         return MatrixTuple(field, (mats[0], mats[1] + np.eye(3) * 1e-300, *mats[2:]))
 
@@ -134,12 +146,15 @@ def test_characteristic_self_check_names_a_corrupted_slot(monkeypatch):
 
 
 def test_characteristic_tuple_runs_no_product_walk(monkeypatch):
-    # the slots' 0/1 patterns prove the off-class products zero, so no walk
-    # over them runs, past 62 letters too
-    def no_walk(store, n, **kw):
-        raise AssertionError("characteristic_tuple walked products")
+    # the slots' 0/1 patterns prove the off-class products zero and P_omega's rho,
+    # rank and slot norms, so no walk over products and no SVD or eigenvalue
+    # routine runs, past 62 letters too
+    def refuse(*args, **kw):
+        raise AssertionError("characteristic_tuple walked products or called LAPACK")
 
-    monkeypatch.setattr(tuples._PrefixStore, "walk", no_walk)
+    monkeypatch.setattr(tuples._PrefixStore, "walk", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
     for n in (24, 63):
         assert characteristic_tuple(2, n, (1,) * (n - 1) + (2,)).d == n
 

@@ -66,3 +66,20 @@ def test_each_refusal_names_its_reason(name, tmp_path, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["barabanov", "verify", "--rho-hat", "1"],
+    ["sfh", "--word", "1", "--rho-hat", "1", "--norm-check-tol", "1e300"],
+], ids=["verify", "sfh"])
+def test_a_sampled_residual_past_the_float_range_ends_in_one_line(argv, tmp_path, capsys):
+    # a slot of 1e308 entries sends every sample past the float range: the residual's overflow
+    # warning no longer reaches stderr, and no report with "residual": Infinity (not JSON) leaves
+    big = {"field": "real", "r": 1, "d": 2, "matrices": [[[1e308, 1e308], [1e308, 1e308]]]}
+    (tmp_path / "big.json").write_text(json.dumps(big))
+    (tmp_path / "w11.json").write_text(json.dumps({"variant": "weighted_max", "weights": [1.0, 1.0]}))
+    argv = argv + ["--input", str(tmp_path / "big.json"), "--norm", str(tmp_path / "w11.json")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    reason = "numerical failure: sampled residual overflows; the tuple's scale is out of range\n"
+    assert (code, captured.out, captured.err) == (2, "", reason)
