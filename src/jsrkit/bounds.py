@@ -2,36 +2,38 @@
 
 For a tuple t and depth n* the engine reports
 
-    lower = max over rotation-class representatives w, |w| <= n*,
+    lower = max over Lyndon words w, |w| <= n*,
             of spectral_radius(P_w) ** (1 / |w|)
     upper = min over levels n <= n* of
             (max over all words of length n of op_norm(P_w)) ** (1 / n)
 
 Both sides converge to the joint spectral radius as n* grows; at any
-finite depth the pair is a certificate lower <= jsr <= upper.
+finite depth the pair is a certificate lower <= jsr <= upper.  Each
+rotation class is evaluated once, by its Lyndon word; a proper power u^m,
+whose averaged radius is u's, would add only its rounding.
 
 One level pass (_levels) runs, for n = 1 .. depth, one walk of level n
-over all words, necklaces marked by their FKM periods, whose maximum L_n
-the later levels prune by.  bounds, spectral_maximal_candidates and the
-default rho_hat of a candidate search (_candidates_and_midpoint) each take
-one pass.  The walks are the one product walk, tuples._PrefixStore's, over
-one store per pass, which builds each prefix product and its cap once and
-hands them to every later level.  Products come in lexicographic order, in
-blocks, with one numpy call per block (linalg.spectral_radii,
-linalg.op_norms).  Ties keep the first word.
+over all words, the Lyndon words marked by their FKM period n, whose
+maximum L_n the later levels prune by.  bounds, spectral_maximal_candidates
+and the default rho_hat of a candidate search (_candidates_and_midpoint)
+each take one pass.  The walks are the one product walk,
+tuples._PrefixStore's, over one store per pass, which builds each prefix
+product and its cap once and hands them to every later level.  Products
+come in lexicographic order, in blocks, with one numpy call per block
+(linalg.spectral_radii, linalg.op_norms).  Ties keep the first word.
 
 Each word below a prefix P_p of length k < n has P_w = P_s P_p, so
 spectral_radius(P_w) <= op_norm(P_w) <= L_{n-k} * cap(P_p) =: bound, cap
 being linalg.op_norm_caps.  The walk's prune drops p, with every word below
 it, only when neither bound can use it: bound is strictly below max(best,
-bar), and p's period is 0 (no necklace below) or bound ** (1/n) is strictly
-below floor.  best is the level's running maximum, bar its seed, and floor
+bar), and p's period is 0 (no Lyndon word below) or bound ** (1/n) is
+strictly below floor.  best is the level's running maximum, bar its seed, and floor
 = (1 - _TIE_TOL) * top * (1 - 1e-9), top being the running maximum of the
-necklace values (no lower screening while floor <= 0; a bound that
+Lyndon word values (no lower screening while floor <= 0; a bound that
 overflows to inf or NaN keeps its row).  Full words are screened on the
 yielded stack, from which each screen gathers only the rows it
-evaluates: necklaces whose cap ** (1/n) (the prune's rule at k = n, L_0 =
-1), then whose linalg.spectral_radius_caps value ** (1/n), is below floor
+evaluates: Lyndon words whose cap ** (1/n) (the prune's rule at k = n,
+L_0 = 1), then whose linalg.spectral_radius_caps value ** (1/n), is below floor
 are skipped, and eigenvalues are taken of the rest; rows whose cap is
 strictly below max(best, bar) are skipped, and an SVD runs on the rest.
 The factor 1 - 1e-9 absorbs the rounding of the powers, and the cap's
@@ -48,7 +50,7 @@ Budget accounting: the pass's store counts every row that its walks ask
 a prune about, summed over every length and level, candidate scans
 included, whether or not the store built the row at that level.  Its
 BudgetError, past the budget, drops the level whose walk raised it: its
-necklaces, their share of lower and its maximum.  Stopping short of the
+Lyndon words, their share of lower and its maximum.  Stopping short of the
 requested depth sets partial; a budget that level 1 passes raises
 BudgetError.  A level maximum of exactly 0 under a positive lower bound
 can only be underflow, since L_n >= jsr ** n >= lower ** n > 0: the
@@ -97,13 +99,13 @@ class JsrBounds(_Record):
         }
 
 
-# A necklace, or a necklace prefix, is skipped when its radius bound, to the
+# A Lyndon word, or a necklace prefix, is skipped when its radius bound, to the
 # power 1/n, falls below the floor times this factor.  The slack absorbs the
-# rounding of the two powers, so a skipped necklace's value lies strictly
+# rounding of the two powers, so a skipped word's value lies strictly
 # below the floor.  The seed of the upper screen takes the same factor.
 _SCREEN_SLACK = 1.0 - 1e-9
 
-# A necklace whose value reaches (1 - _TIE_TOL) * lower ties the lower bound.
+# A Lyndon word whose value reaches (1 - _TIE_TOL) * lower ties the lower bound.
 _TIE_TOL = 1e-9
 
 
@@ -125,14 +127,14 @@ def _bar(slots: np.ndarray, p) -> float:
 def _levels(t: MatrixTuple, depth: int, budget: int):
     """(candidates, maxima, reached) from levels 1 .. depth, one walk each.
 
-    candidates holds (word, value) for the necklaces whose value reaches
+    candidates holds (word, value) for the Lyndon words whose value reaches
     (1 - _TIE_TOL) times the largest, by value descending, then length, then
-    word, so the first is the lower bound and its witness; proper powers stay
-    in (spectral_maximal_candidates drops them).  When the largest is 0, only
-    the first necklace, (1,), ties.  maxima[n] is the level-n upper maximum
-    L_n, after maxima[0] = 1.0 for the empty word; level n's walk prunes by
-    maxima[1 .. n - 1] (module docstring).  reached is the last level within
-    the budget; both come from levels 1 .. reached only (no candidates at 0).
+    word, so the first is the lower bound and its witness.  When the largest
+    is 0, only the first Lyndon word, (1,), ties.  maxima[n] is the level-n
+    upper maximum L_n, after maxima[0] = 1.0 for the empty word; level n's
+    walk prunes by maxima[1 .. n - 1] (module docstring).  reached is the last
+    level within the budget; both come from levels 1 .. reached only (no
+    candidates at 0).
     """
     candidates, maxima, top, argmax = [], [1.0], -np.inf, None
     store, floor = _PrefixStore(t, depth, budget), -np.inf
@@ -149,10 +151,9 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
 
     for n in range(1, depth + 1):
         best, bar, before = 0.0, _bar(store.slots, argmax), (len(candidates), top)
-        necklace = words._necklaces(np.arange(n + 1), n, n)  # by period: those that divide n
         try:
             for digits, periods, caps, stack in store.walk(n, prune=prune):
-                rows = necklace[periods].nonzero()[0]
+                rows = (periods == n).nonzero()[0]  # the Lyndon words
                 if floor > 0 and len(rows):  # first the prune's own rule at k = n, then the radius caps
                     rows = rows[~(caps[rows] ** (1.0 / n) < floor)]
                     if len(rows):
@@ -213,11 +214,6 @@ def _certificate(levels, max_depth: int, budget: int) -> JsrBounds:
     )
 
 
-def _primitive_ties(candidates: list[tuple[Word, float]]) -> list[tuple[Word, float]]:
-    """The candidates whose words are primitive: a proper power u^m repeats u's rotation class."""
-    return [item for item in candidates if words.is_primitive(item[0])]
-
-
 def _candidates_and_midpoint(t: MatrixTuple, depth: int, budget: int):
     """(spectral_maximal_candidates(t, depth), the default rho_hat) from one _levels pass.
 
@@ -232,30 +228,29 @@ def _candidates_and_midpoint(t: MatrixTuple, depth: int, budget: int):
             f"enumeration budget {budget} reaches depth {b.depth} of {depth}, "
             "too shallow for the default rho_hat"
         )
-    return _primitive_ties(levels[0]), 0.5 * (b.lower + b.upper)
+    return levels[0], 0.5 * (b.lower + b.upper)
 
 
 def spectral_maximal_candidates(
     t: MatrixTuple, depth: int, *, budget: int = DEFAULTS.word_budget
 ) -> list[tuple[Word, float]]:
-    """Primitive rotation-class representatives whose averaged radius ties the lower bound.
+    """Lyndon words whose averaged radius ties the lower bound.
 
-    Scans every length up to ``depth`` and keeps representatives with
-    spectral_radius(P_w) ** (1/|w|) >= (1 - _TIE_TOL) * lower, that are
-    primitive words (words.is_primitive): a proper power u^m stands for u's
-    class, which the list holds already.  lower comes from every necklace,
-    so the first entry is bounds' witness unless rounding lifts a power
-    above its root.  Sorted by value descending, then length, then word.
-    When lower is 0, every necklace would reach the window, and only the
-    first, (1,), is kept.  The scan is bounds' pass, and budget is charged
-    for every row its walks ask about, those only the upper bound needs too.
+    Scans every length up to ``depth`` and keeps the Lyndon words, one per
+    rotation class of primitive words, with
+    spectral_radius(P_w) ** (1/|w|) >= (1 - _TIE_TOL) * lower.  lower comes
+    from the same words, so the first entry is bounds' witness.  Sorted by
+    value descending, then length, then word.  When lower is 0, every
+    Lyndon word would reach the window, and only the first, (1,), is kept.
+    The scan is bounds' pass, and budget is charged for every row its walks
+    ask about, those only the upper bound needs too.
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     candidates, _, reached = _levels(t, depth, budget)
     if reached < depth:
         raise BudgetError(f"candidate scan to depth {depth} exceeds enumeration budget {budget}")
-    return _primitive_ties(candidates)
+    return candidates
 
 
 def finiteness_verified_at_depth(b: JsrBounds, close_tol: float = DEFAULTS.close_tol) -> bool:

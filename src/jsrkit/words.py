@@ -81,9 +81,9 @@ def rotation_equivalent(z: Word, w: Word) -> bool:
 
 
 def is_primitive(w: Word) -> bool:
-    """True iff w is not a proper power, that is, iff its rotations are all distinct."""
+    """True iff w is not a proper power, that is, iff its rotations are all distinct (_primitive)."""
     w = validate_word(w)
-    return len(rotation_class(w)) == len(w)
+    return bool(_primitive(_digit_rows([w], max(w)))[0])
 
 
 def power(w: Word, p: int) -> Word:

@@ -71,12 +71,13 @@ def _unpruned_upper_oracle(t, n):
     return level ** (1.0 / n) if level > 0 else 0.0
 
 
-def _unscreened_necklace_values(t, depth):
-    """(word, spectral_radius(P_w) ** (1/|w|)) for every necklace up to depth, in scan order."""
+def _unscreened_lyndon_values(t, depth):
+    """(word, spectral_radius(P_w) ** (1/|w|)) for every Lyndon word up to depth, in scan order."""
     return [
         (w, linalg.spectral_radius(product_along(t, w)) ** (1.0 / n))
         for n in range(1, depth + 1)
         for w in words.enumerate_necklaces(t.r, n)
+        if words.is_primitive(w)
     ]
 
 
@@ -128,14 +129,14 @@ def test_witness_reproduces_lower():
 def test_candidates_shift_pair():
     cands = spectral_maximal_candidates(_shift_pair(), 4)
     got = {w for w, _ in cands}
-    assert got == {(1, 2)}  # (1, 2, 1, 2) ties too, but is a proper power
+    assert got == {(1, 2)}  # (1, 2, 1, 2), a power of it, is not evaluated
     assert cands[0][0] == (1, 2)
     assert all(v == pytest.approx(1.0, abs=1e-12) for _, v in cands)
 
 
 def test_candidates_diag_dominant_pair():
     cands = spectral_maximal_candidates(_diag_dominant_pair(), 3)
-    assert {w for w, _ in cands} == {(1,)}  # (1, 1) and (1, 1, 1) tie as powers of (1,)
+    assert {w for w, _ in cands} == {(1,)}  # (1, 1) and (1, 1, 1), powers of (1,), are not evaluated
 
 
 def test_pruned_upper_equals_unpruned():
@@ -340,19 +341,25 @@ def _dense_tuples():
 
 def test_dense_bounds_and_rank_one_verdicts_stay_bitwise():
     # the level pass's screens and store change no bit of these certificates:
-    # (lower, upper) as float.hex, depth, witness, upper level and partial
+    # (lower, upper) as float.hex, depth, witness, upper level and partial;
+    # each lower is its Lyndon witness's own value
     def pin(b):
         return b.lower.hex(), b.upper.hex(), b.depth, b.lower_witness, b.upper_level, b.partial
 
     dense = _dense_tuples()
-    assert pin(bounds(dense["pair12"], 13)) == (
-        "0x1.2b8bbc0029455p+0", "0x1.32252b126fb0ep+0", 13, (1,), 13, False)
-    assert pin(bounds(dense["triple6"], 9)) == (
-        "0x1.2fd925a53bdaap+0", "0x1.47efecfccd11bp+0", 9, (1, 1), 9, False)
-    pair8 = ("0x1.5712724f19aa1p+0", "0x1.68e53865961f6p+0", 11, (1, 2, 1, 2, 1, 2), 11, False)
-    wedge = ("0x1.97e1a0a231b1ap+0", "0x1.a1e3e9dbf6d44p+0", 11, (2, 2), 11, False)
-    assert pin(bounds(dense["pair8"], 11)) == pair8
-    assert pin(bounds(exterior_square_tuple(dense["pair8"]), 11)) == wedge
+    cases = ((dense["pair12"], 13), (dense["triple6"], 9), (dense["pair8"], 11),
+             (exterior_square_tuple(dense["pair8"]), 11))
+    pair12, triple6, pair8, wedge = (
+        ("0x1.2b8bbc0029455p+0", "0x1.32252b126fb0ep+0", 13, (1,), 13, False),
+        ("0x1.2fd925a53bda8p+0", "0x1.47efecfccd11bp+0", 9, (1,), 9, False),
+        ("0x1.5712724f19aa0p+0", "0x1.68e53865961f6p+0", 11, (1, 2), 11, False),
+        ("0x1.97e1a0a231b19p+0", "0x1.a1e3e9dbf6d44p+0", 11, (2,), 11, False),
+    )
+    for (t, depth), want in zip(cases, (pair12, triple6, pair8, wedge)):
+        b = bounds(t, depth)
+        assert pin(b) == want
+        w = b.lower_witness
+        assert b.lower == linalg.spectral_radius(product_along(t, w)) ** (1.0 / len(w))
     verdict = rank_one_property(dense["pair8"], 11)
     assert verdict.status == "Certified"
     for key, want in (("bounds", pair8), ("wedge_bounds", wedge)):
@@ -424,7 +431,7 @@ def test_example_2_asks_about_2n_rows_per_level():
 
 
 def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
-    # of each yielded block, exactly the necklace rows that clear both screens
+    # of each yielded block, exactly the Lyndon word rows (period n) that clear both screens
     # (op_norm_caps ** (1/n), then spectral_radius_caps ** (1/n), not below the
     # floor that the values so far set) reach linalg.spectral_radii, in walk order
     rng = np.random.default_rng(7)
@@ -435,13 +442,13 @@ def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
     def walk(store, n, *, prune):
         top[1] = n
         for digits, periods, caps, stack in store_walk(store, n, prune=prune):
-            necklace = words._necklaces(periods, n, n)
-            necklaces, necklace_caps = stack[necklace], caps[necklace]
+            lyndon = periods == n
+            kept, kept_caps = stack[lyndon], caps[lyndon]
             floor = (1.0 - 1e-9) * top[0] * (1.0 - 1e-9)
             if floor > 0:
-                necklaces = necklaces[~(necklace_caps ** (1.0 / n) < floor)]
-                necklaces = necklaces[~(linalg.spectral_radius_caps(necklaces) ** (1.0 / n) < floor)]
-            screened.append(necklaces.tobytes())
+                kept = kept[~(kept_caps ** (1.0 / n) < floor)]
+                kept = kept[~(linalg.spectral_radius_caps(kept) ** (1.0 / n) < floor)]
+            screened.append(kept.tobytes())
             yield digits, periods, caps, stack
 
     def spy(stack):
@@ -455,7 +462,7 @@ def test_only_screened_necklace_rows_reach_eigenvalues(monkeypatch):
     bounds(t, 11)
     rows = len(b"".join(screened)) // t.matrices[0].nbytes
     assert b"".join(screened) == b"".join(radii)
-    # the screen drops most necklaces here
+    # the screen drops most Lyndon words here: fewer than half the necklaces reach eigenvalues
     assert 0 < rows < sum(len(list(words.enumerate_necklaces(2, n))) for n in range(1, 12)) // 2
 
 
@@ -475,10 +482,12 @@ def test_a_level_maximum_that_underflows_to_zero_is_named():
 def test_a_seed_past_the_float_range_keeps_the_walks_error():
     # level 2's seed takes the norms of A_a @ P and P @ A_a, P the largest
     # product of level 1; here their singular values overflow, so the seed is
-    # 0.0, and the walk itself reports the overflow of its eigenvalues first
+    # 0.0, and the walk itself still reports the overflow: no Lyndon word of
+    # length 2 has eigenvalues that overflow ((1, 1) is a power, and P_(1,2) has
+    # entries of 8.66e153), but the singular values of P_(1,1) do
     big = 8.66e153 * np.ones((2, 2))
     for slots in ((big,), (big, np.array([[0.0, 1.0], [1.0, 0.0]]))):
-        with pytest.raises(ConvergenceError, match="^eigenvalue moduli overflow; the tuple's scale is out of range$"):
+        with pytest.raises(ConvergenceError, match="^singular values overflow; the tuple's scale is out of range$"):
             bounds(MatrixTuple("real", slots), 2)
 
 
@@ -494,9 +503,9 @@ def test_upper_prune_margin_keeps_a_leaf_that_ties_its_prefix_bound():
     assert (b.lower, b.upper, b.upper_level) == (1.0, 1.0, 1)
 
 
-def test_screened_lower_equals_unscreened_necklaces():
+def test_screened_lower_equals_unscreened_lyndon_words():
     # lower, its witness (the first word reaching it) and the candidate lists
-    # are bitwise those of a sweep that takes eigenvalues of every necklace
+    # are bitwise those of a sweep that takes eigenvalues of every Lyndon word
     rng = np.random.default_rng(31)
     ties = MatrixTuple("real", (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
                                 np.array([[1.0, 0.0], [1.0, -1.0]])))
@@ -510,7 +519,7 @@ def test_screened_lower_equals_unscreened_necklaces():
     # slots 5e-10 and 2e-9 below the maximum: inside and outside the 1e-9 tie window
     cases.append((MatrixTuple("real", tuple(np.array([[x]]) for x in (1.0, 1.0 - 5e-10, 1.0 - 2e-9))), 3))
     for t, depth in cases:
-        values = _unscreened_necklace_values(t, depth)
+        values = _unscreened_lyndon_values(t, depth)
         best, witness = -np.inf, None
         for w, v in values:
             if v > best:
@@ -518,14 +527,14 @@ def test_screened_lower_equals_unscreened_necklaces():
         b = bounds(t, depth)
         assert (b.lower, b.lower_witness) == (best, witness), (t, depth)
         floor = best * (1.0 - 1e-9)
-        keep = sorted(((w, v) for w, v in values if v >= floor and words.is_primitive(w)),
+        keep = sorted(((w, v) for w, v in values if v >= floor),
                       key=lambda i: (-i[1], len(i[0]), i[0]))
         assert spectral_maximal_candidates(t, depth) == keep, (t, depth)
 
 
 def test_best_candidate_is_the_lower_bound_and_its_witness():
-    # one necklace scan feeds both, so they agree bitwise, ties and degenerate tuples included;
-    # a witness u^m that rounding lifts above its root u leaves u among the candidates
+    # one scan of Lyndon words feeds both, so they agree bitwise, ties and degenerate tuples
+    # included, and the witness is never a proper power
     rng = np.random.default_rng(43)
     ties = MatrixTuple("real", (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
                                 np.array([[1.0, 0.0], [1.0, -1.0]])))
@@ -536,13 +545,24 @@ def test_best_candidate_is_the_lower_bound_and_its_witness():
             cases.append((_random_tuple(rng, r, d, kind), 5 if r < 3 else 4))
     for t, depth in cases:
         b = bounds(t, depth)
-        candidates = spectral_maximal_candidates(t, depth)
-        w = b.lower_witness
-        root = next(w[:p] for p in range(1, len(w) + 1) if w == w[:p] * (len(w) // p))
-        if root == w:
-            assert candidates[0] == (w, b.lower), (t, depth)
-        else:
-            assert root in [u for u, _ in candidates] and candidates[0][1] <= b.lower, (t, depth)
+        assert words.is_primitive(b.lower_witness), (t, depth)
+        assert spectral_maximal_candidates(t, depth)[0] == (b.lower_witness, b.lower), (t, depth)
+
+
+def test_a_single_slot_reports_its_own_spectral_radius_at_every_depth():
+    # (1,) is the one Lyndon word over one letter, so lower is rho(A) bitwise at
+    # every depth; the powers (1,)^n, were they evaluated, round 0.3, 0.123 and 3.3
+    # up by an ulp from depth 3 or 5, and 3 of the 50 triangular slots at depth 12
+    for x in (0.3, 0.123, 3.3):
+        for depth in range(1, 31):
+            b = bounds(MatrixTuple("real", (np.array([[x]]),)), depth)
+            assert (b.lower, b.lower_witness) == (x, (1,)), (x, depth)
+    rng = np.random.default_rng(2026)
+    for _ in range(50):
+        a = np.triu(rng.standard_normal((3, 3)))
+        for depth in range(1, 13):
+            b = bounds(MatrixTuple("real", (a,)), depth)
+            assert (b.lower, b.lower_witness) == (linalg.spectral_radius(a), (1,)), (a, depth)
 
 
 def test_a_zero_maximum_ties_only_the_first_necklace():
