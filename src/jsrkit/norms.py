@@ -318,8 +318,9 @@ def approx_barabanov(
     Real 2-dimensional tuples only.  Values live on mesh directions over
     the upper half circle; each sweep is renormalized so phi(e1) = 1 and
     iteration stops when the log-distance between consecutive sweeps
-    drops below step_tol, or flags non-convergence at max_iter.  After a 2-cycle (a sweep
-    repeats the values of two sweeps back to within 64 ulp) it steps phi <- (phi + T phi) / 2.
+    drops below step_tol, or flags non-convergence at max_iter.  Once a
+    step is no smaller than the one before, every later sweep steps
+    phi <- (phi + T phi) / 2, which also settles cycles of any period.
     """
     if t.field != "real" or t.d != 2:
         raise InputError("mesh approximation is limited to real 2-dimensional tuples")
@@ -340,8 +341,7 @@ def approx_barabanov(
 
     iterations = 0
     converged = False
-    last_step = np.inf
-    before, averaged = None, False  # before holds the values of two sweeps back
+    last_step, averaged = np.inf, False  # averaged once a step stalls
     for _ in range(max_iter):
         closed = np.append(cur, cur[0])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -357,9 +357,9 @@ def approx_barabanov(
             nxt = (cur + nxt) / 2
         nxt = nxt / nxt[0]
         iterations += 1
-        last_step = float(np.max(np.abs(np.log(nxt / cur))))
-        averaged = averaged or before is not None and np.allclose(nxt, before, rtol=64 * np.finfo(float).eps, atol=0)
-        before, cur = cur, nxt
+        step = float(np.max(np.abs(np.log(nxt / cur))))
+        averaged = averaged or step >= last_step
+        last_step, cur = step, nxt
         if last_step < step_tol:
             converged = True
             break

@@ -198,15 +198,15 @@ def test_failures_past_the_input_checks_exit_2_in_process(capsys, tmp_path):
     ex1 = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
     huge = tmp_path / "huge.json"
     huge.write_text(to_json(scale(from_json(Path(ex1).read_text()), 1e200)))
-    # the one slot maps no direction to zero, but its mesh iteration runs out of sweeps
-    spiral = tmp_path / "spiral.json"
-    spiral.write_text(to_json(MatrixTuple("real", (np.array([[1.0, -2.0], [0.5, 1.0]]),))))
+    # the Jordan block maps no direction to zero, but its mesh iteration runs out of sweeps
+    jordan = tmp_path / "jordan.json"
+    jordan.write_text(to_json(MatrixTuple("real", (np.array([[1.0, 1.0], [0.0, 1.0]]),))))
     brace = tmp_path / "brace.json"
     brace.write_text("{")
     cases = [
         (["bounds", "--input", str(huge)],
          "numerical failure: products of length 2 overflow; the tuple's scale is out of range\n"),
-        (["sfh", "--input", str(spiral), "--word", "1"],
+        (["sfh", "--input", str(jordan), "--word", "1"],
          "error: no norm supplied and the built-in approximation did not converge; pass --norm\n"),
         (["barabanov", "verify", "--input", ex1, "--norm", str(brace), "--rho-hat", "1"],
          f"error: malformed norm JSON in {brace}: "),

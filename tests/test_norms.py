@@ -296,18 +296,40 @@ def test_approx_barabanov_depends_on_init():
 
 def test_approx_barabanov_averages_out_of_a_two_cycle():
     # from (1, 3) and (3, 1) the normalized map sends each norm onto the other,
-    # so plain sweeps ran all 500 at a last step of log 9; once a sweep repeats
-    # the values of two sweeps back to within 64 ulp, the averaged step converges
+    # so plain sweeps would run all 500 at a last step of log 9; the second
+    # step is no smaller than the first, and the averaged steps from there converge
     t = _shift_pair(0.3, 0.5)
     rho_hat = linalg.spectral_radius(t.matrices[1] @ t.matrices[0]) ** 0.5
     runs = [approx_barabanov(t, rho_hat, init=WeightedMaxNorm(w)) for w in ((1.0, 3.0), (3.0, 1.0))]
-    assert [(res.iterations, res.converged) for res in runs] == [(53, True), (52, True)]
+    assert [(res.iterations, res.converged) for res in runs] == [(26, True), (25, True)]
     for res in runs:
         assert res.last_step < 1e-6
         assert verify_barabanov(t, res.norm, rho_hat).residual < 1e-6
     # a start that never cycles takes the plain sweeps, bit for bit
     plain = approx_barabanov(t, rho_hat, init=WeightedMaxNorm((1.0, 1.0)))
     assert (plain.iterations, plain.last_step) == (8, 7.731230869820479e-07)
+
+
+def _rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+@pytest.mark.parametrize("matrices, rho_hat, init, sweeps", [
+    # period 3: the rotation by 2 pi / 3 carries the box (1, 3) round in three sweeps
+    ((_rotation(2 * math.pi / 3),), 1.0, WeightedMaxNorm((1.0, 3.0)), 24),
+    # period 4: the spiral is sqrt 2 times a map conjugate to the rotation by pi / 4,
+    # and a norm is even, so plain sweeps settle into a cycle of four
+    ((np.array([[1.0, -2.0], [0.5, 1.0]]),), math.sqrt(2.0), LpNorm(2.0), 41),
+    # period 5: the rotation by 2 pi / 5 beside diag(1, 0.3)
+    ((_rotation(2 * math.pi / 5), np.diag([1.0, 0.3])), 1.0, WeightedMaxNorm((1.0, 3.0)), 54),
+])
+def test_approx_barabanov_averages_out_of_longer_cycles(matrices, rho_hat, init, sweeps):
+    # plain sweeps cycle here and would run all 500; the averaged steps taken
+    # from the first step no smaller than the one before converge
+    t = MatrixTuple("real", matrices)
+    result = approx_barabanov(t, rho_hat, init=init)
+    assert (result.iterations, result.converged) == (sweeps, True)
+    assert verify_barabanov(t, result.norm, rho_hat).residual < 1e-5
 
 
 def test_approx_barabanov_rotation_is_instant_fixed_point():
