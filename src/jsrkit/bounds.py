@@ -52,9 +52,9 @@ included, whether or not the store built the row at that level.  Its
 BudgetError, past the budget, drops the level whose walk raised it: its
 Lyndon words, their share of lower and its maximum.  Stopping short of the
 requested depth sets partial; a budget that level 1 passes raises
-BudgetError.  A level maximum of exactly 0 under a positive lower bound
-can only be underflow, since L_n >= jsr ** n >= lower ** n > 0: the
-certificate then raises ConvergenceError naming that length.
+BudgetError.  A level maximum below 2**-1022, the least normal float,
+under a positive top (L_n >= jsr ** n >= top ** n) is underflow: it ends
+the pass with ConvergenceError naming that length, as an overflow does.
 """
 
 from __future__ import annotations
@@ -174,6 +174,8 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
                     i = int(np.argmax(norms))
                     if norms[i] > best:
                         best, argmax = float(norms[i]), stack[live[i]].copy()  # a copy outlives the block
+            if best < np.finfo(float).tiny and top > 0.0:
+                raise ConvergenceError(f"products of length {n} underflow; the tuple's scale is out of range")
             maxima.append(best)
         except BudgetError:  # past the budget: level n is dropped whole
             del candidates[before[0]:]
@@ -194,16 +196,13 @@ def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget
 
 
 def _certificate(levels, max_depth: int, budget: int) -> JsrBounds:
-    """bounds' certificate from levels, a _levels pass to max_depth; BudgetError if it kept no level,
-    ConvergenceError if the chosen level maximum underflowed to 0 under a positive lower bound."""
+    """bounds' certificate from levels, a _levels pass to max_depth; BudgetError if it kept no level."""
     candidates, maxima, depth = levels
     if depth == 0:
         raise BudgetError(f"enumeration budget {budget} cannot cover even level 1")
     lower_witness, lower = candidates[0]
     # the first level with the least L_n ** (1/n)
     upper, upper_level = min((m ** (1.0 / n), n) for n, m in enumerate(maxima[1:], start=1))
-    if lower > 0.0 and maxima[upper_level] == 0.0:
-        raise ConvergenceError(f"products of length {upper_level} underflow; the tuple's scale is out of range")
     return JsrBounds(
         lower=lower,
         upper=float(upper),
@@ -242,8 +241,9 @@ def spectral_maximal_candidates(
     from the same words, so the first entry is bounds' witness.  Sorted by
     value descending, then length, then word.  When lower is 0, every
     Lyndon word would reach the window, and only the first, (1,), is kept.
-    The scan is bounds' pass, and budget is charged for every row its walks
-    ask about, those only the upper bound needs too.
+    The scan is bounds' pass: budget is charged for every row its walks
+    ask about, those only the upper bound needs too, and a level maximum
+    that underflows raises ConvergenceError (module docstring).
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")

@@ -122,12 +122,12 @@ def sfh_evidence(
 
 
 def _target(rho_hat: float, n: int) -> float:
-    """rho_hat ** n, the growth rate a scan compares against; InputError unless positive and finite."""
+    """rho_hat ** n, the growth rate a scan compares against; InputError unless a normal float (finite, >= 2**-1022)."""
     try:
         target = rho_hat ** n
     except OverflowError:  # a float power raises where numpy would return inf
         target = np.inf
-    if not 0.0 < target < np.inf:
+    if not np.finfo(float).tiny <= target < np.inf:
         raise InputError(f"rho_hat ** {n} = {target} leaves the float range; rescale the tuple")
     return target
 

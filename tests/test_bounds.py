@@ -479,6 +479,16 @@ def test_a_level_maximum_that_underflows_to_zero_is_named():
     assert (b.lower, b.upper, b.upper_level) == (0.0, 0.0, 2)
 
 
+def test_a_subnormal_level_maximum_ends_the_candidate_scan_too():
+    # 0.01 ** 154 is below 2**-1022: the candidate scan walks bounds' pass, and
+    # level 154 ends it whatever depth past it was asked for
+    t = MatrixTuple("real", (np.array([[0.01]]),))
+    for depth in (154, 160):
+        with pytest.raises(ConvergenceError, match="^products of length 154 underflow; the tuple's scale is out of range$"):
+            spectral_maximal_candidates(t, depth)
+    assert spectral_maximal_candidates(t, 153) == [((1,), 0.01)]
+
+
 def test_a_seed_past_the_float_range_keeps_the_walks_error():
     # level 2's seed takes the norms of A_a @ P and P @ A_a, P the largest
     # product of level 1; here their singular values overflow, so the seed is

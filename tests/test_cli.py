@@ -194,6 +194,36 @@ def test_underflowing_level_maxima_are_named_by_every_command_that_bounds(capsys
         assert _run(capsys, argv) == (2, "", reason), argv
 
 
+def test_level_maxima_below_the_normal_floats_are_underflow(capsys, tmp_path):
+    # 0.01 ** 154 and 0.013 ** 164 are subnormal: their rounded roots once set
+    # upper_level 117 at depth 154, bounds out of order at depth 158, and an
+    # upper of 0.01299999999999997 from level 165, 17 ulps below the jsr 0.013
+    def bounds_run(entry, depth):
+        path = tmp_path / f"{entry}.json"
+        path.write_text(to_json(MatrixTuple("real", (np.array([[entry]]),))))
+        return _run(capsys, ["bounds", "--input", str(path), "--depth", str(depth)])
+
+    for entry, depth, length in ((0.01, 154, 154), (0.01, 158, 154), (0.013, 165, 164)):
+        reason = f"numerical failure: products of length {length} underflow; the tuple's scale is out of range\n"
+        assert bounds_run(entry, depth) == (2, "", reason), (entry, depth)
+    for entry, depth, upper, level in ((0.01, 153, 0.009999999999999995, 117), (0.013, 163, 0.012999999999999994, 91)):
+        code, out, _ = bounds_run(entry, depth)
+        result = json.loads(out)["result"]
+        assert (code, result["upper"], result["upper_level"]) == (0, upper, level), (entry, depth)
+
+
+def test_sfh_target_below_the_normal_floats_is_refused(capsys, tmp_path):
+    # (2.1e-20) ** 16 is subnormal: the scan of example 2 at that scale once
+    # reported margin -3.45e-09, where at scale 1 its margin is 0.0
+    t, _ = example_tuple(2, lam=0.6)
+    path = tmp_path / "small.json"
+    path.write_text(to_json(scale(t, 2.1e-20)))
+    norm_path = _norm_file(tmp_path, "w.json", WeightedMaxNorm((1.0, 0.6)))
+    argv = ["sfh", "--input", str(path), "--word", ",".join(["1"] * 16), "--norm", norm_path, "--rho-hat", "2.1e-20"]
+    reason = "error: rho_hat ** 16 = 1.43056869e-315 leaves the float range; rescale the tuple\n"
+    assert _run(capsys, argv) == (2, "", reason)
+
+
 def test_failures_past_the_input_checks_exit_2_in_process(capsys, tmp_path):
     ex1 = _construct(capsys, tmp_path, "ex1.json", ["--example", "1", "--l1", "0.3", "--l2", "0.5"])
     huge = tmp_path / "huge.json"

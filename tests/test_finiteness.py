@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from jsrkit import finiteness, norms, tuples
 from jsrkit.bounds import spectral_maximal_candidates
-from jsrkit.constructions import characteristic_tuple
+from jsrkit.constructions import characteristic_tuple, example_tuple
 from jsrkit.errors import BudgetError, InputError
 from jsrkit.finiteness import (
     SFH_CAVEAT,
@@ -461,3 +463,32 @@ def test_an_offender_among_the_seeds_is_reported_once(monkeypatch):
     assert report.offenders == (((2,) + (1,) * 9, 1.0),)
     assert (2,) + (1,) * 9 not in yielded and sum(rows) == 1 + len(yielded)
     _assert_equals_unscreened(report, t, omega, [rep], 1.0)
+
+
+def _permuted_report(t, perm, omega, reps, rho_hat, **kwargs):
+    """sfh_evidence with t's slots in the order perm and omega's letters mapped to match,
+    as (margin.hex(), offenders) with the offenders' letters mapped back and their values as hex."""
+    new_letter = {old + 1: new + 1 for new, old in enumerate(perm)}
+    old_letter = {new: old for old, new in new_letter.items()}
+    moved = MatrixTuple(t.field, tuple(t.matrices[i] for i in perm))
+    report = sfh_evidence(moved, tuple(new_letter[a] for a in omega), reps, rho_hat, **kwargs)
+    return report.margin.hex(), sorted((tuple(old_letter[a] for a in z), v.hex()) for z, v in report.offenders)
+
+
+def test_offender_scan_is_slot_permutation_invariant():
+    # a permutation of the slots maps every word's product to the same matmuls,
+    # so the report, its letters mapped back, is bitwise that of the tuple itself
+    ex1, ex2, ex4 = _shift_pair(0.3, 0.5), _diag_dominant_pair(0.5), example_tuple(4, lam=0.5)[0]
+    mesh = norms.approx_barabanov(ex1, 1.0, mesh_size=1024).norm
+    rng = np.random.default_rng(47)
+    seeded = MatrixTuple("real", tuple(rng.standard_normal((3, 3)) / np.sqrt(3) for _ in range(3)))
+    cases = [
+        (ex4, (1, 3), [WeightedMaxNorm((1.0, 0.5))], 1.0, {}),
+        (ex2, (1,) * 10, [WeightedMaxNorm((1.0, 0.5))], 1.0, {}),
+        (ex1, (1, 2) * 4, [mesh, MAXNORM], 1.0, {}),
+        (seeded, (1, 2, 3, 3), [LpNorm(3.0)], 1.3, {"samples": sphere_samples(3, 200), "norm_check_tol": 1e300}),
+    ]
+    for t, omega, reps, rho_hat, kwargs in cases:
+        reports = {perm: _permuted_report(t, perm, omega, reps, rho_hat, **kwargs)
+                   for perm in permutations(range(t.r))}
+        assert len(set(map(repr, reports.values()))) == 1, (omega, reports)

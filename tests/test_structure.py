@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from jsrkit import linalg, structure, tuples
 from jsrkit.config import DEFAULTS
+from jsrkit.constructions import example_tuple
 from jsrkit.errors import InputError
 from jsrkit.structure import (
     PropertyVerdict,
@@ -401,6 +403,17 @@ def test_rank_one_refuted_sign_swap():
 
 def test_rank_one_refuted_swap_half():
     assert rank_one_property(_swap_half_pair(), 1).status == "Refuted"
+
+
+def test_rank_one_status_is_slot_permutation_and_transpose_invariant():
+    # a permutation of the slots, or their transposes, leaves every product's
+    # norms and radii, up to rounding, so the verdict stands
+    cases = [(example_tuple(1, l1=0.3, l2=0.5)[0], "Certified"), (example_tuple(2, lam=0.5)[0], "Certified"),
+             (example_tuple(4, lam=0.5)[0], "Certified"), (example_tuple(5)[0], "Refuted")]
+    for t, status in cases:
+        variants = [MatrixTuple(t.field, tuple(t.matrices[i] for i in perm)) for perm in permutations(range(t.r))]
+        variants.append(MatrixTuple(t.field, tuple(a.T for a in t.matrices)))
+        assert [rank_one_property(v, 6).status for v in variants] == [status] * len(variants)
 
 
 def test_rank_one_unknown_then_refuted():
