@@ -489,6 +489,5 @@ def test_offender_scan_is_slot_permutation_invariant():
         (seeded, (1, 2, 3, 3), [LpNorm(3.0)], 1.3, {"samples": sphere_samples(3, 200), "norm_check_tol": 1e300}),
     ]
     for t, omega, reps, rho_hat, kwargs in cases:
-        reports = {perm: _permuted_report(t, perm, omega, reps, rho_hat, **kwargs)
-                   for perm in permutations(range(t.r))}
-        assert len(set(map(repr, reports.values()))) == 1, (omega, reports)
+        reports = [_permuted_report(t, perm, omega, reps, rho_hat, **kwargs) for perm in permutations(range(t.r))]
+        assert all(report == reports[0] for report in reports), (omega, reports)
