@@ -48,13 +48,15 @@ norms leave the float range.
 
 Budget accounting: the pass's store counts every row that its walks ask
 a prune about, summed over every length and level, candidate scans
-included, whether or not the store built the row at that level.  Its
-BudgetError, past the budget, drops the level whose walk raised it: its
-Lyndon words, their share of lower and its maximum.  Stopping short of the
+included, whether or not the store built the row at that level.  A
+level's Lyndon ties and its maximum are kept only once its walk completes,
+so the level whose walk the store's BudgetError stops leaves nothing: no
+Lyndon word, no share of lower and no maximum.  Stopping short of the
 requested depth sets partial; a budget that level 1 passes raises
-BudgetError.  A level maximum below 2**-1022, the least normal float,
-under a positive top (L_n >= jsr ** n >= top ** n) is underflow: it ends
-the pass with ConvergenceError naming that length, as an overflow does.
+BudgetError, and one below 1 InputError.  A level maximum below 2**-1022,
+the least normal float, under a positive top (L_n >= jsr ** n >= top ** n)
+is underflow: it ends the pass with ConvergenceError naming that length,
+as an overflow does.
 """
 
 from __future__ import annotations
@@ -125,16 +127,18 @@ def _bar(slots: np.ndarray, p) -> float:
 
 
 def _levels(t: MatrixTuple, depth: int, budget: int):
-    """(candidates, maxima, reached) from levels 1 .. depth, one walk each.
+    """(candidates, maxima, bounds) from levels 1 .. depth, one walk each.
 
     candidates holds (word, value) for the Lyndon words whose value reaches
     (1 - _TIE_TOL) times the largest, by value descending, then length, then
     word, so the first is the lower bound and its witness.  When the largest
     is 0, only the first Lyndon word, (1,), ties.  maxima[n] is the level-n
     upper maximum L_n, after maxima[0] = 1.0 for the empty word; level n's
-    walk prunes by maxima[1 .. n - 1] (module docstring).  reached is the last
-    level within the budget; both come from levels 1 .. reached only (no
-    candidates at 0).
+    walk prunes by maxima[1 .. n - 1] (module docstring).  bounds is the
+    JsrBounds of both.  A level's ties and maximum are kept only once its
+    walk completes, so a level that the budget cuts short leaves nothing:
+    all three come from levels 1 .. bounds.depth, and a budget that level 1
+    passes raises BudgetError.
     """
     candidates, maxima, top, argmax = [], [1.0], -np.inf, None
     store, floor = _PrefixStore(t, depth, budget), -np.inf
@@ -149,9 +153,9 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
             lower_drops |= bound ** (1.0 / n) < floor
         return (bound < max(best, bar)) & lower_drops
 
-    for n in range(1, depth + 1):
-        best, bar, before = 0.0, _bar(store.slots, argmax), (len(candidates), top)
-        try:
+    try:
+        for n in range(1, depth + 1):
+            best, bar, ties = 0.0, _bar(store.slots, argmax), []
             for digits, periods, caps, stack in store.walk(n, prune=prune):
                 rows = (periods == n).nonzero()[0]  # the Lyndon words
                 if floor > 0 and len(rows):  # first the prune's own rule at k = n, then the radius caps
@@ -167,7 +171,7 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
                     # top only rises, so a row below the window now never ties; at top 0 the result is fixed
                     keep = values >= (1.0 - _TIE_TOL) * top
                     if top > 0.0 and keep.any():
-                        candidates += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
+                        ties += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
                 live = (~(caps < max(best, bar))).nonzero()[0]
                 if len(live):
                     norms = linalg.op_norms(stack[live])
@@ -176,58 +180,44 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
                         best, argmax = float(norms[i]), stack[live[i]].copy()  # a copy outlives the block
             if best < np.finfo(float).tiny and top > 0.0:
                 raise ConvergenceError(f"products of length {n} underflow; the tuple's scale is out of range")
+            candidates += ties
             maxima.append(best)
-        except BudgetError:  # past the budget: level n is dropped whole
-            del candidates[before[0]:]
-            top, depth = before[1], n - 1
-            break
-    if top == 0.0:
-        return [((1,), 0.0)], maxima, depth
-    candidates = [item for item in candidates if item[1] >= (1.0 - _TIE_TOL) * top]
+    except BudgetError:  # past the budget: level n, cut short, was never kept
+        if len(maxima) == 1:
+            raise BudgetError(f"enumeration budget {budget} cannot cover even level 1") from None
+    # the largest kept value; ties are kept only under a positive top, so there are none at top 0
+    top = max((value for _, value in candidates), default=0.0)
+    candidates = [item for item in candidates if item[1] >= (1.0 - _TIE_TOL) * top] or [((1,), 0.0)]
     candidates.sort(key=lambda item: -item[1])  # stable: equal values keep scan order, length then word
-    return candidates, maxima, depth
+    (lower_witness, lower), reached = candidates[0], len(maxima) - 1
+    # the first level with the least L_n ** (1/n)
+    upper, upper_level = min((m ** (1.0 / n), n) for n, m in enumerate(maxima[1:], start=1))
+    return candidates, maxima, JsrBounds(lower=lower, upper=float(upper), depth=reached, lower_witness=lower_witness,
+                                         upper_level=upper_level, partial=reached < depth)
 
 
 def bounds(t: MatrixTuple, max_depth: int, *, budget: int = DEFAULTS.word_budget) -> JsrBounds:
     """Certified bounds through enumeration depth ``max_depth``."""
     if max_depth < 1:
         raise InputError(f"max_depth must be >= 1, got {max_depth}")
-    return _certificate(_levels(t, max_depth, budget), max_depth, budget)
-
-
-def _certificate(levels, max_depth: int, budget: int) -> JsrBounds:
-    """bounds' certificate from levels, a _levels pass to max_depth; BudgetError if it kept no level."""
-    candidates, maxima, depth = levels
-    if depth == 0:
-        raise BudgetError(f"enumeration budget {budget} cannot cover even level 1")
-    lower_witness, lower = candidates[0]
-    # the first level with the least L_n ** (1/n)
-    upper, upper_level = min((m ** (1.0 / n), n) for n, m in enumerate(maxima[1:], start=1))
-    return JsrBounds(
-        lower=lower,
-        upper=float(upper),
-        depth=depth,
-        lower_witness=lower_witness,
-        upper_level=upper_level,
-        partial=depth < max_depth,
-    )
+    return _levels(t, max_depth, budget)[2]
 
 
 def _candidates_and_midpoint(t: MatrixTuple, depth: int, budget: int):
-    """(spectral_maximal_candidates(t, depth), the default rho_hat) from one _levels pass.
+    """(the Lyndon ties, the default rho_hat) from one _levels pass to depth.
 
-    The default rho_hat is the midpoint of bounds(t, depth); a pass that the
-    budget stops short of depth raises BudgetError."""
+    The ties are spectral_maximal_candidates', and the default rho_hat is
+    the midpoint of bounds(t, depth); a pass that the budget stops short of
+    depth raises BudgetError."""
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    levels = _levels(t, depth, budget)
-    b = _certificate(levels, depth, budget)
+    candidates, _, b = _levels(t, depth, budget)
     if b.partial:
         raise BudgetError(
             f"enumeration budget {budget} reaches depth {b.depth} of {depth}, "
             "too shallow for the default rho_hat"
         )
-    return levels[0], 0.5 * (b.lower + b.upper)
+    return candidates, 0.5 * (b.lower + b.upper)
 
 
 def spectral_maximal_candidates(
@@ -245,12 +235,10 @@ def spectral_maximal_candidates(
     ask about, those only the upper bound needs too, and a level maximum
     that underflows raises ConvergenceError (module docstring).
     """
-    if depth < 1:
-        raise InputError(f"depth must be >= 1, got {depth}")
-    candidates, _, reached = _levels(t, depth, budget)
-    if reached < depth:
-        raise BudgetError(f"candidate scan to depth {depth} exceeds enumeration budget {budget}")
-    return candidates
+    try:
+        return _candidates_and_midpoint(t, depth, budget)[0]
+    except BudgetError:  # the pass stopped short of depth, at level 1 too
+        raise BudgetError(f"candidate scan to depth {depth} exceeds enumeration budget {budget}") from None
 
 
 def finiteness_verified_at_depth(b: JsrBounds, close_tol: float = DEFAULTS.close_tol) -> bool:

@@ -158,7 +158,7 @@ class _PrefixStore:
     block is asked for.  Each row a walk asks its prune about is added to
     spent, the count of every walk of the store, before
     prune(digits, periods, caps, k) sees its caps: BudgetError once spent
-    passes budget.  The empty word's children are the slots and a prefix's
+    passes budget, which must be at least 1 (InputError).  The empty word's children are the slots and a prefix's
     are A_letter @ P_prefix in one batched matmul per piece
     (_products_below), product_along's 2-D products, so each P_w equals it
     bitwise.  bounds._levels walks one store per level pass.
@@ -185,6 +185,8 @@ class _PrefixStore:
     """
 
     def __init__(self, t: MatrixTuple, depth: int, budget: int):
+        if budget < 1:
+            raise InputError(f"budget must be >= 1, got {budget}")
         self.slots, self.r, self.depth = np.stack(t.matrices), t.r, depth
         self.budget, self.spent = budget, 0  # rows asked about, by every walk of the store
         # no pass keeps more rows than there are words of lengths 1 .. depth - 1, or r

@@ -113,12 +113,15 @@ def word_blocks(r: int, n: int, *, necklaces: bool = False, primitive_only: bool
     necklaces keeps one word per rotation class, its least rotation;
     primitive_only keeps the words that are no proper power (is_primitive),
     among necklaces the Lyndon words.  Both are prunes.  The budget, r**n
-    words, is checked at the call, before any is written.
+    words, is checked at the call, before any is written; one below 1 is
+    refused with InputError.
     """
     if r < 1:
         raise InputError(f"alphabet size must be >= 1, got {r}")
     if n < 1:
         raise InputError(f"word length must be >= 1, got {n}")
+    if budget < 1:
+        raise InputError(f"budget must be >= 1, got {budget}")
     if r ** n > budget:
         raise BudgetError(f"enumeration of {r}^{n} = {r ** n} words exceeds budget {budget}; lower the length")
 

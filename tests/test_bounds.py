@@ -15,7 +15,7 @@ from jsrkit.bounds import (
     finiteness_verified_at_depth,
     spectral_maximal_candidates,
 )
-from jsrkit.constructions import example_tuple
+from jsrkit.constructions import characteristic_tuple, example_tuple
 from jsrkit.errors import BudgetError, ConvergenceError, InputError
 from jsrkit.norms import WeightedMaxNorm
 from jsrkit.structure import rank_one_property
@@ -266,13 +266,14 @@ def _assert_store_matches_the_slots_only_store(t, depth, budget=10 ** 5):
     levels, asked, built, kept = _pass(t, depth, budget)
     reference, reference_asked, reference_built, reference_kept = _pass(t, depth, budget, store_blocks=0)
     assert reference_kept == t.r
-    (candidates, maxima, reached), (ref_candidates, ref_maxima, ref_reached) = levels, reference
+    (candidates, maxima, b), (ref_candidates, ref_maxima, ref_b) = levels, reference
     assert [(w, v.hex()) for w, v in candidates] == [(w, v.hex()) for w, v in ref_candidates]
     assert [m.hex() for m in maxima] == [m.hex() for m in ref_maxima]
-    assert reached == ref_reached
+    assert b.depth == ref_b.depth == len(maxima) - 1
+    assert (b.lower.hex(), b.upper.hex()) == (ref_b.lower.hex(), ref_b.upper.hex()) and b == ref_b
     assert asked == reference_asked  # every prune call, in order, with bitwise the same caps
     assert built <= reference_built
-    return reached, built, kept
+    return b.depth, built, kept
 
 
 def test_the_prefix_store_changes_no_result_and_no_row_asked():
@@ -726,6 +727,32 @@ def test_budget_binds_a_one_slot_walk():
     # rows, and level 20, which would pass 200, is dropped
     b = bounds(MatrixTuple("real", (np.array([[0.0, 1.0], [1.0, 0.0]]),)), 100, budget=200)
     assert (b.lower, b.upper, b.depth, b.upper_level, b.partial) == (1.0, 1.0, 19, 1, True)
+
+
+def test_a_budget_cut_leaves_nothing_of_its_level(monkeypatch):
+    # on the characteristic tuple of 1^13 2 every product shorter than 14 is
+    # nilpotent, so levels 1 .. 13 have lower 0; level 14 asks about 3052 rows
+    # after their 7968, and at budget 10325 its walk stops after it has taken
+    # the radius 1.0 of 1^13 2: neither that tie nor level 14's maximum is kept
+    t = characteristic_tuple(2, 14, (1,) * 13 + (2,))
+    engine, spectral_radii, radii = importlib.import_module("jsrkit.bounds"), linalg.spectral_radii, []
+    whole = engine._levels(t, 13, 10 ** 7)
+
+    def spy(stack):
+        out = spectral_radii(stack)
+        radii.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(linalg, "spectral_radii", spy)
+    cut = engine._levels(t, 14, 10325)
+    assert 1.0 in radii
+    assert cut[0] == whole[0] == [((1,), 0.0)]
+    assert [m.hex() for m in cut[1]] == [m.hex() for m in whole[1]]
+    fields = [name for name in JsrBounds._fields if name != "partial"]
+    assert [getattr(cut[2], name) for name in fields] == [getattr(whole[2], name) for name in fields]
+    assert (cut[2].depth, cut[2].lower, cut[2].partial, whole[2].partial) == (13, 0.0, True, False)
+    assert bounds(t, 14, budget=10325) == cut[2] and bounds(t, 13) == whole[2]
+    assert bounds(t, 14).lower == 1.0  # the whole level 14 finds it
 
 
 def test_pruned_walks_go_deeper_on_the_same_budget():

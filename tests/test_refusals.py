@@ -83,3 +83,33 @@ def test_a_sampled_residual_past_the_float_range_ends_in_one_line(argv, tmp_path
     captured = capsys.readouterr()
     reason = "numerical failure: sampled residual overflows; the tuple's scale is out of range\n"
     assert (code, captured.out, captured.err) == (2, "", reason)
+
+
+# every command that takes --budget, in a form that spends it: a product walk or a word listing
+_BUDGETED = {
+    "bounds": ["bounds", "--input", "PLANAR", "--depth", "2"],
+    "rank1": ["rank1", "--input", "PLANAR", "--depth", "2"],
+    "approx": ["barabanov", "approx", "--input", "PLANAR", "--depth", "2"],
+    "verify": ["barabanov", "verify", "--input", "PLANAR", "--norm", "WMAX", "--depth", "2"],
+    "sfh-search": ["sfh", "--input", "PLANAR", "--norm", "WMAX", "--depth", "2"],
+    "sfh-word": ["sfh", "--input", "PLANAR", "--norm", "WMAX", "--word", "1,2", "--rho-hat", "1"],
+    "words": ["words", "--alphabet", "2", "--length", "3"],
+}
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("name", sorted(_BUDGETED))
+def test_a_budget_below_one_is_refused(name, budget, tmp_path, capsys):
+    # the two budget holders, a product walk's store and a word listing, refuse it before any work
+    message = f"budget must be >= 1, got {budget}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        tuples._PrefixStore(_PLANAR, 2, budget)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        words.word_blocks(2, 3, budget=budget)
+    paths = {"PLANAR": tmp_path / "planar.json", "WMAX": tmp_path / "wmax.json"}
+    paths["PLANAR"].write_text(tuples.to_json(_PLANAR))
+    paths["WMAX"].write_text(json.dumps({"variant": "weighted_max", "weights": [1.0, 1.0]}))
+    argv = [str(paths.get(arg, arg)) for arg in _BUDGETED[name]] + ["--budget", str(budget)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
