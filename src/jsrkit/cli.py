@@ -49,7 +49,7 @@ from .bounds import _candidates_and_midpoint, finiteness_verified_at_depth
 from .bounds import bounds as jsr_bounds
 from .config import DEFAULTS, require_fraction, require_tol
 from .errors import ConvergenceError, InputError
-from .tuples import MatrixTuple, _dumps, from_json, to_json
+from .tuples import MatrixTuple, from_json, to_json
 from .words import parse_word, render_words, word_blocks
 
 
@@ -102,7 +102,7 @@ def _emit(args, command: str, result, **overrides) -> None:
         for name in _NOT_CONFIG:
             config.pop(name, None)
         payload = {"command": command, "config": config, "result": result}
-        sys.stdout.write(_dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         lines: list[str] = []
         _text_lines("", result, lines)
@@ -232,6 +232,11 @@ def cmd_sfh(args) -> int:
 def cmd_construct(args) -> int:
     from .constructions import characteristic_truth, characteristic_tuple, example_tuple
 
+    # refuse a flag the chosen mode would drop, before anything is built
+    mode, unused = ("--example", ("alphabet",)) if args.example is not None else ("--word", ("l1", "l2", "lam"))
+    for name in unused:
+        if getattr(args, name) is not None:
+            raise InputError(f"{mode} does not take --{name}")
     if args.example is not None:
         t, truth = example_tuple(
             args.example, field=args.field, l1=args.l1, l2=args.l2, lam=args.lam

@@ -7,19 +7,16 @@ field ("real" or "complex").  The JSON wire format is
 
 with each matrix given as d rows of d entries.  Complex entries are
 two-element arrays [re, im].  Unknown top-level keys are ignored so
-files carrying extra metadata (e.g. a "truth" block) round-trip.  _dumps,
-the one JSON writer, renders tuple files and every CLI report byte for byte
-as json.dumps(value, indent=2, sort_keys=True) does.  An array leaves as
-JSON numbers through one tolist (_array_to_json), and _number_list, the
-one reader of number lists (tuple rows, norm weights and meshes), takes
-an all-float list as it is.
+files carrying extra metadata (e.g. a "truth" block) round-trip.  Tuple
+files and every CLI report are written by json.dumps(payload, indent=2,
+sort_keys=True).  An array leaves as JSON numbers through one tolist
+(_array_to_json), and _number_list, the one reader of number lists (tuple
+rows, norm weights and meshes), takes an all-float list as it is.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -366,37 +363,11 @@ def from_json_dict(payload: dict) -> MatrixTuple:
     return MatrixTuple(field, tuple(np.array(m) for m in parsed))
 
 
-def _dumps(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte, at the given indent.
-
-    A list of strings, or of finite floats, is formatted with one join; dicts
-    with string keys and other lists recurse, and everything else (scalars,
-    empty containers, other keys) goes to json.dumps itself.
-    """
-    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
-        inner = indent + "  "
-        items = (f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
-                 for key in sorted(value))
-    elif isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            items = map(encode_basestring_ascii, value)
-        elif kinds == {float} and all(map(math.isfinite, value)):
-            items = map(float.__repr__, value)
-        else:
-            items = (_dumps(item, inner) for item in value)
-    else:
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
-
-
 def to_json(t: MatrixTuple, extra: dict | None = None) -> str:
     payload = to_json_dict(t)
     if extra:
         payload.update(extra)
-    return _dumps(payload) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def from_json(text: str) -> MatrixTuple:

@@ -16,28 +16,12 @@ import numpy as np
 import pytest
 
 import jsrkit
-from jsrkit import cli, config, tuples, words
+from jsrkit import cli, config, words
 from jsrkit.cli import main
 from jsrkit.constructions import example_tuple
 from jsrkit.finiteness import SFH_CAVEAT
 from jsrkit.norms import WeightedMaxNorm, norm_to_json_dict
 from jsrkit.tuples import MatrixTuple, from_json, scale, to_json
-
-
-@pytest.fixture(autouse=True)
-def _emitter_matches_json_dumps(monkeypatch):
-    """Every JSON report and tuple file these tests produce, and each value
-    nested in it, must come out of tuples._dumps exactly as json.dumps renders
-    it.  cli holds its own name for the emitter, so both are patched."""
-    dumps = tuples._dumps
-
-    def checked(value, indent=""):
-        text = dumps(value, indent)
-        assert text == json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-        return text
-
-    monkeypatch.setattr(tuples, "_dumps", checked)
-    monkeypatch.setattr(cli, "_dumps", checked)
 
 
 def _run(capsys, argv):
@@ -99,6 +83,79 @@ def test_construct_characteristic_word(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["result"]["lower"] == 1.0
     assert payload["result"]["upper"] == 1.0
+
+
+# the bytes of two outputs, recorded literally: indentation, key order, float repr and the
+# trailing newline of a tuple file and of a report
+_WORD_12_FILE = """\
+{
+  "d": 2,
+  "field": "real",
+  "matrices": [
+    [
+      [
+        0.0,
+        0.0
+      ],
+      [
+        1.0,
+        0.0
+      ]
+    ],
+    [
+      [
+        0.0,
+        1.0
+      ],
+      [
+        0.0,
+        0.0
+      ]
+    ]
+  ],
+  "r": 2,
+  "truth": {
+    "barabanov_norms": [],
+    "characteristic_word": "1,2",
+    "flags": {
+      "finiteness": true,
+      "rank_one": true,
+      "strong_finiteness": true,
+      "unbounded_agreements": true,
+      "unique_norm": true
+    },
+    "jsr": 1.0
+  }
+}
+"""
+
+_BOUNDS_EX2_DEPTH_2 = """\
+{
+  "command": "bounds",
+  "config": {
+    "budget": 10000000,
+    "close_tol": 1e-09,
+    "depth": 2,
+    "input": "ex2.json"
+  },
+  "result": {
+    "closed": true,
+    "depth": 2,
+    "lower": 1.0,
+    "partial": false,
+    "upper": 1.0,
+    "upper_level": 1,
+    "witness": "1"
+  }
+}
+"""
+
+
+def test_construct_and_bounds_write_their_recorded_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, ["construct", "--word", "1,2"]) == (0, _WORD_12_FILE, "")
+    _construct(capsys, tmp_path, "ex2.json", ["--example", "2", "--lam", "0.5"])
+    assert _run(capsys, ["bounds", "--input", "ex2.json", "--depth", "2"]) == (0, _BOUNDS_EX2_DEPTH_2, "")
 
 
 def test_malformed_json_is_input_error(capsys, tmp_path):
@@ -485,30 +542,6 @@ def test_sfh_target_outside_the_float_range_is_input_error(capsys, tmp_path, sca
                                    "--norm", norm_path, "--rho-hat", rho_hat])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: rho_hat ** {len(word.split(','))} = ") and err.count("\n") == 1, err
-
-
-JSON_CORPUS = [
-    {},
-    [],
-    {"empty": {}, "list": [], "nested": [[], [{}], [[1.0, 2.0], [3.0]]]},
-    [1, 2.0, "three", None, True, [4], {"five": 5}],
-    [True, False, None],
-    [2 ** 53 + 1, -(2 ** 64), 0],
-    [-0.0, 5e-324, 1e16, 1.5],
-    [1e16, float("nan")],
-    [float("inf"), -float("inf")],
-    ["caf\u00e9", "tab\tquote\"back\\slash", "\x00\x1f", "\ud83d\ude00", ""],
-    {"z": "\u2013", "a": [["x"]], "m": {"k": (1.0, 2.0)}},
-    {2: "int key", 1.5: {"float key": [1.0]}},
-    "scalar",
-    -0.0,
-    None,
-]
-
-
-@pytest.mark.parametrize("value", JSON_CORPUS, ids=range(len(JSON_CORPUS)))
-def test_emitter_matches_json_dumps(value):
-    assert tuples._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class _Writes(io.StringIO):

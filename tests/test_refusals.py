@@ -113,3 +113,17 @@ def test_a_budget_below_one_is_refused(name, budget, tmp_path, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
+
+
+# construct refuses a flag that its mode would drop: a characteristic word takes no catalogue
+# parameter, and a catalogue example takes no alphabet
+@pytest.mark.parametrize("argv, message", [
+    (["--word", "1,2", "--l1", "0.3"], "--word does not take --l1"),
+    (["--word", "1,2", "--lam", "0.5"], "--word does not take --lam"),
+    (["--word", "1,2", "--l2", "0.5j"], "--word does not take --l2"),
+    (["--example", "2", "--lam", "0.5", "--alphabet", "3"], "--example does not take --alphabet"),
+], ids=["word-l1", "word-lam", "word-l2", "example-alphabet"])
+def test_construct_refuses_a_flag_its_mode_would_drop(argv, message, capsys):
+    code = main(["construct", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
