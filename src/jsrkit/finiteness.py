@@ -105,8 +105,8 @@ def sfh_evidence(
 
     Only competitors that can change the report are evaluated: first the
     seeds, per norm the one-letter mutant of omega (two letter counts
-    differ, so no rotation) with the largest bound, up to rounding, built
-    by product_along as the walk builds it.  The walk then drops
+    differ, so no rotation) with the largest bound, every mutant built by
+    product_along as the walk builds it.  The walk then drops
     zero products, at k = n omega's rotations and the seeds, and each prefix
     p of length k whose bound_of(cap) * L ** (n - k) * _PRUNE_SLACK lies
     strictly below min(threshold, level maximum so far) under every norm:
@@ -156,20 +156,15 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
             for z, value in zip(_words_at(digits[hits]), values[hits].tolist()):
                 offender_values[z] = max(offender_values.get(z, 0.0), value)
 
-    slots = np.stack(t.matrices)
-    picks = [(j, a) for j in range(n) for a in range(1, t.r + 1) if a != omega[j]]  # the mutants
+    seeds = [omega[:j] + (a,) + omega[j + 1:] for j in range(n) for a in range(1, t.r + 1) if a != omega[j]]
     with np.errstate(over="ignore", invalid="ignore"):  # the walk's state for the walk's work
-        powers = np.max(linalg.op_norms(slots)) ** np.arange(n, dtype=float)  # L ** (n - k)
+        powers = np.max(linalg.op_norms(np.stack(t.matrices))) ** np.arange(n, dtype=float)  # L ** (n - k)
         reach = np.where(powers >= np.finfo(float).tiny, powers * _PRUNE_SLACK, np.inf)
-        if picks:  # by the caps of the mutants up to rounding, in 2 matmuls each, not n
-            heads, tails = [np.eye(t.d)], [np.eye(t.d)]  # the products of omega's first and last j letters
-            for j in range(n - 1):
-                heads.append(slots[omega[j] - 1] @ heads[-1])
-                tails.append(tails[-1] @ slots[omega[n - 1 - j] - 1])
-            caps = linalg.op_norm_caps(np.array([tails[n - 1 - j] @ slots[a - 1] @ heads[j] for j, a in picks]))
-            picks = [picks[i] for i in sorted({int(np.argmax(bound_of(caps))) for _, bound_of in induced})]
-        seeds = [omega[:j] + (a,) + omega[j + 1:] for j, a in picks]
-        stack = np.array([product_along(t, z) for z in seeds])  # bitwise the walk's products
+        if seeds:  # the mutants, bitwise the walk's products; per norm the one of largest bound stays
+            stack = np.array([product_along(t, z) for z in seeds])
+            caps = linalg.op_norm_caps(stack)
+            picks = sorted({int(np.argmax(bound_of(caps))) for _, bound_of in induced})
+            seeds, stack = [seeds[i] for i in picks], stack[picks]
     if seeds and np.isfinite(stack).all():  # else the walk raises as it builds the overflow
         evaluate(_digit_rows(seeds, t.r), stack)
     known = _rows_among([*rotation_class(omega), *seeds], t.r)

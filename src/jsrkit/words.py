@@ -128,11 +128,14 @@ def word_blocks(r: int, n: int, *, necklaces: bool = False, primitive_only: bool
     def prune(digits, periods, k):
         keep = _necklaces(periods, k, n) if necklaces else np.ones(len(digits), dtype=bool)
         return ~(keep & _primitive(digits)) if primitive_only and k == n else ~keep
-    walk = prefix_blocks(r, n, 8 * n, prune=prune if necklaces or primitive_only else None)
+
+    def grow(k, digits, periods):
+        return necklace_children(digits, periods, r)
+    walk = prefix_blocks(r, n, 8 * n, grow=grow, prune=prune if necklaces or primitive_only else None)
     return (digits for digits, _ in walk)
 
 
-def prefix_blocks(r: int, n: int, row_bytes: int, *, prune=None, grow=None):
+def prefix_blocks(r: int, n: int, row_bytes: int, *, grow, prune=None):
     """Yield (digits, periods, *rows) over the words of length n over {1..r}, in lexicographic order.
 
     The one prefix walker: a while loop over a LIFO list of pieces
@@ -140,23 +143,20 @@ def prefix_blocks(r: int, n: int, row_bytes: int, *, prune=None, grow=None):
     digits being their (rows, k) digit rows and periods their FKM periods
     (necklace_children).  grow(k, digits, periods, *rows) returns the same
     arrays for the r children of each prefix of a piece of length k, in
-    lexicographic order; the default is necklace_children, with no rows, and
-    the empty word comes with none.  A grow may hand back rows that it built
-    before, as tuples._PrefixStore's hands back store rows and builds only
-    the children that no earlier walk kept.  Children are split into pieces of
-    BLOCK_BYTES // row_bytes // r rows and pushed in reverse, so the children
-    of one piece make at most one block: a block exceeds config.BLOCK_BYTES
-    only when one prefix's r children do, and the pieces waiting at a time hold
-    about n blocks of rows.  prune(digits, periods, *rows, k) is asked for
+    lexicographic order, and the empty word comes with no rows.  A grow may
+    hand back rows that it built before, as tuples._PrefixStore's hands back
+    store rows and builds only the children that no earlier walk kept.
+    Children are split into pieces of BLOCK_BYTES // row_bytes // r rows
+    and pushed in reverse, so the children of one piece make at most one
+    block: a block exceeds config.BLOCK_BYTES only when one prefix's r
+    children do, and the pieces waiting at a time hold about n blocks of
+    rows.  prune(digits, periods, *rows, k) is asked for
     every piece at every length 1 <= k <= n before it is grown or yielded, and
     masks the rows to drop with every word below them: each screen with one
     mask per row runs there.  No piece that prune empties is grown, no block is
     empty, and no budget is charged.
     """
     leaf_rows = config.BLOCK_BYTES // row_bytes
-    if grow is None:
-        def grow(k, digits, periods):
-            return necklace_children(digits, periods, r)
     pending = [(0, _digit_rows([()], r), np.ones(1, dtype=np.int64))]
     while pending:
         k, *arrays = pending.pop()

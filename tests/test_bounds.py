@@ -385,8 +385,11 @@ def test_necklace_walk_prunes_prefixes_by_level_maxima(monkeypatch):
         asked.append(len(digits))
         return ~words._necklaces(periods, k, n)
 
+    def grow(k, digits, periods):
+        return words.necklace_children(digits, periods, 2)
+
     for n in range(1, 17):
-        for _ in words.prefix_blocks(2, n, 8, prune=count):
+        for _ in words.prefix_blocks(2, n, 8, grow=grow, prune=count):
             pass
     assert sum(asked) == 45580  # the r children of every pre-necklace of length k < n, over the 16 levels
     assert sum(rows) == 1300

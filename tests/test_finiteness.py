@@ -475,9 +475,11 @@ def _permuted_report(t, perm, omega, reps, rho_hat, **kwargs):
     return report.margin.hex(), sorted((tuple(old_letter[a] for a in z), v.hex()) for z, v in report.offenders)
 
 
-def test_offender_scan_is_slot_permutation_invariant():
+def test_offender_scan_is_slot_permutation_invariant(monkeypatch):
     # a permutation of the slots maps every word's product to the same matmuls,
-    # so the report, its letters mapped back, is bitwise that of the tuple itself
+    # so the report, its letters mapped back, is bitwise that of the tuple itself,
+    # and the scan asks its prune about as many rows
+    stores, _ = _walked(monkeypatch)
     ex1, ex2, ex4 = _shift_pair(0.3, 0.5), _diag_dominant_pair(0.5), example_tuple(4, lam=0.5)[0]
     mesh = norms.approx_barabanov(ex1, 1.0, mesh_size=1024).norm
     rng = np.random.default_rng(47)
@@ -488,6 +490,10 @@ def test_offender_scan_is_slot_permutation_invariant():
         (ex1, (1, 2) * 4, [mesh, MAXNORM], 1.0, {}),
         (seeded, (1, 2, 3, 3), [LpNorm(3.0)], 1.3, {"samples": sphere_samples(3, 200), "norm_check_tol": 1e300}),
     ]
+    asked = []
     for t, omega, reps, rho_hat, kwargs in cases:
-        reports = [_permuted_report(t, perm, omega, reps, rho_hat, **kwargs) for perm in permutations(range(t.r))]
+        reports = [(*_permuted_report(t, perm, omega, reps, rho_hat, **kwargs), stores[-1].spent)
+                   for perm in permutations(range(t.r))]
         assert all(report == reports[0] for report in reports), (omega, reports)
+        asked.append(reports[0][-1])
+    assert asked == [12, 54, 86, 99]

@@ -89,6 +89,7 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     words = _loaded(["words", "--alphabet", "2", "--length", "3"], tmp_path)
     bounds = _loaded(["bounds", "--input", "pair.json", "--depth", "3"], tmp_path)
     construct = _loaded(["construct", "--word", "1,2"], tmp_path)
+    example = _loaded(["construct", "--example", "1", "--l1", "0.3", "--l2", "0.5"], tmp_path)
     # the offender scan of a 12-letter word looks its rotations up among blocks of up to 2^12 - 12
     # off-class words, large enough that np.isin would sort
     long_word = _loaded(["sfh", "--input", "pair.json", "--word", "1,2,1,1,2,2,2,2,1,2,2,2",
@@ -96,6 +97,7 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     irreducible = _loaded(["irreducible", "--input", "pair.json"], tmp_path)
     approx = _loaded(["barabanov", "approx", "--input", "pair.json", "--rho-hat", "1"], tmp_path)
     sfh = _loaded(["sfh", "--input", "pair.json", "--word", "1,2", "--rho-hat", "1"], tmp_path)
+    search = _loaded(["sfh", "--input", "pair.json", "--depth", "3"], tmp_path)
     rank1 = _loaded(["rank1", "--input", "pair.json", "--depth", "3"], tmp_path)
     verify = _loaded(["barabanov", "verify", "--input", "pair.json", "--norm", "ell3.json", "--samples", "100"],
                      tmp_path)
@@ -105,9 +107,15 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     assert "jsrkit.constructions" in construct
     # a characteristic word's truth record lists no norm, so the norm layer stays unloaded
     assert not construct & {"jsrkit.finiteness", "jsrkit.structure", "jsrkit.norms"}
+    # a catalogue example's truth record names its norms, and nothing checks them
+    assert {"jsrkit.constructions", "jsrkit.norms"} <= example
+    assert not example & {"jsrkit.finiteness", "jsrkit.structure", "numpy.random"}
     assert "numpy.ma" not in construct and "numpy.ma" not in long_word
     assert "jsrkit.structure" in irreducible and "numpy.random" not in irreducible
     assert "jsrkit.norms" in approx and {"jsrkit.finiteness", "jsrkit.norms"} <= sfh
+    # a search without --word takes its candidates and rho_hat from a level pass
+    assert core | {"jsrkit.finiteness", "jsrkit.norms"} <= search
+    assert not search & {"jsrkit.structure", "jsrkit.constructions"}
     # the rank-one test runs two level passes and nothing of the norm layers
     assert core | {"jsrkit.structure"} <= rank1
     assert not rank1 & {"jsrkit.norms", "numpy.random", "jsrkit.finiteness", "jsrkit.constructions"}
@@ -115,7 +123,7 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     assert core | {"jsrkit.norms", "numpy.random"} <= verify
     assert not verify & {"jsrkit.structure", "jsrkit.finiteness", "jsrkit.constructions"}
     # records are built without dataclasses, whose import and generated code every op would pay
-    for loaded in (words, bounds, construct, long_word, irreducible, approx, sfh, rank1, verify):
+    for loaded in (words, bounds, construct, example, long_word, irreducible, approx, sfh, search, rank1, verify):
         assert "dataclasses" not in loaded
 
 
