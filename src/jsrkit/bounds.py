@@ -25,26 +25,24 @@ come in lexicographic order, in blocks, with one numpy call per block
 Each word below a prefix P_p of length k < n has P_w = P_s P_p, so
 spectral_radius(P_w) <= op_norm(P_w) <= L_{n-k} * cap(P_p) =: bound, cap
 being linalg.op_norm_caps.  The walk's prune drops p, with every word below
-it, only when neither bound can use it: bound is strictly below max(best,
-bar), and p's period is 0 (no Lyndon word below) or bound ** (1/n) is
-strictly below floor.  best is the level's running maximum, bar its seed, and floor
-= (1 - _TIE_TOL) * top * (1 - 1e-9), top being the running maximum of the
-Lyndon word values (no lower screening while floor <= 0; a bound that
-overflows to inf or NaN keeps its row).  Full words are screened on the
-yielded stack, from which each screen gathers only the rows it
-evaluates: Lyndon words whose cap ** (1/n) (the prune's rule at k = n,
-L_0 = 1), then whose linalg.spectral_radius_caps value ** (1/n), is below floor
-are skipped, and eigenvalues are taken of the rest; rows whose cap is
-strictly below max(best, bar) are skipped, and an SVD runs on the rest.
-The factor 1 - 1e-9 absorbs the rounding of the powers, and the cap's
-margin (linalg._CAP_MARGIN, 1e-10) the rounding of sigma_1, of the
-computed L_{n-k} and of the products, so a skipped row can neither tie
-lower nor raise a maximum: every output is that of an unscreened scan.
-bar is 1 - 1e-9 times the largest norm of the 2r products A_a @ P and
-P @ A_a of length n, P being level n - 1's product of largest norm; the
-slack covers a product taken in another order.  bar only prunes and is
-never a maximum; it is 0.0 at level 1, and when those products or their
-norms leave the float range.
+it, only when neither bound can use it: bound is strictly below best, and
+p's period is 0 (no Lyndon word below) or bound ** (1/n) is strictly below
+floor.  best is the level's running maximum, and floor = (1 - _TIE_TOL) *
+top * (1 - 1e-9), top being the running maximum of the Lyndon word values
+(no lower screening while floor <= 0; a bound that overflows to inf or NaN
+keeps its row).  Full words are screened on the yielded stack, from which
+each screen gathers only the rows it evaluates: Lyndon words whose
+cap ** (1/n) (the prune's rule at k = n, L_0 = 1), then whose
+linalg.spectral_radius_caps value ** (1/n), is below floor are skipped, and
+eigenvalues are taken of the rest; rows whose cap is strictly below best
+are skipped, and an SVD runs on the rest.  The factor 1 - 1e-9 absorbs the
+rounding of the powers, and the cap's margin (linalg._CAP_MARGIN, 1e-10)
+the rounding of sigma_1, of the computed L_{n-k} and of the products, so a
+skipped row can neither tie lower nor raise a maximum: every output is
+that of an unscreened scan.  best starts at _seed: the largest norm of the
+products of the words (a,) + w and w + (a,), w being level n - 1's word of
+largest norm, each built by product_along as the walk builds it, so L_n is
+a value of the walk; 0.0 at level 1, and past the float range.
 
 Budget accounting: the pass's store counts every row that its walks ask
 a prune about, summed over every length and level, candidate scans
@@ -66,7 +64,7 @@ import numpy as np
 from . import linalg, words
 from .config import DEFAULTS, _Record, require_tol
 from .errors import BudgetError, ConvergenceError, InputError
-from .tuples import MatrixTuple, _PrefixStore
+from .tuples import MatrixTuple, _PrefixStore, product_along
 from .words import Word
 
 
@@ -103,27 +101,29 @@ class JsrBounds(_Record):
 
 # A Lyndon word, or a necklace prefix, is skipped when its radius bound, to the
 # power 1/n, falls below the floor times this factor.  The slack absorbs the
-# rounding of the two powers, so a skipped word's value lies strictly
-# below the floor.  The seed of the upper screen takes the same factor.
+# rounding of the two powers, so a skipped word's value lies strictly below the floor.
 _SCREEN_SLACK = 1.0 - 1e-9
 
 # A Lyndon word whose value reaches (1 - _TIE_TOL) * lower ties the lower bound.
 _TIE_TOL = 1e-9
 
 
-def _bar(slots: np.ndarray, p) -> float:
-    """_SCREEN_SLACK times the largest norm of A_a @ p and p @ A_a, slots being the stacked A_a;
-    0.0 for p None or past the float range."""
-    if p is None:
-        return 0.0
+def _seed(t: MatrixTuple, w):
+    """(the largest norm, its first word) of the products of the words (a,) + w and w + (a,), each built
+    by product_along as the walk builds it; (0.0, None) for w None or past the float range."""
+    if w is None:
+        return 0.0, None
+    seeds = sorted({z for a in range(1, t.r + 1) for z in ((a,) + w, w + (a,))})
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.concatenate((np.matmul(slots, p), np.matmul(p, slots)))
+        ends = np.array([product_along(t, z) for z in seeds])
     if not np.isfinite(ends).all():
-        return 0.0
+        return 0.0, None
     try:
-        return _SCREEN_SLACK * float(np.max(linalg.op_norms(ends)))
+        norms = linalg.op_norms(ends)
     except ConvergenceError:
-        return 0.0
+        return 0.0, None
+    i = int(np.argmax(norms))
+    return float(norms[i]), seeds[i]
 
 
 def _levels(t: MatrixTuple, depth: int, budget: int):
@@ -151,11 +151,11 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
         lower_drops = periods == 0
         if floor > 0:
             lower_drops |= bound ** (1.0 / n) < floor
-        return (bound < max(best, bar)) & lower_drops
+        return (bound < best) & lower_drops
 
     try:
         for n in range(1, depth + 1):
-            best, bar, ties = 0.0, _bar(store.slots, argmax), []
+            (best, argmax), ties = _seed(t, argmax), []
             for digits, periods, caps, stack in store.walk(n, prune=prune):
                 rows = (periods == n).nonzero()[0]  # the Lyndon words
                 if floor > 0 and len(rows):  # first the prune's own rule at k = n, then the radius caps
@@ -172,12 +172,12 @@ def _levels(t: MatrixTuple, depth: int, budget: int):
                     keep = values >= (1.0 - _TIE_TOL) * top
                     if top > 0.0 and keep.any():
                         ties += zip(words._words_at(digits[rows[keep]]), values[keep].tolist())
-                live = (~(caps < max(best, bar))).nonzero()[0]
+                live = (~(caps < best)).nonzero()[0]
                 if len(live):
                     norms = linalg.op_norms(stack[live])
                     i = int(np.argmax(norms))
                     if norms[i] > best:
-                        best, argmax = float(norms[i]), stack[live[i]].copy()  # a copy outlives the block
+                        best, argmax = float(norms[i]), words._words_at(digits[live[i:i + 1]])[0]
             if best < np.finfo(float).tiny and top > 0.0:
                 raise ConvergenceError(f"products of length {n} underflow; the tuple's scale is out of range")
             candidates += ties

@@ -16,7 +16,7 @@ from .bounds import _candidates_and_midpoint, spectral_maximal_candidates
 from .config import DEFAULTS, _Record, require_fraction, require_tol
 from .errors import InputError
 from .norms import NormRep, _check_rho, _check_samples, _induced_norm, verify_barabanov
-from .tuples import MatrixTuple, _PrefixStore, product_along
+from .tuples import MatrixTuple, _PrefixStore
 from .words import Word, _digit_rows, _rows_among, _words_at, format_word, rotation_class, validate_word
 
 SFH_CAVEAT = (
@@ -105,8 +105,8 @@ def sfh_evidence(
 
     Only competitors that can change the report are evaluated: first the
     seeds, per norm the one-letter mutant of omega (two letter counts
-    differ, so no rotation) with the largest bound, every mutant built by
-    product_along as the walk builds it.  The walk then drops
+    differ, so no rotation) with the largest bound, every mutant built
+    bitwise as product_along and the walk build it (_mutants).  The walk then drops
     zero products, at k = n omega's rotations and the seeds, and each prefix
     p of length k whose bound_of(cap) * L ** (n - k) * _PRUNE_SLACK lies
     strictly below min(threshold, level maximum so far) under every norm:
@@ -140,6 +140,23 @@ def _target(rho_hat: float, n: int) -> float:
 _PRUNE_SLACK = 1.0 + 1e-9
 
 
+def _mutants(t: MatrixTuple, omega: Word):
+    """(words, stack): omega's one-letter mutants, by position then letter, and their products, bitwise
+    product_along's: along omega's prefix chain P_{j+1} = A_{omega_j} @ P_j, each mutant at position j is
+    A_a @ P_j (A_a itself at j = 0), then its suffix letter by letter."""
+    mutants, products, prefix = [], [], None
+    for j, letter in enumerate(omega):
+        for a in range(1, t.r + 1):
+            if a != letter:
+                out = t.slot(a) if prefix is None else t.slot(a) @ prefix
+                for b in omega[j + 1:]:
+                    out = t.slot(b) @ out
+                mutants.append(omega[:j] + (a,) + omega[j + 1:])
+                products.append(out)
+        prefix = t.slot(letter) if prefix is None else t.slot(letter) @ prefix
+    return mutants, np.array(products)
+
+
 def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: float, budget: int) -> SfhReport:
     """sfh_evidence's pruned offender scan under induced maps that _admit returned: the seeds, then the walk."""
     n = len(omega)
@@ -156,12 +173,11 @@ def _scan(t: MatrixTuple, omega: Word, induced, rho_hat: float, offender_tol: fl
             for z, value in zip(_words_at(digits[hits]), values[hits].tolist()):
                 offender_values[z] = max(offender_values.get(z, 0.0), value)
 
-    seeds = [omega[:j] + (a,) + omega[j + 1:] for j in range(n) for a in range(1, t.r + 1) if a != omega[j]]
     with np.errstate(over="ignore", invalid="ignore"):  # the walk's state for the walk's work
         powers = np.max(linalg.op_norms(np.stack(t.matrices))) ** np.arange(n, dtype=float)  # L ** (n - k)
         reach = np.where(powers >= np.finfo(float).tiny, powers * _PRUNE_SLACK, np.inf)
-        if seeds:  # the mutants, bitwise the walk's products; per norm the one of largest bound stays
-            stack = np.array([product_along(t, z) for z in seeds])
+        seeds, stack = _mutants(t, omega)
+        if seeds:  # per norm the mutant of largest bound stays
             caps = linalg.op_norm_caps(stack)
             picks = sorted({int(np.argmax(bound_of(caps))) for _, bound_of in induced})
             seeds, stack = [seeds[i] for i in picks], stack[picks]

@@ -494,15 +494,38 @@ def test_a_subnormal_level_maximum_ends_the_candidate_scan_too():
 
 
 def test_a_seed_past_the_float_range_keeps_the_walks_error():
-    # level 2's seed takes the norms of A_a @ P and P @ A_a, P the largest
-    # product of level 1; here their singular values overflow, so the seed is
-    # 0.0, and the walk itself still reports the overflow: no Lyndon word of
-    # length 2 has eigenvalues that overflow ((1, 1) is a power, and P_(1,2) has
-    # entries of 8.66e153), but the singular values of P_(1,1) do
+    # level 2's seed takes the norms of the products of (a, w) and (w, a), w
+    # the word of largest norm at level 1; here their singular values
+    # overflow, so the seed is 0.0, and the walk itself still reports the
+    # overflow: no Lyndon word of length 2 has eigenvalues that overflow
+    # ((1, 1) is a power, and P_(1,2) has entries of 8.66e153), but the
+    # singular values of P_(1,1) do
     big = 8.66e153 * np.ones((2, 2))
     for slots in ((big,), (big, np.array([[0.0, 1.0], [1.0, 0.0]]))):
         with pytest.raises(ConvergenceError, match="^singular values overflow; the tuple's scale is out of range$"):
             bounds(MatrixTuple("real", slots), 2)
+
+
+def test_ill_conditioned_similarities_keep_every_level_maximum_a_walk_value():
+    # A_i = T M_i T^-1 with T = U diag(geomspace(1, cond, d)) V, U and V
+    # orthogonal, cond up to 1e5: products taken in different orders differ
+    # here by more than 1e-9 relative.  Each level's running maximum starts at
+    # products of the walk's own words, built as the walk builds them, so every
+    # level maximum is bitwise the largest norm of an exhaustive product_along
+    # sweep; a seed built as P @ A_a ended 8 of these 40 passes with a false
+    # "products of length n underflow"
+    engine = importlib.import_module("jsrkit.bounds")
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        d = int(rng.integers(2, 5))
+        cond = 10.0 ** rng.uniform(2, 5)
+        u, v = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+        s = u @ np.diag(np.geomspace(1.0, cond, d)) @ v
+        t = MatrixTuple("real", tuple(s @ m @ np.linalg.inv(s) for m in rng.standard_normal((2, d, d)) / np.sqrt(d)))
+        _, maxima, _ = engine._levels(t, 8, 10 ** 6)
+        sweep = [np.max(linalg.op_norms(np.array([product_along(t, w) for w in product((1, 2), repeat=n)])))
+                 for n in range(1, 9)]
+        assert [m.hex() for m in maxima[1:]] == [float(m).hex() for m in sweep]
 
 
 def test_upper_prune_margin_keeps_a_leaf_that_ties_its_prefix_bound():

@@ -269,6 +269,23 @@ def test_level_maxima_below_the_normal_floats_are_underflow(capsys, tmp_path):
         assert (code, result["upper"], result["upper_level"]) == (0, upper, level), (entry, depth)
 
 
+def test_a_benign_non_normal_tuple_is_not_underflow(capsys, tmp_path):
+    # products of this tuple taken in different orders differ by more than
+    # 1e-9 relative; a level seed built as P @ A_a once stood above every
+    # product of length 4 that the walk builds, so no row was evaluated and
+    # bounds at depths 4 and 12 and rank1 at depth 6 exited 2 with a false
+    # "products of length 4 underflow"
+    path = tmp_path / "nonnormal.json"
+    path.write_text(json.dumps({"d": 2, "field": "real", "r": 2, "matrices": [
+        [[224.92, -35.2464], [1442.1, -225.988]], [[-488.124, 76.2205], [-3123.67, 487.765]]]}))
+    for depth, upper in ((4, 8.410711888744572), (12, 2.9326324044724834)):
+        code, out, err = _run(capsys, ["bounds", "--input", str(path), "--depth", str(depth)])
+        result = json.loads(out)["result"]
+        assert (code, err, result["lower"], result["upper"]) == (0, "", 1.6443703867579984, upper), depth
+    code, out, err = _run(capsys, ["rank1", "--input", str(path), "--depth", "6"])
+    assert (code, err, json.loads(out)["result"]["status"]) == (0, "", "Certified")
+
+
 def test_sfh_target_below_the_normal_floats_is_refused(capsys, tmp_path):
     # (2.1e-20) ** 16 is subnormal: the scan of example 2 at that scale once
     # reported margin -3.45e-09, where at scale 1 its margin is 0.0

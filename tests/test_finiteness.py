@@ -294,6 +294,28 @@ def _random_norms(rng, d, real):
     return reps
 
 
+def test_mutants_are_bitwise_the_products_of_product_along():
+    # the mutants share omega's prefix chain and build only their suffixes, so
+    # each product is bitwise product_along's, past the float range too
+    rng = np.random.default_rng(53)
+    omega = (1, 1, 2, 1, 2, 2, 1, 2, 2, 2, 1, 2)
+    cases = [(characteristic_tuple(2, 12, omega), omega),
+             (MatrixTuple("real", (1e200 * np.ones((2, 2)), np.eye(2))), (1, 2, 1)),
+             (MatrixTuple("real", (np.eye(2),)), (1, 1, 1))]
+    for kind in ("real", "complex", "rank-one", "integer"):
+        for r, d in ((2, 3), (3, 2)):
+            t = MatrixTuple("complex" if kind == "complex" else "real", tuple(_random_slots(rng, kind, r, d)))
+            cases += [(t, tuple(int(a) for a in rng.integers(1, r + 1, n))) for n in (1, 2, 7)]
+    for t, omega in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mutants, stack = finiteness._mutants(t, omega)
+            expected = [omega[:j] + (a,) + omega[j + 1:] for j in range(len(omega)) for a in range(1, t.r + 1)
+                        if a != omega[j]]
+            assert mutants == expected and len(stack) == len(expected)
+            for z, p in zip(mutants, stack):
+                assert p.tobytes() == product_along(t, z).tobytes(), (omega, z)
+
+
 def test_screened_scan_equals_unscreened_scan_bitwise():
     rng = np.random.default_rng(2009)
     compared = 0
